@@ -1,6 +1,7 @@
 """Command-line driver.
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = usage or input error.
+Exit codes: 0 = pass, 1 = verification failure, 2 = usage or input error,
+3 = internal error.
 All reports go to stdout, one fact per line, in a stable order; error
 messages go to stderr.
 """
@@ -12,17 +13,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .amalgam import AmalgamError
 from .fraisse import check_fraisse_properties
 from .limit import new_builder
 from .rationals import format_rational, parse_rational
-from .spacefile import SpaceParseError, parse_space, serialize_space
-from .spaces import FinSpace, SpaceError, canonical_iso, enumerate_embeddings, validate
-from .witness import (
-    InadmissibleTraceError,
-    build_witness,
-    exhaust_all_traces,
-    verify_injection,
-)
+from .spacefile import parse_space, serialize_space
+from .spaces import FinSpace, canonical_iso, enumerate_embeddings, validate
+from .witness import WitnessError, build_witness, exhaust_all_traces, verify_injection
 
 
 def _load(path: str) -> FinSpace:
@@ -189,13 +186,11 @@ def run(argv: Sequence[str]) -> int:
             }[args.subcommand]
             return handler(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except (SpaceParseError, InadmissibleTraceError, SpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (AmalgamError, WitnessError) as exc:
+        # a failed internal construction check, not a fault of the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

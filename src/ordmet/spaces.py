@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .rationals import format_rational, parse_rational
@@ -163,49 +164,89 @@ def validate(space: FinSpace) -> ValidationReport:
     a pure function of the space.
     """
     out: list[Violation] = []
+    points, entries = space.points, space.entries
     seen: set[PointId] = set()
-    for p in space.points:
+    for p in points:
         if p in seen:
             out.append(Violation("order", (p,), "point listed twice"))
         seen.add(p)
 
-    for p in space.points:
-        diag = space.entries.get((p, p))
+    for p in points:
+        diag = entries.get((p, p))
         if diag is not None and diag != 0:
             out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(diag)}"))
 
-    resolvable: set[tuple[PointId, PointId]] = set()
-    for p, q in space.pairs():
-        fwd = space.entries.get((p, q))
-        bwd = space.entries.get((q, p))
-        if fwd is None and bwd is None:
-            out.append(Violation("missing", (p, q), "no distance entry"))
-            continue
-        if fwd is not None and bwd is not None and fwd != bwd:
-            out.append(
-                Violation(
-                    "symmetry",
-                    (p, q),
-                    f"{format_rational(fwd)} != {format_rational(bwd)}",
+    # rows[i][j] (i < j) holds the resolved distance of the pair at list
+    # positions i and j, None when the pair is missing; fewer than three
+    # points have no triple to check.
+    n = len(points)
+    rows = [[None] * n for _ in range(n)] if n >= 3 else None
+    scale = 1  # lcm of the resolved denominators
+    for i, p in enumerate(points):
+        for j in range(i + 1, n):
+            q = points[j]
+            fwd = entries.get((p, q))
+            bwd = entries.get((q, p))
+            if fwd is None and bwd is None:
+                out.append(Violation("missing", (p, q), "no distance entry"))
+                continue
+            if fwd is not None and bwd is not None and fwd != bwd:
+                out.append(
+                    Violation(
+                        "symmetry",
+                        (p, q),
+                        f"{format_rational(fwd)} != {format_rational(bwd)}",
+                    )
                 )
-            )
-        value = fwd if fwd is not None else bwd
-        if value <= 0:
-            out.append(Violation("positivity", (p, q), f"d = {format_rational(value)}"))
-        resolvable.add((p, q))
+            value = fwd if fwd is not None else bwd
+            if value.numerator <= 0:
+                out.append(Violation("positivity", (p, q), f"d = {format_rational(value)}"))
+            if rows is not None:
+                rows[i][j] = value
+                if scale % value.denominator:
+                    scale = lcm(scale, value.denominator)
 
-    for x, y, z in combinations(space.points, 3):
-        if not ({(x, y), (x, z)} <= resolvable and (y, z) in resolvable):
-            continue
-        dxy, dxz, dyz = space.d(x, y), space.d(x, z), space.d(y, z)
-        # one report per failed side, the far pair listed first
-        if dxy > dxz + dyz:
-            out.append(_triangle_violation(x, y, z, dxy, dxz, dyz))
-        if dxz > dxy + dyz:
-            out.append(_triangle_violation(x, z, y, dxz, dxy, dyz))
-        if dyz > dxy + dxz:
-            out.append(_triangle_violation(y, z, x, dyz, dxy, dxz))
+    if rows is not None:
+        _triangle_pass(space, rows, scale, out)
     return ValidationReport(tuple(out))
+
+
+def _triangle_pass(space: FinSpace, rows: list[list], scale: int, out: list[Violation]) -> None:
+    """Append the triangle violations of the resolved table ``rows``.
+
+    Every value is rescaled in place to an exact Python int (value * scale),
+    which keeps sums and comparisons exact; triples with a missing pair are
+    skipped.  Violations are built from the original Fractions, triples in
+    ``combinations`` order, one report per failed side, the far pair first.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            value = row[j]
+            if value is not None:
+                row[j] = value.numerator * (scale // value.denominator)
+
+    pts = space.points
+    for a in range(n - 2):
+        ra = rows[a]
+        for b in range(a + 1, n - 1):
+            ab = ra[b]
+            if ab is None:
+                continue
+            rb = rows[b]
+            for c in range(b + 1, n):
+                ac, bc = ra[c], rb[c]
+                if ac is None or bc is None:
+                    continue
+                if ab > ac + bc or ac > ab + bc or bc > ab + ac:
+                    x, y, z = pts[a], pts[b], pts[c]
+                    dxy, dxz, dyz = space.d(x, y), space.d(x, z), space.d(y, z)
+                    if ab > ac + bc:
+                        out.append(_triangle_violation(x, y, z, dxy, dxz, dyz))
+                    if ac > ab + bc:
+                        out.append(_triangle_violation(x, z, y, dxz, dxy, dyz))
+                    if bc > ab + ac:
+                        out.append(_triangle_violation(y, z, x, dyz, dxy, dxz))
 
 
 def _triangle_violation(a, b, via, far, leg1, leg2) -> Violation:

@@ -51,9 +51,6 @@ class WitnessConfig:
         """The distinguished chain end a_{3k}."""
         return self.chain[-1]
 
-    def chain_point(self, index: int) -> PointId:
-        return self.chain[index]
-
     @property
     def window(self) -> range:
         """Chain indices a diameter-1 member containing the end can meet."""

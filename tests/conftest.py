@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from ordmet import FinSpace, make_space
+from ordmet.rationals import format_rational
+from ordmet.spaces import Violation
 
 
 def chain_space(k: int, top: int | None = None) -> FinSpace:
@@ -35,6 +37,53 @@ def path_metric_space(size: int, weights: dict[tuple[int, int], Fraction]) -> Fi
                     dist[(i, j)] = through
     entries = {(i, j): dist[(i, j)] for i, j in combinations(range(size), 2)}
     return FinSpace(tuple(range(size)), entries)
+
+
+def reference_violations(space: FinSpace) -> tuple[Violation, ...]:
+    """Slow oracle for ``validate``: every axiom checked pair by pair and
+    triple by triple in ``Fraction`` arithmetic, in the report order."""
+    out = []
+    seen = set()
+    for p in space.points:
+        if p in seen:
+            out.append(Violation("order", (p,), "point listed twice"))
+        seen.add(p)
+
+    for p in space.points:
+        diag = space.entries.get((p, p))
+        if diag is not None and diag != 0:
+            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(diag)}"))
+
+    resolvable = set()
+    for p, q in combinations(space.points, 2):
+        fwd = space.entries.get((p, q))
+        bwd = space.entries.get((q, p))
+        if fwd is None and bwd is None:
+            out.append(Violation("missing", (p, q), "no distance entry"))
+            continue
+        if fwd is not None and bwd is not None and fwd != bwd:
+            detail = f"{format_rational(fwd)} != {format_rational(bwd)}"
+            out.append(Violation("symmetry", (p, q), detail))
+        value = fwd if fwd is not None else bwd
+        if value <= 0:
+            out.append(Violation("positivity", (p, q), f"d = {format_rational(value)}"))
+        resolvable.add((p, q))
+
+    def triangle(a, b, via, far, leg1, leg2):
+        detail = f"{format_rational(far)} > {format_rational(leg1)} + {format_rational(leg2)}"
+        return Violation("triangle", (a, b, via), detail)
+
+    for x, y, z in combinations(space.points, 3):
+        if not ({(x, y), (x, z)} <= resolvable and (y, z) in resolvable):
+            continue
+        dxy, dxz, dyz = space.d(x, y), space.d(x, z), space.d(y, z)
+        if dxy > dxz + dyz:
+            out.append(triangle(x, y, z, dxy, dxz, dyz))
+        if dxz > dxy + dyz:
+            out.append(triangle(x, z, y, dxz, dxy, dyz))
+        if dyz > dxy + dxz:
+            out.append(triangle(y, z, x, dyz, dxy, dxz))
+    return tuple(out)
 
 
 @pytest.fixture

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
-from ordmet import validate
+import ordmet.cli
+from ordmet import AmalgamError, validate
 from ordmet.cli import run
 from ordmet.spacefile import parse_space, serialize_space
+from ordmet.witness import WitnessError
 
 from conftest import chain_space
 
@@ -164,6 +166,19 @@ def test_witness_bad_parameters_exit_two(files, tmp_path, capsys):
     ) == 2
     assert run(["fraisse-check", "--max-size", "1", "--grid", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [WitnessError, AmalgamError])
+def test_internal_error_exits_three(files, monkeypatch, capsys, error):
+    def broken(*args):
+        raise error("construction check failed")
+
+    monkeypatch.setattr(ordmet.cli, "build_witness", broken)
+    argv = ["witness", "exhaust", "--support", files["single.space"], "--n", "2", "--m", "1"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: construction check failed\n"
 
 
 def test_console_entry_point(files, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from ordmet import (
     validate,
 )
 
-from conftest import chain_space, path_metric_space
+from conftest import chain_space, path_metric_space, reference_violations
 
 
 def brute_force_pair_slots(space, dist):
@@ -98,6 +99,76 @@ def test_duplicate_point_reported():
 def test_validate_pure():
     space = make_space(["p", "q", "r"], {("p", "q"): 1, ("q", "r"): 1, ("p", "r"): 3})
     assert validate(space) == validate(space)
+
+
+# Mixed denominators, zero and negative values, and two denominators near
+# 2^70 whose lcm is far beyond any fixed-width integer.
+CANDIDATE_VALUES = [
+    Fraction(1), Fraction(2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 7),
+    Fraction(4), Fraction(0), Fraction(-1), Fraction(-2, 3),
+    Fraction(1, 2**70 + 1), Fraction(2**71 + 3, 2**70 - 1),
+]
+
+
+def random_candidate(rng):
+    """A candidate table of 0-9 points: mostly a valid space, with missing
+    pairs, asymmetric entries, a nonzero diagonal, a point listed twice and
+    out-of-range values mixed in at random rates."""
+    size = rng.randint(0, 9)
+    base = path_metric_space(
+        size, {pair: rng.choice([1, 2, Fraction(3, 2)]) for pair in combinations(range(size), 2)}
+    )
+    entries = dict(base.entries)
+    noise = rng.choice([0, 0.05, 0.2])
+    for i, j in combinations(range(size), 2):
+        roll = rng.random()
+        if roll < noise:
+            del entries[(i, j)]
+        elif roll < 2 * noise:
+            entries[(i, j)] = rng.choice(CANDIDATE_VALUES)
+        elif roll < 3 * noise:
+            entries[(j, i)] = rng.choice(CANDIDATE_VALUES)
+        elif roll < 4 * noise:
+            del entries[(i, j)]
+            entries[(j, i)] = rng.choice(CANDIDATE_VALUES)
+    points = list(range(size))
+    if size and rng.random() < 0.2:
+        entries[(0, 0)] = rng.choice(CANDIDATE_VALUES)
+    if size and rng.random() < 0.2:
+        points.insert(rng.randrange(size + 1), rng.randrange(size))
+    return FinSpace(tuple(points), entries)
+
+
+def test_validate_matches_reference_on_candidate_tables():
+    rng = random.Random(2024)
+    failing = 0
+    seen_kinds = set()
+    cases = 1500
+    for _ in range(cases):
+        space = random_candidate(rng)
+        violations = validate(space).violations
+        assert violations == reference_violations(space)
+        failing += bool(violations)
+        seen_kinds |= {v.kind for v in violations}
+    assert failing >= cases // 2
+    assert seen_kinds == {"order", "identity", "missing", "symmetry", "positivity", "triangle"}
+
+
+def test_one_long_side_fails_once_per_third_point():
+    rng = random.Random(5)
+    size = 12
+    names = [f"r{i}" for i in range(size)]
+    dists = {
+        (names[i], names[j]): rng.choice([1, Fraction(3, 2), 2])
+        for i, j in combinations(range(size), 2)
+    }
+    dists[(names[3], names[8])] = 5
+    space = make_space(names, dists)
+    violations = validate(space).violations
+    assert violations == reference_violations(space)
+    lines = [v.describe(space) for v in violations]
+    assert len(lines) == size - 2
+    assert all(line.startswith("triangle r3 r8 ") for line in lines)
 
 
 # -- canonical_iso -------------------------------------------------------------
