@@ -11,6 +11,12 @@ subset is scheduled after finitely many steps; requests that mention points
 not created yet wait in a FIFO side queue.  Growth never renames or
 reorders existing points, so successive stages form an increasing chain.
 
+The stage's distances are kept once, as rows of Python ints over one common
+denominator, indexed by creation index.  Each new point's column is the
+shortest-path completion through its subset, computed and re-checked
+against its triangle bounds in integer arithmetic; ``Fraction`` values are
+made only for callers of ``d``, ``stage`` and ``induced``.
+
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
 order and freshly realized when nothing fits, which pins one canonical
@@ -22,11 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Mapping, Optional
 
 from .amalgam import InfeasibleExtensionError, feasibility_violation
 from .rationals import calkin_wilf
 from .spaces import FinSpace, PointId, SpaceError, validate
+
+
+# Upper estimate of one row-store entry: an 8-byte list slot plus its share
+# of a multi-digit int object (each completed value sits in two rows) and
+# list over-allocation.  grow refuses stages whose estimate tops the budget.
+ROW_ENTRY_BYTES = 32
+STORE_BUDGET_BYTES = 1 << 30
+
+
+def store_bytes(points: int) -> int:
+    """Estimated bytes of the distance rows of a stage with ``points`` points."""
+    return ROW_ENTRY_BYTES * points * points
 
 
 class FuelExhaustedError(RuntimeError):
@@ -151,7 +170,16 @@ def tasks_of_weight(weight: int) -> list[ExtensionTask]:
 
 class LimitBuilder:
     """Single-owner mutable stage; operations mutate in place and return
-    their results.  Snapshots from :meth:`stage` are immutable values."""
+    their results.  Snapshots from :meth:`stage` are immutable values.
+
+    Distances live in one store: ``_rows[i][j]`` is the distance between
+    the i-th and j-th created points times the common denominator
+    ``_scale``, as a Python int (exact, no overflow).  Rows are indexed by
+    creation index, so an order insert moves no row; a distance with a new
+    denominator multiplies every entry by the lcm factor.  ``Fraction``
+    values appear only at the API boundary (:meth:`d`, :meth:`stage`,
+    :meth:`induced`) and come from a numerator cache that a rescale clears.
+    """
 
     def __init__(self, seed: FinSpace):
         report = validate(seed)
@@ -163,11 +191,13 @@ class LimitBuilder:
         self._pos: dict[PointId, int] = {p: i for i, p in enumerate(self._order)}
         self._names: dict[PointId, str] = dict(seed.names)
         self._created: list[PointId] = list(seed.points)
-        self._dist: dict[tuple[PointId, PointId], Fraction] = {}
-        for p, q in seed.pairs():
-            value = seed.d(p, q)
-            self._dist[(p, q)] = value
-            self._dist[(q, p)] = value
+        self._index: dict[PointId, int] = dict(self._pos)
+        self._scale = lcm(*(seed.d(p, q).denominator for p, q in seed.pairs()))
+        self._rows: list[list[int]] = [
+            [self._scaled(seed.d(p, q)) if p != q else 0 for q in seed.points]
+            for p in seed.points
+        ]
+        self._fractions: dict[int, Fraction] = {}
         self._weight = 0
         self._level: list[ExtensionTask] = []
         self._level_pos = 0
@@ -182,38 +212,56 @@ class LimitBuilder:
     def created(self) -> tuple[PointId, ...]:
         return tuple(self._created)
 
+    def _scaled(self, value: Fraction) -> int:
+        return value.numerator * (self._scale // value.denominator)
+
+    def _fraction(self, num: int) -> Fraction:
+        hit = self._fractions.get(num)
+        if hit is None:
+            hit = self._fractions[num] = Fraction(num, self._scale)
+        return hit
+
     def d(self, p: PointId, q: PointId) -> Fraction:
         if p == q:
             return Fraction(0)
-        return self._dist[(p, q)]
+        return self._fraction(self._rows[self._index[p]][self._index[q]])
 
     def position(self, p: PointId) -> int:
         return self._pos[p]
 
     def stage(self) -> FinSpace:
         """Immutable snapshot of the current stage."""
-        entries = {
-            (p, q): self._dist[(p, q)] for p, q in combinations(self._order, 2)
-        }
-        return FinSpace(tuple(self._order), entries, dict(self._names))
+        return self.induced(self._order)
 
     def induced(self, keep) -> FinSpace:
-        kept = [p for p in self._order if p in set(keep)]
-        entries = {(p, q): self._dist[(p, q)] for p, q in combinations(kept, 2)}
-        return FinSpace(tuple(kept), entries, {p: self._names[p] for p in kept})
-
-    def _diameter(self) -> Fraction:
-        return max(
-            (self._dist[(p, q)] for p, q in combinations(self._order, 2)),
-            default=Fraction(0),
-        )
+        pos = self._pos
+        pts = sorted((p for p in set(keep) if p in pos), key=pos.__getitem__)
+        rows = [self._rows[self._index[p]] for p in pts]
+        cols = [self._index[p] for p in pts]
+        frac = self._fraction
+        entries = {
+            (p, q): frac(rows[a][cols[b]])
+            for (a, p), (b, q) in combinations(enumerate(pts), 2)
+        }
+        return FinSpace(tuple(pts), entries, {p: self._names[p] for p in pts})
 
     # -- growth -------------------------------------------------------------
+
+    def _rescale(self, denominators) -> None:
+        """Make ``_scale`` a multiple of every given denominator."""
+        scale = lcm(self._scale, *denominators)
+        if scale != self._scale:
+            factor = scale // self._scale
+            self._rows = [[v * factor for v in row] for row in self._rows]
+            self._scale = scale
+            self._fractions.clear()
 
     def realize(self, dvec: Mapping[PointId, Fraction], gap: int) -> PointId:
         """Add one point with exact distances to the keyed subset and the
         requested order gap inside it; remaining distances are completed by
-        shortest path through the subset (the amalgamation rule).
+        shortest path through the subset (the amalgamation rule), in
+        integers over the common denominator, and each completed distance
+        is re-checked against its triangle bounds.
         """
         sub = [p for p in self._order if p in dvec]
         if len(sub) != len(dvec):
@@ -225,40 +273,43 @@ class LimitBuilder:
         if refusal is not None:
             raise InfeasibleExtensionError(*refusal)
 
-        outside = [p for p in self._order if p not in dvec]
-        filler = Fraction(0)
-        if not sub and outside:
-            filler = 1 + self._diameter()
-        cross: dict[PointId, Fraction] = {}
-        for r in outside:
-            if sub:
-                value = min(self._dist[(r, z)] + dvec[z] for z in sub)
-                for z in sub:
-                    leg = self._dist[(r, z)]
-                    if not abs(leg - dvec[z]) <= value <= leg + dvec[z]:
-                        raise SpaceError(
-                            f"completed distance to {self._names[r]} escapes its bound"
-                        )
-            else:
-                value = filler
-            cross[r] = value
+        self._rescale(dvec[z].denominator for z in sub)
+        rows = self._rows
+        legs = [(self._index[z], self._scaled(dvec[z])) for z in sub]
+        # Rows are symmetric, so row i doubles as the column of point i.  A
+        # subset point completes to its own dvec entry (its leg to itself
+        # is 0), which the re-check below confirms.
+        if legs:
+            sums = [[leg + v for leg in rows[i]] for i, v in legs]
+            column = list(map(min, *sums)) if len(sums) > 1 else sums[0]
+            for i, v in legs:
+                escaped = [
+                    j
+                    for j, (leg, value) in enumerate(zip(rows[i], column))
+                    if not abs(leg - v) <= value <= leg + v
+                ]
+                if escaped:
+                    name = self._names[self._created[escaped[0]]]
+                    raise SpaceError(f"completed distance to {name} escapes its bound")
+        else:
+            column = [self._scale + max(map(max, rows))] * len(rows) if rows else []
 
         new = (max(self._created) + 1) if self._created else 0
         index = self._pos[sub[gap]] if gap < len(sub) else len(self._order)
         self._order.insert(index, new)
-        self._pos = {p: i for i, p in enumerate(self._order)}
+        for i in range(index, len(self._order)):
+            self._pos[self._order[i]] = i
+        self._index[new] = len(self._created)
         self._created.append(new)
         name = f"u{new}"
         taken = set(self._names.values())
         while name in taken:
             name = name + "_"
         self._names[new] = name
-        for z in sub:
-            self._dist[(z, new)] = dvec[z]
-            self._dist[(new, z)] = dvec[z]
-        for r, value in cross.items():
-            self._dist[(r, new)] = value
-            self._dist[(new, r)] = value
+        for row, value in zip(rows, column):
+            row.append(value)
+        column.append(0)
+        rows.append(column)
         return new
 
     def _task_feasible(self, task: ExtensionTask) -> Optional[tuple[dict, int]]:
@@ -293,6 +344,12 @@ class LimitBuilder:
         by exactly ``steps`` points."""
         if steps < 0:
             raise ValueError("steps must be nonnegative")
+        estimate = store_bytes(len(self) + steps)
+        if estimate > STORE_BUDGET_BYTES:
+            raise ValueError(
+                f"stage of {len(self) + steps} points needs about {estimate} bytes"
+                f" of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
+            )
         for _ in range(steps):
             while True:
                 decoded = self._task_feasible(self._next_task())
@@ -304,18 +361,23 @@ class LimitBuilder:
 
     # -- homogeneity engine --------------------------------------------------
 
+    def _keys(self, iso: PartialIso) -> list[tuple[int, int, int, int]]:
+        """(creation index, position) of both sides of each pair of the map."""
+        idx, pos = self._index, self._pos
+        return [(idx[x], idx[y], pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
+
     def iso_ok(self, iso: PartialIso) -> bool:
         """Preservation check against the current stage."""
-        pairs = list(zip(iso.dom, iso.cod))
         for p in iso.dom + iso.cod:
             if p not in self._pos:
                 return False
-        for (x1, y1), (x2, y2) in combinations(pairs, 2):
-            if self.d(x1, x2) != self.d(y1, y2):
+        rows = self._rows
+        for (xi1, yi1, xp1, yp1), (xi2, yi2, xp2, yp2) in combinations(
+            self._keys(iso), 2
+        ):
+            if rows[xi1][xi2] != rows[yi1][yi2]:
                 return False
-            if (self.position(x1) < self.position(x2)) != (
-                self.position(y1) < self.position(y2)
-            ):
+            if (xp1 < xp2) != (yp1 < yp2):
                 return False
         return True
 
@@ -323,20 +385,20 @@ class LimitBuilder:
         """A stage point matching target's distances and order pattern over
         the map, existing points first in creation order, else realized."""
         taken = set(iso.cod)
-        pairs = list(zip(iso.dom, iso.cod))
+        keys = self._keys(iso)
+        trow = self._rows[self._index[target]]
         tpos = self.position(target)
-        for w in self._created:
+        for w, wrow in zip(self._created, self._rows):
             if w in taken:
                 continue
-            wpos = self.position(w)
+            wpos = self._pos[w]
             if all(
-                self.d(w, y) == self.d(target, x)
-                and (wpos < self.position(y)) == (tpos < self.position(x))
-                for x, y in pairs
+                wrow[yi] == trow[xi] and (wpos < yp) == (tpos < xp)
+                for xi, yi, xp, yp in keys
             ):
                 return w
-        dvec = {y: self.d(target, x) for x, y in pairs}
-        gap = sum(1 for x, _ in pairs if self.position(x) < tpos)
+        dvec = {y: self.d(target, x) for x, y in zip(iso.dom, iso.cod)}
+        gap = sum(1 for x in iso.dom if self.position(x) < tpos)
         return self.realize(dvec, gap)
 
     def back_and_forth_extend(

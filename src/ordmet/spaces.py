@@ -51,7 +51,7 @@ class FinSpace:
         for (p, q), value in self.entries.items():
             if p not in known or q not in known:
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
-            table[(p, q)] = Fraction(value)
+            table[(p, q)] = value if type(value) is Fraction else Fraction(value)
         object.__setattr__(self, "entries", table)
         names = {p: str(self.names.get(p, f"p{p}")) for p in pts}
         object.__setattr__(self, "names", names)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ordmet import FinSpace, make_space
+from ordmet import FinSpace, SpaceError, make_space
 from ordmet.rationals import format_rational
 from ordmet.spaces import Violation
 
@@ -84,6 +84,29 @@ def reference_violations(space: FinSpace) -> tuple[Violation, ...]:
         if dyz > dxy + dxz:
             out.append(triangle(y, z, x, dyz, dxy, dxz))
     return tuple(out)
+
+
+def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
+    """Slow oracle for ``LimitBuilder.realize``: the new point's distance to
+    every stage point in ``Fraction`` arithmetic.  Subset points keep their
+    ``dvec`` entry; every other point gets the shortest path through the
+    subset, re-checked against its triangle bounds; with an empty subset
+    the new point sits at 1 + diameter from everything."""
+    sub = [p for p in stage.points if p in dvec]
+    outside = [p for p in stage.points if p not in dvec]
+    filler = 1 + max((stage.d(p, q) for p, q in stage.pairs()), default=Fraction(0))
+    column = {z: Fraction(dvec[z]) for z in sub}
+    for r in outside:
+        if not sub:
+            column[r] = filler
+            continue
+        value = min(stage.d(r, z) + dvec[z] for z in sub)
+        for z in sub:
+            leg = stage.d(r, z)
+            if not abs(leg - dvec[z]) <= value <= leg + dvec[z]:
+                raise SpaceError(f"completed distance to {stage.name(r)} escapes its bound")
+        column[r] = value
+    return column
 
 
 @pytest.fixture

@@ -113,6 +113,16 @@ def test_limit_grow_from_file(files, tmp_path, capsys):
     assert validate(stage).is_valid
 
 
+def test_limit_grow_refuses_oversized_stage(tmp_path, capsys):
+    out = tmp_path / "stage.space"
+    argv = ["limit", "grow", "--seed", "empty", "--steps", str(10**9), "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "32000000000000000000 bytes" in captured.err
+    assert not out.exists()
+
+
 def test_witness_build(files, tmp_path, capsys):
     out = tmp_path / "config.space"
     assert run(

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -14,13 +16,18 @@ from ordmet import (
     canonical_iso,
     compose,
     diameter,
+    enumerate_embeddings,
     make_space,
     new_builder,
     partial_iso_ok,
     shift_iso,
+    serialize_space,
     validate,
 )
-from ordmet.limit import tasks_of_weight
+import ordmet.limit
+from ordmet.limit import store_bytes, tasks_of_weight
+
+from conftest import path_metric_space, reference_column
 
 EMPTY = FinSpace((), {})
 
@@ -51,9 +58,14 @@ def test_compose_shift_twice():
 
 def test_partial_iso_ok_checks_order_and_distance(k1_chain):
     pts = k1_chain.points
-    assert partial_iso_ok(k1_chain, PartialIso((pts[0], pts[1]), (pts[1], pts[2])))
-    assert not partial_iso_ok(k1_chain, PartialIso((pts[0], pts[1]), (pts[0], pts[2])))
-    assert not partial_iso_ok(k1_chain, PartialIso((pts[0], pts[1]), (pts[1], pts[0])))
+    builder = new_builder(k1_chain)
+    for iso, ok in (
+        (PartialIso((pts[0], pts[1]), (pts[1], pts[2])), True),
+        (PartialIso((pts[0], pts[1]), (pts[0], pts[2])), False),
+        (PartialIso((pts[0], pts[1]), (pts[1], pts[0])), False),
+    ):
+        assert partial_iso_ok(k1_chain, iso) == ok
+        assert builder.iso_ok(iso) == ok
 
 
 # -- builder basics --------------------------------------------------------------
@@ -203,6 +215,116 @@ def test_realize_gap_respects_subset_order():
     # gap 1 of the subset {a, c}: the new point lands just below c, above b
     assert builder.position(fresh) == 2
     assert [builder.position(p) for p in (0, 1, 2)] == [0, 1, 3]
+
+
+def test_realize_reports_escaped_bound_when_feasibility_is_skipped(unit_pair, monkeypatch):
+    """Negative control: with the feasibility test switched off, an
+    infeasible request reaches the integer re-check, which must refuse it.
+    Both points are in the subset, so this also shows that the re-check
+    covers the subset's own entries."""
+    dvec = {0: Fraction(1, 4), 1: Fraction(1, 4)}
+    monkeypatch.setattr(ordmet.limit, "feasibility_violation", lambda base, dvec: None)
+    builder = new_builder(unit_pair)
+    with pytest.raises(SpaceError, match="escapes its bound"):
+        builder.realize(dvec, 0)
+
+
+NEAR_2_70 = (2**70 - 35, 2**70 + 1)
+OFFSETS = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(3, 11)]
+
+
+def _random_feasible_dvec(rng, stage):
+    """A Katetov function on a random subset: the distances from a stage
+    point (or the larger of two) plus a positive offset whose denominator
+    may be new to the stage."""
+    sub = rng.sample(stage.points, rng.randint(0, min(4, len(stage))))
+    anchors = rng.sample(stage.points, min(len(stage), rng.randint(1, 2)))
+    if rng.random() < 0.1:
+        offset = Fraction(*NEAR_2_70)
+    else:
+        offset = rng.choice(OFFSETS) * rng.randint(1, 3)
+    return {z: max(stage.d(a, z) for a in anchors) + offset for z in sub}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_realize_matches_reference_column(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 6)
+    weights = {
+        (i, j): Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6]))
+        for i in range(size)
+        for j in range(i + 1, size)
+    }
+    builder = new_builder(path_metric_space(size, weights))
+    for _ in range(15):
+        stage = builder.stage()
+        dvec = _random_feasible_dvec(rng, stage)
+        expected = reference_column(stage, dvec)
+        fresh = builder.realize(dvec, rng.randint(0, len(dvec)))
+        for r in stage.points:
+            assert builder.d(fresh, r) == builder.d(r, fresh) == expected[r]
+        after = builder.stage()
+        for p, q in stage.pairs():
+            assert after.d(p, q) == stage.d(p, q)
+    assert validate(builder.stage()).is_valid
+
+
+# Digests of serialize_space(new_builder(empty).grow(N).stage()), recorded
+# from the Fraction-dict builder this integer store replaced.
+STAGE_SHA256 = {
+    1: "c2d90660f0aaaa7e4c6f186a118aa8dc5b147c2b6a4334089420c3d2d5363a8c",
+    2: "e6c0a97107df3dcd3f248b420d4aaa8e7d3cf572f437f1d305971c4ea158b025",
+    3: "68696b3ca0600aec686d8f192138758cba56e5f6002b5fb82f34362764837076",
+    5: "3a05c70b6f9f226a0fdc6198e6d6a35d19742f4cac2d388cb37dab3cc6638dd6",
+    10: "6bd542f2ef50e94e12727e168507fb4d34d34ea71fb9ec50be097067c0f9e511",
+    25: "976637848b4e7c39b7088bdcc67699e485a6ba02dbcfadf9c303849e22a86633",
+    50: "625c556fd88200a750e99badb07044a0c270d142cd6567de576b0b219f62a16b",
+    100: "445dc68e47d0dcb8e256da501ae7d4ade18aa854d13bde1553a13ff1aba257c7",
+    200: "daa30755c63141e4a605d1b4b1d4330434b23ddfb4fae2ea94edb636c9709e4f",
+}
+
+
+def _digest(text: str) -> str:
+    return sha256(text.encode()).hexdigest()
+
+
+def test_grown_stages_are_byte_identical():
+    for n, digest in STAGE_SHA256.items():
+        stage = new_builder(EMPTY).grow(n).stage()
+        assert _digest(serialize_space(stage)) == digest, n
+
+
+def test_back_and_forth_stage_is_byte_identical():
+    """Replays the sessions of acceptance criterion 5 (same rng seed) and
+    pins the extended maps and the grown stage, recorded from the
+    Fraction-dict builder."""
+    builder = new_builder(EMPTY).grow(30)
+    base = builder.stage()
+    rng = random.Random(50607)
+    lines = []
+    for _ in range(100):
+        dom = sorted(rng.sample(base.points, rng.randint(1, 3)), key=base.position)
+        emb = rng.choice(list(enumerate_embeddings(base.subspace(dom), base)))
+        iso = PartialIso(tuple(dom), tuple(emb(p) for p in dom))
+        for t in range(5):
+            target = rng.choice(builder.created)
+            iso = builder.back_and_forth_extend(iso, target, "forth" if t % 2 == 0 else "back")
+        lines.append(" ".join(f"{x}->{y}" for x, y in zip(iso.dom, iso.cod)))
+    assert len(builder) == 412
+    assert _digest("\n".join(lines)) == (
+        "f0304d0d4b2b178b8e8a305b0a33a4e17a98c5545a77568036d21d0083de2e76"
+    )
+    assert _digest(serialize_space(builder.stage())) == (
+        "07144ed45de635d02bc910ffce05ea6d6841ead4b4834f6842056d45697058e3"
+    )
+
+
+def test_grow_refuses_stage_over_store_budget(monkeypatch):
+    monkeypatch.setattr(ordmet.limit, "STORE_BUDGET_BYTES", store_bytes(10))
+    builder = new_builder(make_space(["x"], {})).grow(9)
+    with pytest.raises(ValueError, match=f"{store_bytes(11)} bytes"):
+        builder.grow(1)
+    assert len(builder) == 10
 
 
 # -- back and forth ---------------------------------------------------------------

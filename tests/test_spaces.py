@@ -49,6 +49,16 @@ def valid_spaces(draw, min_size=1, max_size=4):
 # -- validate ----------------------------------------------------------------
 
 
+def test_entries_become_fractions_and_given_fractions_are_kept():
+    given = Fraction(2, 3)
+    space = FinSpace((0, 1, 2), {(0, 1): 1, (0, 2): "3/4", (1, 2): given})
+    assert [type(v) for v in space.entries.values()] == [Fraction] * 3
+    assert space.d(0, 1) == 1
+    assert space.d(2, 0) == Fraction(3, 4)
+    assert space.d(1, 2) == given
+    assert space.entries[(1, 2)] is given
+
+
 def test_singleton_valid():
     assert validate(make_space(["x"], {})).is_valid
 
