@@ -229,7 +229,7 @@ def test_realize_reports_escaped_bound_when_feasibility_is_skipped(unit_pair, mo
         builder.realize(dvec, 0)
 
 
-NEAR_2_70 = (2**70 - 35, 2**70 + 1)
+NEAR_2_70 = Fraction(2**70 - 35, 2**70 + 1)
 OFFSETS = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(3, 11)]
 
 
@@ -240,7 +240,7 @@ def _random_feasible_dvec(rng, stage):
     sub = rng.sample(stage.points, rng.randint(0, min(4, len(stage))))
     anchors = rng.sample(stage.points, min(len(stage), rng.randint(1, 2)))
     if rng.random() < 0.1:
-        offset = Fraction(*NEAR_2_70)
+        offset = NEAR_2_70
     else:
         offset = rng.choice(OFFSETS) * rng.randint(1, 3)
     return {z: max(stage.d(a, z) for a in anchors) + offset for z in sub}
