@@ -8,6 +8,15 @@ import pytest
 from ordmet import FinSpace, SpaceError, make_space
 from ordmet.rationals import format_rational
 from ordmet.spaces import Violation
+from ordmet.witness import (
+    ExhaustReport,
+    InadmissibleTraceError,
+    InjectionReport,
+    Membership,
+    RefinementTrace,
+    ShiftCheck,
+    shifted_trace,
+)
 
 
 def chain_space(k: int, top: int | None = None) -> FinSpace:
@@ -107,6 +116,76 @@ def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
                 raise SpaceError(f"completed distance to {stage.name(r)} escapes its bound")
         column[r] = value
     return column
+
+
+def reference_shift(config, members, low: int, shift: int):
+    """Slow oracle for one shift of ``verify_injection``: the image as a
+    ``shifted_trace`` membership dict, then (top_in, determinable, pattern,
+    pattern_ok) from a scan of the window {k, .., low + shift}.  A window
+    index past the chain end is neither IN nor UNKNOWN."""
+    image = shifted_trace(config, members, shift)
+    window = range(config.k, low + shift + 1)
+    pattern = tuple(i for i in window if image.get(i) is Membership.IN)
+    determinable = all(image.get(i) is not Membership.UNKNOWN for i in window)
+    top_in = image[3 * config.k] is Membership.IN
+    return image, (top_in, determinable, pattern, pattern == (low + shift,))
+
+
+def in_image(image) -> tuple[int, ...]:
+    """The IN indices of a membership dict, ascending."""
+    return tuple(i for i in sorted(image) if image[i] is Membership.IN)
+
+
+def reference_distinct(images, low: int) -> bool:
+    """Every pair of shifts j1 < j2 is separated at index low + j1: IN the
+    first image and OUT of (not UNKNOWN in) the second."""
+    return all(
+        images[j1].get(low + j1) is Membership.IN
+        and images[j2].get(low + j1) is Membership.OUT
+        for j1, j2 in combinations(range(len(images)), 2)
+    )
+
+
+def reference_injection(config, trace) -> InjectionReport:
+    """Slow oracle for ``verify_injection``: the membership dicts of
+    ``shifted_trace`` scanned index by index, with the same refusals."""
+    members = trace.members if isinstance(trace, RefinementTrace) else frozenset(trace)
+    for i in members:
+        if not 0 <= i <= 3 * config.k:
+            raise SpaceError(f"trace index {i} outside 0..{3 * config.k}")
+    if not (3 * config.k in members and set(config.tail) <= members <= set(config.window)):
+        raise InadmissibleTraceError(f"trace {sorted(members)} is not admissible")
+    low = min(members)
+    images, facts = zip(*(reference_shift(config, members, low, j) for j in range(config.n)))
+    checks = tuple(
+        ShiftCheck(j, top_in, determinable, in_image(image), pattern, ok)
+        for j, (image, (top_in, determinable, pattern, ok)) in enumerate(zip(images, facts))
+    )
+    distinct = reference_distinct(images, low)
+    return InjectionReport(low, checks, distinct, distinct and all(c.ok for c in checks))
+
+
+def reference_exhaust(config, verdict=None) -> ExhaustReport:
+    """Slow oracle for ``exhaust_all_traces``: every superset of the tail
+    inside the window as a frozenset, by subset size and then
+    lexicographically.  ``verdict(members)`` replaces the injectivity
+    verdict of ``reference_injection`` when given."""
+    if verdict is None:
+        def verdict(members):
+            return reference_injection(config, members).injective
+    free = [i for i in config.window if i not in config.tail]
+    tail = frozenset(config.tail)
+    checked = passed = 0
+    first_failure = None
+    for r in range(len(free) + 1):
+        for extra in combinations(free, r):
+            members = tail | frozenset(extra)
+            checked += 1
+            if verdict(members):
+                passed += 1
+            elif first_failure is None:
+                first_failure = tuple(sorted(members))
+    return ExhaustReport(checked, passed, first_failure)
 
 
 @pytest.fixture

@@ -161,6 +161,21 @@ def test_witness_exhaust(files, capsys):
     assert capsys.readouterr().out == "checked 2\npassed 2\nverdict pass\n"
 
 
+def test_witness_exhaust_refuses_over_budget(files, monkeypatch, capsys):
+    def enumerated(*args):
+        raise AssertionError("exhaust enumerated traces past its budget")
+
+    monkeypatch.setattr(ordmet.witness, "_shift_core", enumerated)
+    argv = ["witness", "exhaust", "--support", files["single.space"], "--n", "1", "--m", "60"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exhaust would check 1152921504606846976 traces (2^60),"
+        f" over the budget of {ordmet.witness.EXHAUST_BUDGET_TRACES}\n"
+    )
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["validate"]) == 2

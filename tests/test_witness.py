@@ -1,7 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from conftest import (
+    in_image,
+    reference_distinct,
+    reference_exhaust,
+    reference_injection,
+    reference_shift,
+)
+from ordmet import witness
 from ordmet import (
     InadmissibleTraceError,
     Membership,
@@ -29,6 +39,18 @@ def singleton_support():
 
 def pair_support(distance):
     return make_space(["b0", "b1"], {("b0", "b1"): distance})
+
+
+def admissible_traces(config):
+    """Every admissible trace, in the order exhaust_all_traces checks them."""
+    free = [i for i in config.window if i not in config.tail]
+    for r in range(len(free) + 1):
+        for extra in combinations(free, r):
+            yield frozenset(config.tail) | frozenset(extra)
+
+
+def as_mask(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
 # -- build_witness ---------------------------------------------------------------
@@ -229,6 +251,67 @@ def test_injection_rejects_inadmissible():
         verify_injection(config, {6})
 
 
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+)
+def test_injection_matches_reference_on_every_admissible_trace(n, m):
+    config = build_witness(singleton_support(), n, m)
+    for members in admissible_traces(config):
+        report = verify_injection(config, members)
+        assert report == reference_injection(config, members)
+        assert report.lines() == reference_injection(config, members).lines()
+        assert report.injective
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_injection_refuses_like_reference(n, m):
+    config = build_witness(singleton_support(), n, m)
+    top = 3 * config.k
+    bad = [{-1}, {top + 1}, {0, top + 5}, RefinementTrace(frozenset({top + 2, top}))]
+    for r in range(top + 2):
+        bad.extend(
+            set(members) for members in combinations(range(top + 1), r)
+            if not admissible(config, members)
+        )
+    for trace in bad:
+        expected = raised(reference_injection, config, trace)
+        assert raised(verify_injection, config, trace) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_shift_core_matches_reference_on_every_mask(k):
+    """Every nonempty trace over 0..3k, admissible or not, with n up to
+    k + 2, so that the window, the UNKNOWN indices and the pair tests all
+    fail somewhere."""
+    config = replace(build_witness(singleton_support(), 1, k), n=k + 2)
+    seen = {"determinable": set(), "pattern_ok": set(), "distinct": set()}
+    for mask in range(1, 2 ** (3 * k + 1)):
+        members = frozenset(i for i in range(3 * k + 1) if mask >> i & 1)
+        low = min(members)
+        images, facts = zip(*(reference_shift(config, members, low, j) for j in range(k + 2)))
+        expected = [
+            (as_mask(in_image(image)), top_in, determinable, as_mask(pattern), ok)
+            for image, (top_in, determinable, pattern, ok) in zip(images, facts)
+        ]
+        for n in range(1, k + 3):
+            shifts, distinct, injective = witness._shift_core(k, n, mask)
+            assert shifts == expected[:n], (k, n, sorted(members))
+            expected_distinct = reference_distinct(images[:n], low)
+            assert distinct == expected_distinct, (k, n, sorted(members))
+            assert injective == (expected_distinct and all(f[0] and f[1] and f[3] for f in facts[:n]))
+            seen["distinct"].add(distinct)
+        seen["determinable"].update(f[1] for f in facts)
+        seen["pattern_ok"].update(f[3] for f in facts)
+    if k >= 2:
+        assert all(values == {True, False} for values in seen.values()), seen
+
+
 # -- exhaust ----------------------------------------------------------------------
 
 
@@ -259,6 +342,71 @@ def test_exhaust_report_lines():
         "passed 2",
         "verdict pass",
     ]
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 2)])
+def test_exhaust_matches_reference(n, m):
+    config = build_witness(singleton_support(), n, m)
+    assert exhaust_all_traces(config) == reference_exhaust(config)
+
+
+def failing_sets(config):
+    """Chosen traces to fail: free indices a < b < c < d give tail+{a,d}
+    before tail+{b,c} by size then lexicographically, though its mask is
+    larger, and tail+{d} before both."""
+    tail = frozenset(config.tail)
+    a, b, c, d = [i for i in config.window if i not in config.tail][:4]
+    yield {tail | {b, c}}
+    yield {tail | {b, c}, tail | {a, d}}
+    yield {tail | {b, c}, tail | {a, d}, tail | {d}}
+    yield {tail | {a, b, c, d}}
+    yield set(admissible_traces(config))
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3)])
+def test_exhaust_reports_injected_failures_like_reference(n, m, monkeypatch):
+    """No real trace fails, so a chosen set is made to fail in both the
+    mask engine and the reference; checked, passed, first-failure and the
+    report lines must agree."""
+    config = build_witness(singleton_support(), n, m)
+    core = witness._shift_core
+    for failing in failing_sets(config):
+        masks = {as_mask(members) for members in failing}
+
+        def injected(k, n, mask):
+            shifts, distinct, injective = core(k, n, mask)
+            return shifts, distinct, injective and mask not in masks
+
+        monkeypatch.setattr(witness, "_shift_core", injected)
+        report = exhaust_all_traces(config)
+        expected = reference_exhaust(config, lambda members: members not in failing)
+        assert report == expected
+        assert report.lines() == expected.lines()
+        assert report.passed == report.checked - len(failing)
+        assert report.lines()[-1] == "verdict fail"
+        first = min(failing, key=lambda members: (len(members), sorted(members)))
+        assert report.first_failure == tuple(sorted(first))
+
+
+def test_exhaust_builds_no_membership_dicts(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("exhaust went through the membership path")
+
+    config = build_witness(singleton_support(), 2, 2)
+    for name in ("frozenset", "shifted_trace", "verify_injection", "_members"):
+        monkeypatch.setattr(witness, name, forbidden, raising=False)
+    assert exhaust_all_traces(config).lines() == ["checked 8", "passed 8", "verdict pass"]
+
+
+def test_exhaust_budget_boundary(monkeypatch):
+    monkeypatch.setattr(witness, "EXHAUST_BUDGET_TRACES", 8)
+    assert exhaust_all_traces(build_witness(singleton_support(), 1, 3)).checked == 8
+    with pytest.raises(SpaceError, match=r"exhaust would check 16 traces \(2\^4\)"):
+        exhaust_all_traces(build_witness(singleton_support(), 1, 4))
+
+
+def test_exhaust_budget_admits_two_to_the_twenty():
+    assert witness.EXHAUST_BUDGET_TRACES >= 2**20
 
 
 def test_min_index_window_holds_on_every_trace():
