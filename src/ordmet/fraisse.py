@@ -15,14 +15,23 @@ report:
   fail (the two sides are already valid and symmetry, identity, positivity
   of the glued table and the interleaved order hold by construction), so
   the batch checks those plus overlap-consistency of the cross block.
+
+The vector engine works in one integer dtype, chosen once per grid: the
+narrowest of int8/int16/int32/int64 that holds every intermediate value
+(with top the largest scaled grid value: 5 top in the AP kernel, twice the
+JEP constant, 2 top in the enumeration).  A grid no dtype holds is refused
+with ValueError.  The AP kernel tests each triangle as the single predicate
+2 max(d, x, y) <= d + x + y, over all a-pairs at once and over all b-extra
+pairs at once, and returns the first failing span in (row_a, row_b) order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,14 +76,39 @@ class FraisseReport:
         return out
 
 
-def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, list[int]]:
+# Candidate integer dtypes for the vector engine, narrowest first.
+_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+# Peak bytes _valid_matrices may hold for one size.
+ENUMERATION_BUDGET_BYTES = 1 << 30
+
+# Elements in the widest temporary of one AP kernel chunk.
+CHUNK_ELEMENTS = 1 << 17
+
+
+def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, np.ndarray]:
+    """The sorted grid, its common denominator, and the scaled grid in the
+    narrowest integer dtype that holds every intermediate value: triangle
+    sums of the enumeration (2 top), twice the JEP constant scale + diam,
+    and the AP kernel's d + x + y (5 top), top being the largest scaled
+    value.  NumPy casts a Python int operand into the array's dtype, so the
+    bound covers scale as well."""
     values = sorted(set(Fraction(q) for q in grid))
     if not values:
         raise ValueError("distance grid is empty")
     if any(q <= 0 for q in values):
         raise ValueError("distance grid contains a non-positive value")
     scale = math.lcm(*(q.denominator for q in values))
-    return tuple(values), scale, [int(q * scale) for q in values]
+    ints = [int(q * scale) for q in values]
+    bound = max(5 * ints[-1], 2 * (scale + ints[-1]))
+    for dtype in _DTYPES:
+        if bound <= np.iinfo(dtype).max:
+            return tuple(values), scale, np.array(ints, dtype=dtype)
+    raise ValueError(
+        f"distance grid out of range: intermediate values reach {bound}"
+        f" (5 * {ints[-1]} or 2 * ({scale} + {ints[-1]})),"
+        f" over the int64 bound {np.iinfo(np.int64).max}"
+    )
 
 
 def _triangle_mask(batch: np.ndarray) -> np.ndarray:
@@ -89,31 +123,36 @@ def _triangle_mask(batch: np.ndarray) -> np.ndarray:
 
 
 def _positivity_mask(batch: np.ndarray) -> np.ndarray:
-    n = batch.shape[1]
-    if n < 2:
-        return np.ones(batch.shape[0], dtype=bool)
-    off = ~np.eye(n, dtype=bool)
-    return (batch[:, off] > 0).all(axis=1)
+    ok = np.ones(batch.shape[0], dtype=bool)
+    for i, j in permutations(range(batch.shape[1]), 2):
+        ok &= batch[:, i, j] > 0
+    return ok
 
 
-def _valid_matrices(size: int, int_grid: Sequence[int]) -> np.ndarray:
+def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarray:
     """All valid distance matrices of the given size, entries from the scaled
-    grid, in lexicographic order of the upper-triangle value tuples."""
+    grid in its dtype, in lexicographic order of the upper-triangle value
+    tuples.  Refuses before allocating when the candidates would need more
+    than ENUMERATION_BUDGET_BYTES."""
+    grid = np.asarray(int_grid)
     if size == 1:
-        return np.zeros((1, 1, 1), dtype=np.int64)
+        return np.zeros((1, 1, 1), dtype=grid.dtype)
     pairs = list(combinations(range(size), 2))
-    if len(int_grid) ** len(pairs) > 20_000_000:
+    count = len(grid) ** len(pairs)
+    # the batch and its filtered copy, one sum entry and three mask bytes
+    estimate = count * (2 * size * size * grid.itemsize + grid.itemsize + 3)
+    if estimate > ENUMERATION_BUDGET_BYTES:
         raise ValueError(
-            f"slice too large: {len(int_grid)}^{len(pairs)} candidate matrices at size {size}"
+            f"slice too large: {len(grid)}^{len(pairs)} candidate matrices at size {size}"
+            f" need about {estimate} bytes, over the {ENUMERATION_BUDGET_BYTES}-byte budget"
         )
-    columns = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*([np.asarray(int_grid, dtype=np.int64)] * len(pairs)), indexing="ij")],
-        axis=1,
-    )
-    batch = np.zeros((columns.shape[0], size, size), dtype=np.int64)
+    batch = np.zeros((count, size, size), dtype=grid.dtype)
+    # one axis per pair, in C order: row r holds the r-th value tuple
+    tuples = batch.reshape((len(grid),) * len(pairs) + (size, size))
     for col, (i, j) in enumerate(pairs):
-        batch[:, i, j] = columns[:, col]
-        batch[:, j, i] = columns[:, col]
+        axis = [1] * len(pairs)
+        axis[col] = len(grid)
+        tuples[..., i, j] = tuples[..., j, i] = grid.reshape(axis)
     return batch[_triangle_mask(batch) & _positivity_mask(batch)]
 
 
@@ -249,7 +288,7 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     # JEP: cross block is the constant 1 + max(diam a, diam b).  Mixed
     # triangles reduce to diam <= 2 * constant; everything else is inherited
     # or structural.
-    diams = [batch.max(axis=(1, 2)) if batch.shape[1] > 1 else np.zeros(batch.shape[0], dtype=np.int64) for batch in per_size]
+    diams = [batch.max(axis=(1, 2)) for batch in per_size]
     jep_checked = 0
     jep_ok = True
     for da in diams:
@@ -312,6 +351,25 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     )
 
 
+@functools.cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of every pair i < j below n."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
+def _triangle_ok(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise, each of d, x, y is at most the sum of the other two:
+    the three triangle inequalities fused into 2 max(d, x, y) <= d + x + y."""
+    total = x + y
+    total += d
+    top = np.maximum(x, y)
+    np.maximum(top, d, out=top)
+    top += top
+    return top <= total
+
+
 def _ap_batch_failure(
     da: np.ndarray,
     sel_a: tuple[int, ...],
@@ -324,38 +382,41 @@ def _ap_batch_failure(
     The amalgam keeps a's points and appends b's non-overlap points; its
     cross block is X[p, q] = min_z (a[p, z] + b[z, q]) over overlap points
     z.  Only the mixed triangle families, positivity of X, and agreement of
-    X with b on overlap rows need checking.
+    X with b on overlap rows need checking.  Both arrays share the dtype
+    ``_prepare_grid`` chose, which holds d + x + y for entries up to the
+    largest grid value.
     """
     ka = da.shape[1]
     extra = [q for q in range(db.shape[1]) if q not in sel_b]
     if not extra:
         return None  # b is the overlap itself; the amalgam equals a
-    n_a, n_b, nbx, kc = da.shape[0], db.shape[0], len(extra), len(sel_a)
+    n_b, nbx, kc = db.shape[0], len(extra), len(sel_a)
 
     lhs = da[:, :, sel_a]  # (n_a, ka, kc): a-point to overlap
     rhs = db[:, sel_b][:, :, extra]  # (n_b, kc, nbx): overlap to b-extra
-    dbx = db[:, extra][:, :, extra]  # (n_b, nbx, nbx)
+    pa, pa2 = _pair_indices(ka)
+    pb, pb2 = _pair_indices(nbx)
+    d_b = db[:, extra][:, :, extra][:, pb, pb2][None, :, None, :]  # (1, n_b, 1, pairs)
+    overlap = list(sel_a)
 
-    chunk = max(1, 1_000_000 // max(1, n_b * ka * nbx))
-    for start in range(0, n_a, chunk):
-        stop = min(n_a, start + chunk)
-        cross = None
-        for z in range(kc):
-            term = lhs[start:stop, :, z][:, None, :, None] + rhs[None, :, z, :][:, :, None, :]
-            cross = term if cross is None else np.minimum(cross, term)
-        ok = np.ones((stop - start, n_b), dtype=bool)
-        ok &= (cross > 0).all(axis=(2, 3))
-        for zi, z in enumerate(sel_a):
-            ok &= (cross[:, :, z, :] == rhs[None, :, zi, :]).all(axis=-1)
-        for p, p2 in combinations(range(ka), 2):
-            dpp = da[start:stop, p, p2][:, None, None]
-            xp, xp2 = cross[:, :, p, :], cross[:, :, p2, :]
-            ok &= ((dpp <= xp + xp2) & (xp <= dpp + xp2) & (xp2 <= dpp + xp)).all(axis=-1)
-        for q, q2 in combinations(range(nbx), 2):
-            dqq = dbx[:, q, q2][None, :, None]
-            xq, xq2 = cross[:, :, :, q], cross[:, :, :, q2]
-            ok &= ((dqq <= xq + xq2) & (xq <= dqq + xq2) & (xq2 <= dqq + xq)).all(axis=-1)
-        if not ok.all():
-            u, v = map(int, np.argwhere(~ok)[0])
-            return start + u, v
+    widest = n_b * max(ka * nbx, len(pa) * nbx, ka * len(pb))
+    chunk = max(1, CHUNK_ELEMENTS // widest)
+    for start in range(0, da.shape[0], chunk):
+        stop = min(da.shape[0], start + chunk)
+        part = lhs[start:stop]
+        cross = part[:, None, :, 0, None] + rhs[None, :, None, 0, :]  # (c, n_b, ka, nbx)
+        for z in range(1, kc):
+            np.minimum(cross, part[:, None, :, z, None] + rhs[None, :, None, z, :], out=cross)
+        d_a = da[start:stop, pa, pa2][:, None, :, None]  # (c, 1, pairs, 1)
+        checks = (
+            cross > 0,
+            cross[:, :, overlap, :] == rhs[None],
+            _triangle_ok(d_a, cross[:, :, pa, :], cross[:, :, pa2, :]),
+            _triangle_ok(d_b, cross[..., pb], cross[..., pb2]),
+        )
+        if all(ok.all() for ok in checks):
+            continue
+        ok = np.logical_and.reduce([check.all(axis=(2, 3)) for check in checks])
+        u, v = map(int, np.argwhere(~ok)[0])
+        return start + u, v
     return None

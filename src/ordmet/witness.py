@@ -14,9 +14,9 @@ of the non-metacompactness argument.
 The checks run on traces as Python int bitmasks, bit i for chain index i:
 shifting is a left shift, and window, end and distinctness tests are bit
 tests.  ``exhaust_all_traces`` builds every admissible mask directly and
-refuses, before enumerating, when there are more than
-``EXHAUST_BUDGET_TRACES`` of them.  ``shifted_trace`` still spells out one
-shift as a ``Membership`` per index.
+refuses, before enumerating, when they would need more than
+``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests.  ``shifted_trace``
+still spells out one shift as a ``Membership`` per index.
 """
 
 from __future__ import annotations
@@ -319,10 +319,16 @@ class ExhaustReport:
         return out
 
 
-# Most traces exhaust_all_traces enumerates.  On a 2-vCPU x86 host under
-# CPython 3.11, 2^20 traces take about 4 s at n = 1 and 67 s at n = 19:
-# a trace costs n shift checks and up to n(n-1)/2 pair tests.
-EXHAUST_BUDGET_TRACES = 2**20
+# Most shift checks plus pair tests exhaust_all_traces may make.  A trace
+# costs n shift checks and up to n(n-1)/2 pair tests, so the budget admits
+# 2^20 traces at n = 1; on a 2-vCPU x86 host under CPython 3.11 those take
+# about 4 s, and 2^20 traces at n = 19 took 67 s.
+EXHAUST_BUDGET_CHECKS = 2**20
+
+
+def _exhaust_checks(traces: int, n: int) -> int:
+    """Shift checks plus pair tests over ``traces`` traces of n shifts."""
+    return traces * (n + n * (n - 1) // 2)
 
 
 def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
@@ -330,15 +336,16 @@ def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
     tail inside the window, 2^(k+1-n) of them, by subset size and then
     lexicographically.  Each trace is a bitmask over the chain indices.
 
-    Refuses with SpaceError, before enumerating, when there are more than
-    EXHAUST_BUDGET_TRACES traces.
+    Refuses with SpaceError, before enumerating, when those traces need
+    more than EXHAUST_BUDGET_CHECKS shift checks and pair tests.
     """
     free = [i for i in config.window if i not in config.tail]
     total = 2 ** len(free)
-    if total > EXHAUST_BUDGET_TRACES:
+    checks = _exhaust_checks(total, config.n)
+    if checks > EXHAUST_BUDGET_CHECKS:
         raise SpaceError(
-            f"exhaust would check {total} traces (2^{len(free)}),"
-            f" over the budget of {EXHAUST_BUDGET_TRACES}"
+            f"exhaust would check {total} traces (2^{len(free)}) at n = {config.n},"
+            f" {checks} shift checks and pair tests, over the budget of {EXHAUST_BUDGET_CHECKS}"
         )
     tail = sum(1 << i for i in config.tail)
     bits = [1 << i for i in free]

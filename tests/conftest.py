@@ -12,10 +12,8 @@ from ordmet.witness import (
     ExhaustReport,
     InadmissibleTraceError,
     InjectionReport,
-    Membership,
     RefinementTrace,
     ShiftCheck,
-    shifted_trace,
 )
 
 
@@ -118,37 +116,79 @@ def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
     return column
 
 
+def reference_span_failures(a, sel_a, b, sel_b) -> set[str]:
+    """Slow oracle for one span of ``_ap_batch_failure``, in Python ints: the
+    families of checks the amalgam of matrices a and b over the overlap
+    positions sel_a / sel_b fails.  The cross block is X[p][q] = min over
+    overlap index z of a[p][sel_a[z]] + b[sel_b[z]][q], for every a-point p
+    and b-extra point q."""
+    a = [[int(v) for v in row] for row in a]
+    b = [[int(v) for v in row] for row in b]
+    extra = [q for q in range(len(b)) if q not in sel_b]
+    cross = [
+        [min(a[p][za] + b[zb][q] for za, zb in zip(sel_a, sel_b)) for q in extra]
+        for p in range(len(a))
+    ]
+
+    def broken(d, x, y):
+        return not (d <= x + y and x <= d + y and y <= d + x)
+
+    failed = set()
+    if any(x <= 0 for row in cross for x in row):
+        failed.add("positivity")
+    if any(cross[za][i] != b[zb][q] for za, zb in zip(sel_a, sel_b) for i, q in enumerate(extra)):
+        failed.add("overlap")
+    for p, p2 in combinations(range(len(a)), 2):
+        if any(broken(a[p][p2], cross[p][i], cross[p2][i]) for i in range(len(extra))):
+            failed.add("a-triangle")
+    for i, i2 in combinations(range(len(extra)), 2):
+        d = b[extra[i]][extra[i2]]
+        if any(broken(d, cross[p][i], cross[p][i2]) for p in range(len(a))):
+            failed.add("b-triangle")
+    return failed
+
+
+def reference_ap_failure(da, sel_a, db, sel_b):
+    """Slow oracle for ``_ap_batch_failure``: every span (u, v) in order,
+    the first failing one or None.  With no b-extra point the amalgam is a
+    itself and nothing is checked."""
+    if len(sel_b) == db.shape[1]:
+        return None
+    for u in range(da.shape[0]):
+        for v in range(db.shape[0]):
+            if reference_span_failures(da[u], sel_a, db[v], sel_b):
+                return u, v
+    return None
+
+
 def reference_shift(config, members, low: int, shift: int):
-    """Slow oracle for one shift of ``verify_injection``: the image as a
-    ``shifted_trace`` membership dict, then (top_in, determinable, pattern,
-    pattern_ok) from a scan of the window {k, .., low + shift}.  A window
-    index past the chain end is neither IN nor UNKNOWN."""
-    image = shifted_trace(config, members, shift)
+    """Slow oracle for one shift of ``verify_injection``, index by index:
+    chain index i of the image is UNKNOWN below the shift, IN when i - shift
+    is a member and OUT otherwise.  Returns the IN indices, then (top_in,
+    determinable, pattern, pattern_ok) from a scan of the window {k, ..,
+    low + shift}.  A window index past the chain end is neither IN nor
+    UNKNOWN."""
+    top = 3 * config.k
+    image = frozenset(i + shift for i in members if i + shift <= top)
     window = range(config.k, low + shift + 1)
-    pattern = tuple(i for i in window if image.get(i) is Membership.IN)
-    determinable = all(image.get(i) is not Membership.UNKNOWN for i in window)
-    top_in = image[3 * config.k] is Membership.IN
-    return image, (top_in, determinable, pattern, pattern == (low + shift,))
-
-
-def in_image(image) -> tuple[int, ...]:
-    """The IN indices of a membership dict, ascending."""
-    return tuple(i for i in sorted(image) if image[i] is Membership.IN)
+    pattern = tuple(sorted(image.intersection(window)))
+    determinable = all(map(shift.__le__, window))  # no window index below the shift
+    return image, (top in image, determinable, pattern, pattern == (low + shift,))
 
 
 def reference_distinct(images, low: int) -> bool:
     """Every pair of shifts j1 < j2 is separated at index low + j1: IN the
-    first image and OUT of (not UNKNOWN in) the second."""
+    first image and OUT of the second, that is neither IN nor UNKNOWN
+    (below j2)."""
     return all(
-        images[j1].get(low + j1) is Membership.IN
-        and images[j2].get(low + j1) is Membership.OUT
+        low + j1 in images[j1] and low + j1 >= j2 and low + j1 not in images[j2]
         for j1, j2 in combinations(range(len(images)), 2)
     )
 
 
 def reference_injection(config, trace) -> InjectionReport:
-    """Slow oracle for ``verify_injection``: the membership dicts of
-    ``shifted_trace`` scanned index by index, with the same refusals."""
+    """Slow oracle for ``verify_injection``: every shift scanned index by
+    index with ``reference_shift``, with the same refusals."""
     members = trace.members if isinstance(trace, RefinementTrace) else frozenset(trace)
     for i in members:
         if not 0 <= i <= 3 * config.k:
@@ -158,7 +198,7 @@ def reference_injection(config, trace) -> InjectionReport:
     low = min(members)
     images, facts = zip(*(reference_shift(config, members, low, j) for j in range(config.n)))
     checks = tuple(
-        ShiftCheck(j, top_in, determinable, in_image(image), pattern, ok)
+        ShiftCheck(j, top_in, determinable, tuple(sorted(image)), pattern, ok)
         for j, (image, (top_in, determinable, pattern, ok)) in enumerate(zip(images, facts))
     )
     distinct = reference_distinct(images, low)

@@ -171,8 +171,9 @@ def test_witness_exhaust_refuses_over_budget(files, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: exhaust would check 1152921504606846976 traces (2^60),"
-        f" over the budget of {ordmet.witness.EXHAUST_BUDGET_TRACES}\n"
+        "error: exhaust would check 1152921504606846976 traces (2^60) at n = 1,"
+        " 1152921504606846976 shift checks and pair tests,"
+        f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
     )
 
 

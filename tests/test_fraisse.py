@@ -1,14 +1,24 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from conftest import reference_ap_failure, reference_span_failures
+from ordmet import fraisse
+from ordmet.cli import run
 from ordmet.fraisse import (
+    _ap_batch_failure,
+    _positivity_mask,
+    _prepare_grid,
     _triangle_mask,
     _valid_matrices,
     check_fraisse_properties,
 )
+
+DTYPES = (np.int8, np.int16, np.int32, np.int64)
+INT64_TOP = (2**63 - 1) // 5  # largest scaled grid value the int64 kernel holds
 
 
 def count_valid_by_brute_force(size, grid):
@@ -120,6 +130,16 @@ def test_triangle_mask_catches_violations():
     assert mask.tolist() == [True, False]
 
 
+def test_positivity_mask_reads_every_off_diagonal_entry():
+    good = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int8)
+    batch = np.stack([good] * 4)
+    batch[1, 0, 2] = 0
+    batch[2, 2, 1] = 0
+    batch[3, 1, 0] = -1
+    assert _positivity_mask(batch).tolist() == [True, False, False, False]
+    assert _valid_matrices(3, [0, 1]).tolist() == [[[0, 1, 1], [1, 0, 1], [1, 1, 0]]]
+
+
 def test_valid_matrices_filters():
     batch = _valid_matrices(3, [1, 3])
     assert batch.shape[0] == 5  # 8 candidates minus the 3 arrangements of (1,1,3)
@@ -129,3 +149,200 @@ def test_valid_matrices_filters():
 def test_enumeration_guard():
     with pytest.raises(ValueError, match="too large"):
         check_fraisse_properties(7, [Fraction(i) for i in range(1, 7)])
+
+
+def test_valid_matrices_in_lexicographic_order():
+    for size in (3, 4):
+        batch = _valid_matrices(size, [1, 2, 3])
+        pairs = list(combinations(range(size), 2))
+        got = [tuple(int(m[i, j]) for i, j in pairs) for m in batch]
+        expected = []
+        for values in product([1, 2, 3], repeat=len(pairs)):
+            table = dict(zip(pairs, values))
+            if all(
+                table[(i, j)] <= table[(i, k)] + table[(j, k)]
+                and table[(i, k)] <= table[(i, j)] + table[(j, k)]
+                and table[(j, k)] <= table[(i, j)] + table[(i, k)]
+                for i, j, k in combinations(range(size), 3)
+            ):
+                expected.append(values)
+        assert got == expected
+        assert (batch == batch.transpose(0, 2, 1)).all()
+
+
+def test_valid_matrices_keep_the_grid_dtype():
+    for dtype in DTYPES:
+        grid = np.array([1, 2, 3], dtype=dtype)
+        for size in (1, 2, 3):
+            assert _valid_matrices(size, grid).dtype == dtype
+
+
+# -- integer dtype and range guard ----------------------------------------------
+
+
+@pytest.mark.parametrize("index", range(len(DTYPES)))
+def test_grid_dtype_is_the_narrowest_that_holds_five_times_top(index):
+    top = int(np.iinfo(DTYPES[index]).max) // 5
+    assert _prepare_grid([Fraction(1), Fraction(top)])[2].dtype == DTYPES[index]
+    if index + 1 < len(DTYPES):
+        assert _prepare_grid([Fraction(top + 1)])[2].dtype == DTYPES[index + 1]
+
+
+def test_grid_dtype_holds_twice_the_jep_constant():
+    # scale + diam doubled: 2 * (62 + 1) = 126 fits int8, 2 * (63 + 1) does not
+    assert _prepare_grid([Fraction(1, 62)])[2].dtype == np.int8
+    assert _prepare_grid([Fraction(1, 63)])[2].dtype == np.int16
+    _, scale, ints = _prepare_grid([Fraction(1, 2), Fraction(1, 3)])
+    assert (scale, ints.tolist(), ints.dtype) == (6, [2, 3], np.int8)
+
+
+@pytest.mark.parametrize(
+    "grid, bound",
+    [
+        ([2**62, 2**63 - 1], 5 * (2**63 - 1)),
+        ([Fraction(1, 2**64), 1], 5 * 2**64),
+        ([INT64_TOP, INT64_TOP + 1], 5 * (INT64_TOP + 1)),
+    ],
+)
+def test_grid_past_int64_is_refused(grid, bound):
+    with pytest.raises(ValueError, match=f"reach {bound} .*int64 bound {2**63 - 1}"):
+        check_fraisse_properties(3, [Fraction(q) for q in grid])
+
+
+def test_grid_just_below_the_int64_bound_passes():
+    report = check_fraisse_properties(3, [Fraction(INT64_TOP - 1), Fraction(INT64_TOP)])
+    assert _prepare_grid(report.grid)[2].dtype == np.int64
+    assert report.space_counts == (1, 2, 8)
+    assert report.all_ok
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["4611686018427387904,9223372036854775807", "1/18446744073709551616,1"],
+)
+def test_fraisse_check_refuses_grid_past_int64(grid, capsys):
+    assert run(["fraisse-check", "--max-size", "3", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: distance grid out of range: intermediate values reach ")
+    assert f"over the int64 bound {2**63 - 1}" in captured.err
+
+
+def test_fraisse_check_just_below_the_int64_bound(capsys):
+    grid = f"{INT64_TOP - 1},{INT64_TOP}"
+    assert run(["fraisse-check", "--max-size", "3", "--grid", grid]) == 0
+    assert capsys.readouterr().out.endswith(
+        "spaces size 3: 8\nhp checked 63: ok\njep checked 121: ok\nap checked 1187: ok\n"
+        "verdict pass\n"
+    )
+
+
+def test_enumeration_guard_estimates_bytes_at_the_grid_dtype(monkeypatch):
+    # 3^6 candidates at size 4: batch and filtered copy (2 * 16 entries),
+    # one sum entry and 3 mask bytes each
+    int8 = np.array([1, 2, 3], dtype=np.int8)
+    monkeypatch.setattr(fraisse, "ENUMERATION_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3))
+    assert _valid_matrices(4, int8).shape[0] == 482
+    with pytest.raises(ValueError, match=r"too large: 3\^6 .* about 194643 bytes"):
+        _valid_matrices(4, int8.astype(np.int64))
+    monkeypatch.setattr(fraisse, "ENUMERATION_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3) - 1)
+    with pytest.raises(ValueError, match="too large"):
+        _valid_matrices(4, int8)
+
+
+def test_fraisse_check_refuses_oversized_slice(capsys):
+    # 3^15 candidates at 76 bytes each in int8; at int64 this was 7.6 GB
+    assert run(["fraisse-check", "--max-size", "6", "--grid", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slice too large: 3^15 candidate matrices at size 6 need about 1090516932 bytes,"
+        " over the 1073741824-byte budget\n"
+    )
+
+
+# -- AP kernel against its Python-int oracle ------------------------------------
+
+
+def _closure(m):
+    size = len(m)
+    for via in range(size):
+        for i in range(size):
+            for j in range(size):
+                m[i][j] = min(m[i][j], m[i][via] + m[via][j])
+    return m
+
+
+def _random_metric(rng, size, top):
+    m = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        m[i][j] = m[j][i] = rng.choice([1, top, rng.randint(1, top)])
+    return _closure(m)
+
+
+def _extend_metric(rng, size, sel, block, top):
+    """Random metric on size points, entries in 1..top, equal to block on the
+    positions sel: pairs with a point outside sel weigh at least half the
+    diameter of block, so no detour shortens the block."""
+    half = max(1, (max(max(row) for row in block) + 1) // 2)
+    m = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        if i in sel and j in sel:
+            m[i][j] = m[j][i] = block[sel.index(i)][sel.index(j)]
+        else:
+            m[i][j] = m[j][i] = rng.choice([half, top, rng.randint(half, top)])
+    return _closure(m)
+
+
+def _corrupt(rng, m, top):
+    """Set one symmetric entry to 0, 1 or top: a zero entry or, mostly, a
+    broken triangle."""
+    i, j = rng.sample(range(len(m)), 2)
+    m[i][j] = m[j][i] = rng.choice([0, 1, top])
+
+
+def _random_kernel_input(rng):
+    dtype = rng.choice(DTYPES)
+    top = int(np.iinfo(dtype).max) // 5
+    kc = rng.randint(1, 3)
+    ka, kb = rng.randint(max(kc, 2), 4), rng.randint(kc, 4)
+    sel_a = tuple(sorted(rng.sample(range(ka), kc)))
+    sel_b = tuple(sorted(rng.sample(range(kb), kc)))
+    block_a = _random_metric(rng, kc, top)
+    block_b = block_a if rng.random() < 0.8 else _random_metric(rng, kc, top)
+    noise = rng.choice([0.0, 0.1, 0.3])
+    rows = []
+    for size, sel, block, count in ((ka, sel_a, block_a, rng.randint(1, 7)),
+                                    (kb, sel_b, block_b, rng.randint(1, 7))):
+        batch = []
+        for _ in range(count):
+            m = _extend_metric(rng, size, list(sel), block, top)
+            if size > 1 and rng.random() < noise:
+                _corrupt(rng, m, top)
+            batch.append(m)
+        rows.append(np.array(batch, dtype=dtype))
+    return rows[0], sel_a, rows[1], sel_b
+
+
+@pytest.mark.parametrize(
+    "chunk_elements", [1, 64, fraisse.CHUNK_ELEMENTS], ids=["row", "64", "default"]
+)
+def test_ap_kernel_matches_reference_on_failing_batches(monkeypatch, chunk_elements):
+    monkeypatch.setattr(fraisse, "CHUNK_ELEMENTS", chunk_elements)
+    rng = random.Random(6061 + chunk_elements)
+    families = set()
+    outcomes = {"pass": 0, "span (0, 0)": 0, "later span": 0}
+    for _ in range(250):
+        da, sel_a, db, sel_b = _random_kernel_input(rng)
+        expected = reference_ap_failure(da, sel_a, db, sel_b)
+        assert _ap_batch_failure(da, sel_a, db, sel_b) == expected, (da, sel_a, db, sel_b)
+        if expected is None:
+            outcomes["pass"] += 1
+        else:
+            outcomes["later span" if expected != (0, 0) else "span (0, 0)"] += 1
+        if len(sel_b) < db.shape[1]:
+            for u in range(da.shape[0]):
+                for v in range(db.shape[0]):
+                    families |= reference_span_failures(da[u], sel_a, db[v], sel_b)
+    assert families == {"positivity", "overlap", "a-triangle", "b-triangle"}
+    assert min(outcomes.values()) >= 10, outcomes

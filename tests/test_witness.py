@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from conftest import (
-    in_image,
     reference_distinct,
     reference_exhaust,
     reference_injection,
@@ -50,7 +49,7 @@ def admissible_traces(config):
 
 
 def as_mask(indices) -> int:
-    return sum(1 << i for i in indices)
+    return sum(map((1).__lshift__, indices))
 
 
 # -- build_witness ---------------------------------------------------------------
@@ -209,6 +208,19 @@ def test_shifted_trace_top_always_in():
             assert trace[3 * config.k] is Membership.IN
 
 
+def test_shifted_trace_matches_reference_on_every_mask():
+    config = replace(build_witness(singleton_support(), 1, 3), n=5)
+    top = 3 * config.k
+    for mask in range(1, 2 ** (top + 1)):
+        members = frozenset(i for i in range(top + 1) if mask >> i & 1)
+        for j in range(config.n):
+            trace = shifted_trace(config, members, j)
+            image, _ = reference_shift(config, members, min(members), j)
+            assert sorted(trace) == list(range(top + 1))
+            assert {i for i, v in trace.items() if v is Membership.IN} == image
+            assert {i for i, v in trace.items() if v is Membership.UNKNOWN} == set(range(j))
+
+
 def test_shift_out_of_range():
     config = build_witness(singleton_support(), 2, 1)
     with pytest.raises(SpaceError):
@@ -296,7 +308,7 @@ def test_shift_core_matches_reference_on_every_mask(k):
         low = min(members)
         images, facts = zip(*(reference_shift(config, members, low, j) for j in range(k + 2)))
         expected = [
-            (as_mask(in_image(image)), top_in, determinable, as_mask(pattern), ok)
+            (as_mask(image), top_in, determinable, as_mask(pattern), ok)
             for image, (top_in, determinable, pattern, ok) in zip(images, facts)
         ]
         for n in range(1, k + 3):
@@ -399,14 +411,36 @@ def test_exhaust_builds_no_membership_dicts(monkeypatch):
 
 
 def test_exhaust_budget_boundary(monkeypatch):
-    monkeypatch.setattr(witness, "EXHAUST_BUDGET_TRACES", 8)
+    # n = 2: each trace costs 2 shift checks and 1 pair test
+    monkeypatch.setattr(witness, "EXHAUST_BUDGET_CHECKS", 24)
+    assert exhaust_all_traces(build_witness(singleton_support(), 2, 2)).checked == 8
+    with pytest.raises(
+        SpaceError,
+        match=r"exhaust would check 32 traces \(2\^5\) at n = 2, 96 shift checks and pair tests",
+    ):
+        exhaust_all_traces(build_witness(singleton_support(), 2, 3))
+    # the same 8 traces at n = 1 cost 8 checks; 16 of them cost 16
+    monkeypatch.setattr(witness, "EXHAUST_BUDGET_CHECKS", 15)
     assert exhaust_all_traces(build_witness(singleton_support(), 1, 3)).checked == 8
-    with pytest.raises(SpaceError, match=r"exhaust would check 16 traces \(2\^4\)"):
+    with pytest.raises(SpaceError, match=r"exhaust would check 16 traces \(2\^4\) at n = 1"):
         exhaust_all_traces(build_witness(singleton_support(), 1, 4))
 
 
 def test_exhaust_budget_admits_two_to_the_twenty():
-    assert witness.EXHAUST_BUDGET_TRACES >= 2**20
+    assert witness._exhaust_checks(2**20, 1) <= witness.EXHAUST_BUDGET_CHECKS
+    # n = 19 once admitted 2^20 traces (67 s); now the work bounds it
+    assert witness._exhaust_checks(2**12, 19) <= witness.EXHAUST_BUDGET_CHECKS
+    assert witness._exhaust_checks(2**13, 19) > witness.EXHAUST_BUDGET_CHECKS
+
+
+def test_exhaust_refuses_two_to_the_twenty_traces_at_n_19(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("exhaust enumerated traces past its budget")
+
+    config = build_witness(singleton_support(), 19, 2)
+    monkeypatch.setattr(witness, "_shift_core", enumerated)
+    with pytest.raises(SpaceError, match=r"2\^20\) at n = 19, 199229440 shift checks"):
+        exhaust_all_traces(config)
 
 
 def test_min_index_window_holds_on_every_trace():
