@@ -7,13 +7,19 @@ spaces along a common subspace: shared points are identified, cross
 distances are completed by the shortest path through the overlap, and the
 order interleaves deterministically (left-side points before right-side
 points inside each overlap gap).
+
+The completion rule exists once, as :func:`shortest_path_column`: the
+shortest path through the anchors, then a two-sided re-check against every
+anchor.  ``amalgamate`` runs it in integers over the common denominator of
+both sides, and so does ``LimitBuilder.realize`` over its stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from typing import Mapping
 
 from .rationals import format_rational
@@ -99,10 +105,6 @@ def _check_dvec(base: FinSpace, dvec: Mapping[PointId, Fraction]) -> None:
             raise SpaceError(f"dvec value for {p} must be positive, got {v}")
 
 
-def fresh_point_id(space: FinSpace) -> PointId:
-    return max(space.points, default=-1) + 1
-
-
 def _fresh_name(taken: set[str], stem: str) -> str:
     if stem not in taken:
         return stem
@@ -119,7 +121,7 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     refusal = feasibility_violation(base, dvec)
     if refusal is not None:
         raise InfeasibleExtensionError(*refusal)
-    new = fresh_point_id(base)
+    new = max(base.points, default=-1) + 1
     pts = list(base.points)
     pts.insert(ext.slot, new)
     entries = dict(base.entries)
@@ -130,19 +132,28 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     return FinSpace(tuple(pts), entries, names)
 
 
-def cross_distance(
-    left: FinSpace,
-    right: FinSpace,
-    p: PointId,
-    q: PointId,
-    via: list[tuple[PointId, PointId]],
-    fallback: Fraction,
-) -> Fraction:
-    """Shortest path from p (in left) to q (in right) through paired overlap
-    points; the joint-embedding constant when the overlap is empty."""
-    if not via:
-        return fallback
-    return min(left.d(p, za) + right.d(zb, q) for za, zb in via)
+def shortest_path_column(legs, size: int, filler):
+    """A new point's distances to ``size`` points, completed by the shortest
+    path through its anchors, and the first value that escapes its bound.
+
+    Each leg is (row, v): ``row[j]`` is an anchor's distance to point j and
+    ``v`` the new point's distance to that anchor.  The column is the
+    elementwise minimum of row + v over the legs, or ``filler`` everywhere
+    when there is no leg.  Every value is then re-checked against the
+    two-sided bound |row[j] - v| <= value <= row[j] + v of every anchor;
+    ``escape`` is (leg index, j) of the first failure, anchor-major, or
+    None.  An anchor's own entry (row[j] == 0) completes to its leg, which
+    the re-check confirms.  Ints and Fractions work alike.
+    """
+    if not legs:
+        return [filler] * size, None
+    sums = [[leg + v for leg in row] for row, v in legs]
+    column = list(map(min, *sums)) if len(sums) > 1 else sums[0]
+    for k, (row, v) in enumerate(legs):
+        for j, (leg, value) in enumerate(zip(row, column)):
+            if not abs(leg - v) <= value <= leg + v:
+                return column, (k, j)
+    return column, None
 
 
 def amalgamate(
@@ -157,9 +168,10 @@ def amalgamate(
 
     The result keeps a's point ids (f_a is the identity map), overlaps the
     two images exactly on the image of c, completes cross distances by
-    shortest path through c (or by 1 + max diameter when c is empty), and
-    orders each overlap gap with a's points before b's.  The output is
-    revalidated; a failure is an internal error.
+    shortest path through c (or by 1 + max diameter when c is empty) with
+    :func:`shortest_path_column`, and orders each overlap gap with a's
+    points before b's.  The output is revalidated; a failure is an internal
+    error.
     """
     for e, src, tgt, tag in ((e_a, c, a, "e_a"), (e_b, c, b, "e_b")):
         if set(e.mapping) != set(src.points):
@@ -169,7 +181,6 @@ def amalgamate(
         if not embedding_ok(Embedding(src, tgt, e.mapping)):
             raise AmalgamError(f"{tag} does not preserve structure")
 
-    image_a = {e_a(z): z for z in c.points}  # a-point -> overlap point
     image_b = {e_b(z): z for z in c.points}
     b_extra = [q for q in b.points if q not in image_b]
 
@@ -203,24 +214,28 @@ def amalgamate(
     for q1, q2 in combinations(b_extra, 2):
         entries[(ids[q1], ids[q2])] = b.d(q1, q2)
 
-    via = [(e_a(z), e_b(z)) for z in c.points]
-    fallback = Fraction(0)
-    if not via and len(a) and len(b):
-        fallback = 1 + max(diameter(a), diameter(b))
-    for p in a.points:
-        for q in b_extra:
-            if p in image_a:
-                value = b.d(e_b(image_a[p]), q)
-            else:
-                value = cross_distance(a, b, p, q, via, fallback)
-                for za, zb in via:
-                    leg_a, leg_b = a.d(p, za), b.d(zb, q)
-                    if not abs(leg_a - leg_b) <= value <= leg_a + leg_b:
-                        raise AmalgamError(
-                            f"cross distance {value} escapes the bound through "
-                            f"overlap point {c.name(image_a[za])}"
-                        )
-            entries[(p, ids[q])] = value
+    # Each b-only point is a new point over a anchored at the overlap,
+    # completed in integers over the common denominator of a and b.
+    scale = lcm(*(v.denominator for v in chain(a.entries.values(), b.entries.values())))
+
+    def scaled(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
+    rows = [[scaled(a.d(p, za)) for p in a.points] for za in anchors_a]
+    filler = 0
+    if not anchors_a and len(a) and len(b):
+        filler = scaled(1 + max(diameter(a), diameter(b)))
+    for q in b_extra:
+        legs = [(row, scaled(b.d(e_b(z), q))) for row, z in zip(rows, c.points)]
+        column, escape = shortest_path_column(legs, len(a), filler)
+        if escape is not None:
+            k, j = escape
+            raise AmalgamError(
+                f"cross distance {Fraction(column[j], scale)} escapes the bound "
+                f"through overlap point {c.name(c.points[k])}"
+            )
+        for p, value in zip(a.points, column):
+            entries[(p, ids[q])] = Fraction(value, scale)
 
     names = dict(a.names)
     taken = set(names.values())

@@ -36,15 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a space file against every axiom")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("iso", help="order bijection between two spaces, if any")
     p.add_argument("file1")
     p.add_argument("file2")
+    p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("embed", help="embeddings of the first space into the second")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--all", action="store_true", help="list every embedding")
+    p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser(
         "fraisse-check",
@@ -52,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--grid", required=True, help="comma-separated positive rationals")
+    p.set_defaults(func=_cmd_fraisse)
 
     p = sub.add_parser("limit", help="stage growth")
     limit_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -59,15 +63,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", required=True, help="space file or the word 'empty'")
     g.add_argument("--steps", type=int, required=True)
     g.add_argument("--out", required=True)
+    g.set_defaults(func=_cmd_limit_grow)
 
     p = sub.add_parser("witness", help="cover-refinement witness configurations")
     wit_sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, needs_out, needs_trace in (
-        ("build", True, False),
-        ("verify", False, True),
-        ("exhaust", False, False),
+    for name, needs_out, needs_trace, func in (
+        ("build", True, False, _cmd_witness_build),
+        ("verify", False, True, _cmd_witness_verify),
+        ("exhaust", False, False, _cmd_witness_exhaust),
     ):
         w = wit_sub.add_parser(name)
+        w.set_defaults(func=func)
         w.add_argument("--support", required=True, help="space file for the support")
         w.add_argument("--n", type=int, required=True)
         w.add_argument("--m", type=int, required=True)
@@ -168,24 +174,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "embed":
-            return _cmd_embed(args)
-        if args.command == "fraisse-check":
-            return _cmd_fraisse(args)
-        if args.command == "limit":
-            return _cmd_limit_grow(args)
-        if args.command == "witness":
-            handler = {
-                "build": _cmd_witness_build,
-                "verify": _cmd_witness_verify,
-                "exhaust": _cmd_witness_exhaust,
-            }[args.subcommand]
-            return handler(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except (AmalgamError, WitnessError) as exc:
         # a failed internal construction check, not a fault of the input
         print(f"internal error: {exc}", file=sys.stderr)

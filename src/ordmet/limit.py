@@ -14,8 +14,9 @@ reorders existing points, so successive stages form an increasing chain.
 The stage's distances are kept once, as rows of Python ints over one common
 denominator, indexed by creation index.  Each new point's column is the
 shortest-path completion through its subset, computed and re-checked
-against its triangle bounds in integer arithmetic; ``Fraction`` values are
-made only for callers of ``d``, ``stage`` and ``induced``.
+against its triangle bounds by ``amalgam.shortest_path_column`` (the rule
+``amalgamate`` uses) in integer arithmetic; ``Fraction`` values are made
+only for callers of ``d``, ``stage`` and ``induced``.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
-from .amalgam import InfeasibleExtensionError, feasibility_violation
+from .amalgam import InfeasibleExtensionError, feasibility_violation, shortest_path_column
 from .rationals import calkin_wilf
-from .spaces import FinSpace, PointId, SpaceError, validate
+from .spaces import FinSpace, PointId, SpaceError, preserves, validate
 
 
 # Upper estimate of one row-store entry: an 8-byte list slot plus its share
@@ -104,13 +105,7 @@ def partial_iso_ok(space: FinSpace, iso: PartialIso) -> bool:
     for p in iso.dom + iso.cod:
         if p not in space:
             return False
-    pairs = list(zip(iso.dom, iso.cod))
-    for (x1, y1), (x2, y2) in combinations(pairs, 2):
-        if space.d(x1, x2) != space.d(y1, y2):
-            return False
-        if space.precedes(x1, x2) != space.precedes(y1, y2):
-            return False
-    return True
+    return preserves(space, space, zip(iso.dom, iso.cod))
 
 
 @dataclass(frozen=True)
@@ -208,6 +203,9 @@ class LimitBuilder:
     def __len__(self) -> int:
         return len(self._order)
 
+    def __contains__(self, p: PointId) -> bool:
+        return p in self._pos
+
     @property
     def created(self) -> tuple[PointId, ...]:
         return tuple(self._created)
@@ -275,26 +273,15 @@ class LimitBuilder:
 
         self._rescale(dvec[z].denominator for z in sub)
         rows = self._rows
-        legs = [(self._index[z], self._scaled(dvec[z])) for z in sub]
-        # Rows are symmetric, so row i doubles as the column of point i.  A
-        # subset point completes to its own dvec entry (its leg to itself
-        # is 0), which the re-check below confirms.
-        if legs:
-            sums = [[leg + v for leg in rows[i]] for i, v in legs]
-            column = list(map(min, *sums)) if len(sums) > 1 else sums[0]
-            for i, v in legs:
-                escaped = [
-                    j
-                    for j, (leg, value) in enumerate(zip(rows[i], column))
-                    if not abs(leg - v) <= value <= leg + v
-                ]
-                if escaped:
-                    name = self._names[self._created[escaped[0]]]
-                    raise SpaceError(f"completed distance to {name} escapes its bound")
-        else:
-            column = [self._scale + max(map(max, rows))] * len(rows) if rows else []
+        # Rows are symmetric, so row i doubles as the column of point i.
+        legs = [(rows[self._index[z]], self._scaled(dvec[z])) for z in sub]
+        filler = self._scale + max(map(max, rows)) if rows and not legs else 0
+        column, escape = shortest_path_column(legs, len(rows), filler)
+        if escape is not None:
+            name = self._names[self._created[escape[1]]]
+            raise SpaceError(f"completed distance to {name} escapes its bound")
 
-        new = (max(self._created) + 1) if self._created else 0
+        new = max(self._created, default=-1) + 1
         index = self._pos[sub[gap]] if gap < len(sub) else len(self._order)
         self._order.insert(index, new)
         for i in range(index, len(self._order)):
@@ -311,18 +298,6 @@ class LimitBuilder:
         column.append(0)
         rows.append(column)
         return new
-
-    def _task_feasible(self, task: ExtensionTask) -> Optional[tuple[dict, int]]:
-        """Decode a task against the current stage; None when its distance
-        vector violates a triangle bound (such requests name no extension)."""
-        sub = [self._created[i] for i in task.subset]
-        dvec = {
-            p: calkin_wilf(r) for p, r in zip(sub, task.rational_indices)
-        }
-        base = self.induced(sub)
-        if feasibility_violation(base, dvec) is not None:
-            return None
-        return dvec, task.gap
 
     def _next_task(self) -> ExtensionTask:
         for i, task in enumerate(self._waiting):
@@ -352,46 +327,35 @@ class LimitBuilder:
             )
         for _ in range(steps):
             while True:
-                decoded = self._task_feasible(self._next_task())
-                if decoded is not None:
+                task = self._next_task()
+                sub = [self._created[i] for i in task.subset]
+                dvec = {p: calkin_wilf(r) for p, r in zip(sub, task.rational_indices)}
+                try:
+                    self.realize(dvec, task.gap)
                     break
-            dvec, gap = decoded
-            self.realize(dvec, gap)
+                except InfeasibleExtensionError:
+                    pass  # its distances break a triangle: no extension
         return self
 
     # -- homogeneity engine --------------------------------------------------
 
-    def _keys(self, iso: PartialIso) -> list[tuple[int, int, int, int]]:
-        """(creation index, position) of both sides of each pair of the map."""
-        idx, pos = self._index, self._pos
-        return [(idx[x], idx[y], pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
-
     def iso_ok(self, iso: PartialIso) -> bool:
         """Preservation check against the current stage."""
-        for p in iso.dom + iso.cod:
-            if p not in self._pos:
-                return False
-        rows = self._rows
-        for (xi1, yi1, xp1, yp1), (xi2, yi2, xp2, yp2) in combinations(
-            self._keys(iso), 2
-        ):
-            if rows[xi1][xi2] != rows[yi1][yi2]:
-                return False
-            if (xp1 < xp2) != (yp1 < yp2):
-                return False
-        return True
+        return partial_iso_ok(self, iso)
 
     def _find_or_realize_image(self, iso: PartialIso, target: PointId) -> PointId:
         """A stage point matching target's distances and order pattern over
         the map, existing points first in creation order, else realized."""
         taken = set(iso.cod)
-        keys = self._keys(iso)
-        trow = self._rows[self._index[target]]
-        tpos = self.position(target)
+        idx, pos = self._index, self._pos
+        # (creation index, position) of both sides of each pair of the map
+        keys = [(idx[x], idx[y], pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
+        trow = self._rows[idx[target]]
+        tpos = pos[target]
         for w, wrow in zip(self._created, self._rows):
             if w in taken:
                 continue
-            wpos = self._pos[w]
+            wpos = pos[w]
             if all(
                 wrow[yi] == trow[xi] and (wpos < yp) == (tpos < xp)
                 for xi, yi, xp, yp in keys
@@ -414,7 +378,12 @@ class LimitBuilder:
         if not self.iso_ok(iso):
             raise SpaceError("partial isomorphism is not valid on the current stage")
         if side == "back":
-            return self.back_and_forth_extend(iso.inverse(), target, "forth").inverse()
+            return self._forth(iso.inverse(), target).inverse()
+        return self._forth(iso, target)
+
+    def _forth(self, iso: PartialIso, target: PointId) -> PartialIso:
+        """Forth step of a map already checked on the stage; the result is
+        checked again."""
         if target in set(iso.dom):
             return iso
         image = self._find_or_realize_image(iso, target)

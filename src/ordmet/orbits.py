@@ -9,35 +9,24 @@ no automorphism is ever materialized.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .spaces import FinSpace, PointId, SpaceError
+from .spaces import FinSpace, PointId, SpaceError, agrees, preserves
 
 Support = frozenset[PointId]
 
 
-def _paired(
-    stage: FinSpace,
-    support: Iterable[PointId],
-    t1: Sequence[PointId],
-    t2: Sequence[PointId],
-) -> list[tuple[PointId, PointId]] | None:
-    """Constraint pairs of the candidate map, or None if it is not a
-    well-defined injection."""
-    if len(t1) != len(t2):
-        raise SpaceError("tuples must have equal length")
-    for p in list(support) + list(t1) + list(t2):
+def _fixed(
+    stage: FinSpace, support: Iterable[PointId], *tuples: Sequence[PointId]
+) -> list[tuple[PointId, PointId]]:
+    """The support's pairs (b, b), once every named point is known to be a
+    stage point."""
+    base = list(support)
+    for p in chain(base, *tuples):
         if p not in stage:
             raise SpaceError(f"point {p} not in stage")
-    assignment: dict[PointId, PointId] = {b: b for b in support}
-    for x, y in zip(t1, t2):
-        if assignment.get(x, y) != y:
-            return None
-        assignment[x] = y
-    if len(set(assignment.values())) != len(assignment):
-        return None
-    return sorted(assignment.items())
+    return [(b, b) for b in base]
 
 
 def same_fix_orbit(
@@ -47,17 +36,12 @@ def same_fix_orbit(
     t2: Sequence[PointId],
 ) -> bool:
     """True iff some automorphism fixing ``support`` pointwise carries t1 to
-    t2, decided by checking that support-fixing + t1 -> t2 preserves
-    distances and order."""
-    pairs = _paired(stage, support, t1, t2)
-    if pairs is None:
-        return False
-    for (x1, y1), (x2, y2) in combinations(pairs, 2):
-        if stage.d(x1, x2) != stage.d(y1, y2):
-            return False
-        if stage.precedes(x1, x2) != stage.precedes(y1, y2):
-            return False
-    return True
+    t2, decided by checking that support-fixing + t1 -> t2 is a well-defined
+    injection that preserves distances and order."""
+    if len(t1) != len(t2):
+        raise SpaceError("tuples must have equal length")
+    fixed = _fixed(stage, support, t1, t2)
+    return preserves(stage, stage, fixed + list(zip(t1, t2)))
 
 
 def orbit_traces(
@@ -70,41 +54,18 @@ def orbit_traces(
     Backtracks position by position so that stages of a few dozen points
     stay tractable; always contains ``t`` itself.
     """
-    base = list(support)
-    for p in list(base) + list(t):
-        if p not in stage:
-            raise SpaceError(f"point {p} not in stage")
+    fixed = _fixed(stage, support, t)
     found: set[tuple[PointId, ...]] = set()
     prefix: list[PointId] = []
-
-    def consistent(candidate: PointId, depth: int) -> bool:
-        x = t[depth]
-        # against the support (fixed pointwise) and earlier tuple entries
-        for b in base:
-            if stage.d(x, b) != stage.d(candidate, b):
-                return False
-            if x != b and (stage.precedes(x, b) != stage.precedes(candidate, b)):
-                return False
-            if x == b and candidate != b:
-                return False
-        for j, w in enumerate(prefix):
-            if stage.d(x, t[j]) != stage.d(candidate, w):
-                return False
-            if t[j] == x:
-                if w != candidate:
-                    return False
-            elif w == candidate:
-                return False
-            elif stage.precedes(t[j], x) != stage.precedes(w, candidate):
-                return False
-        return True
 
     def descend(depth: int) -> None:
         if depth == len(t):
             found.add(tuple(prefix))
             return
+        # the support is fixed pointwise; earlier entries are already placed
+        placed = fixed + list(zip(t, prefix))
         for candidate in stage.points:
-            if consistent(candidate, depth):
+            if agrees(stage, stage, placed, t[depth], candidate):
                 prefix.append(candidate)
                 descend(depth + 1)
                 prefix.pop()

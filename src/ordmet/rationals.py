@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -53,11 +52,3 @@ def calkin_wilf(index: int) -> Fraction:
     if index < 0:
         raise ValueError("negative index")
     return Fraction(stern_diatomic(index + 1), stern_diatomic(index + 2))
-
-
-def calkin_wilf_stream() -> Iterator[Fraction]:
-    """Infinite stream q_0, q_1, ... with q_{n+1} = 1/(2*floor(q_n) - q_n + 1)."""
-    q = Fraction(1)
-    while True:
-        yield q
-        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)

@@ -288,9 +288,41 @@ class Embedding:
         return tuple(self.target.position(self.mapping[p]) for p in self.source.points)
 
 
+def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: PointId) -> bool:
+    """True iff sending ``p`` (a point of ``x``) to ``q`` (a point of ``y``)
+    agrees with every placed pair (p2, q2): p == p2 exactly when q == q2,
+    p precedes p2 exactly when q precedes q2, and d(p, p2) == d(q, q2).
+
+    Reads only ``position`` and ``d``, so ``x`` and ``y`` may be spaces or
+    limit builders, and the same object for a map inside one space.
+    """
+    xpos, ypos, xd, yd = x.position, y.position, x.d, y.d
+    xp, yq = xpos(p), ypos(q)
+    for p2, q2 in placed:
+        if (p == p2) != (q == q2):
+            return False
+        if (xp < xpos(p2)) != (yq < ypos(q2)):
+            return False
+        dx, dy = xd(p, p2), yd(q, q2)
+        if dx is not dy and dx != dy:  # `is` skips Fraction.__eq__ on cached values
+            return False
+    return True
+
+
+def preserves(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> bool:
+    """True iff the map given by ``pairs`` (a point of ``x``, its image in
+    ``y``) preserves identity, order and distance: :func:`agrees` folded
+    over the list, each pair against every later one."""
+    pairs = list(pairs)
+    for i, (p, q) in enumerate(pairs):
+        if not agrees(x, y, pairs[i + 1 :], p, q):
+            return False
+    return True
+
+
 def embedding_ok(emb: Embedding) -> bool:
-    """True iff the map is total on the source, injective, and preserves
-    distances and the structural order exactly."""
+    """True iff the map is total on the source, injective, lands in the
+    target, and preserves distances and the structural order exactly."""
     src, tgt, mp = emb.source, emb.target, emb.mapping
     if set(mp) != set(src.points):
         return False
@@ -298,14 +330,7 @@ def embedding_ok(emb: Embedding) -> bool:
         return False
     if any(q not in tgt for q in mp.values()):
         return False
-    pts = src.points
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if not tgt.precedes(mp[p], mp[q]):
-                return False
-            if src.d(p, q) != tgt.d(mp[p], mp[q]):
-                return False
-    return True
+    return preserves(src, tgt, ((p, mp[p]) for p in src.points))
 
 
 def canonical_iso(x: FinSpace, y: FinSpace) -> Optional[Embedding]:
@@ -318,9 +343,8 @@ def canonical_iso(x: FinSpace, y: FinSpace) -> Optional[Embedding]:
     if len(x) != len(y):
         return None
     mapping = dict(zip(x.points, y.points))
-    for p, q in x.pairs():
-        if x.d(p, q) != y.d(mapping[p], mapping[q]):
-            return None
+    if not preserves(x, y, mapping.items()):
+        return None
     return Embedding(x, y, mapping)
 
 

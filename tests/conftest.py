@@ -116,6 +116,33 @@ def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
     return column
 
 
+def reference_failures(x, y, pairs) -> set[str]:
+    """The properties the map ``pairs`` (a point of x, its image in y)
+    breaks, from the definition, over all ordered pairs of listed pairs:
+    "identity" (p == p2 exactly when q == q2), and over pairs distinct on
+    both sides "order" (p before p2 exactly when q before q2) and
+    "distance" (d(p, p2) == d(q, q2)).  Each is checked on its own."""
+    both = [(pq, pq2) for pq in pairs for pq2 in pairs]
+    apart = [((p, q), (p2, q2)) for (p, q), (p2, q2) in both if p != p2 and q != q2]
+    failed = set()
+    if any((p == p2) != (q == q2) for (p, q), (p2, q2) in both):
+        failed.add("identity")
+    if any(
+        (x.position(p) < x.position(p2)) != (y.position(q) < y.position(q2))
+        for (p, q), (p2, q2) in apart
+    ):
+        failed.add("order")
+    if any(x.d(p, p2) != y.d(q, q2) for (p, q), (p2, q2) in apart):
+        failed.add("distance")
+    return failed
+
+
+def reference_preserves(x, y, pairs) -> bool:
+    """Slow oracle for ``preserves``: the map breaks none of identity,
+    order and distance."""
+    return not reference_failures(x, y, list(pairs))
+
+
 def reference_span_failures(a, sel_a, b, sel_b) -> set[str]:
     """Slow oracle for one span of ``_ap_batch_failure``, in Python ints: the
     families of checks the amalgam of matrices a and b over the overlap

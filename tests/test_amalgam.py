@@ -21,6 +21,8 @@ from ordmet import (
     make_space,
     validate,
 )
+import ordmet.amalgam
+from ordmet.amalgam import shortest_path_column
 
 from conftest import path_metric_space
 
@@ -215,6 +217,54 @@ def test_amalgam_order_rule_gap_interleaving():
     )
     ordered_names = [glued.names[p] for p in glued.points]
     assert ordered_names == ["lowa", "lowb", "z", "higha", "highb"]
+
+
+def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypatch):
+    """Negative control: with the input-embedding check switched off, a
+    non-isometric e_b (c says 4, b says 1) reaches the completion re-check,
+    which must refuse it before the glued space is validated."""
+    c = make_space(["z1", "z2"], {("z1", "z2"): 4})
+    a = make_space(["z1", "z2"], {("z1", "z2"): 4})
+    b = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
+    e_a, e_b = Embedding(c, a, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1})
+    with pytest.raises(AmalgamError, match="e_b does not preserve structure"):
+        amalgamate(a, b, c, e_a, e_b)
+    monkeypatch.setattr(ordmet.amalgam, "embedding_ok", lambda emb: True)
+    with pytest.raises(
+        AmalgamError, match="cross distance 1 escapes the bound through overlap point z1"
+    ):
+        amalgamate(a, b, c, e_a, e_b)
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 2)])
+def test_shortest_path_column_completes_through_every_anchor(unit):
+    # points P0, P1, P2 with d01 = 2, d02 = 3, d12 = 1; the new point sits
+    # at 1 from P0 and 2 from P1, so its distance to P2 is min(1 + 3, 2 + 1)
+    legs = [([0, 2 * unit, 3 * unit], unit), ([2 * unit, 0, unit], 2 * unit)]
+    column, escape = shortest_path_column(legs, 3, None)
+    assert column == [unit, 2 * unit, 3 * unit]
+    assert escape is None
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 3)])
+def test_shortest_path_column_reports_first_escape_anchor_major(unit):
+    # anchors at distance 4 with the new point at 1 from both: the
+    # completion gives 1 to each anchor, under the bound |4 - 1| of anchor 0
+    column, escape = shortest_path_column([([0, 4 * unit], unit), ([4 * unit, 0], unit)], 2, None)
+    assert column == [unit, unit]
+    assert escape == (0, 1)
+    # non-metric rows (d12 = 5 > d01 + d02): every value passes anchor 0,
+    # and the first escape is anchor 1's bound at point 2
+    legs = [([0, unit, unit], unit), ([unit, 0, 5 * unit], unit)]
+    column, escape = shortest_path_column(legs, 3, None)
+    assert column == [unit, unit, 2 * unit]
+    assert escape == (1, 2)
+
+
+@pytest.mark.parametrize("filler", [7, Fraction(5, 2)])
+def test_shortest_path_column_fills_an_empty_overlap(filler):
+    assert shortest_path_column([], 3, filler) == ([filler] * 3, None)
+    assert shortest_path_column([], 0, filler) == ([], None)
 
 
 small_weights = st.fractions(

