@@ -11,7 +11,8 @@ points inside each overlap gap).
 The completion rule exists once, as :func:`shortest_path_column`: the
 shortest path through the anchors, then a two-sided re-check against every
 anchor.  ``amalgamate`` runs it in integers over the common denominator of
-both sides, and so does ``LimitBuilder.realize`` over its stage.
+both sides, and so does ``LimitBuilder.realize`` over its stage; both form
+those integers with :func:`scaled`.
 """
 
 from __future__ import annotations
@@ -132,6 +133,11 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     return FinSpace(tuple(pts), entries, names)
 
 
+def scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int; ``scale`` is a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
 def shortest_path_column(legs, size: int, filler):
     """A new point's distances to ``size`` points, completed by the shortest
     path through its anchors, and the first value that escapes its bound.
@@ -217,16 +223,12 @@ def amalgamate(
     # Each b-only point is a new point over a anchored at the overlap,
     # completed in integers over the common denominator of a and b.
     scale = lcm(*(v.denominator for v in chain(a.entries.values(), b.entries.values())))
-
-    def scaled(value: Fraction) -> int:
-        return value.numerator * (scale // value.denominator)
-
-    rows = [[scaled(a.d(p, za)) for p in a.points] for za in anchors_a]
+    rows = [[scaled(a.d(p, za), scale) for p in a.points] for za in anchors_a]
     filler = 0
     if not anchors_a and len(a) and len(b):
-        filler = scaled(1 + max(diameter(a), diameter(b)))
+        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
-        legs = [(row, scaled(b.d(e_b(z), q))) for row, z in zip(rows, c.points)]
+        legs = [(row, scaled(b.d(e_b(z), q), scale)) for row, z in zip(rows, c.points)]
         column, escape = shortest_path_column(legs, len(a), filler)
         if escape is not None:
             k, j = escape

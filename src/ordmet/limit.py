@@ -15,8 +15,8 @@ The stage's distances are kept once, as rows of Python ints over one common
 denominator, indexed by creation index.  Each new point's column is the
 shortest-path completion through its subset, computed and re-checked
 against its triangle bounds by ``amalgam.shortest_path_column`` (the rule
-``amalgamate`` uses) in integer arithmetic; ``Fraction`` values are made
-only for callers of ``d``, ``stage`` and ``induced``.
+``amalgamate`` uses) in integers formed by ``amalgam.scaled``; ``Fraction``
+values are made only for callers of ``d``, ``stage`` and ``induced``.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -32,7 +32,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, Mapping
 
-from .amalgam import InfeasibleExtensionError, feasibility_violation, shortest_path_column
+from .amalgam import InfeasibleExtensionError, feasibility_violation, scaled, shortest_path_column
 from .rationals import calkin_wilf
 from .spaces import FinSpace, PointId, SpaceError, preserves, validate
 
@@ -189,7 +189,7 @@ class LimitBuilder:
         self._index: dict[PointId, int] = dict(self._pos)
         self._scale = lcm(*(seed.d(p, q).denominator for p, q in seed.pairs()))
         self._rows: list[list[int]] = [
-            [self._scaled(seed.d(p, q)) if p != q else 0 for q in seed.points]
+            [scaled(seed.d(p, q), self._scale) if p != q else 0 for q in seed.points]
             for p in seed.points
         ]
         self._fractions: dict[int, Fraction] = {}
@@ -209,9 +209,6 @@ class LimitBuilder:
     @property
     def created(self) -> tuple[PointId, ...]:
         return tuple(self._created)
-
-    def _scaled(self, value: Fraction) -> int:
-        return value.numerator * (self._scale // value.denominator)
 
     def _fraction(self, num: int) -> Fraction:
         hit = self._fractions.get(num)
@@ -274,7 +271,7 @@ class LimitBuilder:
         self._rescale(dvec[z].denominator for z in sub)
         rows = self._rows
         # Rows are symmetric, so row i doubles as the column of point i.
-        legs = [(rows[self._index[z]], self._scaled(dvec[z])) for z in sub]
+        legs = [(rows[self._index[z]], scaled(dvec[z], self._scale)) for z in sub]
         filler = self._scale + max(map(max, rows)) if rows and not legs else 0
         column, escape = shortest_path_column(legs, len(rows), filler)
         if escape is not None:

@@ -294,7 +294,10 @@ def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: Point
     p precedes p2 exactly when q precedes q2, and d(p, p2) == d(q, q2).
 
     Reads only ``position`` and ``d``, so ``x`` and ``y`` may be spaces or
-    limit builders, and the same object for a map inside one space.
+    limit builders, and the same object for a map inside one space.  A
+    distance is read only once identity and order hold for its pair, so on
+    a table with a missing entry a pair broken in order is rejected and an
+    unbroken one raises ``MissingDistanceError``.
     """
     xpos, ypos, xd, yd = x.position, y.position, x.d, y.d
     xp, yq = xpos(p), ypos(q)

@@ -18,6 +18,7 @@ import pytest
 from ordmet import (
     Embedding,
     FinSpace,
+    MissingDistanceError,
     PartialIso,
     canonical_iso,
     embedding_ok,
@@ -147,6 +148,20 @@ def test_identity_is_checked_where_distances_cannot_tell():
         assert not agrees(flat, flat, placed, p, q)
         assert not preserves(flat, flat, placed + [(p, q)])
     assert agrees(flat, flat, [(0, 0)], 1, 1)
+
+
+def test_missing_entry_is_read_only_after_identity_and_order_pass():
+    """On a table without d(0, 2), a map that breaks order at that pair is
+    rejected before the distance is read; one that keeps identity and
+    order there has to read it and raises."""
+    holey = FinSpace((0, 1, 2), {(0, 1): Fraction(1), (1, 2): Fraction(1)})
+    swapped, fixed = ((0, 2), (2, 0)), ((0, 2), (0, 2))
+    assert not preserves(holey, holey, zip(*swapped))
+    assert not partial_iso_ok(holey, PartialIso(*swapped))
+    with pytest.raises(MissingDistanceError):
+        preserves(holey, holey, zip(*fixed))
+    with pytest.raises(MissingDistanceError):
+        partial_iso_ok(holey, PartialIso(*fixed))
 
 
 def test_orbit_traces_matches_brute_force_scan():

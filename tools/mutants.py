@@ -1,7 +1,6 @@
 """Mutation check for the shared map predicate and completion rule.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py NAME ...   # the named mutants only
+    python tools/mutants.py
 
 Each mutant names a file, an exact source snippet, its replacement and the
 tests that must catch it.  The unmutated tree must first pass every named
@@ -131,13 +130,8 @@ def pytest_status(tree: Path, tests) -> int:
     return done.returncode
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"error: unknown mutant(s) {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    stale = [m.name for m in chosen if (ROOT / m.file).read_text().count(m.snippet) != 1]
+def main() -> int:
+    stale = [m.name for m in MUTANTS if (ROOT / m.file).read_text().count(m.snippet) != 1]
     if stale:
         print(f"error: snippet not found exactly once for {', '.join(stale)}", file=sys.stderr)
         return 1
@@ -145,12 +139,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="ordmet-mutants-") as tmp:
         pristine = Path(tmp) / "pristine"
         copy_tree(pristine)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if pytest_status(pristine, tests) != 0:
-            print("error: the unmutated tree fails the selected tests", file=sys.stderr)
+            print("error: the unmutated tree fails the mutants' tests", file=sys.stderr)
             return 1
         survivors = 0
-        for m in chosen:
+        for m in MUTANTS:
             tree = Path(tmp) / m.name
             copy_tree(tree)
             path = tree / m.file
@@ -160,9 +154,9 @@ def main(argv: list[str]) -> int:
             survivors += status != 1
             print(f"{verdict:<10} {m.name}")
             shutil.rmtree(tree)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
