@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from typing import Mapping
 
@@ -216,19 +216,27 @@ def amalgamate(
         order.append(p)
     order.extend(ids[q] for q in gaps_b[len(c)])
 
-    entries: dict[tuple[PointId, PointId], Fraction] = dict(a.entries)
+    # The glued table as int rows over the common denominator of a and b:
+    # a's rows as they are, b's extra pairs, then each b-only point as a new
+    # point over a anchored at the overlap.
+    scale = lcm(a._scale, b._scale)
+    at = {p: i for i, p in enumerate(order)}
+    rows: list[list] = [[0] * len(order) for _ in order]
+    a_at = [at[p] for p in a.points]
+    factor = scale // a._scale
+    for i, a_row in zip(a_at, a._rows):
+        for j, v in zip(a_at, a_row):
+            rows[i][j] = None if v is None else v * factor
     for q1, q2 in combinations(b_extra, 2):
-        entries[(ids[q1], ids[q2])] = b.d(q1, q2)
+        i, j = at[ids[q1]], at[ids[q2]]
+        rows[i][j] = rows[j][i] = scaled(b.d(q1, q2), scale)
 
-    # Each b-only point is a new point over a anchored at the overlap,
-    # completed in integers over the common denominator of a and b.
-    scale = lcm(*(v.denominator for v in chain(a.entries.values(), b.entries.values())))
-    rows = [[scaled(a.d(p, za), scale) for p in a.points] for za in anchors_a]
+    anchor_rows = [[scaled(a.d(p, za), scale) for p in a.points] for za in anchors_a]
     filler = 0
     if not anchors_a and len(a) and len(b):
         filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
-        legs = [(row, scaled(b.d(e_b(z), q), scale)) for row, z in zip(rows, c.points)]
+        legs = [(row, scaled(b.d(e_b(z), q), scale)) for row, z in zip(anchor_rows, c.points)]
         column, escape = shortest_path_column(legs, len(a), filler)
         if escape is not None:
             k, j = escape
@@ -236,8 +244,9 @@ def amalgamate(
                 f"cross distance {Fraction(column[j], scale)} escapes the bound "
                 f"through overlap point {c.name(c.points[k])}"
             )
-        for p, value in zip(a.points, column):
-            entries[(p, ids[q])] = Fraction(value, scale)
+        i = at[ids[q]]
+        for j, value in zip(a_at, column):
+            rows[i][j] = rows[j][i] = value
 
     names = dict(a.names)
     taken = set(names.values())
@@ -246,7 +255,7 @@ def amalgamate(
         names[ids[q]] = nm
         taken.add(nm)
 
-    glued = FinSpace(tuple(order), entries, names)
+    glued = FinSpace._of_rows(order, rows, scale, names)
     f_a = Embedding(a, glued, {p: p for p in a.points})
     f_b = Embedding(
         b,

@@ -9,6 +9,7 @@ messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +27,10 @@ def _load(path: str) -> FinSpace:
     return parse_space(Path(path).read_text())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every build leaves
+    a cycle of argparse objects for the garbage collector."""
     parser = argparse.ArgumentParser(
         prog="ordmet",
         description="Ordered rational metric spaces: validation, embeddings, "

@@ -157,11 +157,7 @@ def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarr
 
 
 def _matrix_space(matrix: np.ndarray, scale: int) -> FinSpace:
-    size = matrix.shape[0]
-    entries = {
-        (i, j): Fraction(int(matrix[i, j]), scale) for i, j in combinations(range(size), 2)
-    }
-    return FinSpace(tuple(range(size)), entries)
+    return FinSpace._of_rows(range(matrix.shape[0]), matrix.tolist(), scale, {})
 
 
 def check_fraisse_properties(

@@ -15,8 +15,9 @@ The stage's distances are kept once, as rows of Python ints over one common
 denominator, indexed by creation index.  Each new point's column is the
 shortest-path completion through its subset, computed and re-checked
 against its triangle bounds by ``amalgam.shortest_path_column`` (the rule
-``amalgamate`` uses) in integers formed by ``amalgam.scaled``; ``Fraction``
-values are made only for callers of ``d``, ``stage`` and ``induced``.
+``amalgamate`` uses) in integers formed by ``amalgam.scaled``.  Snapshots
+(``stage``, ``induced``) take a copy of the rows, so ``Fraction`` values
+are made only for callers of ``d``.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterator, Mapping
 
@@ -171,9 +171,11 @@ class LimitBuilder:
     the i-th and j-th created points times the common denominator
     ``_scale``, as a Python int (exact, no overflow).  Rows are indexed by
     creation index, so an order insert moves no row; a distance with a new
-    denominator multiplies every entry by the lcm factor.  ``Fraction``
-    values appear only at the API boundary (:meth:`d`, :meth:`stage`,
-    :meth:`induced`) and come from a numerator cache that a rescale clears.
+    denominator multiplies every entry by the lcm factor.  Snapshots
+    (:meth:`stage`, :meth:`induced`) get a sliced copy of the rows in stage
+    order.  ``Fraction`` values appear only at the API boundary (:meth:`d`
+    and the snapshots' own ``d``) and come from a numerator cache that a
+    rescale replaces.
     """
 
     def __init__(self, seed: FinSpace):
@@ -187,11 +189,9 @@ class LimitBuilder:
         self._names: dict[PointId, str] = dict(seed.names)
         self._created: list[PointId] = list(seed.points)
         self._index: dict[PointId, int] = dict(self._pos)
-        self._scale = lcm(*(seed.d(p, q).denominator for p, q in seed.pairs()))
-        self._rows: list[list[int]] = [
-            [scaled(seed.d(p, q), self._scale) if p != q else 0 for q in seed.points]
-            for p in seed.points
-        ]
+        # a valid seed is complete and symmetric, so its rows are the store
+        self._scale = seed._scale
+        self._rows: list[list[int]] = [list(row) for row in seed._rows]
         self._fractions: dict[int, Fraction] = {}
         self._weight = 0
         self._level: list[ExtensionTask] = []
@@ -229,16 +229,15 @@ class LimitBuilder:
         return self.induced(self._order)
 
     def induced(self, keep) -> FinSpace:
+        """Immutable space on the stage points in ``keep``: a copy of their
+        rows, sliced in stage order, sharing the Fraction cache (its values
+        are over the same scale, and a rescale starts a new cache)."""
         pos = self._pos
         pts = sorted((p for p in set(keep) if p in pos), key=pos.__getitem__)
-        rows = [self._rows[self._index[p]] for p in pts]
         cols = [self._index[p] for p in pts]
-        frac = self._fraction
-        entries = {
-            (p, q): frac(rows[a][cols[b]])
-            for (a, p), (b, q) in combinations(enumerate(pts), 2)
-        }
-        return FinSpace(tuple(pts), entries, {p: self._names[p] for p in pts})
+        rows = [[row[c] for c in cols] for row in map(self._rows.__getitem__, cols)]
+        names = {p: self._names[p] for p in pts}
+        return FinSpace._of_rows(pts, rows, self._scale, names, self._fractions)
 
     # -- growth -------------------------------------------------------------
 
@@ -249,7 +248,7 @@ class LimitBuilder:
             factor = scale // self._scale
             self._rows = [[v * factor for v in row] for row in self._rows]
             self._scale = scale
-            self._fractions.clear()
+            self._fractions = {}
 
     def realize(self, dvec: Mapping[PointId, Fraction], gap: int) -> PointId:
         """Add one point with exact distances to the keyed subset and the

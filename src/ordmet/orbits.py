@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .spaces import FinSpace, PointId, SpaceError, agrees, preserves
+from .spaces import FinSpace, PointId, SpaceError, agrees_located, locate, preserves
 
 Support = frozenset[PointId]
 
@@ -55,20 +55,24 @@ def orbit_traces(
     stay tractable; always contains ``t`` itself.
     """
     fixed = _fixed(stage, support, t)
+    # each entry of t paired with every stage point, located once
+    options = [locate(stage, stage, [(p, c) for c in stage.points]) for p in t]
     found: set[tuple[PointId, ...]] = set()
-    prefix: list[PointId] = []
-
-    def descend(depth: int) -> None:
-        if depth == len(t):
-            found.add(tuple(prefix))
-            return
-        # the support is fixed pointwise; earlier entries are already placed
-        placed = fixed + list(zip(t, prefix))
-        for candidate in stage.points:
-            if agrees(stage, stage, placed, t[depth], candidate):
-                prefix.append(candidate)
-                descend(depth + 1)
-                prefix.pop()
-
-    descend(0)
+    _descend(stage, fixed, t, options, [], found)
     return found
+
+
+def _descend(stage, fixed, t, options, prefix: list[PointId], found: set) -> None:
+    """Add to ``found`` every way of extending ``prefix``, the images of the
+    first entries of ``t``, to all of ``t`` in agreement with the fixed
+    support and the earlier entries.  A module-level recursion, so that no
+    reference cycle keeps ``options`` alive after the search."""
+    if len(prefix) == len(t):
+        found.add(tuple(prefix))
+        return
+    placed = locate(stage, stage, fixed + list(zip(t, prefix)))
+    for here in options[len(prefix)]:
+        if agrees_located(stage._rows, stage._rows, 1, 1, here, placed):
+            prefix.append(here[1])
+            _descend(stage, fixed, t, options, prefix, found)
+            prefix.pop()

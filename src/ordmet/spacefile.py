@@ -12,12 +12,17 @@ Names match [A-Za-z0-9_]+.  Blank lines and ``#`` comments are ignored on
 input.  Rationals are written in lowest terms with an explicit denominator;
 non-canonical input values are accepted and normalized.  Serializing a
 parsed canonical document reproduces it byte for byte.
+
+Both directions work on the space's int rows: ``parse_space`` parses each
+distinct value token once and fills the rows over the lcm of the parsed
+denominators; ``serialize_space`` formats each distinct value once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .rationals import format_rational, parse_rational
 from .spaces import FinSpace, PointId, SpaceError
@@ -33,11 +38,15 @@ def parse_space(text: str) -> FinSpace:
     """Read a document into a space; structural order is file order.
 
     Parsing does not validate metric axioms, so broken candidate tables can
-    be loaded and then reported by ``validate``.
+    be loaded and then reported by ``validate``.  Each distinct value token
+    is parsed once; the rows are filled with its index and then with its
+    int over the lcm of the parsed denominators.
     """
     names: list[str] = []
     ids: dict[str, PointId] = {}
-    entries: dict[tuple[PointId, PointId], Fraction] = {}
+    rows: list[list[int | None]] = []
+    token_index: dict[str, int] = {}  # value token -> index into values
+    values: list[Fraction] = []
     seen_header = False
     seen_end = False
 
@@ -53,6 +62,28 @@ def parse_space(text: str) -> FinSpace:
                 raise SpaceParseError(f"line {lineno}: expected 'space' header")
             seen_header = True
             continue
+        if tokens[0] == "dist":
+            if len(tokens) != 4:
+                raise SpaceParseError(f"line {lineno}: expected 'dist <p> <q> <value>'")
+            _, p, q, value = tokens
+            i, j = ids.get(p), ids.get(q)
+            if i is None or j is None:
+                unknown = p if i is None else q
+                raise SpaceParseError(f"line {lineno}: unknown point {unknown!r}")
+            if i == j:
+                raise SpaceParseError(f"line {lineno}: self distance for {p!r}")
+            row = rows[i]
+            if row[j] is not None:
+                raise SpaceParseError(f"line {lineno}: duplicate pair {p} {q}")
+            k = token_index.get(value)
+            if k is None:
+                try:
+                    values.append(parse_rational(value))
+                except ValueError as exc:
+                    raise SpaceParseError(f"line {lineno}: {exc}") from None
+                k = token_index[value] = len(values) - 1
+            row[j] = rows[j][i] = k
+            continue
         if tokens == ["end"]:
             seen_end = True
             continue
@@ -66,23 +97,9 @@ def parse_space(text: str) -> FinSpace:
                 raise SpaceParseError(f"line {lineno}: duplicate point {name!r}")
             ids[name] = len(names)
             names.append(name)
-            continue
-        if tokens[0] == "dist":
-            if len(tokens) != 4:
-                raise SpaceParseError(f"line {lineno}: expected 'dist <p> <q> <value>'")
-            _, p, q, value = tokens
-            for name in (p, q):
-                if name not in ids:
-                    raise SpaceParseError(f"line {lineno}: unknown point {name!r}")
-            if p == q:
-                raise SpaceParseError(f"line {lineno}: self distance for {p!r}")
-            key = (ids[p], ids[q])
-            if key in entries or (key[1], key[0]) in entries:
-                raise SpaceParseError(f"line {lineno}: duplicate pair {p} {q}")
-            try:
-                entries[key] = parse_rational(value)
-            except ValueError as exc:
-                raise SpaceParseError(f"line {lineno}: {exc}") from None
+            for row in rows:
+                row.append(None)
+            rows.append([None] * len(names))
             continue
         raise SpaceParseError(f"line {lineno}: unrecognized directive {tokens[0]!r}")
 
@@ -90,17 +107,25 @@ def parse_space(text: str) -> FinSpace:
         raise SpaceParseError("empty document: missing 'space' header")
     if not seen_end:
         raise SpaceParseError("missing 'end' terminator")
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if (i, j) not in entries and (j, i) not in entries:
-                raise SpaceParseError(f"missing distance for pair {names[i]} {names[j]}")
-    return FinSpace(
-        tuple(range(len(names))), entries, {i: nm for i, nm in enumerate(names)}
-    )
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    fractions = dict(zip(ints, values))
+    ints.append(0)  # index len(values): the diagonal
+    for i, row in enumerate(rows):
+        row[i] = len(values)
+        if None in row:  # any earlier pair was checked with its earlier row
+            j = row.index(None)
+            raise SpaceParseError(f"missing distance for pair {names[i]} {names[j]}")
+    rows = [list(map(ints.__getitem__, row)) for row in rows]
+    return FinSpace._of_rows(range(len(names)), rows, scale, dict(enumerate(names)), fractions)
 
 
 def serialize_space(space: FinSpace) -> str:
-    """Canonical document for a space with a complete distance table."""
+    """Canonical document for a space with a complete distance table.
+
+    Reads the rows (the pair at positions i < j resolves to ``rows[i][j]``)
+    and formats each distinct value once.
+    """
     seen: set[str] = set()
     for p in space.points:
         name = space.names[p]
@@ -109,14 +134,16 @@ def serialize_space(space: FinSpace) -> str:
         if name in seen:
             raise SpaceError(f"duplicate point name {name!r}")
         seen.add(name)
-    lines = ["space"]
-    lines.extend(f"point {space.names[p]}" for p in space.points)
     pts = space.points
-    for i in range(len(pts)):
+    labels = [space.names[p] for p in pts]
+    lines = ["space"]
+    lines.extend(f"point {label}" for label in labels)
+    text: dict[int, str] = {}  # scaled int -> "num/den"
+    for i, row in enumerate(space._rows):
         for j in range(i + 1, len(pts)):
-            value = space.d(pts[i], pts[j])
-            lines.append(
-                f"dist {space.names[pts[i]]} {space.names[pts[j]]} {format_rational(value)}"
-            )
+            value = text.get(row[j])
+            if value is None:
+                value = text[row[j]] = format_rational(space.d(pts[i], pts[j]))
+            lines.append(f"dist {labels[i]} {labels[j]} {value}")
     lines.append("end")
     return "\n".join(lines) + "\n"

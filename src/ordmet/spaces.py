@@ -1,19 +1,25 @@
 """Finite totally ordered metric spaces with exact rational distances.
 
 A space is a finite list of points carrying a strict total order (the list
-order) and a symmetric, positive, triangle-satisfying distance table whose
-values are Fractions.  Construction is permissive: a space may hold a broken
-candidate table, and ``validate`` reports every violated axiom.  All values
-are immutable after construction; every operation here is a pure function.
+order) and a symmetric, positive, triangle-satisfying table of rational
+distances.  The table is stored once, as rows of Python ints over one
+common denominator, and every check here (``validate``, ``agrees`` /
+``preserves``, ``enumerate_embeddings``) compares those ints; a
+``Fraction`` is made only where a distance leaves the API (``d``,
+``entries``) or is printed.  Construction is permissive: a space may hold a
+broken candidate table, and ``validate`` reports every violated axiom.  All
+values are immutable after construction; every operation here is a pure
+function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import format_rational, parse_rational
 
@@ -28,34 +34,82 @@ class MissingDistanceError(SpaceError):
     """A required pair has no entry in the distance table."""
 
 
-@dataclass(frozen=True, eq=False)
 class FinSpace:
     """Finite ordered metric space.
 
-    ``points`` lists point ids in increasing structural order.  ``entries``
-    holds the distance table as given (directed keys are allowed so that
-    asymmetric candidate tables can be represented and reported); lookups
-    through :meth:`d` resolve either orientation.  Ids are opaque and carry
-    no order meaning of their own.
+    ``points`` lists point ids in increasing structural order; ids are
+    opaque.  The constructor takes the table as given, a mapping from
+    directed pairs to rationals, and stores it once: ``_rows[i][j]`` is
+    d(points[i], points[j]) times ``_scale`` as a Python int, by position,
+    None for a missing pair.  The rows are directed, so a broken candidate
+    table is recorded at construction: an asymmetric pair keeps both
+    values, a diagonal entry keeps its override, and a point listed twice
+    gets a row at each of its positions.  :meth:`d` makes a ``Fraction``
+    from a cache keyed by the scaled int and seeded with the given values;
+    ``entries`` is a read-only view of the table as given.
     """
 
-    points: tuple[PointId, ...]
-    entries: Mapping[tuple[PointId, PointId], Fraction]
-    names: Mapping[PointId, str] = field(default_factory=dict)
+    __slots__ = ("points", "names", "_pos", "_index", "_rows", "_scale", "_fractions", "_keys")
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        known = set(pts)
-        table = {}
-        for (p, q), value in self.entries.items():
-            if p not in known or q not in known:
+    def __init__(
+        self,
+        points: Iterable[PointId],
+        entries: Mapping[tuple[PointId, PointId], Fraction | int | str],
+        names: Mapping[PointId, str] | None = None,
+    ) -> None:
+        pts = tuple(points)
+        pos = {p: i for i, p in enumerate(pts)}
+        given: dict[tuple[PointId, PointId], Fraction] = {}
+        for (p, q), value in entries.items():
+            if p not in pos or q not in pos:
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
-            table[(p, q)] = value if type(value) is Fraction else Fraction(value)
-        object.__setattr__(self, "entries", table)
-        names = {p: str(self.names.get(p, f"p{p}")) for p in pts}
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_pos", {p: i for i, p in enumerate(pts)})
+            given[(p, q)] = value if type(value) is Fraction else Fraction(value)
+        scale = lcm(*{v.denominator for v in given.values()})
+        ints = {key: v.numerator * (scale // v.denominator) for key, v in given.items()}
+        at: dict[PointId, list[int]] = {}  # every position of each point
+        for i, p in enumerate(pts):
+            at.setdefault(p, []).append(i)
+        rows: list[list] = [[None] * len(pts) for _ in pts]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        # d(p, q) is the (p, q) entry, else the (q, p) entry: fill the
+        # reverse reading first, so that the entry as given overwrites it
+        for (p, q), value in ints.items():
+            for j in at[q]:
+                for i in at[p]:
+                    rows[j][i] = value
+        for (p, q), value in ints.items():
+            for i in at[p]:
+                for j in at[q]:
+                    rows[i][j] = value
+        fractions = {ints[key]: v for key, v in given.items()}
+        self._adopt(pts, rows, scale, names or {}, fractions, dict.fromkeys(given))
+
+    @classmethod
+    def _of_rows(cls, points, rows, scale: int, names, fractions=None, keys=None) -> "FinSpace":
+        """Space adopting ``rows`` (one per point, over ``scale``) as they
+        are.  ``keys`` are the directed pairs of the table as given; None
+        means the rows are complete, symmetric and zero on the diagonal,
+        with the position pairs i < j as keys.  ``fractions`` (scaled int
+        to Fraction over the same scale) seeds the cache."""
+        space = object.__new__(cls)
+        space._adopt(tuple(points), rows, scale, names, {} if fractions is None else fractions, keys)
+        return space
+
+    def _adopt(self, pts, rows, scale, names, fractions, keys) -> None:
+        fill = object.__setattr__
+        pos = {p: i for i, p in enumerate(pts)}
+        fill(self, "points", pts)
+        fill(self, "names", {p: str(names.get(p, f"p{p}")) for p in pts})
+        fill(self, "_pos", pos)
+        fill(self, "_index", pos)  # row of each point: rows follow the order
+        fill(self, "_rows", rows)
+        fill(self, "_scale", scale)
+        fill(self, "_fractions", fractions)
+        fill(self, "_keys", keys)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"FinSpace is immutable: cannot set {name!r}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -65,6 +119,11 @@ class FinSpace:
 
     def __contains__(self, p: PointId) -> bool:
         return p in self._pos
+
+    @property
+    def entries(self) -> Mapping[tuple[PointId, PointId], Fraction]:
+        """The distance table as given: directed keys, ``Fraction`` values."""
+        return _Entries(self)
 
     def position(self, p: PointId) -> int:
         """Index of ``p`` in the structural order."""
@@ -87,35 +146,72 @@ class FinSpace:
         raise SpaceError(f"no point named {name!r}")
 
     def has_pair(self, p: PointId, q: PointId) -> bool:
-        return (p, q) in self.entries or (q, p) in self.entries
+        if self._keys is not None:
+            return (p, q) in self._keys or (q, p) in self._keys
+        return p != q and p in self._pos and q in self._pos
+
+    def _fraction(self, num: int) -> Fraction:
+        hit = self._fractions.get(num)
+        if hit is None:
+            hit = self._fractions[num] = Fraction(num, self._scale)
+        return hit
 
     def d(self, p: PointId, q: PointId) -> Fraction:
         """Distance between two points; 0 on the diagonal unless overridden."""
-        if p not in self._pos or q not in self._pos:
-            raise SpaceError(f"point {p if p not in self._pos else q} not in space")
-        hit = self.entries.get((p, q))
-        if hit is None:
-            hit = self.entries.get((q, p))
-        if hit is None:
-            if p == q:
-                return Fraction(0)
+        pos = self._pos
+        if p not in pos or q not in pos:
+            raise SpaceError(f"point {p if p not in pos else q} not in space")
+        value = self._rows[pos[p]][pos[q]]
+        if value is None:
             raise MissingDistanceError(f"no distance recorded for pair ({p}, {q})")
-        return hit
+        return self._fraction(value)
 
     def pairs(self) -> Iterator[tuple[PointId, PointId]]:
         """Unordered point pairs in lexicographic order of positions."""
         return combinations(self.points, 2)
 
     def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
-        """Induced space on ``keep``; order and distances are inherited."""
+        """Induced space on ``keep``: order, rows and the given pairs among
+        the kept points are inherited."""
         kept = set(keep)
         for p in kept:
             self.position(p)
-        pts = tuple(p for p in self.points if p in kept)
-        entries = {
-            (p, q): self.d(p, q) for p, q in combinations(pts, 2) if self.has_pair(p, q)
-        }
-        return FinSpace(pts, entries, {p: self.names[p] for p in pts})
+        at = [i for i, p in enumerate(self.points) if p in kept]
+        rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
+        keys = self._keys
+        if keys is not None:
+            keys = {(p, q): None for p, q in keys if p in kept and q in kept}
+        pts = [self.points[i] for i in at]
+        return FinSpace._of_rows(pts, rows, self._scale, self.names, self._fractions, keys)
+
+
+class _Entries(Mapping):
+    """Read-only view of a space's table as given: its directed pairs, each
+    read from the rows as a ``Fraction``."""
+
+    __slots__ = ("_space",)
+
+    def __init__(self, space: FinSpace) -> None:
+        self._space = space
+
+    def __getitem__(self, key) -> Fraction:
+        space, (p, q) = self._space, key
+        pos = space._pos
+        if space._keys is None:
+            given = p in pos and q in pos and pos[p] < pos[q]
+        else:
+            given = key in space._keys
+        if not given:
+            raise KeyError(key)
+        return space._fraction(space._rows[pos[p]][pos[q]])
+
+    def __iter__(self) -> Iterator[tuple[PointId, PointId]]:
+        keys = self._space._keys
+        return combinations(self._space.points, 2) if keys is None else iter(keys)
+
+    def __len__(self) -> int:
+        keys, n = self._space._keys, len(self._space.points)
+        return n * (n - 1) // 2 if keys is None else len(keys)
 
 
 def make_space(
@@ -161,72 +257,51 @@ def validate(space: FinSpace) -> ValidationReport:
 
     Accepts raw candidate tables: missing entries, asymmetric entries and
     nonzero diagonal entries are reported rather than raised.  The report is
-    a pure function of the space.
+    a pure function of the space.  Every check reads the resolved rows;
+    ``Fraction`` values are formed only to format a violation.
     """
     out: list[Violation] = []
-    points, entries = space.points, space.entries
+    points, rows, frac = space.points, space._rows, space._fraction
     seen: set[PointId] = set()
     for p in points:
         if p in seen:
             out.append(Violation("order", (p,), "point listed twice"))
         seen.add(p)
 
-    for p in points:
-        diag = entries.get((p, p))
-        if diag is not None and diag != 0:
-            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(diag)}"))
-
-    # rows[i][j] (i < j) holds the resolved distance of the pair at list
-    # positions i and j, None when the pair is missing; fewer than three
-    # points have no triple to check.
-    n = len(points)
-    rows = [[None] * n for _ in range(n)] if n >= 3 else None
-    scale = 1  # lcm of the resolved denominators
     for i, p in enumerate(points):
+        diag = rows[i][i]
+        if diag != 0:
+            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(frac(diag))}"))
+
+    n = len(points)
+    for i, p in enumerate(points):
+        row = rows[i]
         for j in range(i + 1, n):
-            q = points[j]
-            fwd = entries.get((p, q))
-            bwd = entries.get((q, p))
-            if fwd is None and bwd is None:
+            q, value, back = points[j], row[j], rows[j][i]
+            if value is None:
                 out.append(Violation("missing", (p, q), "no distance entry"))
                 continue
-            if fwd is not None and bwd is not None and fwd != bwd:
-                out.append(
-                    Violation(
-                        "symmetry",
-                        (p, q),
-                        f"{format_rational(fwd)} != {format_rational(bwd)}",
-                    )
-                )
-            value = fwd if fwd is not None else bwd
-            if value.numerator <= 0:
-                out.append(Violation("positivity", (p, q), f"d = {format_rational(value)}"))
-            if rows is not None:
-                rows[i][j] = value
-                if scale % value.denominator:
-                    scale = lcm(scale, value.denominator)
+            if value != back:
+                detail = f"{format_rational(frac(value))} != {format_rational(frac(back))}"
+                out.append(Violation("symmetry", (p, q), detail))
+            if value <= 0:
+                out.append(Violation("positivity", (p, q), f"d = {format_rational(frac(value))}"))
 
-    if rows is not None:
-        _triangle_pass(space, rows, scale, out)
+    _triangle_pass(space, out)
     return ValidationReport(tuple(out))
 
 
-def _triangle_pass(space: FinSpace, rows: list[list], scale: int, out: list[Violation]) -> None:
-    """Append the triangle violations of the resolved table ``rows``.
+def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
+    """Append the triangle violations of the resolved table.
 
-    Every value is rescaled in place to an exact Python int (value * scale),
-    which keeps sums and comparisons exact; triples with a missing pair are
-    skipped.  Violations are built from the original Fractions, triples in
-    ``combinations`` order, one report per failed side, the far pair first.
+    Reads the upper triangle of the rows (the pair at positions i < j
+    resolves to ``rows[i][j]``) as exact Python ints; triples with a
+    missing pair are skipped.  Violations are formatted from ``Fraction``
+    values, triples in ``combinations`` order, one report per failed side,
+    the far pair first.
     """
+    rows, pts, frac = space._rows, space.points, space._fraction
     n = len(rows)
-    for i, row in enumerate(rows):
-        for j in range(i + 1, n):
-            value = row[j]
-            if value is not None:
-                row[j] = value.numerator * (scale // value.denominator)
-
-    pts = space.points
     for a in range(n - 2):
         ra = rows[a]
         for b in range(a + 1, n - 1):
@@ -240,7 +315,7 @@ def _triangle_pass(space: FinSpace, rows: list[list], scale: int, out: list[Viol
                     continue
                 if ab > ac + bc or ac > ab + bc or bc > ab + ac:
                     x, y, z = pts[a], pts[b], pts[c]
-                    dxy, dxz, dyz = space.d(x, y), space.d(x, z), space.d(y, z)
+                    dxy, dxz, dyz = frac(ab), frac(ac), frac(bc)
                     if ab > ac + bc:
                         out.append(_triangle_violation(x, y, z, dxy, dxz, dyz))
                     if ac > ab + bc:
@@ -288,26 +363,59 @@ class Embedding:
         return tuple(self.target.position(self.mapping[p]) for p in self.source.points)
 
 
+def _factors(x, y) -> tuple[int, int]:
+    """Multipliers that put the row ints of ``x`` and ``y`` over one common
+    denominator, the lcm of their scales: d_x == d_y exactly when
+    row_x * fx == row_y * fy."""
+    sx, sy = x._scale, y._scale
+    if sx == sy:
+        return 1, 1
+    common = lcm(sx, sy)
+    return common // sx, common // sy
+
+
 def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: PointId) -> bool:
     """True iff sending ``p`` (a point of ``x``) to ``q`` (a point of ``y``)
     agrees with every placed pair (p2, q2): p == p2 exactly when q == q2,
     p precedes p2 exactly when q precedes q2, and d(p, p2) == d(q, q2).
 
-    Reads only ``position`` and ``d``, so ``x`` and ``y`` may be spaces or
-    limit builders, and the same object for a map inside one space.  A
+    Reads the order (``_pos``) and the int rows (``_rows``, one per point
+    through ``_index``, over ``_scale``), so ``x`` and ``y`` may be spaces
+    or limit builders, and the same object for a map inside one space.
+    Rows over different scales are compared by cross-multiplying.  A
     distance is read only once identity and order hold for its pair, so on
     a table with a missing entry a pair broken in order is rejected and an
     unbroken one raises ``MissingDistanceError``.
     """
-    xpos, ypos, xd, yd = x.position, y.position, x.d, y.d
-    xp, yq = xpos(p), ypos(q)
-    for p2, q2 in placed:
+    here, *rest = locate(x, y, [(p, q), *placed])
+    return agrees_located(x._rows, y._rows, *_factors(x, y), here, rest)
+
+
+def locate(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> list[tuple]:
+    """Each pair (p, q) with what :func:`agrees_located` compares it by:
+    (p, q, position of p, position of q, row index of p, row index of q)."""
+    xpos, ypos, xidx, yidx = x._pos, y._pos, x._index, y._index
+    try:
+        return [(p, q, xpos[p], ypos[q], xidx[p], yidx[q]) for p, q in pairs]
+    except KeyError as exc:
+        raise SpaceError(f"point {exc.args[0]} not in space") from None
+
+
+def agrees_located(xrows, yrows, fx: int, fy: int, here: tuple, placed) -> bool:
+    """:func:`agrees` on pairs from :func:`locate`, over the rows of x and
+    y and the factors from :func:`_factors`."""
+    p, q, xp, yq, xi, yi = here
+    xrow, yrow = xrows[xi], yrows[yi]
+    for p2, q2, xp2, yq2, xi2, yi2 in placed:
         if (p == p2) != (q == q2):
             return False
-        if (xp < xpos(p2)) != (yq < ypos(q2)):
+        if (xp < xp2) != (yq < yq2):
             return False
-        dx, dy = xd(p, p2), yd(q, q2)
-        if dx is not dy and dx != dy:  # `is` skips Fraction.__eq__ on cached values
+        dx, dy = xrow[xi2], yrow[yi2]
+        if dx is None or dy is None:
+            pair = (p, p2) if dx is None else (q, q2)
+            raise MissingDistanceError(f"no distance recorded for pair {pair}")
+        if dx * fx != dy * fy:
             return False
     return True
 
@@ -316,9 +424,10 @@ def preserves(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> bool:
     """True iff the map given by ``pairs`` (a point of ``x``, its image in
     ``y``) preserves identity, order and distance: :func:`agrees` folded
     over the list, each pair against every later one."""
-    pairs = list(pairs)
-    for i, (p, q) in enumerate(pairs):
-        if not agrees(x, y, pairs[i + 1 :], p, q):
+    pairs = locate(x, y, pairs)
+    xrows, yrows, (fx, fy) = x._rows, y._rows, _factors(x, y)
+    for i, here in enumerate(pairs):
+        if not agrees_located(xrows, yrows, fx, fy, here, pairs[i + 1 :]):
             return False
     return True
 
@@ -358,26 +467,44 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
     Order preservation pins each embedding to a strictly increasing tuple of
     target positions, so the search walks positions left to right, smallest
     candidate first, checking distances against everything already placed.
+    Both row sets are put over the lcm of the two scales once per call; a
+    search that compares distances (two or more source points) raises
+    ``MissingDistanceError`` when either table misses a pair.
     """
-    n, k = len(y), len(x)
-    xs, ys = x.points, y.points
-    chosen: list[int] = []
+    fx, fy = _factors(x, y)
+    if len(x) < 2:  # nothing to compare
+        return _embeddings(x, y, x._rows, y._rows, [])
+    return _embeddings(x, y, _rescaled(x, fx), _rescaled(y, fy), [])
 
-    def extend(depth: int) -> Iterator[Embedding]:
-        if depth == k:
-            yield Embedding(x, y, {xs[i]: ys[t] for i, t in enumerate(chosen)})
-            return
-        start = chosen[-1] + 1 if chosen else 0
-        for t in range(start, n - (k - depth) + 1):
-            if all(
-                x.d(xs[i], xs[depth]) == y.d(ys[s], ys[t])
-                for i, s in enumerate(chosen)
-            ):
-                chosen.append(t)
-                yield from extend(depth + 1)
-                chosen.pop()
 
-    return extend(0)
+def _embeddings(x, y, xrows, yrows, chosen: list[int]) -> Iterator[Embedding]:
+    """The embeddings that extend the target positions ``chosen``, over
+    rows on one scale.  A module-level generator, so that no reference
+    cycle keeps the rows alive after the search."""
+    depth, n, k = len(chosen), len(y), len(x)
+    if depth == k:
+        yield Embedding(x, y, {x.points[i]: y.points[t] for i, t in enumerate(chosen)})
+        return
+    start = chosen[-1] + 1 if chosen else 0
+    candidates = range(start, n - (k - depth) + 1)
+    for want, s in zip(xrows[depth], chosen):
+        yrow = yrows[s]
+        candidates = [t for t in candidates if yrow[t] == want]
+    for t in candidates:
+        chosen.append(t)
+        yield from _embeddings(x, y, xrows, yrows, chosen)
+        chosen.pop()
+
+
+def _rescaled(space: FinSpace, factor: int) -> list[list[int]]:
+    """The rows of a complete table times ``factor``."""
+    for i, row in enumerate(space._rows):
+        if None in row:
+            pair = (space.points[i], space.points[row.index(None)])
+            raise MissingDistanceError(f"no distance recorded for pair {pair}")
+    if factor == 1:
+        return space._rows
+    return [[v * factor for v in row] for row in space._rows]
 
 
 def diameter(space: FinSpace) -> Fraction:

@@ -46,6 +46,21 @@ def path_metric_space(size: int, weights: dict[tuple[int, int], Fraction]) -> Fi
     return FinSpace(tuple(range(size)), entries)
 
 
+def reference_d(entries, p, q):
+    """Slow oracle for ``FinSpace.d`` on the table ``entries`` as given: the
+    (p, q) entry, else the (q, p) entry, else 0 on the diagonal; None when
+    the pair is missing."""
+    for key in ((p, q), (q, p)):
+        if key in entries:
+            return Fraction(entries[key])
+    return Fraction(0) if p == q else None
+
+
+def reference_has_pair(entries, p, q) -> bool:
+    """Slow oracle for ``FinSpace.has_pair``: either orientation was given."""
+    return (p, q) in entries or (q, p) in entries
+
+
 def reference_violations(space: FinSpace) -> tuple[Violation, ...]:
     """Slow oracle for ``validate``: every axiom checked pair by pair and
     triple by triple in ``Fraction`` arithmetic, in the report order."""

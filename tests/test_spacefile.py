@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordmet import canonical_iso, make_space, validate
+from ordmet import FinSpace, canonical_iso, make_space, new_builder, validate
+from ordmet import spacefile
+from ordmet.rationals import parse_rational
 from ordmet.spacefile import SpaceParseError, parse_space, serialize_space
 
 from conftest import chain_space, path_metric_space
@@ -117,3 +119,44 @@ def test_random_round_trips(data):
     iso = canonical_iso(space, back)
     assert iso is not None
     assert serialize_space(back) == text
+
+
+def test_grown_stage_round_trips_byte_for_byte():
+    stage = new_builder(FinSpace((), {})).grow(40).stage()
+    text = serialize_space(stage)
+    back = parse_space(text)
+    assert serialize_space(back) == text
+    assert all(back.d(i, j) == stage.d(p, q)
+               for (i, j), (p, q) in zip(combinations(back.points, 2), stage.pairs()))
+
+
+def test_noncanonical_tokens_serialize_canonically_and_then_stay():
+    doc = (
+        "space\npoint p\npoint q\npoint r\n"
+        "dist q p 2/4\ndist p r 3\ndist r q 1/2\nend\n"
+    )
+    canonical = (
+        "space\npoint p\npoint q\npoint r\n"
+        "dist p q 1/2\ndist p r 3/1\ndist q r 1/2\nend\n"
+    )
+    assert serialize_space(parse_space(doc)) == canonical
+    assert serialize_space(parse_space(canonical)) == canonical
+
+
+def test_each_distinct_value_token_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return parse_rational(token)
+
+    monkeypatch.setattr(spacefile, "parse_rational", counting)
+    doc = (
+        "space\npoint p\npoint q\npoint r\npoint s\n"
+        "dist p q 1/2\ndist p r 2/4\ndist p s 1/2\n"
+        "dist q r 2/4\ndist q s 3\ndist r s 1/2\nend\n"
+    )
+    space = parse_space(doc)
+    assert sorted(calls) == ["1/2", "2/4", "3"]
+    assert [space.d(0, j) for j in (1, 2, 3)] == [Fraction(1, 2)] * 3
+    assert space.d(1, 3) == 3

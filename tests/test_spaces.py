@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordmet import (
     FinSpace,
+    MissingDistanceError,
     SpaceError,
     ball_trace,
     canonical_iso,
@@ -17,8 +19,16 @@ from ordmet import (
     make_space,
     validate,
 )
+from ordmet.spacefile import parse_space, serialize_space
+from ordmet.spaces import preserves
 
-from conftest import chain_space, path_metric_space, reference_violations
+from conftest import (
+    chain_space,
+    path_metric_space,
+    reference_d,
+    reference_has_pair,
+    reference_violations,
+)
 
 
 def brute_force_pair_slots(space, dist):
@@ -124,6 +134,11 @@ def random_candidate(rng):
     """A candidate table of 0-9 points: mostly a valid space, with missing
     pairs, asymmetric entries, a nonzero diagonal, a point listed twice and
     out-of-range values mixed in at random rates."""
+    return FinSpace(*random_table(rng))
+
+
+def random_table(rng):
+    """The points and the entries dict behind :func:`random_candidate`."""
     size = rng.randint(0, 9)
     base = path_metric_space(
         size, {pair: rng.choice([1, 2, Fraction(3, 2)]) for pair in combinations(range(size), 2)}
@@ -146,7 +161,7 @@ def random_candidate(rng):
         entries[(0, 0)] = rng.choice(CANDIDATE_VALUES)
     if size and rng.random() < 0.2:
         points.insert(rng.randrange(size + 1), rng.randrange(size))
-    return FinSpace(tuple(points), entries)
+    return tuple(points), entries
 
 
 def test_validate_matches_reference_on_candidate_tables():
@@ -162,6 +177,78 @@ def test_validate_matches_reference_on_candidate_tables():
         seen_kinds |= {v.kind for v in violations}
     assert failing >= cases // 2
     assert seen_kinds == {"order", "identity", "missing", "symmetry", "positivity", "triangle"}
+
+
+def test_rows_resolve_like_the_given_table():
+    """``d`` on every ordered pair, ``has_pair`` and the ``entries`` view
+    match the table as given, on broken candidate tables of every kind."""
+    rng = random.Random(808)
+    seen = Counter()
+    for _ in range(600):
+        points, entries = random_table(rng)
+        space = FinSpace(points, entries)
+        for p in set(points):
+            for q in set(points):
+                want = reference_d(entries, p, q)
+                if want is None:
+                    with pytest.raises(MissingDistanceError):
+                        space.d(p, q)
+                else:
+                    assert space.d(p, q) == want
+                assert space.has_pair(p, q) == reference_has_pair(entries, p, q)
+        view = space.entries
+        assert dict(view) == entries and len(view) == len(entries)
+        assert all(view.get(key) == value for key, value in entries.items())
+        assert (max(points, default=0) + 1, 0) not in view
+        pairs = combinations(points, 2)
+        seen["missing"] += any(reference_d(entries, p, q) is None for p, q in pairs)
+        seen["asymmetric"] += any(entries.get((q, p), v) != v for (p, q), v in entries.items())
+        seen["diagonal"] += any(p == q for p, q in entries)
+        seen["duplicate"] += len(set(points)) < len(points)
+        seen["huge"] += any(v.denominator > 2**64 for v in entries.values())
+        seen["nonpositive"] += any(v <= 0 for v in entries.values())
+    assert min(seen.values()) > 0 and len(seen) == 6
+
+
+def test_subspace_keeps_the_given_table_among_kept_points():
+    rng = random.Random(909)
+    for _ in range(300):
+        points, entries = random_table(rng)
+        ids = sorted(set(points))
+        keep = set(rng.sample(ids, rng.randint(0, len(ids))))
+        sub = FinSpace(points, entries).subspace(keep)
+        kept = {(p, q): v for (p, q), v in entries.items() if p in keep and q in keep}
+        assert sub.points == tuple(p for p in points if p in keep)
+        assert dict(sub.entries) == kept
+        assert validate(sub) == validate(FinSpace(sub.points, kept))
+        for p in keep:
+            for q in keep:
+                want = reference_d(kept, p, q)
+                assert (sub.d(p, q) if sub.has_pair(p, q) or p == q else None) == want
+
+
+def test_parsed_and_sliced_spaces_view_the_position_pairs():
+    stage = parse_space(serialize_space(chain_space(1)))
+    assert list(stage.entries) == list(combinations(stage.points, 2))
+    assert (1, 0) not in stage.entries and stage.entries.get((1, 0)) is None
+    assert stage.entries[(0, 3)] == 3 and not stage.has_pair(2, 2)
+    sub = stage.subspace([0, 2, 3])
+    assert dict(sub.entries) == {(0, 2): 2, (0, 3): 3, (2, 3): 1}
+
+
+def test_equal_scaled_ints_over_different_scales_are_told_apart():
+    """x stores 1/2 over 2 and y stores 1/3 over 3: both rows hold the int
+    1, and only the scales tell the values apart."""
+    x = FinSpace((0, 1), {(0, 1): Fraction(1, 2)})
+    y = FinSpace((0, 1), {(0, 1): Fraction(1, 3)})
+    assert x._rows[0][1] == y._rows[0][1] == 1
+    assert list(enumerate_embeddings(x, y)) == []
+    assert canonical_iso(x, y) is None
+    assert not preserves(x, y, [(0, 0), (1, 1)])
+    # the same values over different scales still match
+    z = make_space(["a", "b", "c"], {("a", "b"): "1/3", ("a", "c"): "1/2", ("b", "c"): "1/2"})
+    assert [e.index_tuple() for e in enumerate_embeddings(x, z)] == [(0, 2), (1, 2)]
+    assert preserves(x, z, [(0, 1), (1, 2)])
 
 
 def test_one_long_side_fails_once_per_third_point():

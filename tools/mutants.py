@@ -1,4 +1,5 @@
-"""Mutation check for the shared map predicate and completion rule.
+"""Mutation check for the shared map predicate, the completion rule and the
+int-row space.
 
     python tools/mutants.py
 
@@ -62,16 +63,39 @@ MUTANTS = [
     Mutant(
         "agrees-order-dropped",
         SPACES,
-        "if (xp < xpos(p2)) != (yq < ypos(q2)):",
+        "if (xp < xp2) != (yq < yq2):",
         "if False:",
         (f"{PRESERVES}[partial_iso_ok]", f"{PRESERVES}[iso_ok]"),
     ),
     Mutant(
         "agrees-distance-dropped",
         SPACES,
-        "if dx is not dy and dx != dy:",
+        "if dx * fx != dy * fy:",
         "if False:",
         (f"{PRESERVES}[canonical_iso]", f"{PRESERVES}[same_fix_orbit]"),
+    ),
+    Mutant(
+        "scale-ignored-across-spaces",
+        SPACES,
+        "return common // sx, common // sy",
+        "return 1, 1",
+        ("tests/test_spaces.py::test_equal_scaled_ints_over_different_scales_are_told_apart",),
+    ),
+    Mutant(
+        "asymmetric-pair-read-backwards",
+        SPACES,
+        "rows[j][i] = value\n        for (p, q), value in ints.items():\n"
+        "            for i in at[p]:\n                for j in at[q]:\n                    rows[i][j] = value",
+        "rows[i][j] = value\n        for (p, q), value in ints.items():\n"
+        "            for i in at[p]:\n                for j in at[q]:\n                    rows[j][i] = value",
+        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
+    ),
+    Mutant(
+        "parse-memo-keyed-on-value",
+        "src/ordmet/spacefile.py",
+        "k = token_index[value] = len(values) - 1",
+        "k = token_index[values[-1]] = len(values) - 1",
+        ("tests/test_spacefile.py::test_each_distinct_value_token_is_parsed_once",),
     ),
     Mutant(
         "column-max-instead-of-min",
