@@ -25,6 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .limit import PartialIso
@@ -99,14 +100,17 @@ def build_witness(support: FinSpace, n: int, m: int) -> WitnessConfig:
             raise SpaceError(f"support uses reserved chain point name {name!r}")
         names[p] = name
 
-    entries = dict(support.entries)
-    for i, j in combinations(range(3 * k + 1), 2):
-        entries[(chain[i], chain[j])] = Fraction(j - i, k)
-    for b in support.points:
-        for p in chain:
-            entries[(b, p)] = far
-
-    space = FinSpace(tuple(support.points) + chain, entries, names)
+    # Int rows over one scale: the support's own rows, the chain points
+    # |i - j| / k apart, and far between every support and chain point.
+    scale = lcm(support._scale, k, far.denominator)
+    step, gap = scale // k, far.numerator * (scale // far.denominator)
+    factor = scale // support._scale
+    rows = [[v * factor for v in row] + [gap] * len(chain) for row in support._rows]
+    rows += [
+        [gap] * len(support) + [abs(i - j) * step for j in range(len(chain))]
+        for i in range(len(chain))
+    ]
+    space = FinSpace._of_rows(tuple(support.points) + chain, rows, scale, names)
     check = validate(space)
     if not check.is_valid:
         raise WitnessError(
