@@ -471,9 +471,9 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
     search that compares distances (two or more source points) raises
     ``MissingDistanceError`` when either table misses a pair.
     """
-    fx, fy = _factors(x, y)
     if len(x) < 2:  # nothing to compare
         return _embeddings(x, y, x._rows, y._rows, [])
+    fx, fy = _factors(x, y)
     return _embeddings(x, y, _rescaled(x, fx), _rescaled(y, fy), [])
 
 
