@@ -69,20 +69,23 @@ def feasibility_violation(
     base: FinSpace, dvec: Mapping[PointId, Fraction]
 ) -> tuple[tuple[PointId, PointId], str] | None:
     """First base pair whose two-sided triangle bound rejects ``dvec``,
-    with a printable reason; None when the extension is feasible."""
+    with a printable reason; None when the extension is feasible.  Compares
+    ints over one common denominator, pairs in ``pairs()`` order, and forms
+    ``Fraction``s only for the reason; a missing pair raises when reached."""
     _check_dvec(base, dvec)
+    pos, rows = base._pos, base._rows
+    scale = lcm(base._scale, *(v.denominator for v in dvec.values()))
+    factor = scale // base._scale
+    want = {p: scaled(v, scale) for p, v in dvec.items()}
     for p, q in base.pairs():
-        dpq = base.d(p, q)
-        if dpq > dvec[p] + dvec[q]:
-            return (p, q), (
-                f"pair ({base.name(p)}, {base.name(q)}): "
-                f"{format_rational(dpq)} > {format_rational(dvec[p])} + {format_rational(dvec[q])}"
-            )
-        if abs(dvec[p] - dvec[q]) > dpq:
-            return (p, q), (
-                f"pair ({base.name(p)}, {base.name(q)}): "
-                f"|{format_rational(dvec[p])} - {format_rational(dvec[q])}| > {format_rational(dpq)}"
-            )
+        dpq, vp, vq = rows[pos[p]][pos[q]], want[p], want[q]
+        if dpq is None:
+            base.d(p, q)  # raises MissingDistanceError
+        dpq *= factor
+        if dpq > vp + vq or abs(vp - vq) > dpq:
+            d, dp, dq = (format_rational(v) for v in (base.d(p, q), dvec[p], dvec[q]))
+            reason = f"{d} > {dp} + {dq}" if dpq > vp + vq else f"|{dp} - {dq}| > {d}"
+            return (p, q), f"pair ({base.name(p)}, {base.name(q)}): {reason}"
     return None
 
 

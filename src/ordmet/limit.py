@@ -11,13 +11,15 @@ subset is scheduled after finitely many steps; requests that mention points
 not created yet wait in a FIFO side queue.  Growth never renames or
 reorders existing points, so successive stages form an increasing chain.
 
-The stage's distances are kept once, as rows of Python ints over one common
-denominator, indexed by creation index.  Each new point's column is the
-shortest-path completion through its subset, computed and re-checked
-against its triangle bounds by ``amalgam.shortest_path_column`` (the rule
-``amalgamate`` uses) in integers formed by ``amalgam.scaled``.  Snapshots
-(``stage``, ``induced``) take a copy of the rows, so ``Fraction`` values
-are made only for callers of ``d``.
+The stage's distances are kept in the layout of ``FinSpace``, as rows of
+Python ints over one common denominator indexed by stage position, and the
+builder reads them with the methods ``FinSpace`` has (``d``, ``position``,
+``subspace`` and the rest).  Each new point's column is the shortest-path
+completion through its subset, computed and re-checked against its
+triangle bounds by ``amalgam.shortest_path_column`` (the rule
+``amalgamate`` uses) in integers formed by ``amalgam.scaled``, and is
+inserted at the new point's position.  Snapshots (``stage``) take a copy of
+the rows, so ``Fraction`` values are made only for callers of ``d``.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -34,7 +36,7 @@ from typing import Iterator, Mapping
 
 from .amalgam import InfeasibleExtensionError, feasibility_violation, scaled, shortest_path_column
 from .rationals import calkin_wilf
-from .spaces import FinSpace, PointId, SpaceError, preserves, validate
+from .spaces import FinSpace, PointId, SpaceError, _RowTable, preserves, validate
 
 
 # Upper estimate of one row-store entry: an 8-byte list slot plus its share
@@ -163,19 +165,20 @@ def tasks_of_weight(weight: int) -> list[ExtensionTask]:
     return found
 
 
-class LimitBuilder:
+class LimitBuilder(_RowTable):
     """Single-owner mutable stage; operations mutate in place and return
     their results.  Snapshots from :meth:`stage` are immutable values.
 
-    Distances live in one store: ``_rows[i][j]`` is the distance between
-    the i-th and j-th created points times the common denominator
-    ``_scale``, as a Python int (exact, no overflow).  Rows are indexed by
-    creation index, so an order insert moves no row; a distance with a new
-    denominator multiplies every entry by the lcm factor.  Snapshots
-    (:meth:`stage`, :meth:`induced`) get a sliced copy of the rows in stage
-    order.  ``Fraction`` values appear only at the API boundary (:meth:`d`
-    and the snapshots' own ``d``) and come from a numerator cache that a
-    rescale replaces.
+    The stage is stored as a ``FinSpace`` is, and read through the same
+    methods: ``points`` in stage order, ``_pos``, and ``_rows[i][j]``, the
+    distance between the points at positions i and j times the common
+    denominator ``_scale``, as a Python int (exact, no overflow).  A new
+    point's value is inserted into every row at its position, and its row
+    inserted there; a distance with a new denominator multiplies every
+    entry by the lcm factor.  ``created`` keeps the creation order, which
+    the schedule and the image search follow.  ``Fraction`` values appear
+    only at the API boundary (:meth:`d` and the snapshots' own ``d``) and
+    come from a numerator cache that a rescale replaces.
     """
 
     def __init__(self, seed: FinSpace):
@@ -184,15 +187,15 @@ class LimitBuilder:
             raise SpaceError(
                 "seed space is invalid: " + report.violations[0].describe(seed)
             )
-        self._order: list[PointId] = list(seed.points)
-        self._pos: dict[PointId, int] = {p: i for i, p in enumerate(self._order)}
-        self._names: dict[PointId, str] = dict(seed.names)
+        self.points: list[PointId] = list(seed.points)
+        self.names: dict[PointId, str] = dict(seed.names)
+        self._pos: dict[PointId, int] = dict(seed._pos)
         self._created: list[PointId] = list(seed.points)
-        self._index: dict[PointId, int] = dict(self._pos)
         # a valid seed is complete and symmetric, so its rows are the store
+        self._rows: list[list[int]] = [row[:] for row in seed._rows]
         self._scale = seed._scale
-        self._rows: list[list[int]] = [list(row) for row in seed._rows]
         self._fractions: dict[int, Fraction] = {}
+        self._keys = None
         self._weight = 0
         self._level: list[ExtensionTask] = []
         self._level_pos = 0
@@ -200,44 +203,16 @@ class LimitBuilder:
 
     # -- stage queries ------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, p: PointId) -> bool:
-        return p in self._pos
-
     @property
     def created(self) -> tuple[PointId, ...]:
         return tuple(self._created)
 
-    def _fraction(self, num: int) -> Fraction:
-        hit = self._fractions.get(num)
-        if hit is None:
-            hit = self._fractions[num] = Fraction(num, self._scale)
-        return hit
-
-    def d(self, p: PointId, q: PointId) -> Fraction:
-        if p == q:
-            return Fraction(0)
-        return self._fraction(self._rows[self._index[p]][self._index[q]])
-
-    def position(self, p: PointId) -> int:
-        return self._pos[p]
-
     def stage(self) -> FinSpace:
-        """Immutable snapshot of the current stage."""
-        return self.induced(self._order)
-
-    def induced(self, keep) -> FinSpace:
-        """Immutable space on the stage points in ``keep``: a copy of their
-        rows, sliced in stage order, sharing the Fraction cache (its values
-        are over the same scale, and a rescale starts a new cache)."""
-        pos = self._pos
-        pts = sorted((p for p in set(keep) if p in pos), key=pos.__getitem__)
-        cols = [self._index[p] for p in pts]
-        rows = [[row[c] for c in cols] for row in map(self._rows.__getitem__, cols)]
-        names = {p: self._names[p] for p in pts}
-        return FinSpace._of_rows(pts, rows, self._scale, names, self._fractions)
+        """Immutable snapshot of the current stage: a copy of the rows,
+        sharing the Fraction cache (its values are over the same scale, and
+        a rescale starts a new cache)."""
+        rows = [row[:] for row in self._rows]
+        return FinSpace._of_rows(self.points, rows, self._scale, self.names, self._fractions)
 
     # -- growth -------------------------------------------------------------
 
@@ -257,42 +232,41 @@ class LimitBuilder:
         integers over the common denominator, and each completed distance
         is re-checked against its triangle bounds.
         """
-        sub = [p for p in self._order if p in dvec]
-        if len(sub) != len(dvec):
+        points, pos = self.points, self._pos
+        if not all(p in pos for p in dvec):
             raise SpaceError("dvec keys must be stage points")
+        sub = sorted(dvec, key=pos.__getitem__)
         if not 0 <= gap <= len(sub):
             raise SpaceError(f"gap {gap} outside 0..{len(sub)}")
-        base = self.induced(sub)
-        refusal = feasibility_violation(base, dvec)
+        refusal = feasibility_violation(self.subspace(sub), dvec)
         if refusal is not None:
             raise InfeasibleExtensionError(*refusal)
 
         self._rescale(dvec[z].denominator for z in sub)
         rows = self._rows
         # Rows are symmetric, so row i doubles as the column of point i.
-        legs = [(rows[self._index[z]], scaled(dvec[z], self._scale)) for z in sub]
+        legs = [(rows[pos[z]], scaled(dvec[z], self._scale)) for z in sub]
         filler = self._scale + max(map(max, rows)) if rows and not legs else 0
         column, escape = shortest_path_column(legs, len(rows), filler)
         if escape is not None:
-            name = self._names[self._created[escape[1]]]
+            name = self.names[points[escape[1]]]
             raise SpaceError(f"completed distance to {name} escapes its bound")
 
         new = max(self._created, default=-1) + 1
-        index = self._pos[sub[gap]] if gap < len(sub) else len(self._order)
-        self._order.insert(index, new)
-        for i in range(index, len(self._order)):
-            self._pos[self._order[i]] = i
-        self._index[new] = len(self._created)
+        index = pos[sub[gap]] if gap < len(sub) else len(points)
+        points.insert(index, new)
+        for i in range(index, len(points)):
+            pos[points[i]] = i
         self._created.append(new)
         name = f"u{new}"
-        taken = set(self._names.values())
+        taken = set(self.names.values())
         while name in taken:
             name = name + "_"
-        self._names[new] = name
+        self.names[new] = name
         for row, value in zip(rows, column):
-            row.append(value)
-        column.append(0)
-        rows.append(column)
+            row.insert(index, value)
+        column.insert(index, 0)
+        rows.insert(index, column)
         return new
 
     def _next_task(self) -> ExtensionTask:
@@ -343,22 +317,20 @@ class LimitBuilder:
         """A stage point matching target's distances and order pattern over
         the map, existing points first in creation order, else realized."""
         taken = set(iso.cod)
-        idx, pos = self._index, self._pos
-        # (creation index, position) of both sides of each pair of the map
-        keys = [(idx[x], idx[y], pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
-        trow = self._rows[idx[target]]
+        pos, rows = self._pos, self._rows
+        # positions (and so rows) of both sides of each pair of the map
+        keys = [(pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
         tpos = pos[target]
-        for w, wrow in zip(self._created, self._rows):
+        trow = rows[tpos]
+        for w in self._created:
             if w in taken:
                 continue
             wpos = pos[w]
-            if all(
-                wrow[yi] == trow[xi] and (wpos < yp) == (tpos < xp)
-                for xi, yi, xp, yp in keys
-            ):
+            wrow = rows[wpos]
+            if all(wrow[yp] == trow[xp] and (wpos < yp) == (tpos < xp) for xp, yp in keys):
                 return w
         dvec = {y: self.d(target, x) for x, y in zip(iso.dom, iso.cod)}
-        gap = sum(1 for x in iso.dom if self.position(x) < tpos)
+        gap = sum(1 for xp, _ in keys if xp < tpos)
         return self.realize(dvec, gap)
 
     def back_and_forth_extend(
@@ -369,7 +341,7 @@ class LimitBuilder:
         existing point realizes the transported constraints."""
         if side not in ("forth", "back"):
             raise ValueError("side must be 'forth' or 'back'")
-        if target not in self._pos:
+        if target not in self:
             raise SpaceError(f"target {target} not in stage")
         if not self.iso_ok(iso):
             raise SpaceError("partial isomorphism is not valid on the current stage")
@@ -397,7 +369,7 @@ class LimitBuilder:
         """
         if fuel < 1:
             raise ValueError("fuel must be at least 1")
-        if x not in set(self._order):
+        if x not in self:
             raise SpaceError(f"point {x} not in stage")
         current = iso
         if x in set(current.dom):
@@ -414,7 +386,7 @@ class LimitBuilder:
             if x in set(current.dom):
                 return current.mapping[x]
         raise FuelExhaustedError(
-            f"image of {self._names[x]} not determined within {fuel} steps"
+            f"image of {self.names[x]} not determined within {fuel} steps"
         )
 
 

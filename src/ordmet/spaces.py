@@ -3,13 +3,14 @@
 A space is a finite list of points carrying a strict total order (the list
 order) and a symmetric, positive, triangle-satisfying table of rational
 distances.  The table is stored once, as rows of Python ints over one
-common denominator, and every check here (``validate``, ``agrees`` /
-``preserves``, ``enumerate_embeddings``) compares those ints; a
-``Fraction`` is made only where a distance leaves the API (``d``,
-``entries``) or is printed.  Construction is permissive: a space may hold a
-broken candidate table, and ``validate`` reports every violated axiom.  All
-values are immutable after construction; every operation here is a pure
-function.
+common denominator, indexed by position in the order, and every check here
+(``validate``, ``agrees`` / ``preserves``, ``enumerate_embeddings``)
+compares those ints; a ``Fraction`` is made only where a distance leaves
+the API (``d``, ``entries``) or is printed.  The read side of that layout
+is one base class, which the growing ``LimitBuilder`` shares.
+Construction is permissive: a space may hold a broken candidate table, and
+``validate`` reports every violated axiom.  Spaces are immutable after
+construction; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -34,22 +35,83 @@ class MissingDistanceError(SpaceError):
     """A required pair has no entry in the distance table."""
 
 
-class FinSpace:
+class _RowTable:
+    """Read side of :class:`FinSpace`, shared by ``LimitBuilder``.  ``_pos``
+    maps each point to its position in ``points``; ``_rows[i][j]`` is
+    d(points[i], points[j]) times ``_scale`` as a Python int, None for a
+    missing pair; ``_fractions`` caches the ``Fraction`` of a scaled int;
+    ``_keys`` are the directed pairs as given, None for complete rows."""
+
+    __slots__ = ("points", "names", "_pos", "_rows", "_scale", "_fractions", "_keys")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __contains__(self, p: PointId) -> bool:
+        return p in self._pos
+
+    def position(self, p: PointId) -> int:
+        """Index of ``p`` in the structural order."""
+        try:
+            return self._pos[p]
+        except KeyError:
+            raise SpaceError(f"point {p} not in space") from None
+
+    def name(self, p: PointId) -> str:
+        self.position(p)
+        return self.names[p]
+
+    def _fraction(self, num: int) -> Fraction:
+        hit = self._fractions.get(num)
+        if hit is None:
+            hit = self._fractions[num] = Fraction(num, self._scale)
+        return hit
+
+    def d(self, p: PointId, q: PointId) -> Fraction:
+        """Distance between two points; 0 on the diagonal unless overridden."""
+        pos = self._pos
+        if p not in pos or q not in pos:
+            raise SpaceError(f"point {p if p not in pos else q} not in space")
+        value = self._rows[pos[p]][pos[q]]
+        if value is None:
+            raise MissingDistanceError(f"no distance recorded for pair ({p}, {q})")
+        return self._fraction(value)
+
+    def pairs(self) -> Iterator[tuple[PointId, PointId]]:
+        """Unordered point pairs in lexicographic order of positions."""
+        return combinations(self.points, 2)
+
+    def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
+        """Induced space on ``keep``: order, rows and the given pairs among
+        the kept points are inherited, and the ``Fraction`` cache is shared
+        (its values are over the same scale)."""
+        kept = set(keep)
+        for p in kept:
+            self.position(p)
+        at = [i for i, p in enumerate(self.points) if p in kept]
+        rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
+        keys = self._keys
+        if keys is not None:
+            keys = {(p, q): None for p, q in keys if p in kept and q in kept}
+        pts = [self.points[i] for i in at]
+        return FinSpace._of_rows(pts, rows, self._scale, self.names, self._fractions, keys)
+
+
+class FinSpace(_RowTable):
     """Finite ordered metric space.
 
     ``points`` lists point ids in increasing structural order; ids are
     opaque.  The constructor takes the table as given, a mapping from
-    directed pairs to rationals, and stores it once: ``_rows[i][j]`` is
-    d(points[i], points[j]) times ``_scale`` as a Python int, by position,
-    None for a missing pair.  The rows are directed, so a broken candidate
-    table is recorded at construction: an asymmetric pair keeps both
-    values, a diagonal entry keeps its override, and a point listed twice
-    gets a row at each of its positions.  :meth:`d` makes a ``Fraction``
-    from a cache keyed by the scaled int and seeded with the given values;
-    ``entries`` is a read-only view of the table as given.
+    directed pairs to rationals, and stores it once as int rows by position.
+    The rows are directed, so a broken candidate table is recorded at
+    construction: an asymmetric pair keeps both values, a diagonal entry
+    keeps its override, and a point listed twice gets a row at each of its
+    positions.  :meth:`d` makes a ``Fraction`` from a cache keyed by the
+    scaled int and seeded with the given values; ``entries`` is a read-only
+    view of the table as given.
     """
 
-    __slots__ = ("points", "names", "_pos", "_index", "_rows", "_scale", "_fractions", "_keys")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -98,11 +160,9 @@ class FinSpace:
 
     def _adopt(self, pts, rows, scale, names, fractions, keys) -> None:
         fill = object.__setattr__
-        pos = {p: i for i, p in enumerate(pts)}
         fill(self, "points", pts)
         fill(self, "names", {p: str(names.get(p, f"p{p}")) for p in pts})
-        fill(self, "_pos", pos)
-        fill(self, "_index", pos)  # row of each point: rows follow the order
+        fill(self, "_pos", {p: i for i, p in enumerate(pts)})
         fill(self, "_rows", rows)
         fill(self, "_scale", scale)
         fill(self, "_fractions", fractions)
@@ -111,33 +171,16 @@ class FinSpace:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"FinSpace is immutable: cannot set {name!r}")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def __iter__(self) -> Iterator[PointId]:
         return iter(self.points)
-
-    def __contains__(self, p: PointId) -> bool:
-        return p in self._pos
 
     @property
     def entries(self) -> Mapping[tuple[PointId, PointId], Fraction]:
         """The distance table as given: directed keys, ``Fraction`` values."""
         return _Entries(self)
 
-    def position(self, p: PointId) -> int:
-        """Index of ``p`` in the structural order."""
-        try:
-            return self._pos[p]
-        except KeyError:
-            raise SpaceError(f"point {p} not in space") from None
-
     def precedes(self, p: PointId, q: PointId) -> bool:
         return self.position(p) < self.position(q)
-
-    def name(self, p: PointId) -> str:
-        self.position(p)
-        return self.names[p]
 
     def point_named(self, name: str) -> PointId:
         for p in self.points:
@@ -149,40 +192,6 @@ class FinSpace:
         if self._keys is not None:
             return (p, q) in self._keys or (q, p) in self._keys
         return p != q and p in self._pos and q in self._pos
-
-    def _fraction(self, num: int) -> Fraction:
-        hit = self._fractions.get(num)
-        if hit is None:
-            hit = self._fractions[num] = Fraction(num, self._scale)
-        return hit
-
-    def d(self, p: PointId, q: PointId) -> Fraction:
-        """Distance between two points; 0 on the diagonal unless overridden."""
-        pos = self._pos
-        if p not in pos or q not in pos:
-            raise SpaceError(f"point {p if p not in pos else q} not in space")
-        value = self._rows[pos[p]][pos[q]]
-        if value is None:
-            raise MissingDistanceError(f"no distance recorded for pair ({p}, {q})")
-        return self._fraction(value)
-
-    def pairs(self) -> Iterator[tuple[PointId, PointId]]:
-        """Unordered point pairs in lexicographic order of positions."""
-        return combinations(self.points, 2)
-
-    def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
-        """Induced space on ``keep``: order, rows and the given pairs among
-        the kept points are inherited."""
-        kept = set(keep)
-        for p in kept:
-            self.position(p)
-        at = [i for i, p in enumerate(self.points) if p in kept]
-        rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
-        keys = self._keys
-        if keys is not None:
-            keys = {(p, q): None for p, q in keys if p in kept and q in kept}
-        pts = [self.points[i] for i in at]
-        return FinSpace._of_rows(pts, rows, self._scale, self.names, self._fractions, keys)
 
 
 class _Entries(Mapping):
@@ -379,9 +388,10 @@ def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: Point
     agrees with every placed pair (p2, q2): p == p2 exactly when q == q2,
     p precedes p2 exactly when q precedes q2, and d(p, p2) == d(q, q2).
 
-    Reads the order (``_pos``) and the int rows (``_rows``, one per point
-    through ``_index``, over ``_scale``), so ``x`` and ``y`` may be spaces
-    or limit builders, and the same object for a map inside one space.
+    Reads the positions (``_pos``) and the int rows by position
+    (``_rows``, over ``_scale``) that spaces and limit builders share, so
+    ``x`` and ``y`` may be either, and the same object for a map inside one
+    space.
     Rows over different scales are compared by cross-multiplying.  A
     distance is read only once identity and order hold for its pair, so on
     a table with a missing entry a pair broken in order is rejected and an
@@ -393,10 +403,10 @@ def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: Point
 
 def locate(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> list[tuple]:
     """Each pair (p, q) with what :func:`agrees_located` compares it by:
-    (p, q, position of p, position of q, row index of p, row index of q)."""
-    xpos, ypos, xidx, yidx = x._pos, y._pos, x._index, y._index
+    (p, q, position of p, position of q); a position is also a row index."""
+    xpos, ypos = x._pos, y._pos
     try:
-        return [(p, q, xpos[p], ypos[q], xidx[p], yidx[q]) for p, q in pairs]
+        return [(p, q, xpos[p], ypos[q]) for p, q in pairs]
     except KeyError as exc:
         raise SpaceError(f"point {exc.args[0]} not in space") from None
 
@@ -404,14 +414,14 @@ def locate(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> list[tuple]:
 def agrees_located(xrows, yrows, fx: int, fy: int, here: tuple, placed) -> bool:
     """:func:`agrees` on pairs from :func:`locate`, over the rows of x and
     y and the factors from :func:`_factors`."""
-    p, q, xp, yq, xi, yi = here
-    xrow, yrow = xrows[xi], yrows[yi]
-    for p2, q2, xp2, yq2, xi2, yi2 in placed:
+    p, q, xp, yq = here
+    xrow, yrow = xrows[xp], yrows[yq]
+    for p2, q2, xp2, yq2 in placed:
         if (p == p2) != (q == q2):
             return False
         if (xp < xp2) != (yq < yq2):
             return False
-        dx, dy = xrow[xi2], yrow[yi2]
+        dx, dy = xrow[xp2], yrow[yq2]
         if dx is None or dy is None:
             pair = (p, p2) if dx is None else (q, q2)
             raise MissingDistanceError(f"no distance recorded for pair {pair}")

@@ -108,6 +108,25 @@ def reference_violations(space: FinSpace) -> tuple[Violation, ...]:
     return tuple(out)
 
 
+def reference_feasibility(base: FinSpace, dvec):
+    """Slow oracle for ``feasibility_violation``: every base pair in
+    ``pairs()`` order in ``Fraction`` arithmetic, the first refusal with its
+    reason, or None.  ``base.d`` raises on a missing pair when reached."""
+    for p, q in base.pairs():
+        dpq = base.d(p, q)
+        if dpq > dvec[p] + dvec[q]:
+            return (p, q), (
+                f"pair ({base.name(p)}, {base.name(q)}): "
+                f"{format_rational(dpq)} > {format_rational(dvec[p])} + {format_rational(dvec[q])}"
+            )
+        if abs(dvec[p] - dvec[q]) > dpq:
+            return (p, q), (
+                f"pair ({base.name(p)}, {base.name(q)}): "
+                f"|{format_rational(dvec[p])} - {format_rational(dvec[q])}| > {format_rational(dpq)}"
+            )
+    return None
+
+
 def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
     """Slow oracle for ``LimitBuilder.realize``: the new point's distance to
     every stage point in ``Fraction`` arithmetic.  Subset points keep their

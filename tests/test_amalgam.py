@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ from ordmet import (
     ExtensionType,
     FinSpace,
     InfeasibleExtensionError,
+    MissingDistanceError,
     SpaceError,
     amalgamate,
     canonical_iso,
@@ -22,9 +24,9 @@ from ordmet import (
     validate,
 )
 import ordmet.amalgam
-from ordmet.amalgam import shortest_path_column
+from ordmet.amalgam import feasibility_violation, shortest_path_column
 
-from conftest import path_metric_space
+from conftest import path_metric_space, reference_feasibility
 
 
 def grid_spaces(max_size, grid):
@@ -64,6 +66,62 @@ def test_missing_dvec_entry(unit_pair):
 def test_nonpositive_dvec_rejected(unit_pair):
     with pytest.raises(SpaceError):
         extension_feasible(unit_pair, {0: Fraction(0), 1: Fraction(1)})
+
+
+def _feasibility_outcome(check, base, dvec):
+    """What ``check`` answers, or the type and text of what it raises."""
+    try:
+        return check(base, dvec)
+    except SpaceError as exc:
+        return type(exc), str(exc)
+
+
+def _refusal_kind(outcome):
+    if outcome is None:
+        return "pass"
+    if isinstance(outcome[0], type):
+        return "raised"
+    return "lower" if outcome[1].split(": ", 1)[1].startswith("|") else "upper"
+
+
+def test_feasibility_matches_reference_on_mixed_denominators():
+    """The int comparison answers like the Fraction loop, refusal text
+    included, on passing dvecs, dvecs that break the upper or the lower
+    bound, and a table with a missing pair."""
+    rng = random.Random(4242)
+    denominators = [1, 2, 3, 4, 5, 6, 7, 9]
+    kinds = set()
+    for _ in range(300):
+        size = rng.randint(1, 5)
+        weights = {
+            (i, j): Fraction(rng.randint(1, 20), rng.choice(denominators))
+            for i in range(size)
+            for j in range(i + 1, size)
+        }
+        base = path_metric_space(size, weights)
+        if size > 2 and rng.random() < 0.2:
+            entries = dict(base.entries)
+            del entries[rng.choice(list(entries))]
+            base = FinSpace(base.points, entries)
+        anchor = rng.choice(base.points)
+        dvec = {}
+        for p in base.points:
+            near = base.d(anchor, p) if base.has_pair(anchor, p) else Fraction(1)
+            offset = Fraction(rng.randint(0, 8), rng.choice(denominators))
+            dvec[p] = max(near + offset * rng.choice([-1, 1]), Fraction(1, 13))
+        expected = _feasibility_outcome(reference_feasibility, base, dvec)
+        assert _feasibility_outcome(feasibility_violation, base, dvec) == expected
+        kinds.add(_refusal_kind(expected))
+    assert kinds == {"pass", "upper", "lower", "raised"}, kinds
+
+
+def test_feasibility_raises_on_a_missing_pair_only_when_reached():
+    base = FinSpace((0, 1, 2), {(0, 1): 1, (0, 2): 1})
+    dvec = {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1)}
+    assert feasibility_violation(base, dvec)[0] == (0, 1)  # refused before (1, 2)
+    dvec[1] = Fraction(1)
+    with pytest.raises(MissingDistanceError, match=r"pair \(1, 2\)"):
+        feasibility_violation(base, dvec)
 
 
 # -- extend_one_point ------------------------------------------------------------

@@ -141,6 +141,48 @@ def test_growth_deterministic():
     assert all(s1.d(p, q) == s2.d(p, q) for p, q in s1.pairs())
 
 
+def _assert_reads_like_stage(builder):
+    """The builder answers every read as its own snapshot does, and refuses
+    an unknown point with SpaceError."""
+    stage = builder.stage()
+    assert len(builder) == len(stage)
+    assert list(builder.pairs()) == list(stage.pairs())
+    for p in stage.points:
+        assert p in builder
+        assert builder.position(p) == stage.position(p)
+        assert builder.name(p) == stage.name(p)
+        assert [builder.d(p, q) for q in stage.points] == [stage.d(p, q) for q in stage.points]
+    unknown = max(builder.created, default=-1) + 1
+    assert unknown not in builder
+    for read in (builder.position, builder.name, lambda p: builder.d(p, p)):
+        with pytest.raises(SpaceError):
+            read(unknown)
+    if len(builder):
+        with pytest.raises(SpaceError):
+            builder.d(stage.points[0], unknown)
+
+
+def test_builder_reads_like_its_stage():
+    builder = new_builder(make_space(["x"], {}))
+    inserts = rescales = 0
+    for _ in range(40):
+        scale = builder._scale
+        builder.grow(1)
+        inserts += builder.position(builder.created[-1]) < len(builder) - 1
+        rescales += builder._scale != scale
+        _assert_reads_like_stage(builder)
+    assert inserts and rescales, (inserts, rescales)
+
+    rng = random.Random(11)
+    size = len(builder)
+    iso = PartialIso((builder.created[3],), (builder.created[7],))
+    for t in range(12):
+        target = rng.choice(builder.created)
+        iso = builder.back_and_forth_extend(iso, target, "forth" if t % 2 == 0 else "back")
+        _assert_reads_like_stage(builder)
+    assert len(builder) > size
+
+
 # -- realize ---------------------------------------------------------------------
 
 
@@ -473,7 +515,7 @@ def test_extension_progress_bound():
             subset = tuple(sorted(set(subset)))
             for choice in iproduct(values, repeat=size):
                 dvec = dict(zip(subset, choice))
-                base = builder.induced(subset)
+                base = builder.stage().subspace(subset)
                 from ordmet import extension_feasible
 
                 if not extension_feasible(base, dvec):

@@ -1,5 +1,5 @@
-"""Mutation check for the shared map predicate, the completion rule and the
-int-row space.
+"""Mutation check for the shared map predicate, the completion rule, the
+int-row space, the limit builder's stage layout and the witness shift core.
 
     python tools/mutants.py
 
@@ -36,9 +36,15 @@ class Mutant(NamedTuple):
 
 SPACES = "src/ordmet/spaces.py"
 AMALGAM = "src/ordmet/amalgam.py"
+LIMIT = "src/ordmet/limit.py"
+WITNESS = "src/ordmet/witness.py"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
+FEASIBILITY = "tests/test_amalgam.py::test_feasibility_matches_reference_on_mixed_denominators"
+GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
+BACK_AND_FORTH = "tests/test_limit.py::test_back_and_forth_stage_is_byte_identical"
+SHIFT_CORE = "tests/test_witness.py::test_shift_core_matches_reference_on_every_mask[4]"
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
@@ -134,6 +140,69 @@ MUTANTS = [
         "return column, (k, j)",
         "return column, (0, 0)",
         (ESCAPES[0], ESCAPES[2]),
+    ),
+    Mutant(
+        "feasibility-scale-ignored",
+        AMALGAM,
+        "dpq *= factor",
+        "dpq *= 1",
+        (FEASIBILITY,),
+    ),
+    Mutant(
+        "stage-row-appended",
+        LIMIT,
+        "row.insert(index, value)",
+        "row.append(value)",
+        (GROWN,),
+    ),
+    Mutant(
+        "stage-pos-refresh-late",
+        LIMIT,
+        "for i in range(index, len(points)):",
+        "for i in range(index + 1, len(points)):",
+        (GROWN,),
+    ),
+    Mutant(
+        "image-search-in-stage-order",
+        LIMIT,
+        "for w in self._created:",
+        "for w in self.points:",
+        (BACK_AND_FORTH,),
+    ),
+    Mutant(
+        "witness-window-off-by-one",
+        WITNESS,
+        "pattern = image & ((2 << end) - 1) & ~below_k",
+        "pattern = image & ((4 << end) - 1) & ~below_k",
+        (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-shift-flipped",
+        WITNESS,
+        "image = (mask << j) & chain",
+        "image = (mask >> j) & chain",
+        (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-unknown-as-out-in-pair-test",
+        WITNESS,
+        "i >= j2 and not",
+        "not",
+        (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-unknown-as-out-in-window",
+        WITNESS,
+        "end < k or j <= k",
+        "True",
+        (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-distinct-check-dropped",
+        WITNESS,
+        "distinct = False",
+        "distinct = True",
+        (SHIFT_CORE,),
     ),
 ]
 
