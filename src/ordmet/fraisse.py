@@ -19,7 +19,7 @@ report:
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
 (with top the largest scaled grid value: 5 top in the AP kernel, twice the
-JEP constant, 2 top in the enumeration).  A grid no dtype holds is refused
+JEP constant, 3 top in the enumeration).  A grid no dtype holds is refused
 with ValueError.  The AP kernel tests each triangle as the single predicate
 2 max(d, x, y) <= d + x + y, over all a-pairs at once and over all b-extra
 pairs at once, and returns the first failing span in (row_a, row_b) order.
@@ -89,7 +89,7 @@ CHUNK_ELEMENTS = 1 << 17
 def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, np.ndarray]:
     """The sorted grid, its common denominator, and the scaled grid in the
     narrowest integer dtype that holds every intermediate value: triangle
-    sums of the enumeration (2 top), twice the JEP constant scale + diam,
+    sums of the enumeration (3 top), twice the JEP constant scale + diam,
     and the AP kernel's d + x + y (5 top), top being the largest scaled
     value.  NumPy casts a Python int operand into the array's dtype, so the
     bound covers scale as well."""
@@ -116,9 +116,7 @@ def _triangle_mask(batch: np.ndarray) -> np.ndarray:
     n = batch.shape[1]
     ok = np.ones(batch.shape[0], dtype=bool)
     for i, j, k in combinations(range(n), 3):
-        ok &= batch[:, i, j] <= batch[:, i, k] + batch[:, k, j]
-        ok &= batch[:, i, k] <= batch[:, i, j] + batch[:, j, k]
-        ok &= batch[:, j, k] <= batch[:, j, i] + batch[:, i, k]
+        ok &= _triangle_ok(batch[:, i, j], batch[:, i, k], batch[:, j, k])
     return ok
 
 

@@ -11,24 +11,25 @@ support force.  Shifting the trace along the chain then yields n pairwise
 distinct members all containing the chain end, which is the finite content
 of the non-metacompactness argument.
 
-The checks run on traces as Python int bitmasks, bit i for chain index i:
-shifting is a left shift, and window, end and distinctness tests are bit
-tests.  ``exhaust_all_traces`` builds every admissible mask directly and
-refuses, before enumerating, when they would need more than
-``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests.  ``shifted_trace``
-still spells out one shift as a ``Membership`` per index.
+The checks read k, n and a trace as a Python int bitmask, bit i for chain
+index i: shifting is a left shift, and every other test is a bit test.  Only
+``WitnessConfig.space`` builds (and validates) the distance table.
+``exhaust_all_traces`` builds every admissible mask directly and refuses,
+before enumerating, when they would need more than ``EXHAUST_BUDGET_CHECKS``
+shift checks and pair tests.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Union
 
-from .limit import PartialIso
+from .limit import STORE_BUDGET_BYTES, PartialIso, store_bytes
 from .spaces import FinSpace, PointId, SpaceError, diameter, validate
 
 
@@ -51,8 +52,38 @@ class WitnessConfig:
     m: int
     k: int
     chain: tuple[PointId, ...]  # a_0 .. a_{3k} in structural order
-    space: FinSpace
     far: Fraction
+
+    @functools.cached_property
+    def space(self) -> FinSpace:
+        """Support and chain as one validated space, built on first read;
+        refused before allocating when its rows top the store budget."""
+        points = len(self.support) + len(self.chain)
+        estimate = store_bytes(points)
+        if estimate > STORE_BUDGET_BYTES:
+            raise SpaceError(
+                f"configuration of {points} points needs about {estimate} bytes"
+                f" of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
+            )
+        support, k, chain, far = self.support, self.k, self.chain, self.far
+        names = support.names | {p: f"a{i}" for i, p in enumerate(chain)}
+        # Int rows over one scale: the support's own rows, the chain points
+        # |i - j| / k apart, and far between every support and chain point.
+        scale = lcm(support._scale, k, far.denominator)
+        step, gap = scale // k, far.numerator * (scale // far.denominator)
+        factor = scale // support._scale
+        rows = [[v * factor for v in row] + [gap] * len(chain) for row in support._rows]
+        rows += [
+            [gap] * len(support) + [abs(i - j) * step for j in range(len(chain))]
+            for i in range(len(chain))
+        ]
+        space = FinSpace._of_rows(tuple(support.points) + chain, rows, scale, names)
+        check = validate(space)
+        if not check.is_valid:
+            raise WitnessError(
+                "configuration failed validation: " + check.violations[0].describe(space)
+            )
+        return space
 
     @property
     def top(self) -> PointId:
@@ -71,7 +102,7 @@ class WitnessConfig:
 
 
 def build_witness(support: FinSpace, n: int, m: int) -> WitnessConfig:
-    """Assemble and revalidate the configuration for the given parameters.
+    """The configuration for the given parameters, its table not yet built.
 
     The support must be valid and nonempty; callers wanting an empty
     support add a dummy point.  Chain names are a0, a1, ...; a support
@@ -92,31 +123,11 @@ def build_witness(support: FinSpace, n: int, m: int) -> WitnessConfig:
     start = max(support.points) + 1
     chain = tuple(range(start, start + 3 * k + 1))
 
-    names = dict(support.names)
-    taken = set(names.values())
-    for i, p in enumerate(chain):
-        name = f"a{i}"
+    taken = set(support.names.values())
+    for name in map("a{}".format, range(len(chain))):
         if name in taken:
             raise SpaceError(f"support uses reserved chain point name {name!r}")
-        names[p] = name
-
-    # Int rows over one scale: the support's own rows, the chain points
-    # |i - j| / k apart, and far between every support and chain point.
-    scale = lcm(support._scale, k, far.denominator)
-    step, gap = scale // k, far.numerator * (scale // far.denominator)
-    factor = scale // support._scale
-    rows = [[v * factor for v in row] + [gap] * len(chain) for row in support._rows]
-    rows += [
-        [gap] * len(support) + [abs(i - j) * step for j in range(len(chain))]
-        for i in range(len(chain))
-    ]
-    space = FinSpace._of_rows(tuple(support.points) + chain, rows, scale, names)
-    check = validate(space)
-    if not check.is_valid:
-        raise WitnessError(
-            "configuration failed validation: " + check.violations[0].describe(space)
-        )
-    return WitnessConfig(support, n, m, k, chain, space, far)
+    return WitnessConfig(support, n, m, k, chain, far)
 
 
 def shift_iso(config: WitnessConfig) -> PartialIso:
@@ -141,33 +152,31 @@ class RefinementTrace:
 TraceLike = Union[RefinementTrace, Iterable[int]]
 
 
-def _members(config: WitnessConfig, trace: TraceLike) -> frozenset[int]:
+def _mask(config: WitnessConfig, trace: TraceLike) -> int:
     members = trace.members if isinstance(trace, RefinementTrace) else frozenset(trace)
     for i in members:
         if not 0 <= i <= 3 * config.k:
             raise SpaceError(f"trace index {i} outside 0..{3 * config.k}")
-    return members
+    return sum(1 << i for i in members)
 
 
-def _is_admissible(config: WitnessConfig, members: frozenset[int]) -> bool:
-    if 3 * config.k not in members:
-        return False
-    if not set(config.tail) <= members:
-        return False
-    return members <= set(config.window)
+def _is_admissible(config: WitnessConfig, mask: int) -> bool:
+    top = 3 * config.k
+    tail = (2 << top) - (1 << top - config.n + 1)  # bits 3k - n + 1 .. 3k
+    return mask & tail == tail and not mask & ((1 << 2 * config.k) - 1)
 
 
 def admissible(config: WitnessConfig, trace: TraceLike) -> bool:
     """The three constraints every refinement member containing the chain
     end must satisfy on the chain: it contains the end, it contains the
     whole 1/m-tail, and it stays inside the diameter-1 window."""
-    return _is_admissible(config, _members(config, trace))
+    return _is_admissible(config, _mask(config, trace))
 
 
-def _min_member(config: WitnessConfig, members: frozenset[int]) -> int:
-    if not _is_admissible(config, members):
-        raise InadmissibleTraceError(f"trace {sorted(members)} is not admissible")
-    low = min(members)
+def _min_member(config: WitnessConfig, mask: int) -> int:
+    if not _is_admissible(config, mask):
+        raise InadmissibleTraceError(f"trace {list(_indices(mask))} is not admissible")
+    low = (mask & -mask).bit_length() - 1
     if not 2 * config.k <= low <= 3 * config.k - config.n + 1:
         raise WitnessError(f"minimal index {low} escaped its window")
     return low
@@ -176,7 +185,7 @@ def _min_member(config: WitnessConfig, members: frozenset[int]) -> int:
 def min_index(config: WitnessConfig, trace: TraceLike) -> int:
     """Smallest chain index in the trace; always lands in
     [2k, 3k - n + 1]."""
-    return _min_member(config, _members(config, trace))
+    return _min_member(config, _mask(config, trace))
 
 
 class Membership(enum.Enum):
@@ -196,12 +205,12 @@ def shifted_trace(
     """
     if not 0 <= shift < config.n:
         raise SpaceError(f"shift {shift} outside 0..{config.n - 1}")
-    members = _members(config, trace)
+    image = _mask(config, trace) << shift
     out: dict[int, Membership] = {}
     for i in range(3 * config.k + 1):
         if i < shift:
             out[i] = Membership.UNKNOWN
-        elif i - shift in members:
+        elif image >> i & 1:
             out[i] = Membership.IN
         else:
             out[i] = Membership.OUT
@@ -293,11 +302,9 @@ def verify_injection(config: WitnessConfig, trace: TraceLike) -> InjectionReport
     then separate any two shifts (the smaller one's pattern point is
     excluded from the larger one's window scan), which forces injectivity.
     """
-    members = _members(config, trace)
-    low = _min_member(config, members)
-    shifts, distinct, injective = _shift_core(
-        config.k, config.n, sum(1 << i for i in members)
-    )
+    mask = _mask(config, trace)
+    low = _min_member(config, mask)
+    shifts, distinct, injective = _shift_core(config.k, config.n, mask)
     checks = tuple(
         ShiftCheck(j, top_in, determinable, _indices(image), _indices(pattern), ok)
         for j, (image, top_in, determinable, pattern, ok) in enumerate(shifts)
@@ -343,7 +350,7 @@ def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
     Refuses with SpaceError, before enumerating, when those traces need
     more than EXHAUST_BUDGET_CHECKS shift checks and pair tests.
     """
-    free = [i for i in config.window if i not in config.tail]
+    free = range(2 * config.k, config.tail.start)
     total = 2 ** len(free)
     checks = _exhaust_checks(total, config.n)
     if checks > EXHAUST_BUDGET_CHECKS:

@@ -247,6 +247,12 @@ def reference_distinct(images, low: int) -> bool:
     )
 
 
+def reference_admissible(config, members) -> bool:
+    """Set-based oracle for ``admissible``: the trace holds the end and the
+    whole tail and stays inside the window."""
+    return 3 * config.k in members and set(config.tail) <= members <= set(config.window)
+
+
 def reference_injection(config, trace) -> InjectionReport:
     """Slow oracle for ``verify_injection``: every shift scanned index by
     index with ``reference_shift``, with the same refusals."""
@@ -254,7 +260,7 @@ def reference_injection(config, trace) -> InjectionReport:
     for i in members:
         if not 0 <= i <= 3 * config.k:
             raise SpaceError(f"trace index {i} outside 0..{3 * config.k}")
-    if not (3 * config.k in members and set(config.tail) <= members <= set(config.window)):
+    if not reference_admissible(config, members):
         raise InadmissibleTraceError(f"trace {sorted(members)} is not admissible")
     low = min(members)
     images, facts = zip(*(reference_shift(config, members, low, j) for j in range(config.n)))

@@ -6,7 +6,9 @@ import pytest
 import ordmet.cli
 from ordmet import AmalgamError, validate
 from ordmet.cli import run
+from ordmet.limit import STORE_BUDGET_BYTES, store_bytes
 from ordmet.spacefile import parse_space, serialize_space
+from ordmet.spaces import ValidationReport, Violation
 from ordmet.witness import WitnessError
 
 from conftest import chain_space
@@ -175,6 +177,64 @@ def test_witness_exhaust_refuses_over_budget(files, monkeypatch, capsys):
         " 1152921504606846976 shift checks and pair tests,"
         f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
     )
+
+
+def witness_argv(command, support, n, m, *extra):
+    return ["witness", command, "--support", support, "--n", str(n), "--m", str(m), *extra]
+
+
+def test_witness_build_refuses_oversized_table(files, tmp_path, capsys):
+    out = tmp_path / "config.space"
+    assert run(witness_argv("build", files["single.space"], 40, 50, "--out", str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: configuration of 6002 points needs about {store_bytes(6002)} bytes"
+        f" of distance rows, over the {STORE_BUDGET_BYTES}-byte budget\n"
+    )
+    assert "1152768128 bytes" in captured.err
+    assert not out.exists()
+
+
+def test_witness_exhaust_and_verify_at_k_2000(files, capsys):
+    """k = 2000 needs no 6,002-point table: exhaust refuses on its work
+    budget, and the tail trace verifies."""
+    assert run(witness_argv("exhaust", files["single.space"], 40, 50)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exhaust would check ")
+    assert "traces (2^1961) at n = 40," in captured.err
+    tail = ",".join(map(str, range(5961, 6001)))
+    assert run(witness_argv("verify", files["single.space"], 40, 50, "--trace", tail)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "min-index 5961"
+    assert lines[1:41] == [f"shift {j}: end in pattern {{{5961 + j}}} ok" for j in range(40)]
+    assert lines[41:] == ["distinct true", "injective true"]
+
+
+def test_only_witness_build_validates_the_table(files, tmp_path, monkeypatch, capsys):
+    """Negative control: a validate that fails on every space larger than
+    the one-point support fails build with exit 3 and is never reached by
+    verify or exhaust."""
+    real = ordmet.witness.validate
+
+    def failing(space):
+        if len(space) <= 1:
+            return real(space)
+        return ValidationReport((Violation("triangle", space.points[:3], "injected"),))
+
+    monkeypatch.setattr(ordmet.witness, "validate", failing)
+    out = tmp_path / "config.space"
+    assert run(witness_argv("build", files["single.space"], 2, 1, "--out", str(out))) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: configuration failed validation: triangle b0 a0 a1: injected\n"
+    )
+    assert not out.exists()
+    assert run(witness_argv("verify", files["single.space"], 2, 1, "--trace", "5,6")) == 0
+    assert run(witness_argv("exhaust", files["single.space"], 2, 1)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict pass"
 
 
 def test_usage_errors_exit_two(capsys):

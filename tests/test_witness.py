@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    reference_admissible,
     reference_distinct,
     reference_exhaust,
     reference_injection,
@@ -163,6 +164,22 @@ def test_admissible_accepts_refinement_trace_values():
     assert admissible(config, RefinementTrace(frozenset({5, 6})))
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_admissible_and_min_index_match_reference_on_every_subset(n, m):
+    config = build_witness(singleton_support(), n, m)
+    top = 3 * config.k
+    for r in range(top + 2):
+        for members in map(frozenset, combinations(range(top + 1), r)):
+            expected = reference_admissible(config, members)
+            assert admissible(config, members) == expected, sorted(members)
+            if expected:
+                assert min_index(config, members) == min(members)
+            else:
+                with pytest.raises(InadmissibleTraceError) as info:
+                    min_index(config, members)
+                assert str(info.value) == f"trace {sorted(members)} is not admissible"
+
+
 def test_trace_index_out_of_range():
     config = build_witness(singleton_support(), 2, 1)
     with pytest.raises(SpaceError):
@@ -289,7 +306,7 @@ def test_injection_refuses_like_reference(n, m):
     for r in range(top + 2):
         bad.extend(
             set(members) for members in combinations(range(top + 1), r)
-            if not admissible(config, members)
+            if not reference_admissible(config, set(members))
         )
     for trace in bad:
         expected = raised(reference_injection, config, trace)
@@ -405,7 +422,7 @@ def test_exhaust_builds_no_membership_dicts(monkeypatch):
         raise AssertionError("exhaust went through the membership path")
 
     config = build_witness(singleton_support(), 2, 2)
-    for name in ("frozenset", "shifted_trace", "verify_injection", "_members"):
+    for name in ("frozenset", "shifted_trace", "verify_injection", "_mask"):
         monkeypatch.setattr(witness, name, forbidden, raising=False)
     assert exhaust_all_traces(config).lines() == ["checked 8", "passed 8", "verdict pass"]
 
@@ -441,6 +458,15 @@ def test_exhaust_refuses_two_to_the_twenty_traces_at_n_19(monkeypatch):
     monkeypatch.setattr(witness, "_shift_core", enumerated)
     with pytest.raises(SpaceError, match=r"2\^20\) at n = 19, 199229440 shift checks"):
         exhaust_all_traces(config)
+
+
+def test_verify_and_exhaust_build_no_table():
+    config = build_witness(singleton_support(), 2, 3)
+    assert verify_injection(config, set(config.tail)).injective
+    assert exhaust_all_traces(config).all_passed
+    assert "space" not in vars(config)
+    assert len(config.space) == 1 + 3 * config.k + 1
+    assert "space" in vars(config)
 
 
 def test_min_index_window_holds_on_every_trace():

@@ -1,5 +1,7 @@
 """Mutation check for the shared map predicate, the completion rule, the
-int-row space, the limit builder's stage layout and the witness shift core.
+int-row space and its triangle pass, the limit builder's stage layout and
+rescale, the orbit test's support, and the witness admissibility test and
+shift core.
 
     python tools/mutants.py
 
@@ -45,6 +47,10 @@ FEASIBILITY = "tests/test_amalgam.py::test_feasibility_matches_reference_on_mixe
 GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
 BACK_AND_FORTH = "tests/test_limit.py::test_back_and_forth_stage_is_byte_identical"
 SHIFT_CORE = "tests/test_witness.py::test_shift_core_matches_reference_on_every_mask[4]"
+ADMISSIBLE = (
+    "tests/test_witness.py::test_admissible_and_min_index_match_reference_on_every_subset[2-1]",
+    "tests/test_witness.py::test_injection_refuses_like_reference[2-1]",
+)
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
@@ -86,6 +92,20 @@ MUTANTS = [
         "return common // sx, common // sy",
         "return 1, 1",
         ("tests/test_spaces.py::test_equal_scaled_ints_over_different_scales_are_told_apart",),
+    ),
+    Mutant(
+        "space-lcm-ignored",
+        SPACES,
+        "scale = lcm(*{v.denominator for v in given.values()})",
+        "scale = max({v.denominator for v in given.values()}, default=1)",
+        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
+    ),
+    Mutant(
+        "triangle-emitted-on-equality",
+        SPACES,
+        "if ab > ac + bc:",
+        "if ab >= ac + bc:",
+        ("tests/test_spaces.py::test_validate_matches_reference_on_candidate_tables",),
     ),
     Mutant(
         "asymmetric-pair-read-backwards",
@@ -163,11 +183,39 @@ MUTANTS = [
         (GROWN,),
     ),
     Mutant(
+        "stage-rescale-skipped",
+        LIMIT,
+        "if scale != self._scale:",
+        "if False:",
+        ("tests/test_limit.py::test_builder_reads_like_its_stage",),
+    ),
+    Mutant(
+        "orbit-support-dropped",
+        "src/ordmet/orbits.py",
+        "return preserves(stage, stage, fixed + list(zip(t1, t2)))",
+        "return preserves(stage, stage, list(zip(t1, t2)))",
+        ("tests/test_orbits.py::test_support_is_pinned",),
+    ),
+    Mutant(
         "image-search-in-stage-order",
         LIMIT,
         "for w in self._created:",
         "for w in self.points:",
         (BACK_AND_FORTH,),
+    ),
+    Mutant(
+        "witness-tail-shifted-down",
+        WITNESS,
+        "tail = (2 << top) - (1 << top - config.n + 1)",
+        "tail = (1 << top) - (1 << top - config.n)",
+        ADMISSIBLE,
+    ),
+    Mutant(
+        "witness-below-2k-dropped",
+        WITNESS,
+        "return mask & tail == tail and not mask & ((1 << 2 * config.k) - 1)",
+        "return mask & tail == tail",
+        ADMISSIBLE,
     ),
     Mutant(
         "witness-window-off-by-one",
