@@ -12,22 +12,23 @@ distinct members all containing the chain end, which is the finite content
 of the non-metacompactness argument.
 
 The checks read k, n and a trace as a Python int bitmask, bit i for chain
-index i: shifting is a left shift, and every other test is a bit test.  Only
-``WitnessConfig.space`` builds (and validates) the distance table.
-``exhaust_all_traces`` builds every admissible mask directly and refuses,
-before enumerating, when they would need more than ``EXHAUST_BUDGET_CHECKS``
-shift checks and pair tests.
+index i: shifting is a left shift, and every other test is a bit test.  A
+trace is any iterable of chain indices.  Only ``WitnessConfig.space`` builds
+(and validates) the distance table, and only readers of ``chain`` build the
+chain.  ``exhaust_all_traces`` builds every admissible mask directly and
+refuses, before enumerating, when they would need more than
+``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .limit import STORE_BUDGET_BYTES, PartialIso, store_bytes
 from .spaces import FinSpace, PointId, SpaceError, diameter, validate
@@ -41,6 +42,11 @@ class WitnessError(RuntimeError):
     """Internal construction check failed (should never happen)."""
 
 
+# The chain point names a0, a1, ...: "a" and a decimal numeral in ASCII
+# digits without a leading zero.
+_CHAIN_NAME = re.compile(r"a(0|[1-9][0-9]*)")
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessConfig:
     """Support plus chain.  ``far`` = support diameter + 4 is the common
@@ -51,14 +57,20 @@ class WitnessConfig:
     n: int
     m: int
     k: int
-    chain: tuple[PointId, ...]  # a_0 .. a_{3k} in structural order
     far: Fraction
+
+    @functools.cached_property
+    def chain(self) -> tuple[PointId, ...]:
+        """a_0 .. a_{3k} in structural order, above every support point;
+        built on first read."""
+        start = max(self.support.points) + 1
+        return tuple(range(start, start + 3 * self.k + 1))
 
     @functools.cached_property
     def space(self) -> FinSpace:
         """Support and chain as one validated space, built on first read;
         refused before allocating when its rows top the store budget."""
-        points = len(self.support) + len(self.chain)
+        points = len(self.support) + 3 * self.k + 1
         estimate = store_bytes(points)
         if estimate > STORE_BUDGET_BYTES:
             raise SpaceError(
@@ -119,15 +131,17 @@ def build_witness(support: FinSpace, n: int, m: int) -> WitnessConfig:
         raise SpaceError("support must be nonempty")
 
     k = n * m
-    far = diameter(support) + 4
-    start = max(support.points) + 1
-    chain = tuple(range(start, start + 3 * k + 1))
-
-    taken = set(support.names.values())
-    for name in map("a{}".format, range(len(chain))):
-        if name in taken:
-            raise SpaceError(f"support uses reserved chain point name {name!r}")
-    return WitnessConfig(support, n, m, k, chain, far)
+    # Numerals without leading zeros compare like their values by (length,
+    # text), so no name is converted: int() refuses over 4,300 digits.
+    top = str(3 * k)
+    reserved = []
+    for name in support.names.values():
+        match = _CHAIN_NAME.fullmatch(name)
+        if match and (len(match[1]), match[1]) <= (len(top), top):
+            reserved.append((len(match[1]), match[1]))
+    if reserved:
+        raise SpaceError(f"support uses reserved chain point name {'a' + min(reserved)[1]!r}")
+    return WitnessConfig(support, n, m, k, diameter(support) + 4)
 
 
 def shift_iso(config: WitnessConfig) -> PartialIso:
@@ -138,26 +152,17 @@ def shift_iso(config: WitnessConfig) -> PartialIso:
     return PartialIso(dom, cod)
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
-    """Trace of a candidate refinement member on the chain: the set of
-    chain indices it contains."""
-
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-
-
-TraceLike = Union[RefinementTrace, Iterable[int]]
-
-
-def _mask(config: WitnessConfig, trace: TraceLike) -> int:
-    members = trace.members if isinstance(trace, RefinementTrace) else frozenset(trace)
+def _mask(config: WitnessConfig, trace: Iterable[int]) -> int:
+    """The trace as a bitmask, bit i for chain index i, built from bytes in
+    time linear in its length."""
+    members = frozenset(trace)
     for i in members:
         if not 0 <= i <= 3 * config.k:
             raise SpaceError(f"trace index {i} outside 0..{3 * config.k}")
-    return sum(1 << i for i in members)
+    data = bytearray(max(members, default=-1) // 8 + 1)
+    for i in members:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
 
 
 def _is_admissible(config: WitnessConfig, mask: int) -> bool:
@@ -166,7 +171,7 @@ def _is_admissible(config: WitnessConfig, mask: int) -> bool:
     return mask & tail == tail and not mask & ((1 << 2 * config.k) - 1)
 
 
-def admissible(config: WitnessConfig, trace: TraceLike) -> bool:
+def admissible(config: WitnessConfig, trace: Iterable[int]) -> bool:
     """The three constraints every refinement member containing the chain
     end must satisfy on the chain: it contains the end, it contains the
     whole 1/m-tail, and it stays inside the diameter-1 window."""
@@ -182,39 +187,10 @@ def _min_member(config: WitnessConfig, mask: int) -> int:
     return low
 
 
-def min_index(config: WitnessConfig, trace: TraceLike) -> int:
+def min_index(config: WitnessConfig, trace: Iterable[int]) -> int:
     """Smallest chain index in the trace; always lands in
     [2k, 3k - n + 1]."""
     return _min_member(config, _mask(config, trace))
-
-
-class Membership(enum.Enum):
-    IN = "in"
-    OUT = "out"
-    UNKNOWN = "unknown"
-
-
-def shifted_trace(
-    config: WitnessConfig, trace: TraceLike, shift: int
-) -> dict[int, Membership]:
-    """Membership of each chain index in the shift-by-j image of the member.
-
-    Index i lies in the image iff i - j lies in the trace; indices below j
-    pull back past the chain start, so their membership is not finitely
-    determined and stays UNKNOWN.
-    """
-    if not 0 <= shift < config.n:
-        raise SpaceError(f"shift {shift} outside 0..{config.n - 1}")
-    image = _mask(config, trace) << shift
-    out: dict[int, Membership] = {}
-    for i in range(3 * config.k + 1):
-        if i < shift:
-            out[i] = Membership.UNKNOWN
-        elif image >> i & 1:
-            out[i] = Membership.IN
-        else:
-            out[i] = Membership.OUT
-    return out
 
 
 @dataclass(frozen=True)
@@ -222,7 +198,6 @@ class ShiftCheck:
     shift: int
     top_in: bool  # the chain end lies in the shifted member
     determinable: bool  # no UNKNOWN index inside the checked window
-    trace_in: tuple[int, ...]  # all determinable indices lying in the member
     pattern: tuple[int, ...]  # indices of {k..L+j} lying in the shifted member
     pattern_ok: bool  # pattern is exactly {L+j}
 
@@ -252,8 +227,16 @@ class InjectionReport:
 
 
 def _indices(mask: int) -> tuple[int, ...]:
-    """Chain indices whose bits are set, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """Chain indices whose bits are set, ascending; one scan of the binary
+    digits from the right, linear in the bit length."""
+    digits = bin(mask)
+    last = len(digits) - 1  # bit i at position last - i, after the "0b"
+    out = []
+    at = digits.rfind("1", 2)
+    while at >= 2:
+        out.append(last - at)
+        at = digits.rfind("1", 2, at)
+    return tuple(out)
 
 
 def _shift_core(
@@ -293,7 +276,7 @@ def _shift_core(
     return shifts, distinct, injective
 
 
-def verify_injection(config: WitnessConfig, trace: TraceLike) -> InjectionReport:
+def verify_injection(config: WitnessConfig, trace: Iterable[int]) -> InjectionReport:
     """Check that the n shifts of an admissible trace are pairwise distinct
     members all containing the chain end.
 
@@ -306,8 +289,8 @@ def verify_injection(config: WitnessConfig, trace: TraceLike) -> InjectionReport
     low = _min_member(config, mask)
     shifts, distinct, injective = _shift_core(config.k, config.n, mask)
     checks = tuple(
-        ShiftCheck(j, top_in, determinable, _indices(image), _indices(pattern), ok)
-        for j, (image, top_in, determinable, pattern, ok) in enumerate(shifts)
+        ShiftCheck(j, top_in, determinable, _indices(pattern), ok)
+        for j, (_, top_in, determinable, pattern, ok) in enumerate(shifts)
     )
     return InjectionReport(low, checks, distinct, injective)
 
@@ -342,6 +325,17 @@ def _exhaust_checks(traces: int, n: int) -> int:
     return traces * (n + n * (n - 1) // 2)
 
 
+def _count(factor: int, exponent: int) -> str:
+    """factor * 2^exponent in decimal, or as a power of two where the decimal
+    would pass CPython's 4,300-digit int-to-str limit; no larger count is
+    ever formed."""
+    if exponent <= 4 * 4300:  # else the count tops 16^4300 > 10^4300
+        count = factor << exponent
+        if count < 10**4300:
+            return str(count)
+    return f"2^{exponent}" if factor == 1 else f"{factor} * 2^{exponent}"
+
+
 def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
     """Check the injection on every admissible trace: every superset of the
     tail inside the window, 2^(k+1-n) of them, by subset size and then
@@ -350,14 +344,16 @@ def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
     Refuses with SpaceError, before enumerating, when those traces need
     more than EXHAUST_BUDGET_CHECKS shift checks and pair tests.
     """
-    free = range(2 * config.k, config.tail.start)
-    total = 2 ** len(free)
-    checks = _exhaust_checks(total, config.n)
-    if checks > EXHAUST_BUDGET_CHECKS:
+    # 2^size traces, one per subset of the free indices 2k .. 3k - n; from
+    # the budget's bit length on, 2^size alone tops it and is not formed
+    size, per_trace = config.k + 1 - config.n, _exhaust_checks(1, config.n)
+    if size >= EXHAUST_BUDGET_CHECKS.bit_length() or per_trace << size > EXHAUST_BUDGET_CHECKS:
         raise SpaceError(
-            f"exhaust would check {total} traces (2^{len(free)}) at n = {config.n},"
-            f" {checks} shift checks and pair tests, over the budget of {EXHAUST_BUDGET_CHECKS}"
+            f"exhaust would check {_count(1, size)} traces (2^{size}) at n = {config.n},"
+            f" {_count(per_trace, size)} shift checks and pair tests,"
+            f" over the budget of {EXHAUST_BUDGET_CHECKS}"
         )
+    free = range(2 * config.k, config.tail.start)
     tail = sum(1 << i for i in config.tail)
     bits = [1 << i for i in free]
     checked = passed = 0

@@ -12,7 +12,6 @@ from ordmet.witness import (
     ExhaustReport,
     InadmissibleTraceError,
     InjectionReport,
-    RefinementTrace,
     ShiftCheck,
 )
 
@@ -256,7 +255,7 @@ def reference_admissible(config, members) -> bool:
 def reference_injection(config, trace) -> InjectionReport:
     """Slow oracle for ``verify_injection``: every shift scanned index by
     index with ``reference_shift``, with the same refusals."""
-    members = trace.members if isinstance(trace, RefinementTrace) else frozenset(trace)
+    members = frozenset(trace)
     for i in members:
         if not 0 <= i <= 3 * config.k:
             raise SpaceError(f"trace index {i} outside 0..{3 * config.k}")
@@ -265,8 +264,8 @@ def reference_injection(config, trace) -> InjectionReport:
     low = min(members)
     images, facts = zip(*(reference_shift(config, members, low, j) for j in range(config.n)))
     checks = tuple(
-        ShiftCheck(j, top_in, determinable, tuple(sorted(image)), pattern, ok)
-        for j, (image, (top_in, determinable, pattern, ok)) in enumerate(zip(images, facts))
+        ShiftCheck(j, top_in, determinable, pattern, ok)
+        for j, (top_in, determinable, pattern, ok) in enumerate(facts)
     )
     distinct = reference_distinct(images, low)
     return InjectionReport(low, checks, distinct, distinct and all(c.ok for c in checks))

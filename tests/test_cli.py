@@ -183,6 +183,28 @@ def witness_argv(command, support, n, m, *extra):
     return ["witness", command, "--support", support, "--n", str(n), "--m", str(m), *extra]
 
 
+@pytest.mark.parametrize(
+    "n, m, traces, checks",
+    [
+        (1, 10**5, "2^100000", "2^100000"),
+        (1, 10**12, "2^1000000000000", "2^1000000000000"),
+        (2, 10**5, "2^199999", "3 * 2^199999"),
+    ],
+)
+def test_witness_exhaust_states_huge_counts_as_powers_of_two(files, capsys, n, m, traces, checks):
+    """Counts past 4,300 decimal digits are refused from the exponent and
+    stated as powers of two, not converted to decimal."""
+    assert run(witness_argv("exhaust", files["single.space"], n, m)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: exhaust would check {traces} traces ({traces}) at n = {n},"
+        f" {checks} shift checks and pair tests,"
+        f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
+    )
+    assert "int" not in captured.err
+
+
 def test_witness_build_refuses_oversized_table(files, tmp_path, capsys):
     out = tmp_path / "config.space"
     assert run(witness_argv("build", files["single.space"], 40, 50, "--out", str(out))) == 2

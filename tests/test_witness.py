@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -14,8 +15,6 @@ from conftest import (
 from ordmet import witness
 from ordmet import (
     InadmissibleTraceError,
-    Membership,
-    RefinementTrace,
     SpaceError,
     admissible,
     ball_trace,
@@ -27,7 +26,6 @@ from ordmet import (
     partial_iso_ok,
     same_fix_orbit,
     shift_iso,
-    shifted_trace,
     validate,
     verify_injection,
 )
@@ -105,6 +103,45 @@ def test_reserved_chain_names_rejected():
         build_witness(make_space(["a0"], {}), 1, 1)
 
 
+def reference_reserved(names, k):
+    """The reserved-name check as a loop over every chain name a0 .. a{3k},
+    lowest first."""
+    taken = set(names)
+    for name in map("a{}".format, range(3 * k + 1)):
+        if name in taken:
+            return name
+    return None
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["a0"],
+        ["a12"],  # a{3k}
+        ["a13"],  # a{3k+1}
+        ["a01"],
+        ["a00"],
+        ["a\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["a" + "1" * 5000],
+        ["a" + "0" * 5000],
+        ["b0", "a", "A3", "a-1", "a 3", "a3b"],
+        ["a13", "a7", "a12", "a3", "a10"],  # several reserved: the lowest is named
+    ],
+    ids=["a0", "a3k", "a3k+1", "a01", "a00", "non-ascii", "5000-digits", "5000-zeros",
+         "no-numeral", "several"],
+)
+def test_reserved_names_match_the_chain_name_loop(names):
+    k = 4  # n = 2, m = 2: chain names a0 .. a12
+    support = make_space(names, {pair: 1 for pair in combinations(names, 2)})
+    expected = reference_reserved(names, k)
+    if expected is None:
+        assert build_witness(support, 2, 2).k == k
+    else:
+        with pytest.raises(SpaceError) as info:
+            build_witness(support, 2, 2)
+        assert str(info.value) == f"support uses reserved chain point name {expected!r}"
+
+
 # -- shift_iso --------------------------------------------------------------------
 
 
@@ -159,9 +196,10 @@ def test_admissible_examples():
     assert not admissible(config, {4, 5})  # misses the end
 
 
-def test_admissible_accepts_refinement_trace_values():
+def test_admissible_accepts_any_iterable_of_indices():
     config = build_witness(singleton_support(), 2, 1)
-    assert admissible(config, RefinementTrace(frozenset({5, 6})))
+    for trace in ([5, 6], (6, 5, 6), range(4, 7), iter([6, 5])):
+        assert admissible(config, trace)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1)])
@@ -182,8 +220,11 @@ def test_admissible_and_min_index_match_reference_on_every_subset(n, m):
 
 def test_trace_index_out_of_range():
     config = build_witness(singleton_support(), 2, 1)
-    with pytest.raises(SpaceError):
-        admissible(config, {7})
+    for bad in (-1, 7):
+        with pytest.raises(SpaceError, match=f"trace index {bad} outside 0..6"):
+            admissible(config, {bad})
+    assert not admissible(config, {0})
+    assert not admissible(config, {6})
 
 
 # -- min_index -------------------------------------------------------------------
@@ -198,50 +239,31 @@ def test_min_index_examples():
         min_index(config, {6})
 
 
-# -- shifted_trace ---------------------------------------------------------------
+# -- shifted traces ---------------------------------------------------------------
+
+
+def shifted(config, members, shift):
+    """Chain indices of the shift-by-j image of a trace; indices below j are
+    UNKNOWN and never set."""
+    shifts, _, _ = witness._shift_core(config.k, shift + 1, as_mask(members))
+    return set(witness._indices(shifts[shift][0]))
 
 
 def test_shifted_trace_identity_shift():
     config = build_witness(singleton_support(), 2, 1)
-    trace = shifted_trace(config, {5, 6}, 0)
-    assert trace[5] is Membership.IN and trace[6] is Membership.IN
-    assert all(v is not Membership.UNKNOWN for v in trace.values())
+    assert shifted(config, {5, 6}, 0) == {5, 6}
 
 
 def test_shifted_trace_pull_back():
     config = build_witness(singleton_support(), 2, 1)
-    trace = shifted_trace(config, {5, 6}, 1)
-    assert trace[6] is Membership.IN
-    assert trace[0] is Membership.UNKNOWN
-    ins = {i for i, v in trace.items() if v is Membership.IN}
-    assert ins == {6}  # index 7 would be in, but the chain stops at 6
+    assert shifted(config, {5, 6}, 1) == {6}  # index 7 would be in, but the chain stops at 6
 
 
 def test_shifted_trace_top_always_in():
     for n, m in [(2, 1), (3, 1), (2, 2)]:
         config = build_witness(singleton_support(), n, m)
         for j in range(n):
-            trace = shifted_trace(config, set(config.tail), j)
-            assert trace[3 * config.k] is Membership.IN
-
-
-def test_shifted_trace_matches_reference_on_every_mask():
-    config = replace(build_witness(singleton_support(), 1, 3), n=5)
-    top = 3 * config.k
-    for mask in range(1, 2 ** (top + 1)):
-        members = frozenset(i for i in range(top + 1) if mask >> i & 1)
-        for j in range(config.n):
-            trace = shifted_trace(config, members, j)
-            image, _ = reference_shift(config, members, min(members), j)
-            assert sorted(trace) == list(range(top + 1))
-            assert {i for i, v in trace.items() if v is Membership.IN} == image
-            assert {i for i, v in trace.items() if v is Membership.UNKNOWN} == set(range(j))
-
-
-def test_shift_out_of_range():
-    config = build_witness(singleton_support(), 2, 1)
-    with pytest.raises(SpaceError):
-        shifted_trace(config, {5, 6}, 2)
+            assert 3 * config.k in shifted(config, set(config.tail), j)
 
 
 # -- verify_injection --------------------------------------------------------------
@@ -252,8 +274,6 @@ def test_injection_tail_trace():
     report = verify_injection(config, {5, 6})
     assert report.min_member == 5
     assert [check.pattern for check in report.checks] == [(5,), (6,)]
-    assert report.checks[0].trace_in == (5, 6)
-    assert report.checks[1].trace_in == (6,)  # 7 would be in, chain ends at 6
     assert report.distinct and report.injective
 
 
@@ -302,7 +322,7 @@ def raised(fn, *args):
 def test_injection_refuses_like_reference(n, m):
     config = build_witness(singleton_support(), n, m)
     top = 3 * config.k
-    bad = [{-1}, {top + 1}, {0, top + 5}, RefinementTrace(frozenset({top + 2, top}))]
+    bad = [{-1}, {top + 1}, {0, top + 5}, [top + 2, top]]
     for r in range(top + 2):
         bad.extend(
             set(members) for members in combinations(range(top + 1), r)
@@ -422,8 +442,9 @@ def test_exhaust_builds_no_membership_dicts(monkeypatch):
         raise AssertionError("exhaust went through the membership path")
 
     config = build_witness(singleton_support(), 2, 2)
-    for name in ("frozenset", "shifted_trace", "verify_injection", "_mask"):
-        monkeypatch.setattr(witness, name, forbidden, raising=False)
+    for name in ("verify_injection", "_mask"):
+        monkeypatch.setattr(witness, name, forbidden)
+    monkeypatch.setattr(witness, "frozenset", forbidden, raising=False)  # shadows the builtin
     assert exhaust_all_traces(config).lines() == ["checked 8", "passed 8", "verdict pass"]
 
 
@@ -464,9 +485,38 @@ def test_verify_and_exhaust_build_no_table():
     config = build_witness(singleton_support(), 2, 3)
     assert verify_injection(config, set(config.tail)).injective
     assert exhaust_all_traces(config).all_passed
-    assert "space" not in vars(config)
+    assert "space" not in vars(config) and "chain" not in vars(config)
     assert len(config.space) == 1 + 3 * config.k + 1
     assert "space" in vars(config)
+    assert config.chain == tuple(range(1, 3 * config.k + 2))
+
+
+def test_space_refuses_from_k_before_building_the_chain():
+    config = build_witness(pair_support(1), 1, 10**12)
+    with pytest.raises(SpaceError, match=r"configuration of 3000000000003 points needs about"):
+        config.space
+    assert "chain" not in vars(config)
+
+
+def set_bits(mask):
+    """Reference for the set bits of a mask: a bit test per bit of each
+    little-endian byte."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * b + i for b, byte in enumerate(data) for i in range(8) if byte >> i & 1]
+
+
+def test_indices_and_mask_match_set_bits_on_dense_and_sparse_masks():
+    config = build_witness(singleton_support(), 1, 33334)  # chain indices 0 .. 100002
+    rng = random.Random(1)
+    masks = [0, 1, 2, 3, 1 << 3 * config.k, (2 << 3 * config.k) - 1]
+    for bits in (1, 7, 8, 9, 64, 1000, 10**5):
+        masks.append(rng.getrandbits(bits))  # dense
+        masks.append(sum(1 << rng.randrange(bits) for _ in range(5)))  # sparse
+    for mask in masks:
+        indices = set_bits(mask)
+        assert witness._indices(mask) == tuple(indices)
+        assert witness._mask(config, indices) == mask
+        assert witness._mask(config, reversed(indices)) == mask
 
 
 def test_min_index_window_holds_on_every_trace():

@@ -1,7 +1,7 @@
 """Mutation check for the shared map predicate, the completion rule, the
 int-row space and its triangle pass, the limit builder's stage layout and
-rescale, the orbit test's support, and the witness admissibility test and
-shift core.
+rescale, the orbit test's support, and the witness admissibility test,
+shift core, trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -51,6 +51,7 @@ ADMISSIBLE = (
     "tests/test_witness.py::test_admissible_and_min_index_match_reference_on_every_subset[2-1]",
     "tests/test_witness.py::test_injection_refuses_like_reference[2-1]",
 )
+RESERVED = "tests/test_witness.py::test_reserved_names_match_the_chain_name_loop"
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
@@ -251,6 +252,34 @@ MUTANTS = [
         "distinct = False",
         "distinct = True",
         (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-indices-skip-bit-0",
+        WITNESS,
+        'at = digits.rfind("1", 2)\n',
+        'at = digits.rfind("1", 2, last)\n',
+        ("tests/test_witness.py::test_indices_and_mask_match_set_bits_on_dense_and_sparse_masks",),
+    ),
+    Mutant(
+        "witness-mask-drops-chain-end",
+        WITNESS,
+        "if not 0 <= i <= 3 * config.k:",
+        "if not 0 <= i < 3 * config.k:",
+        ("tests/test_witness.py::test_trace_index_out_of_range",),
+    ),
+    Mutant(
+        "witness-reserved-bound-exclusive",
+        WITNESS,
+        "(len(match[1]), match[1]) <= (len(top), top)",
+        "(len(match[1]), match[1]) < (len(top), top)",
+        (f"{RESERVED}[a3k]",),
+    ),
+    Mutant(
+        "witness-leading-zero-names-reserved",
+        WITNESS,
+        'r"a(0|[1-9][0-9]*)"',
+        'r"a([0-9]+)"',
+        (f"{RESERVED}[a01]",),
     ),
 ]
 
