@@ -202,7 +202,6 @@ def test_witness_exhaust_states_huge_counts_as_powers_of_two(files, capsys, n, m
         f" {checks} shift checks and pair tests,"
         f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
     )
-    assert "int" not in captured.err
 
 
 def test_witness_build_refuses_oversized_table(files, tmp_path, capsys):
