@@ -10,19 +10,30 @@ report:
 * ``direct`` builds every span as real objects and routes it through
   ``amalgamate`` and ``validate``.  Exact but slow; meant for small bounds
   and for cross-checking.
-* ``vector`` rescales the grid to integers and batch-checks the amalgam
-  axioms with numpy.  For each span only the mixed triangle families can
-  fail (the two sides are already valid and symmetry, identity, positivity
-  of the glued table and the interleaved order hold by construction), so
-  the batch checks those plus overlap-consistency of the cross block.
+* ``vector`` rescales the grid to integers and checks the amalgam axioms
+  with numpy.  For each span only the mixed triangle families can fail
+  (the two sides are already valid and symmetry, identity, positivity of
+  the glued table and the interleaved order hold by construction), so it
+  checks those plus positivity and overlap-consistency of the cross block.
+
+The vector engine groups the AP spans by overlap matrix and decides each
+group from class facts, not span by span.  A cross distance min_z a(p, z) +
+b(z, q) depends only on a-point p's row g to the overlap and on b-extra
+point q's Katetov function f on it, so positivity is a fact about (g, f),
+overlap agreement about (overlap index, g, f), an a-triangle about (a-row,
+f) and a b-triangle about (g, b-row).  Every g meets every f in some span of
+the group, so the group passes exactly when every fact holds, in time
+linear in its rows; only a failing group is spread back over its spans,
+to report the first failing one in enumeration order.  The AP pass
+estimates its class checks from the space counts and refuses over
+AP_BUDGET_CHECKS with ValueError, before any pass runs.
 
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
-(with top the largest scaled grid value: 5 top in the AP kernel, twice the
-JEP constant, 3 top in the enumeration).  A grid no dtype holds is refused
-with ValueError.  The AP kernel tests each triangle as the single predicate
-2 max(d, x, y) <= d + x + y, over all a-pairs at once and over all b-extra
-pairs at once, and returns the first failing span in (row_a, row_b) order.
+(with top the largest scaled grid value: 5 top in the AP triangles, whose
+cross distances reach 2 top, twice the JEP constant, 3 top in the
+enumeration).  A grid no dtype holds is refused with ValueError.  Each
+triangle is tested as the single predicate 2 max(d, x, y) <= d + x + y.
 """
 
 from __future__ import annotations
@@ -82,15 +93,21 @@ _DTYPES = (np.int8, np.int16, np.int32, np.int64)
 # Peak bytes _valid_matrices may hold for one size.
 ENUMERATION_BUDGET_BYTES = 1 << 30
 
-# Elements in the widest temporary of one AP kernel chunk.
+# Elements in the widest temporary of one chunk of the JEP pass or of the
+# AP class checks.
 CHUNK_ELEMENTS = 1 << 17
+
+# Most class checks the AP pass may make, as estimated by _ap_work.  Size 5
+# over {1,2,3} estimates 519,900,036 and checks in about 4 s end to end on a
+# 2-vCPU x86 host; size 5 over {1,2,3,4} (13,745,879,064) is refused.
+AP_BUDGET_CHECKS = 1 << 31
 
 
 def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, np.ndarray]:
     """The sorted grid, its common denominator, and the scaled grid in the
     narrowest integer dtype that holds every intermediate value: triangle
     sums of the enumeration (3 top), twice the JEP constant scale + diam,
-    and the AP kernel's d + x + y (5 top), top being the largest scaled
+    and the AP triangles' d + x + y (5 top), top being the largest scaled
     value.  NumPy casts a Python int operand into the array's dtype, so the
     bound covers scale as well."""
     values = sorted(set(Fraction(q) for q in grid))
@@ -261,7 +278,29 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
 # vector engine
 
 
+def _ap_work(per_size: Sequence[np.ndarray], grid_len: int) -> int:
+    """Upper bound on the class checks of the AP pass.  Every pointed space
+    (ka points, overlap of kc < max size points) contributes its rows times
+    the f classes (at most grid^kc) times its a-pairs plus the min-plus terms
+    of its g rows (ka * kc), and its rows times the g classes (at most
+    (grid + 1)^kc, with the 0 of an overlap point) times its b-extra pairs."""
+    work = 0
+    for kc in range(1, len(per_size)):
+        f_classes, g_classes = grid_len**kc, (grid_len + 1) ** kc
+        for ka in range(kc, len(per_size) + 1):
+            rows = math.comb(ka, kc) * per_size[ka - 1].shape[0]
+            work += rows * f_classes * (math.comb(ka, 2) + ka * kc)
+            work += rows * g_classes * math.comb(ka - kc, 2)
+    return work
+
+
 def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
+    work = _ap_work(per_size, len(grid_values))
+    if work > AP_BUDGET_CHECKS:
+        raise ValueError(
+            f"slice too large: the AP pass needs about {work} class checks,"
+            f" over the {AP_BUDGET_CHECKS}-check budget"
+        )
     counts = tuple(batch.shape[0] for batch in per_size)
     counterexample = None
 
@@ -281,22 +320,27 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
 
     # JEP: cross block is the constant 1 + max(diam a, diam b).  Mixed
     # triangles reduce to diam <= 2 * constant; everything else is inherited
-    # or structural.
+    # or structural.  Rows of a are taken in chunks, so no temporary grows
+    # with the square of a size's count.
     diams = [batch.max(axis=(1, 2)) for batch in per_size]
     jep_checked = 0
     jep_ok = True
     for da in diams:
         for db in diams:
             jep_checked += da.shape[0] * db.shape[0]
-            const = scale + np.maximum.outer(da, db)
-            ok = (const > 0) & (da[:, None] <= 2 * const) & (db[None, :] <= 2 * const)
-            if not ok.all() and jep_ok:
-                jep_ok = False
-                u, v = map(int, np.argwhere(~ok)[0])
-                counterexample = counterexample or f"jep rows=({u},{v})"
+            chunk = max(1, CHUNK_ELEMENTS // db.shape[0])
+            for start in range(0, da.shape[0] if jep_ok else 0, chunk):
+                part = da[start : start + chunk, None]
+                const = scale + np.maximum(part, db)
+                ok = (const > 0) & (part <= 2 * const) & (db <= 2 * const)
+                if not ok.all():
+                    jep_ok = False
+                    u, v = map(int, np.argwhere(~ok)[0])
+                    counterexample = counterexample or f"jep rows=({start + u},{v})"
+                    break
 
     # AP: group pointed spaces (space, overlap positions) by the induced
-    # overlap matrix, then batch-check every ordered pair inside a group.
+    # overlap matrix, then decide every ordered pair inside a group at once.
     ap_checked = 0
     ap_ok = True
     for kc in range(1, max_size + 1):
@@ -317,19 +361,19 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     groups[target].append((ka, sel, np.asarray(rows)))
         for target in range(c_batch.shape[0]):
             members = groups[target]
-            for ka, sel_a, rows_a in members:
-                da = per_size[ka - 1][rows_a]
-                for kb, sel_b, rows_b in members:
-                    db = per_size[kb - 1][rows_b]
-                    spans = rows_a.shape[0] * rows_b.shape[0]
-                    ap_checked += spans
-                    failure = _ap_batch_failure(da, sel_a, db, sel_b)
-                    if failure is not None and ap_ok:
-                        ap_ok = False
-                        u, v = failure
-                        counterexample = counterexample or (
-                            f"ap c-size={kc} c-row={target} a=({ka},{sel_a},{u}) b=({kb},{sel_b},{v})"
-                        )
+            # one span per ordered pair of member rows
+            ap_checked += sum(rows.shape[0] for _, _, rows in members) ** 2
+            # at the largest size every member is the overlap itself
+            if not ap_ok or kc == max_size:
+                continue
+            failure = _ap_batch_failure([(per_size[ka - 1][rows], sel) for ka, sel, rows in members])
+            if failure is not None:
+                ap_ok = False
+                i, j, u, v = failure
+                (ka, sel_a, _), (kb, sel_b, _) = members[i], members[j]
+                counterexample = counterexample or (
+                    f"ap c-size={kc} c-row={target} a=({ka},{sel_a},{u}) b=({kb},{sel_b},{v})"
+                )
 
     return FraisseReport(
         max_size,
@@ -364,53 +408,124 @@ def _triangle_ok(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top <= total
 
 
+def _classes(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct vectors along the last axis of all parts, and per part
+    the class index of each of its vectors, in its shape without that axis.
+
+    Classes are ranked one coordinate at a time with 1-D ``np.unique``: the
+    rank so far times the coordinate's value count plus its value rank
+    stays below (vectors)^2, far inside int64."""
+    width = parts[0].shape[-1]
+    vectors = np.concatenate([part.reshape(-1, width) for part in parts])
+    inverse = np.zeros(vectors.shape[0], dtype=np.int64)
+    for z in range(width):
+        values, rank = np.unique(vectors[:, z], return_inverse=True)
+        keys, inverse = np.unique(inverse * len(values) + rank.reshape(-1), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    classes = np.empty((len(keys), width), dtype=vectors.dtype)
+    classes[inverse] = vectors
+    ids, start = [], 0
+    for part in parts:
+        stop = start + part.size // width
+        ids.append(inverse[start:stop].reshape(part.shape[:-1]))
+        start = stop
+    return classes, ids
+
+
+def _triangle_failures(
+    d: np.ndarray, first: np.ndarray, second: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """Bool (rows, columns of ``table``): the row breaks a triangle at the
+    column.  Row r holds pairs i with side d[r, i] whose ends have classes
+    first[r, i] and second[r, i]; at column c the other two sides are
+    table[first[r, i], c] and table[second[r, i], c]."""
+    rows, pairs = first.shape
+    bad = np.zeros((rows, table.shape[1]), dtype=bool)
+    if pairs:
+        chunk = max(1, CHUNK_ELEMENTS // (pairs * table.shape[1]))
+        for start in range(0, rows, chunk):
+            part = slice(start, start + chunk)
+            ok = _triangle_ok(d[part, :, None], table[first[part]], table[second[part]])
+            bad[part] = ~ok.all(axis=1)
+    return bad
+
+
 def _ap_batch_failure(
-    da: np.ndarray,
-    sel_a: tuple[int, ...],
-    db: np.ndarray,
-    sel_b: tuple[int, ...],
-) -> Optional[tuple[int, int]]:
-    """Check every amalgam of a row of ``da`` with a row of ``db`` over the
-    shared overlap matrix; return the first failing (row_a, row_b) or None.
+    members: Sequence[tuple[np.ndarray, tuple[int, ...]]],
+) -> Optional[tuple[int, int, int, int]]:
+    """Decide every span of one overlap target from class facts; return the
+    first failing span as (member a, member b, row_a, row_b), in that
+    order of precedence, or None.
 
-    The amalgam keeps a's points and appends b's non-overlap points; its
-    cross block is X[p, q] = min_z (a[p, z] + b[z, q]) over overlap points
-    z.  Only the mixed triangle families, positivity of X, and agreement of
-    X with b on overlap rows need checking.  Both arrays share the dtype
-    ``_prepare_grid`` chose, which holds d + x + y for entries up to the
-    largest grid value.
+    Each member is a batch of distance matrices of one size and the
+    positions ``sel`` of the overlap in them.  A span joins a row of member
+    a with a row of member b: the amalgam keeps a's points and appends b's
+    non-overlap (extra) points, with cross block X[p, q] = min_z a[p, z] +
+    b[z, q] over overlap points z.  Only the mixed triangle families,
+    positivity of X, and agreement of X with b on overlap rows need
+    checking, and none of them reads a whole span: X[p, q] is the min-plus
+    product of g, a-point p's row to the overlap, and f, b-extra point q's
+    column from it (a Katetov function on the overlap).  So
+
+    * positivity depends on (g, f);
+    * overlap agreement on (overlap index z, g of the point at z, f);
+    * each a-triangle on (a-row, f), each b-triangle on (g, b-row).
+
+    Every g meets every f in some span, so when no such fact fails every
+    span passes, in time linear in the rows.  Otherwise the facts are
+    spread back over the member pairs, in order, to find the first failing
+    span.  X stays within twice the largest entry and d + x + y within five
+    times it, which the dtype ``_prepare_grid`` chose holds.
     """
-    ka = da.shape[1]
-    extra = [q for q in range(db.shape[1]) if q not in sel_b]
-    if not extra:
-        return None  # b is the overlap itself; the amalgam equals a
-    n_b, nbx, kc = db.shape[0], len(extra), len(sel_a)
+    kc = len(members[0][1])
+    extras = [[q for q in range(m.shape[1]) if q not in sel] for m, sel in members]
+    if not any(extras):
+        return None  # every b is the overlap itself; each amalgam equals its a
+    g_cls, g_ids = _classes([m[:, :, sel] for m, sel in members])
+    f_cls, f_ids = _classes(
+        [m[:, sel][:, :, extra].transpose(0, 2, 1) for (m, sel), extra in zip(members, extras)]
+    )
+    cross = g_cls[:, None, 0] + f_cls[None, :, 0]  # (g classes, f classes)
+    for z in range(1, kc):
+        np.minimum(cross, g_cls[:, None, z] + f_cls[None, :, z], out=cross)
 
-    lhs = da[:, :, sel_a]  # (n_a, ka, kc): a-point to overlap
-    rhs = db[:, sel_b][:, :, extra]  # (n_b, kc, nbx): overlap to b-extra
-    pa, pa2 = _pair_indices(ka)
-    pb, pb2 = _pair_indices(nbx)
-    d_b = db[:, extra][:, :, extra][:, pb, pb2][None, :, None, :]  # (1, n_b, 1, pairs)
-    overlap = list(sel_a)
+    positive = cross > 0
+    agree = [cross == f_cls[:, z] for z in range(kc)]
+    at_overlap = [
+        np.unique(np.concatenate([ids[:, sel[z]] for ids, (_, sel) in zip(g_ids, members)]))
+        for z in range(kc)
+    ]
+    a_bad, b_bad = [], []
+    for (m, _), ids in zip(members, g_ids):
+        pa, pa2 = _pair_indices(m.shape[1])
+        a_bad.append(_triangle_failures(m[:, pa, pa2], ids[:, pa], ids[:, pa2], cross))
+    for (m, _), extra, ids in zip(members, extras, f_ids):
+        pb, pb2 = _pair_indices(len(extra))
+        d_b = m[:, extra][:, :, extra][:, pb, pb2]
+        b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross.T))
+    if (
+        positive.all()
+        and all(agree[z][at].all() for z, at in enumerate(at_overlap))
+        and not any(bad.any() for bad in a_bad + b_bad)
+    ):
+        return None
 
-    widest = n_b * max(ka * nbx, len(pa) * nbx, ka * len(pb))
-    chunk = max(1, CHUNK_ELEMENTS // widest)
-    for start in range(0, da.shape[0], chunk):
-        stop = min(da.shape[0], start + chunk)
-        part = lhs[start:stop]
-        cross = part[:, None, :, 0, None] + rhs[None, :, None, 0, :]  # (c, n_b, ka, nbx)
-        for z in range(1, kc):
-            np.minimum(cross, part[:, None, :, z, None] + rhs[None, :, None, z, :], out=cross)
-        d_a = da[start:stop, pa, pa2][:, None, :, None]  # (c, 1, pairs, 1)
-        checks = (
-            cross > 0,
-            cross[:, :, overlap, :] == rhs[None],
-            _triangle_ok(d_a, cross[:, :, pa, :], cross[:, :, pa2, :]),
-            _triangle_ok(d_b, cross[..., pb], cross[..., pb2]),
-        )
-        if all(ok.all() for ok in checks):
-            continue
-        ok = np.logical_and.reduce([check.all(axis=(2, 3)) for check in checks])
-        u, v = map(int, np.argwhere(~ok)[0])
-        return start + u, v
-    return None
+    # Some fact fails: per a-row, the f classes it fails with (positivity,
+    # overlap agreement, a-triangles); per b-row, the g classes (b-triangles).
+    # A member without extra points has no f ids, so it fails as no b.
+    for (_, sel), ids, bad in zip(members, g_ids, a_bad):
+        bad |= ~positive[ids].all(axis=1)
+        for z, p in enumerate(sel):
+            bad |= ~agree[z][ids[:, p]]
+    for i, (ids_a, bad_a) in enumerate(zip(g_ids, a_bad)):
+        for j, (ids_b, bad_b) in enumerate(zip(f_ids, b_bad)):
+            n_b = ids_b.shape[0]
+            chunk = max(1, CHUNK_ELEMENTS // (n_b * max(ids_a.shape[1], ids_b.shape[1])))
+            for start in range(0, ids_a.shape[0], chunk):
+                part = slice(start, start + chunk)
+                fail = bad_a[part][:, ids_b].any(axis=2) | bad_b[:, ids_a[part]].any(axis=2).T
+                hits = np.flatnonzero(fail)
+                if hits.size:
+                    u, v = divmod(int(hits[0]), n_b)
+                    return i, j, start + u, v
+    raise AssertionError("a class fact failed in no span")

@@ -17,7 +17,10 @@ trace is any iterable of chain indices.  Only ``WitnessConfig.space`` builds
 (and validates) the distance table, and only readers of ``chain`` build the
 chain.  ``exhaust_all_traces`` builds every admissible mask directly and
 refuses, before enumerating, when they would need more than
-``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests.
+``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests; ``verify_injection``
+refuses, before building a mask, when its masks would need more than
+``STORE_BUDGET_BYTES``.  A chain end 3k past 4,300 decimal digits is
+refused, and any other number that long is stated by its bit length.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ class WitnessError(RuntimeError):
 # The chain point names a0, a1, ...: "a" and a decimal numeral in ASCII
 # digits without a leading zero.
 _CHAIN_NAME = re.compile(r"a(0|[1-9][0-9]*)")
+
+# CPython converts ints of at most 4,300 decimal digits to str by default.
+_DECIMAL_LIMIT = 10**4300
+
+
+def _decimal(value: int) -> str:
+    """value in decimal, or its bit length where the decimal form would
+    pass CPython's 4,300-digit int-to-str limit."""
+    return str(value) if value < _DECIMAL_LIMIT else f"(a {value.bit_length()}-bit number)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +86,8 @@ class WitnessConfig:
         estimate = store_bytes(points)
         if estimate > STORE_BUDGET_BYTES:
             raise SpaceError(
-                f"configuration of {points} points needs about {estimate} bytes"
-                f" of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
+                f"configuration of {_decimal(points)} points needs about {_decimal(estimate)}"
+                f" bytes of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
             )
         support, k, chain, far = self.support, self.k, self.chain, self.far
         names = support.names | {p: f"a{i}" for i, p in enumerate(chain)}
@@ -131,6 +143,11 @@ def build_witness(support: FinSpace, n: int, m: int) -> WitnessConfig:
         raise SpaceError("support must be nonempty")
 
     k = n * m
+    if 3 * k >= _DECIMAL_LIMIT:
+        raise SpaceError(
+            f"chain end index 3k has {(3 * k).bit_length()} bits;"
+            " its name would pass 4,300 decimal digits"
+        )
     # Numerals without leading zeros compare like their values by (length,
     # text), so no name is converted: int() refuses over 4,300 digits.
     top = str(3 * k)
@@ -239,6 +256,14 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _verify_bytes(k: int, n: int) -> int:
+    """Estimated peak bytes of ``verify_injection``: 2n + 4 bitmasks of
+    3k + 1 bits (the trace, the chain, the tail, the bits below k, and one
+    image and one pattern per shift) and the binary string of one such mask
+    in ``_indices``, a byte per bit."""
+    return (2 * n + 4) * (3 * k // 8 + 1) + 3 * k + 3
+
+
 def _shift_core(
     k: int, n: int, mask: int
 ) -> tuple[list[tuple[int, bool, bool, int, bool]], bool, bool]:
@@ -284,7 +309,16 @@ def verify_injection(config: WitnessConfig, trace: Iterable[int]) -> InjectionRe
     window {k, .., L+j} must meet the image exactly in {L+j}.  The patterns
     then separate any two shifts (the smaller one's pattern point is
     excluded from the larger one's window scan), which forces injectivity.
+
+    Refuses with SpaceError, before building a mask, when the masks need
+    more than STORE_BUDGET_BYTES.
     """
+    estimate = _verify_bytes(config.k, config.n)
+    if estimate > STORE_BUDGET_BYTES:
+        raise SpaceError(
+            f"verify needs about {_decimal(estimate)} bytes of {_decimal(3 * config.k + 1)}-bit"
+            f" masks at n = {config.n}, over the {STORE_BUDGET_BYTES}-byte budget"
+        )
     mask = _mask(config, trace)
     low = _min_member(config, mask)
     shifts, distinct, injective = _shift_core(config.k, config.n, mask)
@@ -327,13 +361,13 @@ def _exhaust_checks(traces: int, n: int) -> int:
 
 def _count(factor: int, exponent: int) -> str:
     """factor * 2^exponent in decimal, or as a power of two where the decimal
-    would pass CPython's 4,300-digit int-to-str limit; no larger count is
-    ever formed."""
+    would pass CPython's 4,300-digit int-to-str limit (with the factor's bit
+    length where the factor alone would); no larger count is ever formed."""
     if exponent <= 4 * 4300:  # else the count tops 16^4300 > 10^4300
         count = factor << exponent
-        if count < 10**4300:
+        if count < _DECIMAL_LIMIT:
             return str(count)
-    return f"2^{exponent}" if factor == 1 else f"{factor} * 2^{exponent}"
+    return f"2^{exponent}" if factor == 1 else f"{_decimal(factor)} * 2^{exponent}"
 
 
 def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
+import numpy as np
+
 from ordmet import FinSpace, SpaceError, make_space
+from ordmet.fraisse import _pair_indices, _triangle_ok
 from ordmet.rationals import format_rational
 from ordmet.spaces import Violation
 from ordmet.witness import (
@@ -209,15 +213,78 @@ def reference_span_failures(a, sel_a, b, sel_b) -> set[str]:
 
 
 def reference_ap_failure(da, sel_a, db, sel_b):
-    """Slow oracle for ``_ap_batch_failure``: every span (u, v) in order,
-    the first failing one or None.  With no b-extra point the amalgam is a
-    itself and nothing is checked."""
+    """Slow oracle for one member pair of ``_ap_batch_failure``: every span
+    (u, v) in order, the first failing one or None.  With no b-extra point
+    the amalgam is a itself and nothing is checked."""
     if len(sel_b) == db.shape[1]:
         return None
     for u in range(da.shape[0]):
         for v in range(db.shape[0]):
             if reference_span_failures(da[u], sel_a, db[v], sel_b):
                 return u, v
+    return None
+
+
+def span_ap_failure(
+    da: np.ndarray,
+    sel_a: tuple[int, ...],
+    db: np.ndarray,
+    sel_b: tuple[int, ...],
+    chunk_elements: int = 1 << 17,
+) -> Optional[tuple[int, int]]:
+    """Fast oracle for one member pair of ``_ap_batch_failure``: the span
+    kernel, which checks every amalgam of a row of ``da`` with a row of
+    ``db`` in numpy and returns the first failing (row_a, row_b) or None.
+
+    The cross block X[p, q] = min_z (a[p, z] + b[z, q]) over overlap points
+    z is built for every span; positivity of X, agreement of X with b on
+    overlap rows, and both mixed triangle families are checked on it.
+    """
+    ka = da.shape[1]
+    extra = [q for q in range(db.shape[1]) if q not in sel_b]
+    if not extra:
+        return None  # b is the overlap itself; the amalgam equals a
+    n_b, nbx, kc = db.shape[0], len(extra), len(sel_a)
+
+    lhs = da[:, :, sel_a]  # (n_a, ka, kc): a-point to overlap
+    rhs = db[:, sel_b][:, :, extra]  # (n_b, kc, nbx): overlap to b-extra
+    pa, pa2 = _pair_indices(ka)
+    pb, pb2 = _pair_indices(nbx)
+    d_b = db[:, extra][:, :, extra][:, pb, pb2][None, :, None, :]  # (1, n_b, 1, pairs)
+    overlap = list(sel_a)
+
+    widest = n_b * max(ka * nbx, len(pa) * nbx, ka * len(pb))
+    chunk = max(1, chunk_elements // widest)
+    for start in range(0, da.shape[0], chunk):
+        stop = min(da.shape[0], start + chunk)
+        part = lhs[start:stop]
+        cross = part[:, None, :, 0, None] + rhs[None, :, None, 0, :]  # (c, n_b, ka, nbx)
+        for z in range(1, kc):
+            np.minimum(cross, part[:, None, :, z, None] + rhs[None, :, None, z, :], out=cross)
+        d_a = da[start:stop, pa, pa2][:, None, :, None]  # (c, 1, pairs, 1)
+        checks = (
+            cross > 0,
+            cross[:, :, overlap, :] == rhs[None],
+            _triangle_ok(d_a, cross[:, :, pa, :], cross[:, :, pa2, :]),
+            _triangle_ok(d_b, cross[..., pb], cross[..., pb2]),
+        )
+        if all(ok.all() for ok in checks):
+            continue
+        ok = np.logical_and.reduce([check.all(axis=(2, 3)) for check in checks])
+        u, v = map(int, np.argwhere(~ok)[0])
+        return start + u, v
+    return None
+
+
+def reference_target_failure(members, pair_failure=reference_ap_failure):
+    """Oracle for ``_ap_batch_failure`` on one overlap target: every ordered
+    member pair (i, j) in order, checked with ``pair_failure``; the first
+    failing span as (i, j, row_a, row_b), or None."""
+    for i, (da, sel_a) in enumerate(members):
+        for j, (db, sel_b) in enumerate(members):
+            failure = pair_failure(da, sel_a, db, sel_b)
+            if failure is not None:
+                return (i, j, *failure)
     return None
 
 

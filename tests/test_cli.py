@@ -233,6 +233,95 @@ def test_witness_exhaust_and_verify_at_k_2000(files, capsys):
     assert lines[41:] == ["distinct true", "injective true"]
 
 
+def test_witness_verify_refuses_masks_over_the_byte_budget(files, monkeypatch, capsys):
+    """At n = 1, m = 10^7 the 3k + 1 = 30,000,001-bit masks and the binary
+    string need 52,500,009 bytes: refused one byte under that, before any
+    mask is built, and run at it."""
+    estimate = 6 * (30_000_000 // 8 + 1) + 30_000_003
+    assert ordmet.witness._verify_bytes(10_000_000, 1) == estimate == 52_500_009
+    argv = witness_argv("verify", files["single.space"], 1, 10_000_000, "--trace", "30000000")
+    real_mask = ordmet.witness._mask
+
+    def built(*args):
+        raise AssertionError("verify built a mask past its budget")
+
+    monkeypatch.setattr(ordmet.witness, "STORE_BUDGET_BYTES", estimate - 1)
+    monkeypatch.setattr(ordmet.witness, "_mask", built)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify needs about 52500009 bytes of 30000001-bit masks at n = 1,"
+        " over the 52500008-byte budget\n"
+    )
+    monkeypatch.setattr(ordmet.witness, "STORE_BUDGET_BYTES", estimate)
+    monkeypatch.setattr(ordmet.witness, "_mask", real_mask)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        "min-index 30000000\nshift 0: end in pattern {30000000} ok\n"
+        "distinct true\ninjective true\n"
+    )
+
+
+def test_witness_verify_refuses_a_trillion_step_chain(files, capsys):
+    argv = witness_argv("verify", files["single.space"], 1, 10**12, "--trace", str(3 * 10**12))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify needs about 5250000000009 bytes of 3000000000001-bit masks at n = 1,"
+        f" over the {STORE_BUDGET_BYTES}-byte budget\n"
+    )
+
+
+def test_witness_states_numbers_past_4300_digits_by_bit_length(files, tmp_path, capsys):
+    """n of 2,200 digits: k = n formats, but the exhaust cost n(n+1)/2, the
+    verify mask bytes and the table bytes pass 4,300 digits and are stated
+    by bit length, exit 2, nothing written."""
+    n = int("1" * 2200)
+    single = files["single.space"]
+    out = tmp_path / "config.space"
+    cost = n + n * (n - 1) // 2
+    verify_bytes = (2 * n + 4) * (3 * n // 8 + 1) + 3 * n + 3
+    expected = {
+        ("exhaust",): (
+            f"error: exhaust would check 2 traces (2^1) at n = {n},"
+            f" (a {cost.bit_length()}-bit number) * 2^1 shift checks and pair tests,"
+            f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
+        ),
+        ("verify", "--trace", "0"): (
+            f"error: verify needs about (a {verify_bytes.bit_length()}-bit number) bytes"
+            f" of {3 * n + 1}-bit masks at n = {n}, over the {STORE_BUDGET_BYTES}-byte budget\n"
+        ),
+        ("build", "--out", str(out)): (
+            f"error: configuration of {3 * n + 2} points needs about"
+            f" (a {store_bytes(3 * n + 2).bit_length()}-bit number) bytes of distance rows,"
+            f" over the {STORE_BUDGET_BYTES}-byte budget\n"
+        ),
+    }
+    assert cost.bit_length() == 14610 and cost >= 10**4300
+    for (command, *extra), err in expected.items():
+        assert run(witness_argv(command, single, n, 1, *extra)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "exhaust"])
+def test_witness_refuses_a_chain_end_past_4300_digits(files, tmp_path, capsys, command):
+    """n and m of 4,000 digits each: 3k has about 8,000 digits, so no chain
+    name a<3k> can be written; refused by bit length before any count."""
+    n = m = int("7" * 4000)
+    extra = {"build": ["--out", str(tmp_path / "x.space")], "verify": ["--trace", "0"]}
+    assert run(witness_argv(command, files["single.space"], n, m, *extra.get(command, []))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: chain end index 3k has {(3 * n * m).bit_length()} bits;"
+        " its name would pass 4,300 decimal digits\n"
+    )
+
+
 def test_only_witness_build_validates_the_table(files, tmp_path, monkeypatch, capsys):
     """Negative control: a validate that fails on every space larger than
     the one-point support fails build with exit 3 and is never reached by

@@ -1,15 +1,24 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import reference_ap_failure, reference_span_failures
+from conftest import (
+    reference_ap_failure,
+    reference_span_failures,
+    reference_target_failure,
+    span_ap_failure,
+)
 from ordmet import fraisse
 from ordmet.cli import run
 from ordmet.fraisse import (
     _ap_batch_failure,
+    _ap_work,
+    _classes,
     _positivity_mask,
     _prepare_grid,
     _triangle_mask,
@@ -293,48 +302,198 @@ def _corrupt(rng, m, top):
     m[i][j] = m[j][i] = rng.choice([0, 1, top])
 
 
-def _random_kernel_input(rng):
+def _random_target(rng):
+    """A random overlap target: one to three members, each one to five rows
+    of one size over a shared overlap block (a member's own random block
+    with probability 0.2), with some rows corrupted."""
     dtype = rng.choice(DTYPES)
     top = int(np.iinfo(dtype).max) // 5
     kc = rng.randint(1, 3)
-    ka, kb = rng.randint(max(kc, 2), 4), rng.randint(kc, 4)
-    sel_a = tuple(sorted(rng.sample(range(ka), kc)))
-    sel_b = tuple(sorted(rng.sample(range(kb), kc)))
-    block_a = _random_metric(rng, kc, top)
-    block_b = block_a if rng.random() < 0.8 else _random_metric(rng, kc, top)
-    noise = rng.choice([0.0, 0.1, 0.3])
-    rows = []
-    for size, sel, block, count in ((ka, sel_a, block_a, rng.randint(1, 7)),
-                                    (kb, sel_b, block_b, rng.randint(1, 7))):
+    block = _random_metric(rng, kc, top)
+    noise = rng.choice([0.0, 0.2, 0.5])
+    members = []
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(kc, 4)
+        sel = tuple(sorted(rng.sample(range(size), kc)))
+        own = block if rng.random() < 0.8 else _random_metric(rng, kc, top)
         batch = []
-        for _ in range(count):
-            m = _extend_metric(rng, size, list(sel), block, top)
+        for _ in range(rng.randint(1, 5)):
+            m = _extend_metric(rng, size, list(sel), own, top)
             if size > 1 and rng.random() < noise:
                 _corrupt(rng, m, top)
             batch.append(m)
-        rows.append(np.array(batch, dtype=dtype))
-    return rows[0], sel_a, rows[1], sel_b
+        members.append((np.array(batch, dtype=dtype), sel))
+    return members
+
+
+def _span_families(members):
+    """Every family some span of the target fails, from the slow oracle."""
+    families = set()
+    for da, sel_a in members:
+        for db, sel_b in members:
+            if len(sel_b) < db.shape[1]:
+                for u in range(da.shape[0]):
+                    for v in range(db.shape[0]):
+                        families |= reference_span_failures(da[u], sel_a, db[v], sel_b)
+    return families
 
 
 @pytest.mark.parametrize(
     "chunk_elements", [1, 64, fraisse.CHUNK_ELEMENTS], ids=["row", "64", "default"]
 )
 def test_ap_kernel_matches_reference_on_failing_batches(monkeypatch, chunk_elements):
+    """The class path on random multi-member targets, failing ones among
+    them, against the slow oracle and the span kernel run member pair by
+    member pair in order."""
     monkeypatch.setattr(fraisse, "CHUNK_ELEMENTS", chunk_elements)
+    span_kernel = functools.partial(span_ap_failure, chunk_elements=chunk_elements)
     rng = random.Random(6061 + chunk_elements)
     families = set()
     outcomes = {"pass": 0, "span (0, 0)": 0, "later span": 0}
     for _ in range(250):
-        da, sel_a, db, sel_b = _random_kernel_input(rng)
-        expected = reference_ap_failure(da, sel_a, db, sel_b)
-        assert _ap_batch_failure(da, sel_a, db, sel_b) == expected, (da, sel_a, db, sel_b)
+        members = _random_target(rng)
+        expected = reference_target_failure(members)
+        assert reference_target_failure(members, span_kernel) == expected, members
+        assert _ap_batch_failure(members) == expected, members
         if expected is None:
             outcomes["pass"] += 1
         else:
-            outcomes["later span" if expected != (0, 0) else "span (0, 0)"] += 1
-        if len(sel_b) < db.shape[1]:
-            for u in range(da.shape[0]):
-                for v in range(db.shape[0]):
-                    families |= reference_span_failures(da[u], sel_a, db[v], sel_b)
+            outcomes["later span" if expected != (0, 0, 0, 0) else "span (0, 0)"] += 1
+        if len(families) < 4:
+            families |= _span_families(members)
     assert families == {"positivity", "overlap", "a-triangle", "b-triangle"}
     assert min(outcomes.values()) >= 10, outcomes
+
+
+# One target per family, in the int8 dtype: the overlap c, then a member
+# whose second row breaks that family alone (its first row is a valid
+# one-point extension of c).
+FAMILY_TARGETS = {
+    "positivity": (
+        [[0]],
+        (0,),
+        [[[0, 1], [1, 0]], [[0, 0], [0, 0]]],  # b-extra point at distance 0
+    ),
+    "overlap": (
+        [[0, 1], [1, 0]],
+        (0, 1),
+        # f = (3, 1) over d(z0, z1) = 1: X(z0, q) = 2, not 3
+        [[[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[0, 1, 3], [1, 0, 1], [3, 1, 0]]],
+    ),
+    "a-triangle": (
+        [[0, 5], [5, 0]],
+        (0, 1),
+        # f = (3, 1) over d(z0, z1) = 5: 5 > 3 + 1, and |3 - 1| <= 5 so the
+        # overlap rows agree; a repeated pair end reads 3, 3 and passes
+        [[[0, 5, 3], [5, 0, 3], [3, 3, 0]], [[0, 5, 3], [5, 0, 1], [3, 1, 0]]],
+    ),
+    "b-triangle": (
+        [[0]],
+        (0,),
+        # two b-extra points 3 apart, both at 1 from the overlap point
+        [[[0, 1, 1], [1, 0, 2], [1, 2, 0]], [[0, 1, 1], [1, 0, 3], [1, 3, 0]]],
+    ),
+}
+
+
+def _family_target(family):
+    c, sel, rows = FAMILY_TARGETS[family]
+    return [(np.array([c], dtype=np.int8), tuple(range(len(c)))), (np.array(rows, dtype=np.int8), sel)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_TARGETS))
+def test_class_path_catches_each_family_alone(family):
+    """Negative control: each family fails on its own, and the class path
+    finds the span oracle's first failing span, c against the bad row."""
+    members = _family_target(family)
+    assert _span_families(members) == {family}
+    assert reference_target_failure(members) == (0, 1, 0, 1)
+    assert reference_target_failure(members, span_ap_failure) == (0, 1, 0, 1)
+    assert _ap_batch_failure(members) == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_TARGETS))
+def test_injected_family_reports_the_span_oracles_counterexample(monkeypatch, family):
+    """Each family's bad row, appended to the size-2 or size-3 matrices of a
+    real slice over 1..5, gives the engine the same report, with the same
+    counterexample ap line, as the span oracle run per member pair.  The HP
+    masks are patched to pass so that the AP line is reported."""
+    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in range(1, 6)])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
+    bad = np.array(FAMILY_TARGETS[family][2][1], dtype=int_grid.dtype)
+    per_size[len(bad) - 1] = np.concatenate([per_size[len(bad) - 1], bad[None]])
+    monkeypatch.setattr(fraisse, "_triangle_mask", lambda batch: np.ones(len(batch), bool))
+    monkeypatch.setattr(fraisse, "_positivity_mask", lambda batch: np.ones(len(batch), bool))
+    report = fraisse._vector_engine(3, grid_values, scale, per_size)
+    monkeypatch.setattr(
+        fraisse,
+        "_ap_batch_failure",
+        lambda members: reference_target_failure(members, span_ap_failure),
+    )
+    assert fraisse._vector_engine(3, grid_values, scale, per_size) == report
+    assert (report.hp_ok, report.jep_ok, report.ap_ok) == (True, True, False)
+    assert report.counterexample.startswith("ap c-size=")
+
+
+def test_classes_index_every_vector():
+    parts = [
+        np.array([[[1, 2], [0, 2]], [[1, 2], [3, 1]]], dtype=np.int8),
+        np.array([[3, 1], [2, 0]], dtype=np.int8),
+    ]
+    classes, ids = _classes(parts)
+    assert sorted(map(tuple, classes.tolist())) == [(0, 2), (1, 2), (2, 0), (3, 1)]
+    assert classes.dtype == np.int8
+    for part, part_ids in zip(parts, ids):
+        assert part_ids.shape == part.shape[:-1]
+        assert (classes[part_ids] == part).all()
+
+
+# -- AP work estimate ------------------------------------------------------------
+
+
+def test_ap_work_estimate_by_hand():
+    # size 3 over {1,2}: 1, 2 and 8 spaces, 2 f classes and 3 g classes per
+    # overlap point; kc = 1: 1*2*1 + 4*2*3 + 24*(2*6 + 3*1) = 386, kc = 2:
+    # 2*4*5 + 24*4*9 = 904
+    per_size = [_valid_matrices(k, np.array([1, 2], dtype=np.int8)) for k in (1, 2, 3)]
+    assert _ap_work(per_size, 2) == 1290
+
+
+def test_ap_budget_boundary(monkeypatch, capsys):
+    argv = ["fraisse-check", "--max-size", "3", "--grid", "1,2"]
+    monkeypatch.setattr(fraisse, "AP_BUDGET_CHECKS", 1290)
+    assert run(argv) == 0
+    assert capsys.readouterr().out.endswith("ap checked 1187: ok\nverdict pass\n")
+    monkeypatch.setattr(fraisse, "AP_BUDGET_CHECKS", 1289)
+
+    def checked(*args):
+        raise AssertionError("the AP pass ran past its budget")
+
+    monkeypatch.setattr(fraisse, "_ap_batch_failure", checked)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slice too large: the AP pass needs about 1290 class checks,"
+        " over the 1289-check budget\n"
+    )
+
+
+def test_ap_budget_admits_size_5_over_three_values(capsys):
+    per_size = [_valid_matrices(k, np.array([1, 2, 3], dtype=np.int8)) for k in range(1, 6)]
+    assert _ap_work(per_size, 3) == 519_900_036 <= fraisse.AP_BUDGET_CHECKS
+    assert run(["fraisse-check", "--max-size", "5", "--grid", "1,2,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slice too large: the AP pass needs about 13745879064 class checks,"
+        f" over the {fraisse.AP_BUDGET_CHECKS}-check budget\n"
+    )
+
+
+def test_size_5_slice_matches_the_recorded_report(capsys):
+    """Golden: the size-5 report over {1,2}, 100,137,955 AP spans, as the
+    span kernel printed it."""
+    assert run(["fraisse-check", "--max-size", "5", "--grid", "1,2"]) == 0
+    golden = Path(__file__).parent / "data" / "fraisse-check-5-1,2.txt"
+    assert capsys.readouterr().out == golden.read_text()

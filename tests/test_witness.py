@@ -524,3 +524,18 @@ def test_min_index_window_holds_on_every_trace():
     for members in admissible_traces(config):
         low = min_index(config, members)
         assert 2 * config.k <= low <= 3 * config.k - config.n + 1
+
+
+def test_decimal_switches_to_bit_length_past_4300_digits():
+    assert witness._decimal(10**4300 - 1) == "9" * 4300
+    assert witness._decimal(10**4300) == f"(a {(10**4300).bit_length()}-bit number)"
+    assert witness._count(10**4300, 1) == f"(a {(10**4300).bit_length()}-bit number) * 2^1"
+    assert witness._count(3, 100) == str(3 << 100)
+
+
+def test_build_refuses_a_chain_end_past_4300_digits():
+    support = make_space(["b0"], {})
+    n = 10**4300 // 3  # 3k = 10^4300 - 1 still has 4,300 digits
+    assert build_witness(support, n, 1).k == n
+    with pytest.raises(SpaceError, match=r"^chain end index 3k has 14285 bits;"):
+        build_witness(support, n + 1, 1)

@@ -1,7 +1,8 @@
 """Mutation check for the shared map predicate, the completion rule, the
 int-row space and its triangle pass, the limit builder's stage layout and
-rescale, the orbit test's support, and the witness admissibility test,
-shift core, trace bitmask conversions and reserved chain names.
+rescale, the orbit test's support, the four class-fact families of the
+Fraisse AP check, and the witness admissibility test, shift core, trace
+bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -40,6 +41,8 @@ SPACES = "src/ordmet/spaces.py"
 AMALGAM = "src/ordmet/amalgam.py"
 LIMIT = "src/ordmet/limit.py"
 WITNESS = "src/ordmet/witness.py"
+FRAISSE = "src/ordmet/fraisse.py"
+FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
@@ -203,6 +206,34 @@ MUTANTS = [
         "for w in self._created:",
         "for w in self.points:",
         (BACK_AND_FORTH,),
+    ),
+    Mutant(
+        "ap-positivity-admits-zero",
+        FRAISSE,
+        "positive = cross > 0",
+        "positive = cross >= 0",
+        (f"{FAMILY}[positivity]",),
+    ),
+    Mutant(
+        "ap-overlap-agreement-one-sided",
+        FRAISSE,
+        "cross == f_cls[:, z]",
+        "cross <= f_cls[:, z]",
+        (f"{FAMILY}[overlap]",),
+    ),
+    Mutant(
+        "ap-a-triangle-pair-end-repeated",
+        FRAISSE,
+        "ids[:, pa], ids[:, pa2], cross)",
+        "ids[:, pa], ids[:, pa], cross)",
+        (f"{FAMILY}[a-triangle]",),
+    ),
+    Mutant(
+        "ap-b-triangle-table-dropped",
+        FRAISSE,
+        "b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross.T))",
+        "b_bad.append(np.zeros((m.shape[0], cross.shape[0]), dtype=bool))",
+        (f"{FAMILY}[b-triangle]",),
     ),
     Mutant(
         "witness-tail-shifted-down",
