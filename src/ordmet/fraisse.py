@@ -420,8 +420,7 @@ def _classes(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]
     inverse = np.zeros(vectors.shape[0], dtype=np.int64)
     for z in range(width):
         values, rank = np.unique(vectors[:, z], return_inverse=True)
-        keys, inverse = np.unique(inverse * len(values) + rank.reshape(-1), return_inverse=True)
-    inverse = inverse.reshape(-1)
+        keys, inverse = np.unique(inverse * len(values) + rank, return_inverse=True)
     classes = np.empty((len(keys), width), dtype=vectors.dtype)
     classes[inverse] = vectors
     ids, start = [], 0

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    reference_ap_failure,
     reference_span_failures,
     reference_target_failure,
     span_ap_failure,
