@@ -10,9 +10,10 @@ points inside each overlap gap).
 
 The completion rule exists once, as :func:`shortest_path_column`: the
 shortest path through the anchors, then a two-sided re-check against every
-anchor.  ``amalgamate`` runs it in integers over the common denominator of
-both sides, and so does ``LimitBuilder.realize`` over its stage; both form
-those integers with :func:`scaled`.
+anchor.  ``amalgamate`` runs it on the int rows of both sides over their
+common denominator, and so does ``LimitBuilder.realize`` over its stage;
+both put rows over a scale with ``_RowTable._rows_over`` and form the new
+point's ints with ``spaces.scaled``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .spaces import (
     FinSpace,
     PointId,
     SpaceError,
-    diameter,
+    _largest_pair,
     embedding_ok,
+    scaled,
     validate,
 )
 
@@ -73,15 +75,11 @@ def feasibility_violation(
     ints over one common denominator, pairs in ``pairs()`` order, and forms
     ``Fraction``s only for the reason; a missing pair raises when reached."""
     _check_dvec(base, dvec)
-    pos, rows = base._pos, base._rows
     scale = lcm(base._scale, *(v.denominator for v in dvec.values()))
-    factor = scale // base._scale
+    rows = base._rows_over(scale)
     want = {p: scaled(v, scale) for p, v in dvec.items()}
     for p, q in base.pairs():
-        dpq, vp, vq = rows[pos[p]][pos[q]], want[p], want[q]
-        if dpq is None:
-            base.d(p, q)  # raises MissingDistanceError
-        dpq *= factor
+        dpq, vp, vq = base._read(rows, p, q), want[p], want[q]
         if dpq > vp + vq or abs(vp - vq) > dpq:
             d, dp, dq = (format_rational(v) for v in (base.d(p, q), dvec[p], dvec[q]))
             reason = f"{d} > {dp} + {dq}" if dpq > vp + vq else f"|{dp} - {dq}| > {d}"
@@ -134,11 +132,6 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     names = dict(base.names)
     names[new] = _fresh_name(set(names.values()), f"p{new}")
     return FinSpace(tuple(pts), entries, names)
-
-
-def scaled(value: Fraction, scale: int) -> int:
-    """``value * scale`` as an int; ``scale`` is a multiple of its denominator."""
-    return value.numerator * (scale // value.denominator)
 
 
 def shortest_path_column(legs, size: int, filler):
@@ -221,25 +214,25 @@ def amalgamate(
 
     # The glued table as int rows over the common denominator of a and b:
     # a's rows as they are, b's extra pairs, then each b-only point as a new
-    # point over a anchored at the overlap.
+    # point over a anchored at the overlap.  A missing pair raises when read.
     scale = lcm(a._scale, b._scale)
+    a_rows, b_rows = a._rows_over(scale), b._rows_over(scale)
     at = {p: i for i, p in enumerate(order)}
     rows: list[list] = [[0] * len(order) for _ in order]
     a_at = [at[p] for p in a.points]
-    factor = scale // a._scale
-    for i, a_row in zip(a_at, a._rows):
+    for i, a_row in zip(a_at, a_rows):
         for j, v in zip(a_at, a_row):
-            rows[i][j] = None if v is None else v * factor
+            rows[i][j] = v
     for q1, q2 in combinations(b_extra, 2):
         i, j = at[ids[q1]], at[ids[q2]]
-        rows[i][j] = rows[j][i] = scaled(b.d(q1, q2), scale)
+        rows[i][j] = rows[j][i] = b._read(b_rows, q1, q2)
 
-    anchor_rows = [[scaled(a.d(p, za), scale) for p in a.points] for za in anchors_a]
+    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in anchors_a]
     filler = 0
     if not anchors_a and len(a) and len(b):
-        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
+        filler = scale + max(_largest_pair(a, a_rows), _largest_pair(b, b_rows))
     for q in b_extra:
-        legs = [(row, scaled(b.d(e_b(z), q), scale)) for row, z in zip(anchor_rows, c.points)]
+        legs = [(row, b._read(b_rows, e_b(z), q)) for row, z in zip(anchor_rows, c.points)]
         column, escape = shortest_path_column(legs, len(a), filler)
         if escape is not None:
             k, j = escape

@@ -14,12 +14,13 @@ reorders existing points, so successive stages form an increasing chain.
 The stage's distances are kept in the layout of ``FinSpace``, as rows of
 Python ints over one common denominator indexed by stage position, and the
 builder reads them with the methods ``FinSpace`` has (``d``, ``position``,
-``subspace`` and the rest).  Each new point's column is the shortest-path
-completion through its subset, computed and re-checked against its
-triangle bounds by ``amalgam.shortest_path_column`` (the rule
-``amalgamate`` uses) in integers formed by ``amalgam.scaled``, and is
-inserted at the new point's position.  Snapshots (``stage``) take a copy of
-the rows, so ``Fraction`` values are made only for callers of ``d``.
+``subspace`` and the rest).  The rows are the only stored form: a new
+denominator rescales them with ``_RowTable._rows_over``.  Each new point's
+column is the shortest-path completion through its subset, computed and
+re-checked against its triangle bounds by ``amalgam.shortest_path_column``
+(the rule ``amalgamate`` uses) in integers formed by ``spaces.scaled``, and
+is inserted at the new point's position.  Snapshots (``stage``) take a copy
+of the rows, so ``Fraction`` values are made only when ``d`` is read.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -34,9 +35,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .amalgam import InfeasibleExtensionError, feasibility_violation, scaled, shortest_path_column
+from .amalgam import InfeasibleExtensionError, feasibility_violation, shortest_path_column
 from .rationals import calkin_wilf
-from .spaces import FinSpace, PointId, SpaceError, _RowTable, preserves, validate
+from .spaces import FinSpace, PointId, SpaceError, _RowTable, preserves, scaled, validate
 
 
 # Upper estimate of one row-store entry: an 8-byte list slot plus its share
@@ -174,11 +175,11 @@ class LimitBuilder(_RowTable):
     distance between the points at positions i and j times the common
     denominator ``_scale``, as a Python int (exact, no overflow).  A new
     point's value is inserted into every row at its position, and its row
-    inserted there; a distance with a new denominator multiplies every
-    entry by the lcm factor.  ``created`` keeps the creation order, which
+    inserted there; a distance with a new denominator puts every row over
+    the lcm (``_rows_over``).  ``created`` keeps the creation order, which
     the schedule and the image search follow.  ``Fraction`` values appear
-    only at the API boundary (:meth:`d` and the snapshots' own ``d``) and
-    come from a numerator cache that a rescale replaces.
+    only at the API boundary (:meth:`d` and the snapshots' own ``d``), made
+    from the rows when read.
     """
 
     def __init__(self, seed: FinSpace):
@@ -194,7 +195,6 @@ class LimitBuilder(_RowTable):
         # a valid seed is complete and symmetric, so its rows are the store
         self._rows: list[list[int]] = [row[:] for row in seed._rows]
         self._scale = seed._scale
-        self._fractions: dict[int, Fraction] = {}
         self._keys = None
         self._weight = 0
         self._level: list[ExtensionTask] = []
@@ -208,22 +208,12 @@ class LimitBuilder(_RowTable):
         return tuple(self._created)
 
     def stage(self) -> FinSpace:
-        """Immutable snapshot of the current stage: a copy of the rows,
-        sharing the Fraction cache (its values are over the same scale, and
-        a rescale starts a new cache)."""
+        """Immutable snapshot of the current stage: a copy of the rows over
+        the current scale."""
         rows = [row[:] for row in self._rows]
-        return FinSpace._of_rows(self.points, rows, self._scale, self.names, self._fractions)
+        return FinSpace._of_rows(self.points, rows, self._scale, self.names)
 
     # -- growth -------------------------------------------------------------
-
-    def _rescale(self, denominators) -> None:
-        """Make ``_scale`` a multiple of every given denominator."""
-        scale = lcm(self._scale, *denominators)
-        if scale != self._scale:
-            factor = scale // self._scale
-            self._rows = [[v * factor for v in row] for row in self._rows]
-            self._scale = scale
-            self._fractions = {}
 
     def realize(self, dvec: Mapping[PointId, Fraction], gap: int) -> PointId:
         """Add one point with exact distances to the keyed subset and the
@@ -242,11 +232,12 @@ class LimitBuilder(_RowTable):
         if refusal is not None:
             raise InfeasibleExtensionError(*refusal)
 
-        self._rescale(dvec[z].denominator for z in sub)
-        rows = self._rows
+        scale = lcm(self._scale, *(dvec[z].denominator for z in sub))
+        rows = self._rows = self._rows_over(scale)
+        self._scale = scale
         # Rows are symmetric, so row i doubles as the column of point i.
-        legs = [(rows[pos[z]], scaled(dvec[z], self._scale)) for z in sub]
-        filler = self._scale + max(map(max, rows)) if rows and not legs else 0
+        legs = [(rows[pos[z]], scaled(dvec[z], scale)) for z in sub]
+        filler = scale + max(map(max, rows)) if rows and not legs else 0
         column, escape = shortest_path_column(legs, len(rows), filler)
         if escape is not None:
             name = self.names[points[escape[1]]]

@@ -25,9 +25,9 @@ from fractions import Fraction
 from math import lcm
 
 from .rationals import format_rational, parse_rational
-from .spaces import FinSpace, PointId, SpaceError
+from .spaces import FinSpace, PointId, SpaceError, scaled
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class SpaceParseError(ValueError):
@@ -91,7 +91,7 @@ def parse_space(text: str) -> FinSpace:
             if len(tokens) != 2:
                 raise SpaceParseError(f"line {lineno}: expected 'point <name>'")
             name = tokens[1]
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise SpaceParseError(f"line {lineno}: bad point name {name!r}")
             if name in ids:
                 raise SpaceParseError(f"line {lineno}: duplicate point {name!r}")
@@ -108,8 +108,7 @@ def parse_space(text: str) -> FinSpace:
     if not seen_end:
         raise SpaceParseError("missing 'end' terminator")
     scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    fractions = dict(zip(ints, values))
+    ints = [scaled(v, scale) for v in values]
     ints.append(0)  # index len(values): the diagonal
     for i, row in enumerate(rows):
         row[i] = len(values)
@@ -117,7 +116,7 @@ def parse_space(text: str) -> FinSpace:
             j = row.index(None)
             raise SpaceParseError(f"missing distance for pair {names[i]} {names[j]}")
     rows = [list(map(ints.__getitem__, row)) for row in rows]
-    return FinSpace._of_rows(range(len(names)), rows, scale, dict(enumerate(names)), fractions)
+    return FinSpace._of_rows(range(len(names)), rows, scale, dict(enumerate(names)))
 
 
 def serialize_space(space: FinSpace) -> str:
@@ -129,7 +128,7 @@ def serialize_space(space: FinSpace) -> str:
     seen: set[str] = set()
     for p in space.points:
         name = space.names[p]
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise SpaceError(f"point name {name!r} not serializable")
         if name in seen:
             raise SpaceError(f"duplicate point name {name!r}")

@@ -3,11 +3,13 @@
 A space is a finite list of points carrying a strict total order (the list
 order) and a symmetric, positive, triangle-satisfying table of rational
 distances.  The table is stored once, as rows of Python ints over one
-common denominator, indexed by position in the order, and every check here
-(``validate``, ``agrees`` / ``preserves``, ``enumerate_embeddings``)
-compares those ints; a ``Fraction`` is made only where a distance leaves
-the API (``d``, ``entries``) or is printed.  The read side of that layout
-is one base class, which the growing ``LimitBuilder`` shares.
+common denominator, indexed by position in the order; it is the only
+stored form of a distance.  Every check here (``validate``, ``agrees`` /
+``preserves``, ``enumerate_embeddings``) compares those ints; a ``Fraction``
+is made when a distance leaves the API (``d``, ``entries``) or is printed.
+Every module forms row ints with :func:`scaled` and puts rows over a new
+scale with ``_RowTable._rows_over``.  The read side of that layout is one
+base class, which the growing ``LimitBuilder`` shares.
 Construction is permissive: a space may hold a broken candidate table, and
 ``validate`` reports every violated axiom.  Spaces are immutable after
 construction; every operation here is a pure function.
@@ -39,10 +41,10 @@ class _RowTable:
     """Read side of :class:`FinSpace`, shared by ``LimitBuilder``.  ``_pos``
     maps each point to its position in ``points``; ``_rows[i][j]`` is
     d(points[i], points[j]) times ``_scale`` as a Python int, None for a
-    missing pair; ``_fractions`` caches the ``Fraction`` of a scaled int;
-    ``_keys`` are the directed pairs as given, None for complete rows."""
+    missing pair; ``_keys`` maps each directed pair as given to its given
+    ``Fraction``, None for complete rows."""
 
-    __slots__ = ("points", "names", "_pos", "_rows", "_scale", "_fractions", "_keys")
+    __slots__ = ("points", "names", "_pos", "_rows", "_scale", "_keys")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -61,30 +63,36 @@ class _RowTable:
         self.position(p)
         return self.names[p]
 
-    def _fraction(self, num: int) -> Fraction:
-        hit = self._fractions.get(num)
-        if hit is None:
-            hit = self._fractions[num] = Fraction(num, self._scale)
-        return hit
-
     def d(self, p: PointId, q: PointId) -> Fraction:
         """Distance between two points; 0 on the diagonal unless overridden."""
+        return Fraction(self._read(self._rows, p, q), self._scale)
+
+    def _read(self, rows, p: PointId, q: PointId) -> int:
+        """The int ``d`` reads for (p, q) from ``rows``, these rows or
+        :meth:`_rows_over` of them; a missing pair raises."""
         pos = self._pos
         if p not in pos or q not in pos:
             raise SpaceError(f"point {p if p not in pos else q} not in space")
-        value = self._rows[pos[p]][pos[q]]
+        value = rows[pos[p]][pos[q]]
         if value is None:
             raise MissingDistanceError(f"no distance recorded for pair ({p}, {q})")
-        return self._fraction(value)
+        return value
+
+    def _rows_over(self, scale: int) -> list[list]:
+        """The rows over ``scale``, a multiple of ``_scale``: themselves, or
+        a scaled copy in which a missing pair stays None."""
+        factor = scale // self._scale
+        if factor == 1:
+            return self._rows
+        return [[v and v * factor for v in row] for row in self._rows]
 
     def pairs(self) -> Iterator[tuple[PointId, PointId]]:
         """Unordered point pairs in lexicographic order of positions."""
         return combinations(self.points, 2)
 
     def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
-        """Induced space on ``keep``: order, rows and the given pairs among
-        the kept points are inherited, and the ``Fraction`` cache is shared
-        (its values are over the same scale)."""
+        """Induced space on ``keep``: order, rows and the given pairs (with
+        their given values) among the kept points are inherited."""
         kept = set(keep)
         for p in kept:
             self.position(p)
@@ -92,9 +100,9 @@ class _RowTable:
         rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
         keys = self._keys
         if keys is not None:
-            keys = {(p, q): None for p, q in keys if p in kept and q in kept}
+            keys = {(p, q): v for (p, q), v in keys.items() if p in kept and q in kept}
         pts = [self.points[i] for i in at]
-        return FinSpace._of_rows(pts, rows, self._scale, self.names, self._fractions, keys)
+        return FinSpace._of_rows(pts, rows, self._scale, self.names, keys)
 
 
 class FinSpace(_RowTable):
@@ -106,9 +114,9 @@ class FinSpace(_RowTable):
     The rows are directed, so a broken candidate table is recorded at
     construction: an asymmetric pair keeps both values, a diagonal entry
     keeps its override, and a point listed twice gets a row at each of its
-    positions.  :meth:`d` makes a ``Fraction`` from a cache keyed by the
-    scaled int and seeded with the given values; ``entries`` is a read-only
-    view of the table as given.
+    positions.  The rows are the only stored form of a distance: :meth:`d`
+    makes a ``Fraction`` from them when read, and ``entries`` is a
+    read-only view of the table as given, returning the given values.
     """
 
     __slots__ = ()
@@ -127,7 +135,7 @@ class FinSpace(_RowTable):
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
             given[(p, q)] = value if type(value) is Fraction else Fraction(value)
         scale = lcm(*{v.denominator for v in given.values()})
-        ints = {key: v.numerator * (scale // v.denominator) for key, v in given.items()}
+        ints = {key: scaled(v, scale) for key, v in given.items()}
         at: dict[PointId, list[int]] = {}  # every position of each point
         for i, p in enumerate(pts):
             at.setdefault(p, []).append(i)
@@ -144,28 +152,25 @@ class FinSpace(_RowTable):
             for i in at[p]:
                 for j in at[q]:
                     rows[i][j] = value
-        fractions = {ints[key]: v for key, v in given.items()}
-        self._adopt(pts, rows, scale, names or {}, fractions, dict.fromkeys(given))
+        self._adopt(pts, rows, scale, names or {}, given)
 
     @classmethod
-    def _of_rows(cls, points, rows, scale: int, names, fractions=None, keys=None) -> "FinSpace":
+    def _of_rows(cls, points, rows, scale: int, names, keys=None) -> "FinSpace":
         """Space adopting ``rows`` (one per point, over ``scale``) as they
-        are.  ``keys`` are the directed pairs of the table as given; None
-        means the rows are complete, symmetric and zero on the diagonal,
-        with the position pairs i < j as keys.  ``fractions`` (scaled int
-        to Fraction over the same scale) seeds the cache."""
+        are.  ``keys`` maps the directed pairs of the table as given to
+        their given values; None means the rows are complete, symmetric and
+        zero on the diagonal, with the position pairs i < j as keys."""
         space = object.__new__(cls)
-        space._adopt(tuple(points), rows, scale, names, {} if fractions is None else fractions, keys)
+        space._adopt(tuple(points), rows, scale, names, keys)
         return space
 
-    def _adopt(self, pts, rows, scale, names, fractions, keys) -> None:
+    def _adopt(self, pts, rows, scale, names, keys) -> None:
         fill = object.__setattr__
         fill(self, "points", pts)
         fill(self, "names", {p: str(names.get(p, f"p{p}")) for p in pts})
         fill(self, "_pos", {p: i for i, p in enumerate(pts)})
         fill(self, "_rows", rows)
         fill(self, "_scale", scale)
-        fill(self, "_fractions", fractions)
         fill(self, "_keys", keys)
 
     def __setattr__(self, name: str, value) -> None:
@@ -195,8 +200,9 @@ class FinSpace(_RowTable):
 
 
 class _Entries(Mapping):
-    """Read-only view of a space's table as given: its directed pairs, each
-    read from the rows as a ``Fraction``."""
+    """Read-only view of a space's table as given: its directed pairs with
+    the given values, or, for complete rows, the position pairs i < j read
+    from the rows as ``Fraction``s."""
 
     __slots__ = ("_space",)
 
@@ -205,14 +211,12 @@ class _Entries(Mapping):
 
     def __getitem__(self, key) -> Fraction:
         space, (p, q) = self._space, key
+        if space._keys is not None:
+            return space._keys[key]
         pos = space._pos
-        if space._keys is None:
-            given = p in pos and q in pos and pos[p] < pos[q]
-        else:
-            given = key in space._keys
-        if not given:
+        if not (p in pos and q in pos and pos[p] < pos[q]):
             raise KeyError(key)
-        return space._fraction(space._rows[pos[p]][pos[q]])
+        return space.d(p, q)
 
     def __iter__(self) -> Iterator[tuple[PointId, PointId]]:
         keys = self._space._keys
@@ -221,6 +225,11 @@ class _Entries(Mapping):
     def __len__(self) -> int:
         keys, n = self._space._keys, len(self._space.points)
         return n * (n - 1) // 2 if keys is None else len(keys)
+
+
+def scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int; ``scale`` is a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 def make_space(
@@ -270,7 +279,11 @@ def validate(space: FinSpace) -> ValidationReport:
     ``Fraction`` values are formed only to format a violation.
     """
     out: list[Violation] = []
-    points, rows, frac = space.points, space._rows, space._fraction
+    points, rows, scale = space.points, space._rows, space._scale
+
+    def text(value: int) -> str:
+        return format_rational(Fraction(value, scale))
+
     seen: set[PointId] = set()
     for p in points:
         if p in seen:
@@ -280,7 +293,7 @@ def validate(space: FinSpace) -> ValidationReport:
     for i, p in enumerate(points):
         diag = rows[i][i]
         if diag != 0:
-            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(frac(diag))}"))
+            out.append(Violation("identity", (p,), f"d(x,x) = {text(diag)}"))
 
     n = len(points)
     for i, p in enumerate(points):
@@ -291,10 +304,10 @@ def validate(space: FinSpace) -> ValidationReport:
                 out.append(Violation("missing", (p, q), "no distance entry"))
                 continue
             if value != back:
-                detail = f"{format_rational(frac(value))} != {format_rational(frac(back))}"
+                detail = f"{text(value)} != {text(back)}"
                 out.append(Violation("symmetry", (p, q), detail))
             if value <= 0:
-                out.append(Violation("positivity", (p, q), f"d = {format_rational(frac(value))}"))
+                out.append(Violation("positivity", (p, q), f"d = {text(value)}"))
 
     _triangle_pass(space, out)
     return ValidationReport(tuple(out))
@@ -309,7 +322,7 @@ def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
     values, triples in ``combinations`` order, one report per failed side,
     the far pair first.
     """
-    rows, pts, frac = space._rows, space.points, space._fraction
+    rows, pts, scale = space._rows, space.points, space._scale
     n = len(rows)
     for a in range(n - 2):
         ra = rows[a]
@@ -324,7 +337,7 @@ def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
                     continue
                 if ab > ac + bc or ac > ab + bc or bc > ab + ac:
                     x, y, z = pts[a], pts[b], pts[c]
-                    dxy, dxz, dyz = frac(ab), frac(ac), frac(bc)
+                    dxy, dxz, dyz = (format_rational(Fraction(v, scale)) for v in (ab, ac, bc))
                     if ab > ac + bc:
                         out.append(_triangle_violation(x, y, z, dxy, dxz, dyz))
                     if ac > ab + bc:
@@ -333,12 +346,8 @@ def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
                         out.append(_triangle_violation(y, z, x, dyz, dxy, dxz))
 
 
-def _triangle_violation(a, b, via, far, leg1, leg2) -> Violation:
-    return Violation(
-        "triangle",
-        (a, b, via),
-        f"{format_rational(far)} > {format_rational(leg1)} + {format_rational(leg2)}",
-    )
+def _triangle_violation(a, b, via, far: str, leg1: str, leg2: str) -> Violation:
+    return Violation("triangle", (a, b, via), f"{far} > {leg1} + {leg2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,8 +492,8 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
     """
     if len(x) < 2:  # nothing to compare
         return _embeddings(x, y, x._rows, y._rows, [])
-    fx, fy = _factors(x, y)
-    return _embeddings(x, y, _rescaled(x, fx), _rescaled(y, fy), [])
+    scale = lcm(x._scale, y._scale)
+    return _embeddings(x, y, _complete_rows(x, scale), _complete_rows(y, scale), [])
 
 
 def _embeddings(x, y, xrows, yrows, chosen: list[int]) -> Iterator[Embedding]:
@@ -506,22 +515,27 @@ def _embeddings(x, y, xrows, yrows, chosen: list[int]) -> Iterator[Embedding]:
         chosen.pop()
 
 
-def _rescaled(space: FinSpace, factor: int) -> list[list[int]]:
-    """The rows of a complete table times ``factor``."""
+def _complete_rows(space: FinSpace, scale: int) -> list[list[int]]:
+    """The rows of a complete table over ``scale``."""
     for i, row in enumerate(space._rows):
         if None in row:
             pair = (space.points[i], space.points[row.index(None)])
             raise MissingDistanceError(f"no distance recorded for pair {pair}")
-    if factor == 1:
-        return space._rows
-    return [[v * factor for v in row] for row in space._rows]
+    return space._rows_over(scale)
 
 
 def diameter(space: FinSpace) -> Fraction:
     """Largest pairwise distance; 0 for a singleton, an error when empty."""
     if len(space) == 0:
         raise SpaceError("diameter of the empty space is undefined")
-    return max((space.d(p, q) for p, q in space.pairs()), default=Fraction(0))
+    return Fraction(_largest_pair(space, space._rows), space._scale)
+
+
+def _largest_pair(space, rows) -> int:
+    """The largest int ``rows`` (the rows of ``space`` over some scale) hold
+    for a pair of ``pairs()``, 0 when there is none; a missing pair
+    raises when reached."""
+    return max((space._read(rows, p, q) for p, q in space.pairs()), default=0)
 
 
 def ball_trace(space: FinSpace, center: PointId, radius: Fraction) -> frozenset[PointId]:

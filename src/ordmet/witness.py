@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .limit import STORE_BUDGET_BYTES, PartialIso, store_bytes
-from .spaces import FinSpace, PointId, SpaceError, diameter, validate
+from .spaces import FinSpace, PointId, SpaceError, diameter, scaled, validate
 
 
 class InadmissibleTraceError(ValueError):
@@ -94,9 +94,8 @@ class WitnessConfig:
         # Int rows over one scale: the support's own rows, the chain points
         # |i - j| / k apart, and far between every support and chain point.
         scale = lcm(support._scale, k, far.denominator)
-        step, gap = scale // k, far.numerator * (scale // far.denominator)
-        factor = scale // support._scale
-        rows = [[v * factor for v in row] + [gap] * len(chain) for row in support._rows]
+        step, gap = scale // k, scaled(far, scale)
+        rows = [row + [gap] * len(chain) for row in support._rows_over(scale)]
         rows += [
             [gap] * len(support) + [abs(i - j) * step for j in range(len(chain))]
             for i in range(len(chain))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -292,6 +293,36 @@ def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypat
         AmalgamError, match="cross distance 1 escapes the bound through overlap point z1"
     ):
         amalgamate(a, b, c, e_a, e_b)
+
+
+@pytest.mark.parametrize(
+    "a, b, overlap, pair",
+    [
+        # a lacks an anchor's distance to one of its own points
+        (FinSpace((0, 1), {}), FinSpace((0, 5), {(0, 5): 2}), (0,), "(1, 0)"),
+        # b lacks an anchor's distance to an extra point
+        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5), {}), (0,), "(0, 5)"),
+        # b lacks the distance between two extra points
+        (
+            FinSpace((0, 1), {(0, 1): 1}),
+            FinSpace((0, 5, 6), {(0, 5): 1, (0, 6): 1}),
+            (0,),
+            "(5, 6)",
+        ),
+        # an empty overlap reads every pair of a for its diameter
+        (
+            FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}),
+            FinSpace((5,), {}),
+            (),
+            "(0, 2)",
+        ),
+    ],
+)
+def test_amalgam_names_the_missing_pair_it_reads(a, b, overlap, pair):
+    c = FinSpace(overlap, {})
+    ident = {z: z for z in overlap}
+    with pytest.raises(MissingDistanceError, match=re.escape(f"pair {pair}")):
+        amalgamate(a, b, c, Embedding(c, a, ident), Embedding(c, b, ident))
 
 
 @pytest.mark.parametrize("unit", [1, Fraction(1, 2)])

@@ -166,11 +166,16 @@ def test_builder_reads_like_its_stage():
     builder = new_builder(make_space(["x"], {}))
     inserts = rescales = 0
     for _ in range(40):
-        scale = builder._scale
+        scale, before = builder._scale, builder.stage()
+        table = {(p, q): before.d(p, q) for p in before.points for q in before.points}
         builder.grow(1)
         inserts += builder.position(builder.created[-1]) < len(builder) - 1
         rescales += builder._scale != scale
         _assert_reads_like_stage(builder)
+        # the snapshot taken before the step keeps its values, across a rescale too
+        assert {pair: before.d(*pair) for pair in table} == table
+        assert dict(before.entries) == {pair: table[pair] for pair in before.pairs()}
+        assert all(builder.d(*pair) == value for pair, value in table.items())
     assert inserts and rescales, (inserts, rescales)
 
     rng = random.Random(11)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordmet import FinSpace, canonical_iso, make_space, new_builder, validate
+from ordmet import FinSpace, SpaceError, canonical_iso, make_space, new_builder, validate
 from ordmet import spacefile
 from ordmet.rationals import parse_rational
 from ordmet.spacefile import SpaceParseError, parse_space, serialize_space
@@ -45,9 +45,12 @@ def test_chain_document_validates():
 
 
 def test_noncanonical_rational_normalized():
-    doc = "space\npoint p\npoint q\ndist p q 2/4\nend\n"
+    doc = "space\npoint p\npoint q\npoint r\ndist p q 2/4\ndist p r 2/6\ndist q r 5/6\nend\n"
     space = parse_space(doc)
-    assert space.d(0, 1) == Fraction(1, 2)
+    want = {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 3), (1, 2): Fraction(5, 6)}
+    assert dict(space.entries) == want
+    assert [type(v) for v in space.entries.values()] == [Fraction] * 3
+    assert all(space.d(p, q) == space.d(q, p) == v for (p, q), v in want.items())
     assert "dist p q 1/2" in serialize_space(space)
 
 
@@ -160,3 +163,9 @@ def test_each_distinct_value_token_is_parsed_once(monkeypatch):
     assert sorted(calls) == ["1/2", "2/4", "3"]
     assert [space.d(0, j) for j in (1, 2, 3)] == [Fraction(1, 2)] * 3
     assert space.d(1, 3) == 3
+
+
+def test_a_name_ending_in_a_newline_is_not_serialized():
+    space = make_space(["a\n", "a"], {("a\n", "a"): 1})
+    with pytest.raises(SpaceError, match="not serializable"):
+        serialize_space(space)

@@ -1,8 +1,9 @@
 """Mutation check for the shared map predicate, the completion rule, the
-int-row space and its triangle pass, the limit builder's stage layout and
-rescale, the orbit test's support, the four class-fact families of the
-Fraisse AP check, and the witness admissibility test, shift core, trace
-bitmask conversions and reserved chain names.
+int-row space (its one conversion ``scaled``, its rescale ``_rows_over``,
+the given values of ``entries``) and its triangle pass, the limit
+builder's stage layout and rescale, the orbit test's support, the four
+class-fact families of the Fraisse AP check, and the witness admissibility
+test, shift core, trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -166,11 +167,25 @@ MUTANTS = [
         (ESCAPES[0], ESCAPES[2]),
     ),
     Mutant(
-        "feasibility-scale-ignored",
-        AMALGAM,
-        "dpq *= factor",
-        "dpq *= 1",
+        "rows-over-scale-ignored",
+        SPACES,
+        "factor = scale // self._scale",
+        "factor = 1",
         (FEASIBILITY,),
+    ),
+    Mutant(
+        "scaled-denominator-ignored",
+        SPACES,
+        "value.numerator * (scale // value.denominator)",
+        "value.numerator * scale",
+        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
+    ),
+    Mutant(
+        "entries-given-value-rebuilt",
+        SPACES,
+        "return space._keys[key]",
+        "return space.d(p, q) if key in space._keys else space._keys[key]",
+        ("tests/test_spaces.py::test_entries_become_fractions_and_given_fractions_are_kept",),
     ),
     Mutant(
         "stage-row-appended",
@@ -189,8 +204,8 @@ MUTANTS = [
     Mutant(
         "stage-rescale-skipped",
         LIMIT,
-        "if scale != self._scale:",
-        "if False:",
+        "rows = self._rows = self._rows_over(scale)\n        self._scale = scale\n",
+        "rows = self._rows\n",
         ("tests/test_limit.py::test_builder_reads_like_its_stage",),
     ),
     Mutant(
