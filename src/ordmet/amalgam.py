@@ -30,7 +30,7 @@ from .spaces import (
     FinSpace,
     PointId,
     SpaceError,
-    _largest_pair,
+    diameter,
     embedding_ok,
     scaled,
     validate,
@@ -230,7 +230,7 @@ def amalgamate(
     anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in anchors_a]
     filler = 0
     if not anchors_a and len(a) and len(b):
-        filler = scale + max(_largest_pair(a, a_rows), _largest_pair(b, b_rows))
+        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
         legs = [(row, b._read(b_rows, e_b(z), q)) for row, z in zip(anchor_rows, c.points)]
         column, escape = shortest_path_column(legs, len(a), filler)

@@ -280,10 +280,6 @@ def validate(space: FinSpace) -> ValidationReport:
     """
     out: list[Violation] = []
     points, rows, scale = space.points, space._rows, space._scale
-
-    def text(value: int) -> str:
-        return format_rational(Fraction(value, scale))
-
     seen: set[PointId] = set()
     for p in points:
         if p in seen:
@@ -293,7 +289,7 @@ def validate(space: FinSpace) -> ValidationReport:
     for i, p in enumerate(points):
         diag = rows[i][i]
         if diag != 0:
-            out.append(Violation("identity", (p,), f"d(x,x) = {text(diag)}"))
+            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(Fraction(diag, scale))}"))
 
     n = len(points)
     for i, p in enumerate(points):
@@ -304,10 +300,13 @@ def validate(space: FinSpace) -> ValidationReport:
                 out.append(Violation("missing", (p, q), "no distance entry"))
                 continue
             if value != back:
-                detail = f"{text(value)} != {text(back)}"
+                detail = (
+                    f"{format_rational(Fraction(value, scale))} != "
+                    f"{format_rational(Fraction(back, scale))}"
+                )
                 out.append(Violation("symmetry", (p, q), detail))
             if value <= 0:
-                out.append(Violation("positivity", (p, q), f"d = {text(value)}"))
+                out.append(Violation("positivity", (p, q), f"d = {format_rational(Fraction(value, scale))}"))
 
     _triangle_pass(space, out)
     return ValidationReport(tuple(out))
@@ -337,7 +336,7 @@ def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
                     continue
                 if ab > ac + bc or ac > ab + bc or bc > ab + ac:
                     x, y, z = pts[a], pts[b], pts[c]
-                    dxy, dxz, dyz = (format_rational(Fraction(v, scale)) for v in (ab, ac, bc))
+                    dxy, dxz, dyz = (Fraction(v, scale) for v in (ab, ac, bc))
                     if ab > ac + bc:
                         out.append(_triangle_violation(x, y, z, dxy, dxz, dyz))
                     if ac > ab + bc:
@@ -346,8 +345,12 @@ def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
                         out.append(_triangle_violation(y, z, x, dyz, dxy, dxz))
 
 
-def _triangle_violation(a, b, via, far: str, leg1: str, leg2: str) -> Violation:
-    return Violation("triangle", (a, b, via), f"{far} > {leg1} + {leg2}")
+def _triangle_violation(a, b, via, far, leg1, leg2) -> Violation:
+    return Violation(
+        "triangle",
+        (a, b, via),
+        f"{format_rational(far)} > {format_rational(leg1)} + {format_rational(leg2)}",
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,14 +531,8 @@ def diameter(space: FinSpace) -> Fraction:
     """Largest pairwise distance; 0 for a singleton, an error when empty."""
     if len(space) == 0:
         raise SpaceError("diameter of the empty space is undefined")
-    return Fraction(_largest_pair(space, space._rows), space._scale)
-
-
-def _largest_pair(space, rows) -> int:
-    """The largest int ``rows`` (the rows of ``space`` over some scale) hold
-    for a pair of ``pairs()``, 0 when there is none; a missing pair
-    raises when reached."""
-    return max((space._read(rows, p, q) for p, q in space.pairs()), default=0)
+    largest = max((space._read(space._rows, p, q) for p, q in space.pairs()), default=0)
+    return Fraction(largest, space._scale)
 
 
 def ball_trace(space: FinSpace, center: PointId, radius: Fraction) -> frozenset[PointId]:

@@ -61,14 +61,23 @@ def valid_spaces(draw, min_size=1, max_size=4):
 
 def test_entries_become_fractions_and_given_fractions_are_kept():
     given, back, there, here = Fraction(2, 3), Fraction(3, 4), Fraction(1, 5), Fraction(2, 5)
-    table = {(0, 1): 1, (2, 0): back, (1, 2): given, (1, 3): there, (3, 1): here}
+    table = {
+        (0, 1): 1,
+        (0, 2): "3/4",
+        (1, 2): given,
+        (3, 0): back,
+        (1, 3): there,
+        (3, 1): here,
+    }
     space = FinSpace((0, 1, 2, 3), table)
-    assert [type(v) for v in space.entries.values()] == [Fraction] * 5
+    assert [type(v) for v in space.entries.values()] == [Fraction] * 6
     assert space.d(0, 1) == 1
-    assert space.d(0, 2) == Fraction(3, 4)
+    assert space.entries[(0, 2)] == Fraction(3, 4)  # a str value is parsed
+    assert space.d(2, 0) == Fraction(3, 4)
     assert space.d(1, 2) == given
+    assert space.d(0, 3) == back
     assert (space.d(1, 3), space.d(3, 1)) == (there, here)
-    kept = {(2, 0): back, (1, 2): given, (1, 3): there, (3, 1): here}
+    kept = {(1, 2): given, (3, 0): back, (1, 3): there, (3, 1): here}
     for key, value in kept.items():
         assert space.entries[key] is value  # a reversed key and both sides of an asymmetric pair
         assert space.subspace(space.points).entries[key] is value
