@@ -191,8 +191,8 @@ def amalgamate(
     ids: dict[PointId, PointId] = {}
     for q in b_extra:
         new = q
-        while new in used:
-            new = max(used | set(ids.values())) + 1
+        if new in used:
+            new = max(used) + 1
         ids[q] = new
         used.add(new)
 

@@ -339,28 +339,27 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     counterexample = counterexample or f"jep rows=({start + u},{v})"
                     break
 
-    # AP: group pointed spaces (space, overlap positions) by the induced
-    # overlap matrix, then decide every ordered pair inside a group at once.
+    # AP: group pointed spaces (space, overlap positions) by the c row of
+    # their induced overlap matrix, ranked with the c batch in one _classes
+    # call, then decide every ordered pair inside a group at once.
     ap_checked = 0
     ap_ok = True
     for kc in range(1, max_size + 1):
         c_batch = per_size[kc - 1]
-        c_index = {c_batch[row].tobytes(): row for row in range(c_batch.shape[0])}
-        groups: dict[int, list[tuple[int, tuple[int, ...], np.ndarray]]] = {
-            row: [] for row in range(c_batch.shape[0])
-        }
-        for ka in range(kc, max_size + 1):
-            batch = per_size[ka - 1]
-            for sel in combinations(range(ka), kc):
-                induced = batch[:, sel][:, :, sel]
-                rows_by_c: dict[int, list[int]] = {}
-                for row in range(induced.shape[0]):
-                    target = c_index[induced[row].tobytes()]
-                    rows_by_c.setdefault(target, []).append(row)
-                for target, rows in rows_by_c.items():
-                    groups[target].append((ka, sel, np.asarray(rows)))
-        for target in range(c_batch.shape[0]):
-            members = groups[target]
+        blocks = [(ka, sel) for ka in range(kc, max_size + 1) for sel in combinations(range(ka), kc)]
+        induced = [per_size[ka - 1][:, sel][:, :, sel] for ka, sel in blocks]
+        classes, (c_ids, *block_ids) = _classes([m.reshape(len(m), -1) for m in [c_batch, *induced]])
+        c_row = np.full(len(classes), -1)
+        c_row[c_ids] = np.arange(len(c_batch))
+        groups: list[list[tuple[int, tuple[int, ...], np.ndarray]]] = [[] for _ in c_batch]
+        for (ka, sel), ids in zip(blocks, block_ids):
+            targets = c_row[ids]
+            if (targets < 0).any():
+                raise AssertionError(f"an overlap of size {kc} matches no space of that size")
+            order = np.argsort(targets, kind="stable")
+            for rows in np.split(order, np.flatnonzero(np.diff(targets[order])) + 1):
+                groups[int(targets[rows[0]])].append((ka, sel, rows))
+        for target, members in enumerate(groups):
             # one span per ordered pair of member rows
             ap_checked += sum(rows.shape[0] for _, _, rows in members) ** 2
             # at the largest size every member is the overlap itself
@@ -414,7 +413,8 @@ def _classes(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]
 
     Classes are ranked one coordinate at a time with 1-D ``np.unique``: the
     rank so far times the coordinate's value count plus its value rank
-    stays below (vectors)^2, far inside int64."""
+    stays below (vectors)^2, far inside int64.  Keys the g and f rows of
+    ``_ap_batch_failure`` and, on flattened matrices, the AP overlap groups."""
     width = parts[0].shape[-1]
     vectors = np.concatenate([part.reshape(-1, width) for part in parts])
     inverse = np.zeros(vectors.shape[0], dtype=np.int64)

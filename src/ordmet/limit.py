@@ -24,8 +24,10 @@ of the rows, so ``Fraction`` values are made only when ``d`` is read.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
-order and freshly realized when nothing fits, which pins one canonical
-automorphism to the schedule.
+order, each tested against every pair of the map by the shared predicate
+``spaces.agrees_located`` (as the orbit search tests its candidates), and
+freshly realized when nothing fits, which pins one canonical automorphism
+to the schedule.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterator, Mapping
 
 from .amalgam import InfeasibleExtensionError, feasibility_violation, shortest_path_column
 from .rationals import calkin_wilf
-from .spaces import FinSpace, PointId, SpaceError, _RowTable, preserves, scaled, validate
+from .spaces import FinSpace, PointId, SpaceError, _RowTable, agrees_located, locate, preserves, scaled, validate
 
 
 # Upper estimate of one row-store entry: an 8-byte list slot plus its share
@@ -306,22 +308,18 @@ class LimitBuilder(_RowTable):
 
     def _find_or_realize_image(self, iso: PartialIso, target: PointId) -> PointId:
         """A stage point matching target's distances and order pattern over
-        the map, existing points first in creation order, else realized."""
-        taken = set(iso.cod)
+        the map, existing points first in creation order, else realized.
+        Each candidate w is tested by ``agrees_located`` (target -> w against
+        every pair of the map), as the orbit search tests its own; its
+        identity check rejects the map's codomain."""
         pos, rows = self._pos, self._rows
-        # positions (and so rows) of both sides of each pair of the map
-        keys = [(pos[x], pos[y]) for x, y in zip(iso.dom, iso.cod)]
+        placed = locate(self, self, zip(iso.dom, iso.cod))
         tpos = pos[target]
-        trow = rows[tpos]
         for w in self._created:
-            if w in taken:
-                continue
-            wpos = pos[w]
-            wrow = rows[wpos]
-            if all(wrow[yp] == trow[xp] and (wpos < yp) == (tpos < xp) for xp, yp in keys):
+            if agrees_located(rows, rows, 1, 1, (target, w, tpos, pos[w]), placed):
                 return w
         dvec = {y: self.d(target, x) for x, y in zip(iso.dom, iso.cod)}
-        gap = sum(1 for xp, _ in keys if xp < tpos)
+        gap = sum(1 for _, _, xp, _ in placed if xp < tpos)
         return self.realize(dvec, gap)
 
     def back_and_forth_extend(

@@ -395,6 +395,15 @@ FAMILY_TARGETS = {
 }
 
 
+# The engine's counterexample line for each family's injected bad row.
+FAMILY_COUNTEREXAMPLES = {
+    "a-triangle": "ap c-size=1 c-row=0 a=(1,(0,),0) b=(3,(0,),95)",
+    "b-triangle": "ap c-size=1 c-row=0 a=(1,(0,),0) b=(3,(0,),95)",
+    "overlap": "ap c-size=1 c-row=0 a=(1,(0,),0) b=(3,(0,),95)",
+    "positivity": "ap c-size=1 c-row=0 a=(1,(0,),0) b=(2,(0,),5)",
+}
+
+
 def _family_target(family):
     c, sel, rows = FAMILY_TARGETS[family]
     return [(np.array([c], dtype=np.int8), tuple(range(len(c)))), (np.array(rows, dtype=np.int8), sel)]
@@ -431,7 +440,63 @@ def test_injected_family_reports_the_span_oracles_counterexample(monkeypatch, fa
     )
     assert fraisse._vector_engine(3, grid_values, scale, per_size) == report
     assert (report.hp_ok, report.jep_ok, report.ap_ok) == (True, True, False)
-    assert report.counterexample.startswith("ap c-size=")
+    assert report.counterexample == FAMILY_COUNTEREXAMPLES[family]
+
+
+def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
+    """With the size-2 spaces in reverse lexicographic order, every AP
+    target call gets pointed spaces of one overlap matrix, the calls of an
+    overlap size cover each pointed space once with rows ascending, and a
+    failing call reports its overlap's row in the reversed batch."""
+    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3, 4)]
+    per_size[1] = per_size[1][::-1]
+    row_of = [{m.tobytes(): r for r, m in enumerate(batch)} for batch in per_size]
+    chosen = per_size[1][1]
+    assert chosen.tolist() == [[0, 1], [1, 0]]  # lexicographically first, here second
+    calls = []
+
+    def recording(fail_on):
+        def failure(members):
+            overlaps = {m[np.ix_(sel, sel)].tobytes() for ms, sel in members for m in ms}
+            assert len(overlaps) == 1
+            calls.append(members)
+            return (0, 0, 0, 0) if overlaps == {fail_on.tobytes()} else None
+
+        return failure
+
+    monkeypatch.setattr(fraisse, "_ap_batch_failure", recording(np.zeros(0)))
+    assert fraisse._vector_engine(4, grid_values, scale, per_size).ap_ok
+    for kc in (1, 2, 3):
+        seen = []
+        for members in calls:
+            for ms, sel in members:
+                if len(sel) == kc:
+                    rows = [row_of[ms.shape[1] - 1][m.tobytes()] for m in ms]
+                    assert rows == sorted(rows)
+                    seen += [(ms.shape[1], sel, r) for r in rows]
+        expected = [
+            (ka, sel, r)
+            for ka in range(kc, 5)
+            for sel in combinations(range(ka), kc)
+            for r in range(len(per_size[ka - 1]))
+        ]
+        assert sorted(seen) == sorted(expected) and len(seen) == len(expected)
+
+    monkeypatch.setattr(fraisse, "_ap_batch_failure", recording(chosen))
+    report = fraisse._vector_engine(4, grid_values, scale, per_size)
+    assert report.counterexample == "ap c-size=2 c-row=1 a=(2,(0, 1),0) b=(2,(0, 1),0)"
+
+
+def test_grouping_refuses_an_overlap_outside_the_c_batch():
+    """A size-3 row whose induced pair (distance 3) is no size-2 space of
+    the grid {1,2} stops the AP pass with an internal error."""
+    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
+    bad = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=int_grid.dtype)
+    per_size[2] = np.concatenate([per_size[2], bad[None]])
+    with pytest.raises(AssertionError, match="an overlap of size 2 matches no space"):
+        fraisse._vector_engine(3, grid_values, scale, per_size)
 
 
 def test_classes_index_every_vector():

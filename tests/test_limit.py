@@ -27,7 +27,7 @@ from ordmet import (
 import ordmet.limit
 from ordmet.limit import store_bytes, tasks_of_weight
 
-from conftest import path_metric_space, reference_column
+from conftest import path_metric_space, reference_column, reference_failures
 
 EMPTY = FinSpace((), {})
 
@@ -415,6 +415,48 @@ def test_back_extends_codomain():
     assert builder.d(preimage, a0) == Fraction(1, config.k)
     assert builder.position(preimage) < builder.position(a0)
     assert builder.iso_ok(extended)
+
+
+def test_image_search_matches_reference_failures():
+    """On random stages, random maps (valid or not) and targets outside the
+    domain, an existing image is the first point in creation order that
+    breaks nothing against any placed pair, and a point is realized (or
+    refused as infeasible) only when no existing point qualifies.  Rejected
+    candidates cover identity, order and distance failures each alone."""
+    rng = random.Random(7301)
+    alone = {"identity": 0, "order": 0, "distance": 0}
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        weights = {
+            (i, j): Fraction(rng.randint(1, 3)) for i in range(size) for j in range(i + 1, size)
+        }
+        builder = new_builder(path_metric_space(size, weights)).grow(rng.randint(0, 6))
+        created = builder.created
+        k = rng.randint(1, min(3, len(created) - 1)) if len(created) > 1 else 0
+        dom, cod = rng.sample(created, k), rng.sample(created, k)
+        outside = [p for p in created if p not in dom]
+        inside_cod = [p for p in outside if p in cod]
+        target = rng.choice(inside_cod if inside_cod and rng.random() < 0.5 else outside)
+        placed = list(zip(dom, cod))
+        failures = {
+            w: set().union(*(reference_failures(builder, builder, [(target, w), pq]) for pq in placed))
+            for w in created
+        }
+        qualifying = [w for w in created if not failures[w]]
+        try:
+            image = builder._find_or_realize_image(PartialIso(tuple(dom), tuple(cod)), target)
+        except InfeasibleExtensionError:
+            image = None
+        if image in created:
+            assert qualifying and image == qualifying[0]
+            rejected = created[: created.index(image)]
+        else:
+            assert not qualifying
+            rejected = created
+        for w in rejected:
+            if len(failures[w]) == 1:
+                alone[next(iter(failures[w]))] += 1
+    assert min(alone.values()) >= 10, alone
 
 
 def test_bad_side_rejected():

@@ -1,9 +1,10 @@
 """Mutation check for the shared map predicate, the completion rule, the
 int-row space (its one conversion ``scaled``, its rescale ``_rows_over``,
 the given values of ``entries``) and its triangle pass, the limit
-builder's stage layout and rescale, the orbit test's support, the four
-class-fact families of the Fraisse AP check, and the witness admissibility
-test, shift core, trace bitmask conversions and reserved chain names.
+builder's stage layout, rescale and image search, the orbit test's
+support, the Fraisse AP check's overlap grouping and its four class-fact
+families, and the witness admissibility test, shift core, trace bitmask
+conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -221,6 +222,27 @@ MUTANTS = [
         "for w in self._created:",
         "for w in self.points:",
         (BACK_AND_FORTH,),
+    ),
+    Mutant(
+        "image-search-identity-on-target",
+        LIMIT,
+        "(target, w, tpos, pos[w])",
+        "(target, target, tpos, pos[w])",
+        ("tests/test_limit.py::test_image_search_matches_reference_failures",),
+    ),
+    Mutant(
+        "grouping-assumes-sorted-c-batch",
+        FRAISSE,
+        "targets = c_row[ids]",
+        "targets = ids",
+        ("tests/test_fraisse.py::test_grouping_follows_an_out_of_order_c_batch",),
+    ),
+    Mutant(
+        "grouping-unmatched-overlap-ignored",
+        FRAISSE,
+        "if (targets < 0).any():",
+        "if False:",
+        ("tests/test_fraisse.py::test_grouping_refuses_an_overlap_outside_the_c_batch",),
     ),
     Mutant(
         "ap-positivity-admits-zero",
