@@ -1,6 +1,11 @@
 """Ordered rational-valued finite metric spaces: exact validation,
 embedding search, strong amalgamation, fair limit stages, orbit calculus,
-and the ball-cover refinement witness."""
+and the ball-cover refinement witness.
+
+``FraisseReport`` and ``check_fraisse_properties`` resolve on first access
+(PEP 562): their module ``ordmet.fraisse`` is the only one that imports
+numpy, so every other command starts without loading it.
+"""
 
 from .amalgam import (
     AmalgamError,
@@ -11,7 +16,6 @@ from .amalgam import (
     extension_feasible,
     feasibility_violation,
 )
-from .fraisse import FraisseReport, check_fraisse_properties
 from .limit import (
     FuelExhaustedError,
     LimitBuilder,
@@ -102,3 +106,11 @@ __all__ = [
     "validate",
     "verify_injection",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("FraisseReport", "check_fraisse_properties"):
+        from . import fraisse
+
+        return getattr(fraisse, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

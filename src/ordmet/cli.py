@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .amalgam import AmalgamError
-from .fraisse import check_fraisse_properties
 from .limit import new_builder
 from .rationals import format_rational, parse_rational
 from .spacefile import parse_space, serialize_space
@@ -125,6 +124,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_fraisse(args) -> int:
+    from .fraisse import check_fraisse_properties  # the only command that loads numpy
+
     grid = [parse_rational(tok) for tok in args.grid.split(",") if tok.strip()]
     report = check_fraisse_properties(args.max_size, grid)
     for line in report.lines():

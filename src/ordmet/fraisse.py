@@ -154,7 +154,9 @@ def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarr
         return np.zeros((1, 1, 1), dtype=grid.dtype)
     pairs = list(combinations(range(size), 2))
     count = len(grid) ** len(pairs)
-    # the batch and its filtered copy, one sum entry and three mask bytes
+    # the batch and its filtered copy, one sum entry and three mask bytes;
+    # filling a column adds at most two count-entry temporaries, which
+    # the filtered copy's share covers
     estimate = count * (2 * size * size * grid.itemsize + grid.itemsize + 3)
     if estimate > ENUMERATION_BUDGET_BYTES:
         raise ValueError(
@@ -162,12 +164,11 @@ def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarr
             f" need about {estimate} bytes, over the {ENUMERATION_BUDGET_BYTES}-byte budget"
         )
     batch = np.zeros((count, size, size), dtype=grid.dtype)
-    # one axis per pair, in C order: row r holds the r-th value tuple
-    tuples = batch.reshape((len(grid),) * len(pairs) + (size, size))
+    # row r holds the r-th value tuple: pair col's value changes every
+    # len(grid)^(pairs - 1 - col) rows, the last pair's fastest (C order)
     for col, (i, j) in enumerate(pairs):
-        axis = [1] * len(pairs)
-        axis[col] = len(grid)
-        tuples[..., i, j] = tuples[..., j, i] = grid.reshape(axis)
+        column = np.repeat(np.tile(grid, len(grid) ** col), len(grid) ** (len(pairs) - 1 - col))
+        batch[:, i, j] = batch[:, j, i] = column
     return batch[_triangle_mask(batch) & _positivity_mask(batch)]
 
 
@@ -340,17 +341,26 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     break
 
     # AP: group pointed spaces (space, overlap positions) by the c row of
-    # their induced overlap matrix, ranked with the c batch in one _classes
-    # call, then decide every ordered pair inside a group at once.
-    ap_checked = 0
+    # their induced overlap matrix, ranked by its upper triangle with the c
+    # batch in one _classes call, then decide every ordered pair inside a
+    # group at once.  At the largest size every group is one row, the
+    # overlap itself, so the pass only counts its spans.
+    ap_checked = len(per_size[-1])
     ap_ok = True
-    for kc in range(1, max_size + 1):
+    for kc in range(1, max_size):
         c_batch = per_size[kc - 1]
         blocks = [(ka, sel) for ka in range(kc, max_size + 1) for sel in combinations(range(ka), kc)]
-        induced = [per_size[ka - 1][:, sel][:, :, sel] for ka, sel in blocks]
-        classes, (c_ids, *block_ids) = _classes([m.reshape(len(m), -1) for m in [c_batch, *induced]])
-        c_row = np.full(len(classes), -1)
-        c_row[c_ids] = np.arange(len(c_batch))
+        if kc == 1:  # no pair to rank: every overlap is the one point, c row 0
+            c_row = np.zeros(1, dtype=np.int64)
+            block_ids = [np.zeros(len(per_size[ka - 1]), dtype=np.int64) for ka, _ in blocks]
+        else:
+            first, second = _pair_indices(kc)
+            induced = [
+                per_size[ka - 1][:, np.take(sel, first), np.take(sel, second)] for ka, sel in blocks
+            ]
+            classes, (c_ids, *block_ids) = _classes([c_batch[:, first, second], *induced])
+            c_row = np.full(len(classes), -1)
+            c_row[c_ids] = np.arange(len(c_batch))
         groups: list[list[tuple[int, tuple[int, ...], np.ndarray]]] = [[] for _ in c_batch]
         for (ka, sel), ids in zip(blocks, block_ids):
             targets = c_row[ids]
@@ -362,8 +372,7 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
         for target, members in enumerate(groups):
             # one span per ordered pair of member rows
             ap_checked += sum(rows.shape[0] for _, _, rows in members) ** 2
-            # at the largest size every member is the overlap itself
-            if not ap_ok or kc == max_size:
+            if not ap_ok:
                 continue
             failure = _ap_batch_failure([(per_size[ka - 1][rows], sel) for ka, sel, rows in members])
             if failure is not None:
@@ -414,7 +423,8 @@ def _classes(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]
     Classes are ranked one coordinate at a time with 1-D ``np.unique``: the
     rank so far times the coordinate's value count plus its value rank
     stays below (vectors)^2, far inside int64.  Keys the g and f rows of
-    ``_ap_batch_failure`` and, on flattened matrices, the AP overlap groups."""
+    ``_ap_batch_failure`` and, on the upper triangles of overlap matrices,
+    the AP overlap groups."""
     width = parts[0].shape[-1]
     vectors = np.concatenate([part.reshape(-1, width) for part in parts])
     inverse = np.zeros(vectors.shape[0], dtype=np.int64)

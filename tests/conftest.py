@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 
 from ordmet import FinSpace, SpaceError, make_space
-from ordmet.fraisse import _pair_indices, _triangle_ok
+from ordmet.fraisse import _pair_indices, _positivity_mask, _triangle_mask, _triangle_ok
 from ordmet.rationals import format_rational
 from ordmet.spaces import Violation
 from ordmet.witness import (
@@ -274,6 +274,23 @@ def span_ap_failure(
         u, v = map(int, np.argwhere(~ok)[0])
         return start + u, v
     return None
+
+
+def reference_valid_matrices(size: int, grid: np.ndarray) -> np.ndarray:
+    """Reference for ``_valid_matrices``: the candidates built with one numpy
+    axis per pair, in C order, so row r holds the r-th value tuple, then
+    filtered by the enumeration's own masks.  NumPy allows at most 64 axes,
+    so this reaches size 10 only."""
+    if size == 1:
+        return np.zeros((1, 1, 1), dtype=grid.dtype)
+    pairs = list(combinations(range(size), 2))
+    batch = np.zeros((len(grid) ** len(pairs), size, size), dtype=grid.dtype)
+    tuples = batch.reshape((len(grid),) * len(pairs) + (size, size))
+    for col, (i, j) in enumerate(pairs):
+        axis = [1] * len(pairs)
+        axis[col] = len(grid)
+        tuples[..., i, j] = tuples[..., j, i] = grid.reshape(axis)
+    return batch[_triangle_mask(batch) & _positivity_mask(batch)]
 
 
 def reference_target_failure(members, pair_failure=reference_ap_failure):

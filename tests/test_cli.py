@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -21,6 +22,25 @@ BROKEN = (
     "dist p q 1/1\ndist q r 1/1\ndist p r 3/1\nend\n"
 )
 SINGLE = "space\npoint b0\nend\n"
+FRAISSE_3_12 = (
+    "max-size 3\ngrid 1/1,2/1\nspaces size 1: 1\nspaces size 2: 2\nspaces size 3: 8\n"
+    "hp checked 63: ok\njep checked 121: ok\nap checked 1187: ok\nverdict pass\n"
+)
+# Runs ordmet's import, then each command line of argv[1], in one fresh
+# interpreter and prints per step its exit status, its stdout and whether
+# numpy is loaded after it.
+COLD_START = """
+import contextlib, io, json, sys
+import ordmet
+steps = [[0, "", "numpy" in sys.modules]]
+from ordmet.cli import run
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run(argv)
+    steps.append([status, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
 
 
 @pytest.fixture
@@ -88,6 +108,14 @@ def test_fraisse_check_passes(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "verdict pass" in out
     assert "spaces size 3: 8" in out
+
+
+def test_fraisse_check_past_64_pairs(capsys):
+    assert run(["fraisse-check", "--max-size", "12", "--grid", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == [
+        "hp checked 8178: ok", "jep checked 144: ok", "ap checked 10400430: ok", "verdict pass"
+    ]
 
 
 def test_fraisse_check_bad_grid(capsys):
@@ -393,3 +421,40 @@ def test_console_entry_point(files, tmp_path):
     )
     assert proc.returncode == 0
     assert "passed 2" in proc.stdout
+
+
+def test_only_fraisse_check_loads_numpy(files, tmp_path):
+    support = ["--support", files["single.space"], "--n", "2", "--m", "1"]
+    commands = [
+        ["validate", files["single.space"]],
+        ["iso", files["unit.space"], files["other.space"]],
+        ["embed", files["unit.space"], files["other.space"], "--all"],
+        ["limit", "grow", "--seed", "empty", "--steps", "5", "--out", str(tmp_path / "s.space")],
+        ["witness", "build", *support, "--out", str(tmp_path / "config.space")],
+        ["witness", "verify", *support, "--trace", "5,6"],
+        ["witness", "exhaust", *support],
+        ["fraisse-check", "--max-size", "3", "--grid", "1,2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, *cold, fraisse = json.loads(proc.stdout)
+    assert imported == [0, "", False]
+    assert [(status, loaded) for status, _, loaded in cold] == [(0, False)] * 7
+    assert fraisse == [0, FRAISSE_3_12, True]
+
+
+def test_fraisse_names_resolve_on_access():
+    import ordmet.fraisse
+
+    assert ordmet.check_fraisse_properties is ordmet.fraisse.check_fraisse_properties
+    assert ordmet.FraisseReport is ordmet.fraisse.FraisseReport
+    namespace = {}
+    exec("from ordmet import *", namespace)
+    assert namespace["check_fraisse_properties"] is ordmet.fraisse.check_fraisse_properties
+    assert namespace["FraisseReport"] is ordmet.fraisse.FraisseReport
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ordmet.no_such_name

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     reference_span_failures,
     reference_target_failure,
+    reference_valid_matrices,
     span_ap_failure,
 )
 from ordmet import fraisse
@@ -175,6 +176,22 @@ def test_valid_matrices_keep_the_grid_dtype():
         grid = np.array([1, 2, 3], dtype=dtype)
         for size in (1, 2, 3):
             assert _valid_matrices(size, grid).dtype == dtype
+
+
+@pytest.mark.parametrize("grid", [[1], [1, 2], [1, 2, 3], [2, 3, 5], [1, 2, 3, 4]])
+def test_valid_matrices_match_one_axis_per_pair(grid):
+    int_grid = np.array(grid, dtype=np.int8)
+    for size in range(1, 6):
+        got, expected = _valid_matrices(size, int_grid), reference_valid_matrices(size, int_grid)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_valid_matrices_past_64_pairs():
+    """Size 12 has 66 pairs, past numpy's 64 axes; its one space over {1}
+    is every distance 1."""
+    (matrix,) = _valid_matrices(12, np.array([1], dtype=np.int8))
+    assert (matrix == 1 - np.eye(12, dtype=np.int8)).all()
 
 
 # -- integer dtype and range guard ----------------------------------------------

@@ -3,8 +3,8 @@ int-row space (its one conversion ``scaled``, its rescale ``_rows_over``,
 the given values of ``entries``) and its triangle pass, the limit
 builder's stage layout, rescale and image search, the orbit test's
 support, the Fraisse AP check's overlap grouping and its four class-fact
-families, and the witness admissibility test, shift core, trace bitmask
-conversions and reserved chain names.
+families, the CLI's start without numpy, and the witness admissibility
+test, shift core, trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -44,6 +44,7 @@ AMALGAM = "src/ordmet/amalgam.py"
 LIMIT = "src/ordmet/limit.py"
 WITNESS = "src/ordmet/witness.py"
 FRAISSE = "src/ordmet/fraisse.py"
+CLI = "src/ordmet/cli.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
@@ -271,6 +272,20 @@ MUTANTS = [
         "b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross.T))",
         "b_bad.append(np.zeros((m.shape[0], cross.shape[0]), dtype=bool))",
         (f"{FAMILY}[b-triangle]",),
+    ),
+    Mutant(
+        "enumeration-first-pair-fastest",
+        FRAISSE,
+        "np.repeat(np.tile(grid, len(grid) ** col), len(grid) ** (len(pairs) - 1 - col))",
+        "np.tile(np.repeat(grid, len(grid) ** col), len(grid) ** (len(pairs) - 1 - col))",
+        ("tests/test_fraisse.py::test_valid_matrices_match_one_axis_per_pair[grid1]",),
+    ),
+    Mutant(
+        "fraisse-imported-eagerly",
+        CLI,
+        "from .amalgam import AmalgamError\n",
+        "from .amalgam import AmalgamError\nfrom .fraisse import check_fraisse_properties\n",
+        ("tests/test_cli.py::test_only_fraisse_check_loads_numpy",),
     ),
     Mutant(
         "witness-tail-shifted-down",
