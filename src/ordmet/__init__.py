@@ -2,9 +2,9 @@
 embedding search, strong amalgamation, fair limit stages, orbit calculus,
 and the ball-cover refinement witness.
 
-``FraisseReport`` and ``check_fraisse_properties`` resolve on first access
-(PEP 562): their module ``ordmet.fraisse`` is the only one that imports
-numpy, so every other command starts without loading it.
+``FraisseReport`` and ``check_fraisse_properties`` resolve on access (PEP
+562), importing ``ordmet.fraisse`` the first time: it is the only module
+that imports numpy, so every other command starts without loading it.
 """
 
 from .amalgam import (

@@ -111,6 +111,7 @@ def test_fraisse_check_passes(capsys):
 
 
 def test_fraisse_check_past_64_pairs(capsys):
+    # 66 pairs at size 12, past numpy's 64 axes per array
     assert run(["fraisse-check", "--max-size", "12", "--grid", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-4:] == [

@@ -187,13 +187,6 @@ def test_valid_matrices_match_one_axis_per_pair(grid):
         assert got.tobytes() == expected.tobytes()
 
 
-def test_valid_matrices_past_64_pairs():
-    """Size 12 has 66 pairs, past numpy's 64 axes; its one space over {1}
-    is every distance 1."""
-    (matrix,) = _valid_matrices(12, np.array([1], dtype=np.int8))
-    assert (matrix == 1 - np.eye(12, dtype=np.int8)).all()
-
-
 # -- integer dtype and range guard ----------------------------------------------
 
 
