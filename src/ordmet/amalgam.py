@@ -14,10 +14,15 @@ anchor.  ``amalgamate`` runs it on the int rows of both sides over their
 common denominator, and so does ``LimitBuilder.realize`` over its stage;
 both put rows over a scale with ``_RowTable._rows_over`` and form the new
 point's ints with ``spaces.scaled``.
+
+``amalgamate`` checks its input embeddings and its output on every call;
+the direct Fraisse engine makes one call per span and enumerates each
+overlap's embeddings once, outside it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +37,7 @@ from .spaces import (
     SpaceError,
     diameter,
     embedding_ok,
+    preserves,
     scaled,
     validate,
 )
@@ -172,15 +178,22 @@ def amalgamate(
     two images exactly on the image of c, completes cross distances by
     shortest path through c (or by 1 + max diameter when c is empty) with
     :func:`shortest_path_column`, and orders each overlap gap with a's
-    points before b's.  The output is revalidated; a failure is an internal
-    error.
+    points before b's, placing b's points by their positions in b.
+
+    Every call checks its inputs first: each embedding's domain is exactly
+    c's points, its images lie in its target, and :func:`preserves` accepts
+    it (identity, so injectivity, order and distance).  Every call then
+    checks its output: the square commutes, ``validate`` passes the glued
+    space, and :func:`embedding_ok` accepts f_a and f_b.  A failed output
+    check is an internal error.
     """
     for e, src, tgt, tag in ((e_a, c, a, "e_a"), (e_b, c, b, "e_b")):
-        if set(e.mapping) != set(src.points):
+        mapping = e.mapping
+        if mapping.keys() != src._pos.keys():
             raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
-        if not set(e.mapping.values()) <= set(tgt.points):
+        if not all(q in tgt._pos for q in mapping.values()):
             raise AmalgamError(f"{tag} does not land in its target")
-        if not embedding_ok(Embedding(src, tgt, e.mapping)):
+        if not preserves(src, tgt, ((p, mapping[p]) for p in src.points)):
             raise AmalgamError(f"{tag} does not preserve structure")
 
     image_b = {e_b(z): z for z in c.points}
@@ -199,10 +212,11 @@ def amalgamate(
     # Order: slices of a split by overlap points, with each b gap appended
     # in front of the next overlap point (a-side first inside a gap).
     anchors_a = [e_a(z) for z in c.points]  # in overlap order == order in a
+    b_at = b._pos
+    anchors_b = sorted(b_at[e_b(z)] for z in c.points)
     gaps_b: dict[int, list[PointId]] = {i: [] for i in range(len(c) + 1)}
     for q in b_extra:
-        gap = sum(1 for z in c.points if b.precedes(e_b(z), q))
-        gaps_b[gap].append(q)
+        gaps_b[bisect_left(anchors_b, b_at[q])].append(q)
     order: list[PointId] = []
     gap = 0
     for p in a.points:

@@ -8,8 +8,12 @@ to canonical isomorphism with no duplicates.  Two engines produce the same
 report:
 
 * ``direct`` builds every span as real objects and routes it through
-  ``amalgamate`` and ``validate``.  Exact but slow; meant for small bounds
-  and for cross-checking.
+  ``amalgamate`` and ``validate``.  The embeddings of each overlap c into
+  each space are enumerated once per c and reused for every span over c;
+  each span is one ``amalgamate`` call, which checks both input embeddings
+  and then the glued space, the commuting square and both output
+  embeddings.  Exact but slow; meant for small bounds and for
+  cross-checking.
 * ``vector`` rescales the grid to integers and checks the amalgam axioms
   with numpy.  For each span only the mixed triangle families can fail
   (the two sides are already valid and symmetry, identity, positivity of
@@ -246,10 +250,11 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     ap_checked = 0
     ap_ok = True
     for c in spaces:
-        for a in spaces:
-            for e_a in enumerate_embeddings(c, a):
-                for b in spaces:
-                    for e_b in enumerate_embeddings(c, b):
+        into = [list(enumerate_embeddings(c, s)) for s in spaces]
+        for a, embeddings_a in zip(spaces, into):
+            for e_a in embeddings_a:
+                for b, embeddings_b in zip(spaces, into):
+                    for e_b in embeddings_b:
                         ap_checked += 1
                         try:
                             _, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
@@ -295,6 +300,46 @@ def _ap_work(per_size: Sequence[np.ndarray], grid_len: int) -> int:
     return work
 
 
+def _hp_pass(per_size: Sequence[np.ndarray]) -> tuple[int, Optional[str]]:
+    """HP over every nonempty position subset of every matrix: the number
+    of (subset, matrix) checks and the first failure, as the report's
+    counterexample, or None.  A subset's triangles and pairs are among its
+    matrix's, so a size whose matrices all pass has no failing subset;
+    otherwise the first failing subset is looked for among the failing
+    matrices only."""
+    checked, failure = 0, None
+    for k, batch in enumerate(per_size, start=1):
+        checked += batch.shape[0] * (2**k - 1)
+        if failure is None:
+            failing = np.flatnonzero(~(_triangle_mask(batch) & _positivity_mask(batch)))
+            if failing.size:
+                keep, row = _first_subset_failure(batch[failing])
+                failure = f"hp size={k} subset={keep} matrix-row={int(failing[row])}"
+    return checked, failure
+
+
+def _first_subset_failure(batch: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """The first position subset, by size and then in ``combinations``
+    order, on which some matrix breaks a triangle or positivity, and the
+    first such matrix.  Each triangle and each ordered pair is tested once,
+    and a subset fails with the triangles and pairs inside it."""
+    k = batch.shape[1]
+    triangles, pairs = list(combinations(range(k), 3)), list(permutations(range(k), 2))
+    bad = np.stack(
+        [~_triangle_ok(batch[:, i, j], batch[:, i, l], batch[:, j, l]) for i, j, l in triangles]
+        + [batch[:, i, j] <= 0 for i, j in pairs],
+        axis=1,
+    )
+    column = {fact: n for n, fact in enumerate(triangles + pairs)}
+    for r in range(2, k + 1):  # a single point has no pair to fail
+        for keep in combinations(range(k), r):
+            inside = [*combinations(keep, 3), *permutations(keep, 2)]
+            hits = np.flatnonzero(bad[:, [column[fact] for fact in inside]].any(axis=1))
+            if hits.size:
+                return keep, int(hits[0])
+    raise AssertionError("a failing matrix fails on no position subset")
+
+
 def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     work = _ap_work(per_size, len(grid_values))
     if work > AP_BUDGET_CHECKS:
@@ -303,21 +348,8 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
             f" over the {AP_BUDGET_CHECKS}-check budget"
         )
     counts = tuple(batch.shape[0] for batch in per_size)
-    counterexample = None
-
-    # HP over every nonempty position subset of every space.
-    hp_checked = 0
-    hp_ok = True
-    for k, batch in zip(range(1, max_size + 1), per_size):
-        for r in range(1, k + 1):
-            for keep in combinations(range(k), r):
-                sub = batch[:, keep][:, :, keep]
-                hp_checked += batch.shape[0]
-                ok = _triangle_mask(sub) & _positivity_mask(sub)
-                if not ok.all() and hp_ok:
-                    hp_ok = False
-                    row = int(np.flatnonzero(~ok)[0])
-                    counterexample = f"hp size={k} subset={keep} matrix-row={row}"
+    hp_checked, counterexample = _hp_pass(per_size)
+    hp_ok = counterexample is None
 
     # JEP: cross block is the constant 1 + max(diam a, diam b).  Mixed
     # triangles reduce to diam <= 2 * constant; everything else is inherited

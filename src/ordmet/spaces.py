@@ -92,11 +92,13 @@ class _RowTable:
 
     def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
         """Induced space on ``keep``: order, rows and the given pairs (with
-        their given values) among the kept points are inherited."""
+        their given values) among the kept points are inherited.  The kept
+        positions come from ``_pos``; a table that lists a point twice keeps
+        each of its positions, found by a scan of every point."""
         kept = set(keep)
-        for p in kept:
-            self.position(p)
-        at = [i for i, p in enumerate(self.points) if p in kept]
+        at = sorted(map(self.position, kept))
+        if len(self._pos) != len(self.points):
+            at = [i for i, p in enumerate(self.points) if p in kept]
         rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
         keys = self._keys
         if keys is not None:
@@ -455,12 +457,13 @@ def preserves(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> bool:
 
 
 def embedding_ok(emb: Embedding) -> bool:
-    """True iff the map is total on the source, injective, lands in the
-    target, and preserves distances and the structural order exactly."""
+    """True iff the map is total on the source, lands in the target, and
+    preserves identity, distances and the structural order exactly.  The
+    identity rule of :func:`preserves` rejects a map that is not injective,
+    so over a table with a missing pair such a map may raise
+    ``MissingDistanceError`` first, as :func:`preserves` does."""
     src, tgt, mp = emb.source, emb.target, emb.mapping
-    if set(mp) != set(src.points):
-        return False
-    if len(set(mp.values())) != len(mp):
+    if mp.keys() != src._pos.keys():
         return False
     if any(q not in tgt for q in mp.values()):
         return False

@@ -288,11 +288,60 @@ def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypat
     e_a, e_b = Embedding(c, a, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1})
     with pytest.raises(AmalgamError, match="e_b does not preserve structure"):
         amalgamate(a, b, c, e_a, e_b)
-    monkeypatch.setattr(ordmet.amalgam, "embedding_ok", lambda emb: True)
+    monkeypatch.setattr(ordmet.amalgam, "preserves", lambda x, y, pairs: True)
     with pytest.raises(
         AmalgamError, match="cross distance 1 escapes the bound through overlap point z1"
     ):
         amalgamate(a, b, c, e_a, e_b)
+
+
+# Spaces for the input checks: c has two points at distance 1, a and b each
+# hold it with one more point.  The flat spaces hold a pair at distance 0,
+# which a map sending both ends to one point preserves in distance.
+BAD_INPUT_C = make_space(["z1", "z2"], {("z1", "z2"): 1})
+BAD_INPUT_A = make_space(["z1", "p", "z2"], {("z1", "p"): 2, ("p", "z2"): 1, ("z1", "z2"): 1})
+BAD_INPUT_B = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 2, ("z2", "q"): 1})
+FLAT_C = FinSpace((0, 1), {(0, 1): 0})
+FLAT_A = FinSpace((0, 1, 2), {(0, 1): 0, (0, 2): 1, (1, 2): 1})
+FLAT_B = FinSpace((0, 1, 3), {(0, 1): 0, (0, 3): 2, (1, 3): 2})
+
+# case: (bad e_a into BAD_INPUT_A, bad e_b into BAD_INPUT_B, message after the tag)
+BAD_INPUTS = {
+    "missing-point": ({0: 0}, {0: 0}, "is not defined exactly on the overlap space"),
+    "extra-point": ({0: 0, 1: 2, 5: 1}, {0: 0, 1: 1, 5: 2}, "is not defined exactly on the overlap space"),
+    "outside-target": ({0: 0, 1: 7}, {0: 0, 1: 7}, "does not land in its target"),
+    "distance": ({0: 0, 1: 1}, {0: 0, 1: 2}, "does not preserve structure"),
+    "order": ({0: 2, 1: 0}, {0: 1, 1: 0}, "does not preserve structure"),
+    # the undefined-domain test comes first, then the landing test
+    "missing-and-outside": ({0: 7}, {0: 7}, "is not defined exactly on the overlap space"),
+    "outside-and-distance": ({0: 1, 1: 7}, {0: 2, 1: 7}, "does not land in its target"),
+}
+
+
+@pytest.mark.parametrize("side", ["e_a", "e_b"])
+@pytest.mark.parametrize("case", [*BAD_INPUTS, "non-injective"])
+def test_amalgam_refuses_each_bad_input_embedding(side, case):
+    """Each input failure of e_a or e_b, the other embedding valid, raises
+    its own message; with both broken, e_a's is raised.  The non-injective
+    map keeps the distance 0 of the flat pair, so only identity and order
+    reject it."""
+    if case == "non-injective":
+        c, a, b = FLAT_C, FLAT_A, FLAT_B
+        good_a, good_b = {0: 0, 1: 1}, {0: 0, 1: 1}
+        bad_a, bad_b, message = {0: 0, 1: 0}, {0: 1, 1: 1}, "does not preserve structure"
+    else:
+        c, a, b = BAD_INPUT_C, BAD_INPUT_A, BAD_INPUT_B
+        good_a, good_b = {0: 0, 1: 2}, {0: 0, 1: 1}
+        bad_a, bad_b, message = BAD_INPUTS[case]
+    maps = (bad_a, good_b) if side == "e_a" else (good_a, bad_b)
+    e_a, e_b = Embedding(c, a, maps[0]), Embedding(c, b, maps[1])
+    with pytest.raises(AmalgamError, match=f"^{side} {message}$"):
+        amalgamate(a, b, c, e_a, e_b)
+    if side == "e_b":
+        with pytest.raises(AmalgamError, match="^e_a "):
+            amalgamate(a, b, c, Embedding(c, a, bad_a), e_b)
+    if case != "non-injective":  # the flat spaces glue into a broken table
+        amalgamate(a, b, c, Embedding(c, a, good_a), Embedding(c, b, good_b))
 
 
 @pytest.mark.parametrize(

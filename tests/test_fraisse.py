@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,11 +15,13 @@ from conftest import (
     span_ap_failure,
 )
 from ordmet import fraisse
+from ordmet.amalgam import AmalgamError
 from ordmet.cli import run
 from ordmet.fraisse import (
     _ap_batch_failure,
     _ap_work,
     _classes,
+    _hp_pass,
     _positivity_mask,
     _prepare_grid,
     _triangle_mask,
@@ -572,3 +575,136 @@ def test_size_5_slice_matches_the_recorded_report(capsys):
     assert run(["fraisse-check", "--max-size", "5", "--grid", "1,2"]) == 0
     golden = Path(__file__).parent / "data" / "fraisse-check-5-1,2.txt"
     assert capsys.readouterr().out == golden.read_text()
+
+
+def reference_hp(per_size):
+    """The HP pass as one mask per (size, position subset): the subset
+    checks and the first failure line, or None."""
+    checked, first = 0, None
+    for k, batch in enumerate(per_size, start=1):
+        for r in range(1, k + 1):
+            for keep in combinations(range(k), r):
+                sub = batch[:, keep][:, :, keep]
+                checked += len(batch)
+                ok = _triangle_mask(sub) & _positivity_mask(sub)
+                if first is None and not ok.all():
+                    first = f"hp size={k} subset={keep} matrix-row={int(np.flatnonzero(~ok)[0])}"
+    return checked, first
+
+
+# Size-4 matrices over {1,2}, each failing in one place: only the triangle
+# (1,2,3), only the triangle (0,1,2), and only the lower entry of the pair
+# (1,2), which is 0 while the upper entry is 1.
+HP_BAD = {
+    "triangle-123": [[0, 1, 1, 2], [1, 0, 1, 1], [1, 1, 0, 3], [2, 1, 3, 0]],
+    "triangle-012": [[0, 1, 3, 2], [1, 0, 1, 2], [3, 1, 0, 2], [2, 2, 2, 0]],
+    "lower-zero-12": [[0, 1, 1, 1], [1, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "injected, line",
+    [
+        (["triangle-123"], "hp size=4 subset=(1, 2, 3) matrix-row=64"),
+        # the second matrix fails on an earlier subset than the first
+        (["triangle-123", "triangle-012"], "hp size=4 subset=(0, 1, 2) matrix-row=65"),
+        # a pair comes before every triangle, and is read in both directions
+        (["triangle-123", "triangle-012", "lower-zero-12"], "hp size=4 subset=(1, 2) matrix-row=66"),
+    ],
+    ids=["one", "earlier-subset", "pair-first"],
+)
+def test_hp_pass_reports_the_first_failing_subset(injected, line):
+    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3, 4)]
+    bad = np.array([HP_BAD[name] for name in injected], dtype=int_grid.dtype)
+    per_size[3] = np.concatenate([per_size[3], bad])
+    checked = 1 + 2 * 3 + 8 * 7 + len(per_size[3]) * 15
+    assert _hp_pass(per_size) == reference_hp(per_size) == (checked, line)
+
+
+def test_hp_pass_matches_the_subset_loop_on_corrupted_slices():
+    """Random entries of random matrices, either direction, set to values
+    that break positivity or a triangle or change nothing."""
+    _, _, int_grid = fraisse._prepare_grid([Fraction(v) for v in (1, 2, 3)])
+    clean = [_valid_matrices(k, int_grid) for k in (1, 2, 3, 4)]
+    rng = random.Random("hp-corrupted")
+    failures = 0
+    for _ in range(40):
+        per_size = [batch.copy() for batch in clean]
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(2, 4)
+            i, j = rng.sample(range(k), 2)
+            per_size[k - 1][rng.randrange(len(per_size[k - 1])), i, j] = rng.choice([0, 1, 3, 7])
+        got = _hp_pass(per_size)
+        assert got == reference_hp(per_size)
+        failures += got[1] is not None
+    assert 0 < failures < 40
+
+
+def _report_lines(checked, counterexample, counts, hp, jep, ap):
+    """Report lines of a failing size-3 slice, as ``FraisseReport.lines``."""
+    return [
+        "max-size 3",
+        *(f"spaces size {k}: {n}" for k, n in enumerate(counts, start=1)),
+        f"hp checked {checked[0]}: {hp}",
+        f"jep checked {checked[1]}: {jep}",
+        f"ap checked {checked[2]}: {ap}",
+        f"counterexample {counterexample}",
+        "verdict fail",
+    ]
+
+
+# One broken matrix appended to the size-3 slice over a grid: the direct
+# and vector reports (without the grid line), and the number and sha256 of
+# the AmalgamError messages the direct engine's amalgamate calls raise, in
+# order, joined by newlines.
+BROKEN_SLICES = {
+    "triangle": (
+        (1, 3),
+        [[0, 1, 1], [1, 0, 3], [1, 3, 0]],
+        _report_lines((49, 81, 737), "hp size=3 subset=(0, 1, 2)", (1, 2, 6), "FAIL", "FAIL", "FAIL"),
+        _report_lines(
+            (49, 81, 737), "hp size=3 subset=(0, 1, 2) matrix-row=5", (1, 2, 6), "FAIL", "ok", "FAIL"
+        ),
+        200,
+        "79fa539ca20f1155d3644c46f5f62d32ae308fb2583f6acf5a71ac9dd878a2e6",
+    ),
+    "positivity": (
+        (1, 2),
+        [[0, 0], [0, 0]],
+        _report_lines((66, 144, 1308), "hp size=2 subset=(0, 1)", (1, 3, 8), "FAIL", "FAIL", "FAIL"),
+        _report_lines(
+            (66, 144, 1308), "hp size=2 subset=(0, 1) matrix-row=2", (1, 3, 8), "FAIL", "ok", "FAIL"
+        ),
+        144,
+        "660397a49bedb1bb67b54532b4e1164a826a8edb0a9e395c380d46ef77b083bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_SLICES))
+def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
+    """Both engines report the recorded lines, and the direct engine's
+    amalgamate calls raise the recorded messages in the recorded order."""
+    grid, matrix, direct_lines, vector_lines, raised, digest = BROKEN_SLICES[broken]
+    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in grid])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
+    bad = np.array(matrix, dtype=int_grid.dtype)
+    per_size[len(bad) - 1] = np.concatenate([per_size[len(bad) - 1], bad[None]])
+    messages = []
+
+    def recording(*args):
+        try:
+            return amalgamate(*args)
+        except AmalgamError as exc:
+            messages.append(str(exc))
+            raise
+
+    amalgamate = fraisse.amalgamate
+    monkeypatch.setattr(fraisse, "amalgamate", recording)
+    direct = fraisse._direct_engine(3, grid_values, scale, per_size).lines()
+    vector = fraisse._vector_engine(3, grid_values, scale, per_size).lines()
+    assert [line for line in direct if not line.startswith("grid")] == direct_lines
+    assert [line for line in vector if not line.startswith("grid")] == vector_lines
+    assert len(messages) == raised
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == digest

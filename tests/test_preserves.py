@@ -150,6 +150,27 @@ def test_identity_is_checked_where_distances_cannot_tell():
     assert agrees(flat, flat, [(0, 0)], 1, 1)
 
 
+BAD_MAPS = {
+    "missing-point": {0: 0, 1: 1},
+    "extra-point": {0: 0, 1: 1, 2: 2, 9: 3},
+    "outside-target": {0: 0, 1: 1, 2: 9},
+    "non-injective": {0: 0, 1: 3, 2: 3},
+    "non-injective-flat": {0: 0, 1: 1, 2: 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MAPS))
+def test_embedding_ok_refuses_bad_maps_without_raising(case):
+    """Not total, out of the target or not injective: False, not an error.
+    In the flat target, points 1 and 2 are at distance 0 apart, so a
+    distance check alone cannot tell the non-injective map from the
+    identity; the identity rule rejects it."""
+    target = FinSpace((0, 1, 2, 3), {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 0, (1, 3): 1, (2, 3): 1})
+    source = target.subspace([0, 1, 2])
+    assert embedding_ok(Embedding(source, target, {0: 0, 1: 1, 2: 2}))
+    assert embedding_ok(Embedding(source, target, BAD_MAPS[case])) is False
+
+
 def test_missing_entry_is_read_only_after_identity_and_order_pass():
     """On a table without d(0, 2), a map that breaks order at that pair is
     rejected before the distance is read; one that keeps identity and

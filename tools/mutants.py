@@ -1,10 +1,12 @@
-"""Mutation check for the shared map predicate, the completion rule, the
-int-row space (its one conversion ``scaled``, its rescale ``_rows_over``,
-the given values of ``entries``) and its triangle pass, the limit
-builder's stage layout, rescale and image search, the orbit test's
-support, the Fraisse AP check's overlap grouping and its four class-fact
-families, the CLI's start without numpy, and the witness admissibility
-test, shift core, trace bitmask conversions and reserved chain names.
+"""Mutation check for the shared map predicate and ``embedding_ok``, the
+completion rule and ``amalgamate``'s input check, the int-row space (its
+one conversion ``scaled``, its rescale ``_rows_over``, the given values of
+``entries``, ``subspace`` on a repeated point) and its triangle pass, the
+limit builder's stage layout, rescale and image search, the orbit test's
+support, the Fraisse direct engine's embedding lists, the HP subset
+search, the AP check's overlap grouping and its four class-fact families,
+the CLI's start without numpy, and the witness admissibility test, shift
+core, trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -57,6 +59,8 @@ ADMISSIBLE = (
     "tests/test_witness.py::test_admissible_and_min_index_match_reference_on_every_subset[2-1]",
     "tests/test_witness.py::test_injection_refuses_like_reference[2-1]",
 )
+BAD_INPUT = "tests/test_amalgam.py::test_amalgam_refuses_each_bad_input_embedding"
+HP_FIRST = "tests/test_fraisse.py::test_hp_pass_reports_the_first_failing_subset"
 RESERVED = "tests/test_witness.py::test_reserved_names_match_the_chain_name_loop"
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
@@ -65,6 +69,20 @@ ESCAPES = (
 )
 
 MUTANTS = [
+    Mutant(
+        "embedding-ok-target-test-dropped",
+        SPACES,
+        "if any(q not in tgt for q in mp.values()):",
+        "if False:",
+        ("tests/test_preserves.py::test_embedding_ok_refuses_bad_maps_without_raising[outside-target]",),
+    ),
+    Mutant(
+        "subspace-repeated-point-scan-dropped",
+        SPACES,
+        "if len(self._pos) != len(self.points):",
+        "if False:",
+        ("tests/test_spaces.py::test_subspace_keeps_the_given_table_among_kept_points",),
+    ),
     Mutant(
         "agrees-identity-dropped",
         SPACES,
@@ -129,6 +147,13 @@ MUTANTS = [
         "k = token_index[value] = len(values) - 1",
         "k = token_index[values[-1]] = len(values) - 1",
         ("tests/test_spacefile.py::test_each_distinct_value_token_is_parsed_once",),
+    ),
+    Mutant(
+        "amalgam-input-preserves-check-dropped",
+        AMALGAM,
+        "if not preserves(src, tgt, ((p, mapping[p]) for p in src.points)):",
+        "if not True:",
+        (f"{BAD_INPUT}[non-injective-e_a]", f"{BAD_INPUT}[distance-e_b]"),
     ),
     Mutant(
         "column-max-instead-of-min",
@@ -230,6 +255,20 @@ MUTANTS = [
         "(target, w, tpos, pos[w])",
         "(target, target, tpos, pos[w])",
         ("tests/test_limit.py::test_image_search_matches_reference_failures",),
+    ),
+    Mutant(
+        "direct-engine-embeddings-of-the-first-c",
+        FRAISSE,
+        "into = [list(enumerate_embeddings(c, s)) for s in spaces]",
+        "into = [list(enumerate_embeddings(spaces[0], s)) for s in spaces]",
+        ("tests/test_fraisse.py::test_injected_broken_space_gets_the_recorded_reports[triangle]",),
+    ),
+    Mutant(
+        "hp-subset-pairs-one-way",
+        FRAISSE,
+        "*permutations(keep, 2)]",
+        "*combinations(keep, 2)]",
+        (f"{HP_FIRST}[pair-first]",),
     ),
     Mutant(
         "grouping-assumes-sorted-c-batch",
