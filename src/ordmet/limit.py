@@ -24,10 +24,13 @@ of the rows, so ``Fraction`` values are made only when ``d`` is read.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
-order, each tested against every pair of the map by the shared predicate
-``spaces.agrees_located`` (as the orbit search tests its candidates), and
-freshly realized when nothing fits, which pins one canonical automorphism
-to the schedule.
+order through ``spaces.agreeing`` (as the orbit search looks up its
+candidates): one row lookup against the map's first pair drops most of
+them, and the shared predicate ``spaces.agrees_located`` decides the rest
+against every pair of the map.  The first accepted point is the image; a
+point is freshly realized when nothing fits, which pins one canonical
+automorphism to the schedule.  The row-store budget (``store_bytes``,
+``STORE_BUDGET_BYTES``) is the one ``spaces`` defines for every table.
 """
 
 from __future__ import annotations
@@ -39,19 +42,19 @@ from typing import Iterator, Mapping
 
 from .amalgam import InfeasibleExtensionError, feasibility_violation, shortest_path_column
 from .rationals import calkin_wilf
-from .spaces import FinSpace, PointId, SpaceError, _RowTable, agrees_located, locate, preserves, scaled, validate
-
-
-# Upper estimate of one row-store entry: an 8-byte list slot plus its share
-# of a multi-digit int object (each completed value sits in two rows) and
-# list over-allocation.  grow refuses stages whose estimate tops the budget.
-ROW_ENTRY_BYTES = 32
-STORE_BUDGET_BYTES = 1 << 30
-
-
-def store_bytes(points: int) -> int:
-    """Estimated bytes of the distance rows of a stage with ``points`` points."""
-    return ROW_ENTRY_BYTES * points * points
+from .spaces import (
+    STORE_BUDGET_BYTES,
+    FinSpace,
+    PointId,
+    SpaceError,
+    _RowTable,
+    agreeing,
+    locate,
+    preserves,
+    scaled,
+    store_bytes,
+    validate,
+)
 
 
 class FuelExhaustedError(RuntimeError):
@@ -309,15 +312,16 @@ class LimitBuilder(_RowTable):
     def _find_or_realize_image(self, iso: PartialIso, target: PointId) -> PointId:
         """A stage point matching target's distances and order pattern over
         the map, existing points first in creation order, else realized.
-        Each candidate w is tested by ``agrees_located`` (target -> w against
-        every pair of the map), as the orbit search tests its own; its
-        identity check rejects the map's codomain."""
-        pos, rows = self._pos, self._rows
+        The candidates w, in creation order, go through ``agreeing`` (target
+        -> w against every pair of the map), as the orbit search's do; the
+        identity check of ``agrees_located`` rejects the map's codomain."""
+        pos = self._pos
         placed = locate(self, self, zip(iso.dom, iso.cod))
         tpos = pos[target]
-        for w in self._created:
-            if agrees_located(rows, rows, 1, 1, (target, w, tpos, pos[w]), placed):
-                return w
+        options = [(target, w, tpos, pos[w]) for w in self._created]
+        found = agreeing(self._rows, options, placed)
+        if found:
+            return found[0][1]
         dvec = {y: self.d(target, x) for x, y in zip(iso.dom, iso.cod)}
         gap = sum(1 for _, _, xp, _ in placed if xp < tpos)
         return self.realize(dvec, gap)

@@ -5,6 +5,14 @@ automorphism group is decided by a finite criterion: the map that fixes the
 support pointwise and sends one tuple to the other must be a well-defined
 partial isomorphism.  Homogeneity of the ambient limit makes this exact, so
 no automorphism is ever materialized.
+
+``orbit_traces`` searches position by position.  The support pairs are the
+same at every node of that search, so each entry's candidates are tested
+against them once, when the search first reaches that entry, through
+``spaces.agreeing``; each node then tests that shorter list against the
+images placed so far only.  The support comes first at every node of a
+search that tests support and images in one pass, so a candidate that
+fails a support pair is rejected there either way: the split is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .spaces import FinSpace, PointId, SpaceError, agrees_located, locate, preserves
+from .spaces import FinSpace, PointId, SpaceError, agreeing, locate, preserves
 
 Support = frozenset[PointId]
 
@@ -54,25 +62,29 @@ def orbit_traces(
     Backtracks position by position so that stages of a few dozen points
     stay tractable; always contains ``t`` itself.
     """
-    fixed = _fixed(stage, support, t)
+    fixed = locate(stage, stage, _fixed(stage, support, t))
     # each entry of t paired with every stage point, located once
     options = [locate(stage, stage, [(p, c) for c in stage.points]) for p in t]
     found: set[tuple[PointId, ...]] = set()
-    _descend(stage, fixed, t, options, [], found)
+    _descend(stage._rows, fixed, options, [], [], found)
     return found
 
 
-def _descend(stage, fixed, t, options, prefix: list[PointId], found: set) -> None:
-    """Add to ``found`` every way of extending ``prefix``, the images of the
-    first entries of ``t``, to all of ``t`` in agreement with the fixed
-    support and the earlier entries.  A module-level recursion, so that no
-    reference cycle keeps ``options`` alive after the search."""
-    if len(prefix) == len(t):
-        found.add(tuple(prefix))
+def _descend(rows, fixed, options, levels: list, chosen: list, found: set) -> None:
+    """Add to ``found`` every way of extending ``chosen``, the located pairs
+    placed for the first entries of ``t``, to all of ``t``.  ``levels[i]``
+    holds entry i's candidates that agree with the ``fixed`` support, built
+    when the search first reaches entry i, so that a missing distance raises
+    only where a search of every node against the support would reach it.
+    A module-level recursion, so that no reference cycle keeps ``options``
+    alive after the search."""
+    depth = len(chosen)
+    if depth == len(options):
+        found.add(tuple(q for _, q, _, _ in chosen))
         return
-    placed = locate(stage, stage, fixed + list(zip(t, prefix)))
-    for here in options[len(prefix)]:
-        if agrees_located(stage._rows, stage._rows, 1, 1, here, placed):
-            prefix.append(here[1])
-            _descend(stage, fixed, t, options, prefix, found)
-            prefix.pop()
+    if depth == len(levels):
+        levels.append(agreeing(rows, options[depth], fixed))
+    for here in agreeing(rows, levels[depth], chosen):
+        chosen.append(here)
+        _descend(rows, fixed, options, levels, chosen, found)
+        chosen.pop()

@@ -15,7 +15,11 @@ parsed canonical document reproduces it byte for byte.
 
 Both directions work on the space's int rows: ``parse_space`` parses each
 distinct value token once and fills the rows over the lcm of the parsed
-denominators; ``serialize_space`` formats each distinct value once.
+denominators; ``serialize_space`` formats each distinct value once.  The
+rows grow by one row and one column per ``point`` line, so the parser
+refuses the first point whose rows would top the row-store budget
+(``spaces.store_bytes`` against ``STORE_BUDGET_BYTES``, as ``limit grow``
+and ``witness build`` do), before they grow.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .rationals import format_rational, parse_rational
-from .spaces import FinSpace, PointId, SpaceError, scaled
+from .spaces import STORE_BUDGET_BYTES, FinSpace, PointId, SpaceError, scaled, store_bytes
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -95,6 +99,12 @@ def parse_space(text: str) -> FinSpace:
                 raise SpaceParseError(f"line {lineno}: bad point name {name!r}")
             if name in ids:
                 raise SpaceParseError(f"line {lineno}: duplicate point {name!r}")
+            estimate = store_bytes(len(names) + 1)
+            if estimate > STORE_BUDGET_BYTES:
+                raise SpaceParseError(
+                    f"line {lineno}: space of {len(names) + 1} points needs about {estimate}"
+                    f" bytes of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
+                )
             ids[name] = len(names)
             names.append(name)
             for row in rows:

@@ -7,6 +7,9 @@ common denominator, indexed by position in the order; it is the only
 stored form of a distance.  Every check here (``validate``, ``agrees`` /
 ``preserves``, ``enumerate_embeddings``) compares those ints; a ``Fraction``
 is made when a distance leaves the API (``d``, ``entries``) or is printed.
+The searches for a map inside one table (orbits, the limit builder's
+images) take their candidates through ``agreeing``, which narrows them by
+one row lookup before the shared predicate ``agrees_located`` decides.
 Every module forms row ints with :func:`scaled` and puts rows over a new
 scale with ``_RowTable._rows_over``.  The read side of that layout is one
 base class, which the growing ``LimitBuilder`` shares.
@@ -35,6 +38,19 @@ class SpaceError(ValueError):
 
 class MissingDistanceError(SpaceError):
     """A required pair has no entry in the distance table."""
+
+
+# Upper estimate of one row-store entry: an 8-byte list slot plus its share
+# of a multi-digit int object (each completed value sits in two rows) and
+# list over-allocation.  The parser, the limit builder and the witness
+# refuse tables whose estimate tops the budget before they allocate rows.
+ROW_ENTRY_BYTES = 32
+STORE_BUDGET_BYTES = 1 << 30
+
+
+def store_bytes(points: int) -> int:
+    """Estimated bytes of the distance rows of a table of ``points`` points."""
+    return ROW_ENTRY_BYTES * points * points
 
 
 class _RowTable:
@@ -442,6 +458,24 @@ def agrees_located(xrows, yrows, fx: int, fy: int, here: tuple, placed) -> bool:
         if dx * fx != dy * fy:
             return False
     return True
+
+
+def agreeing(rows, options, placed) -> list[tuple]:
+    """The located candidates ``here`` of ``options`` that
+    ``agrees_located(rows, rows, 1, 1, here, placed)`` accepts, in order:
+    candidates for a map inside one table.  One row lookup first drops a
+    candidate whose distance to the first placed image differs from its
+    preimage's, which that call rejects anyway; it reads the directed
+    entries the call reads, and keeps a candidate where either is None, so
+    that the call still raises ``MissingDistanceError``."""
+    if placed:
+        _, _, xp0, yq0 = placed[0]
+        options = [
+            here
+            for here in options
+            if (dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0]) or dx is None or dy is None
+        ]
+    return [here for here in options if agrees_located(rows, rows, 1, 1, here, placed)]
 
 
 def preserves(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> bool:

@@ -33,8 +33,8 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional
 
-from .limit import STORE_BUDGET_BYTES, PartialIso, store_bytes
-from .spaces import FinSpace, PointId, SpaceError, diameter, scaled, validate
+from .limit import PartialIso
+from .spaces import STORE_BUDGET_BYTES, FinSpace, PointId, SpaceError, diameter, scaled, store_bytes, validate
 
 
 class InadmissibleTraceError(ValueError):

@@ -8,10 +8,11 @@ import pytest
 
 import numpy as np
 
-from ordmet import FinSpace, SpaceError, make_space
+from ordmet import FinSpace, MissingDistanceError, SpaceError, make_space
 from ordmet.fraisse import _pair_indices, _positivity_mask, _triangle_mask, _triangle_ok
+from ordmet.orbits import _fixed
 from ordmet.rationals import format_rational
-from ordmet.spaces import Violation
+from ordmet.spaces import Violation, agrees_located, locate
 from ordmet.witness import (
     ExhaustReport,
     InadmissibleTraceError,
@@ -178,6 +179,62 @@ def reference_preserves(x, y, pairs) -> bool:
     """Slow oracle for ``preserves``: the map breaks none of identity,
     order and distance."""
     return not reference_failures(x, y, list(pairs))
+
+
+def reference_orbit_traces(stage, support, t) -> set[tuple]:
+    """Oracle for ``orbit_traces`` on any table, broken ones included: the
+    search that locates the support and the placed prefix at every node and
+    tests every candidate against all of them with ``agrees_located``."""
+    fixed = _fixed(stage, support, t)
+    options = [locate(stage, stage, [(p, c) for c in stage.points]) for p in t]
+    found: set[tuple] = set()
+    _reference_descend(stage, fixed, t, options, [], found)
+    return found
+
+
+def _reference_descend(stage, fixed, t, options, prefix: list, found: set) -> None:
+    if len(prefix) == len(t):
+        found.add(tuple(prefix))
+        return
+    placed = locate(stage, stage, fixed + list(zip(t, prefix)))
+    for here in options[len(prefix)]:
+        if agrees_located(stage._rows, stage._rows, 1, 1, here, placed):
+            prefix.append(here[1])
+            _reference_descend(stage, fixed, t, options, prefix, found)
+            prefix.pop()
+
+
+def or_missing(call, *args):
+    """``call(*args)``, or the class ``MissingDistanceError`` when it raises
+    one, so that two searches compare by their outcome."""
+    try:
+        return call(*args)
+    except MissingDistanceError:
+        return MissingDistanceError
+
+
+BROKEN_KINDS = ("asymmetric", "zero", "diagonal", "missing")
+
+
+def broken_table(rng, kind: str) -> FinSpace:
+    """A space of 3-6 points over distances {1, 2}, so that orbits are
+    large, broken in one way: an asymmetric pair given both ways, a zero
+    distance between distinct points, a nonzero diagonal entry, or missing
+    pairs."""
+    size = rng.randint(3, 6)
+    base = path_metric_space(size, {pair: rng.choice([1, 2]) for pair in combinations(range(size), 2)})
+    entries = dict(base.entries)
+    pairs = rng.sample(sorted(entries), rng.randint(1, 2))
+    for p, q in pairs:
+        if kind == "asymmetric":
+            entries[(q, p)] = entries[(p, q)] + rng.choice([-Fraction(1, 2), 1])
+        elif kind == "zero":
+            entries[(p, q)] = Fraction(0)
+        elif kind == "diagonal":
+            entries[(p, p)] = Fraction(rng.choice([1, 2]))
+        else:
+            del entries[(p, q)]
+    return FinSpace(range(size), entries)
 
 
 def reference_span_failures(a, sel_a, b, sel_b) -> set[str]:

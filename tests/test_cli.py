@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import ordmet.cli
+import ordmet.spacefile
 from ordmet import AmalgamError, validate
 from ordmet.cli import run
 from ordmet.limit import STORE_BUDGET_BYTES, store_bytes
@@ -152,6 +153,19 @@ def test_limit_grow_refuses_oversized_stage(tmp_path, capsys):
     assert captured.out == ""
     assert "32000000000000000000 bytes" in captured.err
     assert not out.exists()
+
+
+def test_validate_refuses_a_file_past_the_store_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ordmet.spacefile, "STORE_BUDGET_BYTES", store_bytes(2) - 1)
+    path = tmp_path / "pair.space"
+    path.write_text(UNIT_PAIR)
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 3: space of 2 points needs about {store_bytes(2)} bytes"
+        f" of distance rows, over the {store_bytes(2) - 1}-byte budget\n"
+    )
 
 
 def test_witness_build(files, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from ordmet import (
+    MissingDistanceError,
     PartialIso,
     SpaceError,
     build_witness,
@@ -14,7 +16,7 @@ from ordmet import (
     same_fix_orbit,
 )
 
-from conftest import path_metric_space
+from conftest import BROKEN_KINDS, broken_table, or_missing, path_metric_space, reference_orbit_traces
 
 
 def equidistant(n):
@@ -171,3 +173,22 @@ def test_orbit_members_extend_via_back_and_forth(witness):
         assert target in extended.dom
         assert builder.iso_ok(extended)
         iso = extended
+
+
+def test_orbit_traces_matches_reference_on_broken_tables():
+    """On tables broken each way, the search that tests the support once
+    per entry finds the set the per-node search finds, or both raise for a
+    missing distance; both outcomes and every kind of table occur."""
+    rng = random.Random("broken-orbits")
+    seen = Counter()
+    for trial in range(400):
+        kind = BROKEN_KINDS[trial % len(BROKEN_KINDS)]
+        stage = broken_table(rng, kind)
+        support = rng.sample(stage.points, rng.randint(0, 2))
+        t = tuple(rng.choice(stage.points) for _ in range(rng.randint(1, 3)))
+        want = or_missing(reference_orbit_traces, stage, support, t)
+        assert or_missing(orbit_traces, stage, support, t) == want, (trial, kind)
+        seen[kind] += 1
+        seen["raised" if want is MissingDistanceError else "returned"] += 1
+        seen["larger"] += want is not MissingDistanceError and len(want) > 1
+    assert min(seen.values()) >= 10, seen

@@ -5,7 +5,8 @@ predicate; ``embedding_ok``, ``canonical_iso``, ``partial_iso_ok``,
 ``LimitBuilder.iso_ok``, ``same_fix_orbit`` and ``orbit_traces`` are
 compared with ``reference_preserves`` on seeded random maps, valid and
 broken, and the broken ones must include maps that break exactly one
-property.
+property.  ``agreeing``, the candidate filter of the orbit and image
+searches, is compared with a filter by ``agrees_located`` on broken tables.
 """
 
 import random
@@ -27,9 +28,16 @@ from ordmet import (
     partial_iso_ok,
     same_fix_orbit,
 )
-from ordmet.spaces import agrees, preserves
+from ordmet.spaces import agreeing, agrees, agrees_located, locate, preserves
 
-from conftest import path_metric_space, reference_failures, reference_preserves
+from conftest import (
+    BROKEN_KINDS,
+    broken_table,
+    or_missing,
+    path_metric_space,
+    reference_failures,
+    reference_preserves,
+)
 
 GRIDS = [[1, 2], [1, 2], [Fraction(1, 2), 1, Fraction(3, 2)]]
 ALL_KINDS = {"identity", "order", "distance"}
@@ -205,3 +213,43 @@ def test_orbit_traces_matches_brute_force_scan():
         outcomes["larger"] += len(scan) > 1
         outcomes["rejected"] += len(scan) < len(stage) ** len(t)
     assert outcomes["larger"] and outcomes["rejected"]
+
+
+def test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables():
+    """``agreeing`` returns the candidates that ``agrees_located`` accepts,
+    in order, or raises where a filter by it raises, on tables broken each
+    way.  Its row lookup drops candidates, and finds a missing entry on one
+    side only, each in many trials."""
+    rng = random.Random("agreeing")
+    seen = Counter()
+    for trial in range(400):
+        kind = BROKEN_KINDS[trial % len(BROKEN_KINDS)]
+        space = broken_table(rng, kind)
+        rows = space._rows
+
+        def located(count):
+            return locate(space, space, [(rng.choice(space.points), rng.choice(space.points)) for _ in range(count)])
+
+        options, placed = located(rng.randint(0, 8)), located(rng.randint(0, 3))
+        want = or_missing(lambda: [here for here in options if agrees_located(rows, rows, 1, 1, here, placed)])
+        assert or_missing(agreeing, rows, options, placed) == want, trial
+        seen[kind] += 1
+        seen["raised" if want is MissingDistanceError else "returned"] += 1
+        if placed:
+            _, _, xp0, yq0 = placed[0]
+            firsts = [(rows[xp][xp0], rows[yq][yq0]) for _, _, xp, yq in options]
+            seen["dropped"] += any(None not in (dx, dy) and dx != dy for dx, dy in firsts)
+            seen["one-sided-none"] += any((dx is None) != (dy is None) for dx, dy in firsts)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_agreeing_reads_the_directed_entries():
+    """d(0, 1) is given as 1 and d(1, 0) as 2.  Sending 0 to 2 agrees with
+    the placed pair (1, 3) when read as the predicate reads it, d(0, 1)
+    against d(2, 3); the transposed entries, d(1, 0) and d(3, 2), differ."""
+    space = FinSpace(range(4), {(0, 1): 1, (1, 0): 2, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1})
+    rows = space._rows
+    here, placed = locate(space, space, [(0, 2), (1, 3)])
+    assert rows[1][0] != rows[3][2]
+    assert agrees_located(rows, rows, 1, 1, here, [placed])
+    assert agreeing(rows, [here], [placed]) == [here]

@@ -9,6 +9,7 @@ from ordmet import FinSpace, SpaceError, canonical_iso, make_space, new_builder,
 from ordmet import spacefile
 from ordmet.rationals import parse_rational
 from ordmet.spacefile import SpaceParseError, parse_space, serialize_space
+from ordmet.spaces import store_bytes
 
 from conftest import chain_space, path_metric_space
 
@@ -169,3 +170,26 @@ def test_a_name_ending_in_a_newline_is_not_serialized():
     space = make_space(["a\n", "a"], {("a\n", "a"): 1})
     with pytest.raises(SpaceError, match="not serializable"):
         serialize_space(space)
+
+
+def equidistant_doc(size: int) -> str:
+    names = [f"e{i}" for i in range(size)]
+    lines = ["space", *(f"point {name}" for name in names)]
+    lines += [f"dist {a} {b} 1/1" for a, b in combinations(names, 2)]
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+def test_parse_refuses_the_first_point_past_the_store_budget(monkeypatch):
+    """At a budget of ten points' rows, ten points parse and the eleventh
+    point's line is refused with its number and the estimate, before any
+    later line is read."""
+    monkeypatch.setattr(spacefile, "STORE_BUDGET_BYTES", store_bytes(10))
+    assert len(parse_space(equidistant_doc(10))) == 10
+    message = (
+        f"line 12: space of 11 points needs about {store_bytes(11)} bytes of distance rows,"
+        f" over the {store_bytes(10)}-byte budget"
+    )
+    for doc in (equidistant_doc(11), equidistant_doc(11).replace("dist", "bogus")):
+        with pytest.raises(SpaceParseError) as refused:
+            parse_space(doc)
+        assert str(refused.value) == message

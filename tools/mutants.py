@@ -1,10 +1,12 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
-completion rule and ``amalgamate``'s input check, the int-row space (its
-one conversion ``scaled``, its rescale ``_rows_over``, the given values of
-``entries``, ``subspace`` on a repeated point) and its triangle pass, the
-limit builder's stage layout, rescale and image search, the orbit test's
-support, the Fraisse direct engine's embedding lists, the HP subset
-search, the AP check's overlap grouping and its four class-fact families,
+candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
+the directed read, the missing-entry clause), the completion rule and
+``amalgamate``'s input check, the int-row space (its one conversion
+``scaled``, its rescale ``_rows_over``, the given values of ``entries``,
+``subspace`` on a repeated point) and its triangle pass, the limit
+builder's stage layout, rescale and image search, the orbit test's support
+and the orbit search's support-filtered level per entry, the Fraisse
+direct engine's embedding lists, the HP subset search, the AP check's overlap grouping and its four class-fact families,
 the CLI's start without numpy, and the witness admissibility test, shift
 core, trace bitmask conversions and reserved chain names.
 
@@ -50,6 +52,8 @@ CLI = "src/ordmet/cli.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
+AGREEING = "tests/test_preserves.py::test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables"
+NARROWING = "(dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0])"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
 FEASIBILITY = "tests/test_amalgam.py::test_feasibility_matches_reference_on_mixed_denominators"
 GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
@@ -110,6 +114,27 @@ MUTANTS = [
         "if dx * fx != dy * fy:",
         "if False:",
         (f"{PRESERVES}[canonical_iso]", f"{PRESERVES}[same_fix_orbit]"),
+    ),
+    Mutant(
+        "agreeing-narrowing-inverted",
+        SPACES,
+        NARROWING,
+        NARROWING.replace("==", "!="),
+        (AGREEING,),
+    ),
+    Mutant(
+        "agreeing-narrowing-transposed",
+        SPACES,
+        NARROWING,
+        "(dx := rows[xp0][here[2]]) == (dy := rows[yq0][here[3]])",
+        ("tests/test_preserves.py::test_agreeing_reads_the_directed_entries",),
+    ),
+    Mutant(
+        "agreeing-narrowing-none-clause-dropped",
+        SPACES,
+        " or dx is None or dy is None",
+        "",
+        (AGREEING,),
     ),
     Mutant(
         "scale-ignored-across-spaces",
@@ -243,10 +268,17 @@ MUTANTS = [
         ("tests/test_orbits.py::test_support_is_pinned",),
     ),
     Mutant(
+        "orbit-level-of-depth-0-reused",
+        "src/ordmet/orbits.py",
+        "agreeing(rows, levels[depth], chosen)",
+        "agreeing(rows, levels[0], chosen)",
+        ("tests/test_orbits.py::test_orbit_traces_matches_reference_on_broken_tables",),
+    ),
+    Mutant(
         "image-search-in-stage-order",
         LIMIT,
-        "for w in self._created:",
-        "for w in self.points:",
+        "for w in self._created]",
+        "for w in self.points]",
         (BACK_AND_FORTH,),
     ),
     Mutant(
