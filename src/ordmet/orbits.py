@@ -10,9 +10,11 @@ no automorphism is ever materialized.
 same at every node of that search, so each entry's candidates are tested
 against them once, when the search first reaches that entry, through
 ``spaces.agreeing``; each node then tests that shorter list against the
-images placed so far only.  The support comes first at every node of a
-search that tests support and images in one pass, so a candidate that
-fails a support pair is rejected there either way: the split is exact.
+images placed so far only.  The split is exact: a candidate is accepted
+when it agrees with the support and with every placed image, whichever is
+tested first; and since each entry's list is built at the first node that
+reaches the entry, the search raises for a missing distance exactly when a
+test of every node against support and images together would.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ the directed read, the missing-entry clause), the completion rule and
 ``subspace`` on a repeated point) and its triangle pass, the limit
 builder's stage layout, rescale and image search, the orbit test's support
 and the orbit search's support-filtered level per entry, the Fraisse
-direct engine's embedding lists, the HP subset search, the AP check's overlap grouping and its four class-fact families,
-the CLI's start without numpy, and the witness admissibility test, shift
-core, trace bitmask conversions and reserved chain names.
+direct engine's embedding lists, the HP subset search, the AP check's
+overlap grouping and its four class-fact families, the CLI's start without
+numpy, and the witness admissibility test, shift core, trace bitmask
+conversions and reserved chain names.
 
     python tools/mutants.py
 
