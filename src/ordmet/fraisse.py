@@ -20,17 +20,21 @@ report:
   the glued table and the interleaved order hold by construction), so it
   checks those plus positivity and overlap-consistency of the cross block.
 
-The vector engine groups the AP spans by overlap matrix and decides each
-group from class facts, not span by span.  A cross distance min_z a(p, z) +
-b(z, q) depends only on a-point p's row g to the overlap and on b-extra
-point q's Katetov function f on it, so positivity is a fact about (g, f),
-overlap agreement about (overlap index, g, f), an a-triangle about (a-row,
-f) and a b-triangle about (g, b-row).  Every g meets every f in some span of
-the group, so the group passes exactly when every fact holds, in time
-linear in its rows; only a failing group is spread back over its spans,
-to report the first failing one in enumeration order.  The AP pass
-estimates its class checks from the space counts and refuses over
-AP_BUDGET_CHECKS with ValueError, before any pass runs.
+The vector engine groups the AP spans by overlap matrix (their target)
+and decides them from class facts, not span by span, in one pass per
+overlap size.  A cross distance min_z a(p, z) + b(z, q) depends only on
+a-point p's row g to the overlap and on b-extra point q's Katetov function
+f on it, so positivity is a fact about (g, f), overlap agreement about
+(overlap index, g, f), an a-triangle about (a-row, f) and a b-triangle
+about (g, b-row).  The g and f classes are ranked per target, and every g
+meets every f of its target in some span, so a target passes exactly when
+every fact holds, in time linear in its rows.  The pass lays out every
+target's cross distances in one padded table and checks the triangle
+families once per (space size, overlap positions) block over all targets;
+only the first failing target is spread back over its spans, to report the
+first failing one in enumeration order.  The AP pass estimates its class
+checks from the space counts and refuses over AP_BUDGET_CHECKS with
+ValueError, before any pass runs.
 
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
@@ -289,7 +293,9 @@ def _ap_work(per_size: Sequence[np.ndarray], grid_len: int) -> int:
     (ka points, overlap of kc < max size points) contributes its rows times
     the f classes (at most grid^kc) times its a-pairs plus the min-plus terms
     of its g rows (ka * kc), and its rows times the g classes (at most
-    (grid + 1)^kc, with the 0 of an overlap point) times its b-extra pairs."""
+    (grid + 1)^kc, with the 0 of an overlap point) times its b-extra pairs.
+    The batched pass pads every target to the widest target's classes,
+    which stay within the same bounds."""
     work = 0
     for kc in range(1, len(per_size)):
         f_classes, g_classes = grid_len**kc, (grid_len + 1) ** kc
@@ -372,11 +378,12 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     counterexample = counterexample or f"jep rows=({start + u},{v})"
                     break
 
-    # AP: group pointed spaces (space, overlap positions) by the c row of
-    # their induced overlap matrix, ranked by its upper triangle with the c
-    # batch in one _classes call, then decide every ordered pair inside a
-    # group at once.  At the largest size every group is one row, the
-    # overlap itself, so the pass only counts its spans.
+    # AP: give each pointed space (space, overlap positions) the c row of its
+    # induced overlap matrix, its target, ranked by its upper triangle with
+    # the c batch in one _classes call; then decide every target of one
+    # overlap size in one kernel call, each (ka, sel) block's rows sorted by
+    # target.  At the largest size every target is one row, the overlap
+    # itself, so the pass only counts its spans.
     ap_checked = len(per_size[-1])
     ap_ok = True
     for kc in range(1, max_size):
@@ -393,27 +400,26 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
             classes, (c_ids, *block_ids) = _classes([c_batch[:, first, second], *induced])
             c_row = np.full(len(classes), -1)
             c_row[c_ids] = np.arange(len(c_batch))
-        groups: list[list[tuple[int, tuple[int, ...], np.ndarray]]] = [[] for _ in c_batch]
+        batch = []
         for (ka, sel), ids in zip(blocks, block_ids):
             targets = c_row[ids]
             if (targets < 0).any():
                 raise AssertionError(f"an overlap of size {kc} matches no space of that size")
             order = np.argsort(targets, kind="stable")
-            for rows in np.split(order, np.flatnonzero(np.diff(targets[order])) + 1):
-                groups[int(targets[rows[0]])].append((ka, sel, rows))
-        for target, members in enumerate(groups):
-            # one span per ordered pair of member rows
-            ap_checked += sum(rows.shape[0] for _, _, rows in members) ** 2
-            if not ap_ok:
-                continue
-            failure = _ap_batch_failure([(per_size[ka - 1][rows], sel) for ka, sel, rows in members])
-            if failure is not None:
-                ap_ok = False
-                i, j, u, v = failure
-                (ka, sel_a, _), (kb, sel_b, _) = members[i], members[j]
-                counterexample = counterexample or (
-                    f"ap c-size={kc} c-row={target} a=({ka},{sel_a},{u}) b=({kb},{sel_b},{v})"
-                )
+            batch.append((per_size[ka - 1][order], sel, targets[order]))
+        # one span per ordered pair of a target's member rows
+        sizes = np.bincount(np.concatenate([t for _, _, t in batch]))
+        ap_checked += int(sizes @ sizes)
+        if not ap_ok:
+            continue
+        failure = _ap_batch_failure(batch)
+        if failure is not None:
+            ap_ok = False
+            target, i, j, u, v = failure
+            (ka, sel_a), (kb, sel_b) = blocks[i], blocks[j]
+            counterexample = counterexample or (
+                f"ap c-size={kc} c-row={target} a=({ka},{sel_a},{u}) b=({kb},{sel_b},{v})"
+            )
 
     return FraisseReport(
         max_size,
@@ -448,22 +454,60 @@ def _triangle_ok(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top <= total
 
 
-def _classes(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct vectors along the last axis of all parts, and per part
-    the class index of each of its vectors, in its shape without that axis.
+def _ranks(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct values of a 1-D int array and each value's
+    rank among them, in int64.  A range no wider than the array is ranked
+    by marking the values present, with no sort; a wider one by
+    ``np.unique``."""
+    if not values.size:
+        return 0, np.zeros(0, dtype=np.int64)
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= values.size:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return len(distinct), inverse
+    offset = np.subtract(values, lo, dtype=np.int64)
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present) - 1
+    return int(rank[-1]) + 1, rank[offset]
 
-    Classes are ranked one coordinate at a time with 1-D ``np.unique``: the
-    rank so far times the coordinate's value count plus its value rank
-    stays below (vectors)^2, far inside int64.  Keys the g and f rows of
-    ``_ap_batch_failure`` and, on the upper triangles of overlap matrices,
-    the AP overlap groups."""
+
+def _classes(
+    parts: Sequence[np.ndarray], leads: Optional[Sequence[np.ndarray]] = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct vectors along the last axis of all parts, in
+    lexicographic order, and per part the class index of each of its
+    vectors, in its shape without that axis.  With ``leads`` (one int per
+    entry of each part's first axis), a vector's class is that of its lead
+    followed by the vector, ranked lead first; the returned classes omit
+    the lead.
+
+    Each vector gets one int64 key, built one coordinate at a time in mixed
+    radix: the key times the coordinate's distinct value count plus the
+    value's rank (``_ranks``).  Before a step whose keys could pass 2^62
+    the keys are replaced by their own ranks, below the vector count, so a
+    step stays below (vectors)^2, far inside int64.  Ranking the keys then
+    ranks the classes.  Keys the g and f rows of ``_ap_batch_failure`` and,
+    on the upper triangles of overlap matrices, the AP overlap groups."""
     width = parts[0].shape[-1]
     vectors = np.concatenate([part.reshape(-1, width) for part in parts])
-    inverse = np.zeros(vectors.shape[0], dtype=np.int64)
-    for z in range(width):
-        values, rank = np.unique(vectors[:, z], return_inverse=True)
-        keys, inverse = np.unique(inverse * len(values) + rank, return_inverse=True)
-    classes = np.empty((len(keys), width), dtype=vectors.dtype)
+
+    def columns():
+        if leads is not None:
+            each = [math.prod(part.shape[1:-1]) for part in parts]
+            yield np.concatenate([np.repeat(lead, n) for lead, n in zip(leads, each)])
+        yield from (vectors[:, z] for z in range(width))
+
+    key, bound = np.zeros(vectors.shape[0], dtype=np.int64), 1  # every key is below bound
+    for column in columns():
+        count, rank = _ranks(column)
+        if bound * count > 1 << 62:
+            bound, key = _ranks(key)
+        key *= count
+        key += rank
+        bound *= count
+    count, inverse = _ranks(key)
+    classes = np.empty((count, width), dtype=vectors.dtype)
     classes[inverse] = vectors
     ids, start = [], 0
     for part in parts:
@@ -491,75 +535,141 @@ def _triangle_failures(
     return bad
 
 
-def _ap_batch_failure(
-    members: Sequence[tuple[np.ndarray, tuple[int, ...]]],
-) -> Optional[tuple[int, int, int, int]]:
-    """Decide every span of one overlap target from class facts; return the
-    first failing span as (member a, member b, row_a, row_b), in that
-    order of precedence, or None.
+def _padded_chunks(own: np.ndarray, other: np.ndarray, per_cell: int):
+    """Lay out a padded table: one row per class of one kind, given by its
+    target (``own``, sorted), holding the classes of the other kind of the
+    same target (``other``, sorted) in order, then padding.  Returns the
+    width and an iterator of row chunks of at most CHUNK_ELEMENTS cells
+    times ``per_cell``: the rows, each cell's class of the other kind (a
+    valid filler index on padding) and which cells are real."""
+    first = np.searchsorted(other, own, "left")
+    count = np.searchsorted(other, own, "right") - first
+    cells = np.arange(count.max(initial=0))
+    chunk = max(1, CHUNK_ELEMENTS // max(1, len(cells) * per_cell))
 
-    Each member is a batch of distance matrices of one size and the
-    positions ``sel`` of the overlap in them.  A span joins a row of member
-    a with a row of member b: the amalgam keeps a's points and appends b's
-    non-overlap (extra) points, with cross block X[p, q] = min_z a[p, z] +
-    b[z, q] over overlap points z.  Only the mixed triangle families,
-    positivity of X, and agreement of X with b on overlap rows need
-    checking, and none of them reads a whole span: X[p, q] is the min-plus
-    product of g, a-point p's row to the overlap, and f, b-extra point q's
-    column from it (a Katetov function on the overlap).  So
+    def chunks():
+        for start in range(0, len(own), chunk):
+            part = slice(start, start + chunk)
+            index = np.minimum(first[part, None] + cells, len(other) - 1)
+            yield part, index, cells < count[part, None]
+
+    return len(cells), chunks()
+
+
+def _ap_batch_failure(
+    blocks: Sequence[tuple[np.ndarray, tuple[int, ...], np.ndarray]],
+) -> Optional[tuple[int, int, int, int, int]]:
+    """Decide every span of every overlap target of one overlap size from
+    class facts; return the first failing span as (target, block a, block
+    b, row a, row b), in that order of precedence, or None.
+
+    Each block is a batch of distance matrices of one size, the positions
+    ``sel`` of the overlap in them, and each row's target (the row of its
+    overlap matrix), non-decreasing.  The members of a target are its rows
+    in each block, in block order; row a and row b count within them.  A
+    span joins a row of member a with a row of member b of one target: the
+    amalgam keeps a's points and appends b's non-overlap (extra) points,
+    with cross block X[p, q] = min_z a[p, z] + b[z, q] over overlap points
+    z.  Only the mixed triangle families, positivity of X, and agreement of
+    X with b on overlap rows need checking, and none of them reads a whole
+    span: X[p, q] is the min-plus product of g, a-point p's row to the
+    overlap, and f, b-extra point q's column from it (a Katetov function on
+    the overlap).  So
 
     * positivity depends on (g, f);
     * overlap agreement on (overlap index z, g of the point at z, f);
     * each a-triangle on (a-row, f), each b-triangle on (g, b-row).
 
-    Every g meets every f in some span, so when no such fact fails every
-    span passes, in time linear in the rows.  Otherwise the facts are
-    spread back over the member pairs, in order, to find the first failing
-    span.  X stays within twice the largest entry and d + x + y within five
-    times it, which the dtype ``_prepare_grid`` chose holds.
+    The g and f classes are ranked per target, target first, so each
+    target's classes are contiguous.  Every g of a target meets every f of
+    it in some span, so a target with no failing fact passes, and the pass
+    is linear in the rows.  X is laid out as one table padded to the
+    widest target (g classes by f classes, and its transpose); padded cells
+    stay out of positivity and agreement and hold the largest entry, which
+    passes every triangle.  The triangle checks run once per block over
+    every target's rows.  Only the first failing target is spread back
+    over its member pairs, in order, to find its first failing span.  X
+    stays within twice the largest entry and d + x + y within five times
+    it, which the dtype ``_prepare_grid`` chose holds.
     """
-    kc = len(members[0][1])
-    extras = [[q for q in range(m.shape[1]) if q not in sel] for m, sel in members]
+    kc = len(blocks[0][1])
+    extras = [[q for q in range(m.shape[1]) if q not in sel] for m, sel, _ in blocks]
     if not any(extras):
         return None  # every b is the overlap itself; each amalgam equals its a
-    g_cls, g_ids = _classes([m[:, :, sel] for m, sel in members])
-    f_cls, f_ids = _classes(
-        [m[:, sel][:, :, extra].transpose(0, 2, 1) for (m, sel), extra in zip(members, extras)]
+    targets = [t for _, _, t in blocks]
+    g_val, g_ids = _classes([m[:, :, sel] for m, sel, _ in blocks], targets)
+    f_val, f_ids = _classes(
+        [m[:, sel][:, :, extra].transpose(0, 2, 1) for (m, sel, _), extra in zip(blocks, extras)],
+        targets,
     )
-    cross = g_cls[:, None, 0] + f_cls[None, :, 0]  # (g classes, f classes)
-    for z in range(1, kc):
-        np.minimum(cross, g_cls[:, None, z] + f_cls[None, :, z], out=cross)
+    g_at, f_at = np.empty(len(g_val), dtype=np.int64), np.empty(len(f_val), dtype=np.int64)
+    for t, ids_g, ids_f in zip(targets, g_ids, f_ids):
+        g_at[ids_g], f_at[ids_f] = t[:, None], t[:, None]
+    f_val = f_val.T  # f_val[z]: every f class's coordinate z
+    pad = max(m.max() for m, _, _ in blocks)
 
-    positive = cross > 0
-    agree = [cross == f_cls[:, z] for z in range(kc)]
-    at_overlap = [
-        np.unique(np.concatenate([ids[:, sel[z]] for ids, (_, sel) in zip(g_ids, members)]))
-        for z in range(kc)
-    ]
+    # cross[g, j]: g with its target's j-th f class, and its transpose;
+    # nonpositive[g] and disagree[g, z] over real cells only
+    width, chunks = _padded_chunks(g_at, f_at, kc)
+    cross = np.empty((len(g_at), width), dtype=g_val.dtype)
+    nonpositive = np.zeros(len(g_at), dtype=bool)
+    disagree = np.zeros((len(g_at), kc), dtype=bool)
+    for part, cols, real in chunks:
+        f_part = [f_val[z][cols] for z in range(kc)]
+        x = g_val[part, None, 0] + f_part[0]
+        for z in range(1, kc):
+            np.minimum(x, g_val[part, None, z] + f_part[z], out=x)
+        x[~real] = pad
+        cross[part] = x
+        nonpositive[part] = ((x <= 0) & real).any(axis=1)
+        for z in range(kc):
+            disagree[part, z] = ((x != f_part[z]) & real).any(axis=1)
+    width, chunks = _padded_chunks(f_at, g_at, 1)
+    cross_t = np.empty((len(f_at), width), dtype=g_val.dtype)
+    f_local = np.arange(len(f_at)) - np.searchsorted(f_at, f_at, "left")
+    for part, rows, real in chunks:
+        cross_t[part] = np.where(real, cross[rows, f_local[part, None]], pad)
+
     a_bad, b_bad = [], []
-    for (m, _), ids in zip(members, g_ids):
+    for (m, _, _), ids in zip(blocks, g_ids):
         pa, pa2 = _pair_indices(m.shape[1])
         a_bad.append(_triangle_failures(m[:, pa, pa2], ids[:, pa], ids[:, pa2], cross))
-    for (m, _), extra, ids in zip(members, extras, f_ids):
+    for (m, _, _), extra, ids in zip(blocks, extras, f_ids):
         pb, pb2 = _pair_indices(len(extra))
         d_b = m[:, extra][:, :, extra][:, pb, pb2]
-        b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross.T))
-    if (
-        positive.all()
-        and all(agree[z][at].all() for z, at in enumerate(at_overlap))
-        and not any(bad.any() for bad in a_bad + b_bad)
-    ):
+        b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross_t))
+    failing = [g_at[nonpositive]]
+    for z in range(kc):
+        at = np.concatenate([ids[:, sel[z]] for ids, (_, sel, _) in zip(g_ids, blocks)])
+        failing.append(g_at[at[disagree[at, z]]])
+    for t, bad_a, bad_b in zip(targets, a_bad, b_bad):
+        failing += [t[bad_a.any(axis=1)], t[bad_b.any(axis=1)]]
+    failing = np.concatenate(failing)
+    if not failing.size:
         return None
 
-    # Some fact fails: per a-row, the f classes it fails with (positivity,
-    # overlap agreement, a-triangles); per b-row, the g classes (b-triangles).
-    # A member without extra points has no f ids, so it fails as no b.
-    for (_, sel), ids, bad in zip(members, g_ids, a_bad):
-        bad |= ~positive[ids].all(axis=1)
+    # Spread the first failing target back over its member pairs: per a-row,
+    # the f classes it fails with (positivity, overlap agreement,
+    # a-triangles); per b-row, the g classes (b-triangles).  A member
+    # without extra points has no f ids, so it fails as no b.
+    target = int(failing.min())
+    g0, g1 = np.searchsorted(g_at, [target, target + 1])
+    f0, f1 = np.searchsorted(f_at, [target, target + 1])
+    x = cross[g0:g1, : f1 - f0]
+    positive = x > 0
+    agree = [x == f_val[z][f0:f1] for z in range(kc)]
+    members = []
+    for k, ((_, sel, t), ids_a, ids_b) in enumerate(zip(blocks, g_ids, f_ids)):
+        lo, hi = np.searchsorted(t, [target, target + 1])
+        if lo == hi:
+            continue
+        ids_a, ids_b = ids_a[lo:hi] - g0, ids_b[lo:hi] - f0
+        bad_a = a_bad[k][lo:hi, : f1 - f0] | ~positive[ids_a].all(axis=1)
         for z, p in enumerate(sel):
-            bad |= ~agree[z][ids[:, p]]
-    for i, (ids_a, bad_a) in enumerate(zip(g_ids, a_bad)):
-        for j, (ids_b, bad_b) in enumerate(zip(f_ids, b_bad)):
+            bad_a |= ~agree[z][ids_a[:, p]]
+        members.append((k, ids_a, ids_b, bad_a, b_bad[k][lo:hi, : g1 - g0]))
+    for i, ids_a, _, bad_a, _ in members:
+        for j, _, ids_b, _, bad_b in members:
             n_b = ids_b.shape[0]
             chunk = max(1, CHUNK_ELEMENTS // (n_b * max(ids_a.shape[1], ids_b.shape[1])))
             for start in range(0, ids_a.shape[0], chunk):
@@ -568,5 +678,5 @@ def _ap_batch_failure(
                 hits = np.flatnonzero(fail)
                 if hits.size:
                     u, v = divmod(int(hits[0]), n_b)
-                    return i, j, start + u, v
+                    return target, i, j, start + u, v
     raise AssertionError("a class fact failed in no span")

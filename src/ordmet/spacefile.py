@@ -16,10 +16,12 @@ parsed canonical document reproduces it byte for byte.
 Both directions work on the space's int rows: ``parse_space`` parses each
 distinct value token once and fills the rows over the lcm of the parsed
 denominators; ``serialize_space`` formats each distinct value once.  The
-rows grow by one row and one column per ``point`` line, so the parser
-refuses the first point whose rows would top the row-store budget
+parser keeps only the names until the first ``dist`` line, allocates the
+rows there, and grows them by one row and one column per later ``point``
+line; a document without a ``dist`` line allocates no rows.  It refuses
+the first point whose rows would top the row-store budget
 (``spaces.store_bytes`` against ``STORE_BUDGET_BYTES``, as ``limit grow``
-and ``witness build`` do), before they grow.
+and ``witness build`` do), before any rows for it are allocated.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def parse_space(text: str) -> FinSpace:
     """
     names: list[str] = []
     ids: dict[str, PointId] = {}
-    rows: list[list[int | None]] = []
+    rows: list[list[int | None]] = []  # allocated at the first dist line
     token_index: dict[str, int] = {}  # value token -> index into values
     values: list[Fraction] = []
     seen_header = False
@@ -76,6 +78,8 @@ def parse_space(text: str) -> FinSpace:
                 raise SpaceParseError(f"line {lineno}: unknown point {unknown!r}")
             if i == j:
                 raise SpaceParseError(f"line {lineno}: self distance for {p!r}")
+            if not rows:
+                rows = [[None] * len(names) for _ in names]
             row = rows[i]
             if row[j] is not None:
                 raise SpaceParseError(f"line {lineno}: duplicate pair {p} {q}")
@@ -107,9 +111,10 @@ def parse_space(text: str) -> FinSpace:
                 )
             ids[name] = len(names)
             names.append(name)
-            for row in rows:
-                row.append(None)
-            rows.append([None] * len(names))
+            if rows:  # a point after a dist line
+                for row in rows:
+                    row.append(None)
+                rows.append([None] * len(names))
             continue
         raise SpaceParseError(f"line {lineno}: unrecognized directive {tokens[0]!r}")
 
@@ -120,6 +125,10 @@ def parse_space(text: str) -> FinSpace:
     scale = lcm(*(v.denominator for v in values))
     ints = [scaled(v, scale) for v in values]
     ints.append(0)  # index len(values): the diagonal
+    if not rows:  # no dist line: the first pair, if any, is missing
+        if len(names) > 1:
+            raise SpaceParseError(f"missing distance for pair {names[0]} {names[1]}")
+        rows = [[None] for _ in names]
     for i, row in enumerate(rows):
         row[i] = len(values)
         if None in row:  # any earlier pair was checked with its earlier row

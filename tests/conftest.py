@@ -362,6 +362,47 @@ def reference_target_failure(members, pair_failure=reference_ap_failure):
     return None
 
 
+def batch_blocks(targets, ids=None):
+    """Overlap targets, each a list of members (matrices, sel), as the
+    blocks of one ``_ap_batch_failure`` call: members of one size and
+    overlap positions share a block, blocks in order of first appearance,
+    each block's rows sorted by target id (``ids``, default 0, 1, ...) and
+    a target's rows kept in member order."""
+    ids = range(len(targets)) if ids is None else ids
+    pieces: dict[tuple, list] = {}
+    for target, members in sorted(zip(ids, targets), key=lambda item: item[0]):
+        for m, sel in members:
+            pieces.setdefault((m.shape[1], sel), []).append((target, m))
+    return [
+        (
+            np.concatenate([m for _, m in parts]),
+            sel,
+            np.concatenate([np.full(len(m), target) for target, m in parts]),
+        )
+        for (_, sel), parts in pieces.items()
+    ]
+
+
+def batch_members(blocks, target):
+    """One target's members in a batch of blocks, in block order: (block
+    index, its rows of the target, sel)."""
+    return [(k, m[t == target], sel) for k, (m, sel, t) in enumerate(blocks) if (t == target).any()]
+
+
+def reference_batch_failure(blocks, pair_failure=reference_ap_failure):
+    """Oracle for ``_ap_batch_failure``: every target in increasing order,
+    its members as ``batch_members`` gives them, checked with
+    ``reference_target_failure``; the first failing span as (target, block
+    a, block b, row a, row b), or None."""
+    for target in np.unique(np.concatenate([t for _, _, t in blocks])).tolist():
+        members = batch_members(blocks, target)
+        failure = reference_target_failure([(rows, sel) for _, rows, sel in members], pair_failure)
+        if failure is not None:
+            i, j, u, v = failure
+            return target, members[i][0], members[j][0], u, v
+    return None
+
+
 def reference_shift(config, members, low: int, shift: int):
     """Slow oracle for one shift of ``verify_injection``, index by index:
     chain index i of the image is UNKNOWN below the shift, IN when i - shift

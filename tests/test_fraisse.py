@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    batch_blocks,
+    batch_members,
+    reference_batch_failure,
     reference_span_failures,
     reference_target_failure,
     reference_valid_matrices,
@@ -314,13 +317,19 @@ def _corrupt(rng, m, top):
     m[i][j] = m[j][i] = rng.choice([0, 1, top])
 
 
-def _random_target(rng):
+def _stretch(rng, m, sel, top):
+    """Lengthen the entry of two random non-overlap points to one past the
+    shortest path between them through an overlap point, within top: a
+    broken b-triangle that the a-triangles of its own row mostly pass."""
+    q, q2 = rng.sample([p for p in range(len(m)) if p not in sel], 2)
+    m[q][q2] = m[q2][q] = min(top, min(m[z][q] + m[z][q2] for z in sel) + 1)
+
+
+def _random_target(rng, dtype, kc):
     """A random overlap target: one to three members, each one to five rows
     of one size over a shared overlap block (a member's own random block
     with probability 0.2), with some rows corrupted."""
-    dtype = rng.choice(DTYPES)
     top = int(np.iinfo(dtype).max) // 5
-    kc = rng.randint(1, 3)
     block = _random_metric(rng, kc, top)
     noise = rng.choice([0.0, 0.2, 0.5])
     members = []
@@ -331,11 +340,35 @@ def _random_target(rng):
         batch = []
         for _ in range(rng.randint(1, 5)):
             m = _extend_metric(rng, size, list(sel), own, top)
-            if size > 1 and rng.random() < noise:
+            if size - kc > 1 and rng.random() < noise / 2:
+                _stretch(rng, m, sel, top)
+            elif size > 1 and rng.random() < noise:
                 _corrupt(rng, m, top)
             batch.append(m)
         members.append((np.array(batch, dtype=dtype), sel))
     return members
+
+
+def _random_batch(rng):
+    """One to six random targets of one dtype and overlap size, under
+    increasing target ids with gaps, as blocks."""
+    dtype, kc = rng.choice(DTYPES), rng.randint(1, 3)
+    count = rng.randint(1, 6)
+    ids = sorted(rng.sample(range(3 * count), count))
+    return batch_blocks([_random_target(rng, dtype, kc) for _ in range(count)], ids)
+
+
+def _f_width(members):
+    """The number of distinct f vectors (b-extra columns on the overlap)."""
+    return len(
+        {
+            tuple(m[r, list(sel), q])
+            for _, m, sel in members
+            for r in range(m.shape[0])
+            for q in range(m.shape[1])
+            if q not in sel
+        }
+    )
 
 
 def _span_families(members):
@@ -354,27 +387,46 @@ def _span_families(members):
     "chunk_elements", [1, 64, fraisse.CHUNK_ELEMENTS], ids=["row", "64", "default"]
 )
 def test_ap_kernel_matches_reference_on_failing_batches(monkeypatch, chunk_elements):
-    """The class path on random multi-member targets, failing ones among
-    them, against the slow oracle and the span kernel run member pair by
-    member pair in order."""
+    """The batched class path on random batches of one to six multi-member
+    targets, failing ones among them, against the slow oracle and the span
+    kernel run target by target and member pair by member pair in order:
+    the first failing target and its first failing span.  Each family is
+    the only one the first failing target breaks in some batches."""
     monkeypatch.setattr(fraisse, "CHUNK_ELEMENTS", chunk_elements)
     span_kernel = functools.partial(span_ap_failure, chunk_elements=chunk_elements)
     rng = random.Random(6061 + chunk_elements)
-    families = set()
-    outcomes = {"pass": 0, "span (0, 0)": 0, "later span": 0}
-    for _ in range(250):
-        members = _random_target(rng)
-        expected = reference_target_failure(members)
-        assert reference_target_failure(members, span_kernel) == expected, members
-        assert _ap_batch_failure(members) == expected, members
+    outcomes = dict.fromkeys(
+        ["pass", "span (0, 0)", "later span", "later target", "later fails earlier", "padded"], 0
+    )
+    alone = dict.fromkeys(["positivity", "overlap", "a-triangle", "b-triangle"], 0)
+    for _ in range(200):
+        blocks = _random_batch(rng)
+        expected = reference_batch_failure(blocks)
+        assert reference_batch_failure(blocks, span_kernel) == expected, blocks
+        assert _ap_batch_failure(blocks) == expected, blocks
+        targets = np.unique(np.concatenate([t for _, _, t in blocks])).tolist()
+        members = [batch_members(blocks, target) for target in targets]
+        widths = {_f_width(each) for each in members}
+        outcomes["padded"] += len(widths) > 1
         if expected is None:
             outcomes["pass"] += 1
-        else:
-            outcomes["later span" if expected != (0, 0, 0, 0) else "span (0, 0)"] += 1
-        if len(families) < 4:
-            families |= _span_families(members)
-    assert families == {"positivity", "overlap", "a-triangle", "b-triangle"}
+            continue
+        # each target's first failing span, by member pair and rows
+        spans = [
+            reference_target_failure([(rows, sel) for _, rows, sel in each]) for each in members
+        ]
+        first = targets.index(expected[0])
+        outcomes["later target"] += first > 0
+        outcomes["later span" if spans[first] != (0, 0, 0, 0) else "span (0, 0)"] += 1
+        outcomes["later fails earlier"] += any(
+            span is not None and span < spans[first] for span in spans[first + 1 :]
+        )
+        # the first failing target fails by one family alone
+        families = _span_families([(rows, sel) for _, rows, sel in members[first]])
+        if len(families) == 1:
+            alone[families.pop()] += 1
     assert min(outcomes.values()) >= 10, outcomes
+    assert min(alone.values()) >= 5, alone
 
 
 # One target per family, in the int8 dtype: the overlap c, then a member
@@ -425,12 +477,13 @@ def _family_target(family):
 @pytest.mark.parametrize("family", sorted(FAMILY_TARGETS))
 def test_class_path_catches_each_family_alone(family):
     """Negative control: each family fails on its own, and the class path
-    finds the span oracle's first failing span, c against the bad row."""
+    finds the span oracle's first failing span, c against the bad row, in
+    a one-target batch."""
     members = _family_target(family)
     assert _span_families(members) == {family}
     assert reference_target_failure(members) == (0, 1, 0, 1)
     assert reference_target_failure(members, span_ap_failure) == (0, 1, 0, 1)
-    assert _ap_batch_failure(members) == (0, 1, 0, 1)
+    assert _ap_batch_failure(batch_blocks([members])) == (0, 0, 1, 0, 1)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_TARGETS))
@@ -449,7 +502,7 @@ def test_injected_family_reports_the_span_oracles_counterexample(monkeypatch, fa
     monkeypatch.setattr(
         fraisse,
         "_ap_batch_failure",
-        lambda members: reference_target_failure(members, span_ap_failure),
+        lambda blocks: reference_batch_failure(blocks, span_ap_failure),
     )
     assert fraisse._vector_engine(3, grid_values, scale, per_size) == report
     assert (report.hp_ok, report.jep_ok, report.ap_ok) == (True, True, False)
@@ -457,10 +510,11 @@ def test_injected_family_reports_the_span_oracles_counterexample(monkeypatch, fa
 
 
 def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
-    """With the size-2 spaces in reverse lexicographic order, every AP
-    target call gets pointed spaces of one overlap matrix, the calls of an
-    overlap size cover each pointed space once with rows ascending, and a
-    failing call reports its overlap's row in the reversed batch."""
+    """With the size-2 spaces in reverse lexicographic order, the AP pass
+    makes one kernel call per overlap size; in it every row's target is
+    the row of its overlap matrix in the reversed batch, each block's
+    targets ascend with rows ascending inside a target, the call covers
+    each pointed space once, and a failing call reports its target's row."""
     grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3, 4)]
     per_size[1] = per_size[1][::-1]
@@ -470,25 +524,31 @@ def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
     calls = []
 
     def recording(fail_on=None):
-        def failure(members):
-            overlaps = {m[np.ix_(sel, sel)].tobytes() for ms, sel in members for m in ms}
-            assert len(overlaps) == 1
-            calls.append(members)
-            failing = fail_on is not None and overlaps == {fail_on.tobytes()}
-            return (0, 0, 0, 0) if failing else None
+        def failure(blocks):
+            kc = len(blocks[0][1])
+            for ms, sel, targets in blocks:
+                assert (np.diff(targets) >= 0).all()
+                overlaps = ms[:, list(sel)][:, :, list(sel)]
+                assert (overlaps == per_size[kc - 1][targets]).all()
+            calls.append(blocks)
+            if fail_on is not None and fail_on.shape[0] == kc:
+                first = blocks[0][2][(blocks[0][0] == fail_on).all(axis=(1, 2))]
+                return int(first[0]), 0, 0, 0, 0
+            return None
 
         return failure
 
     monkeypatch.setattr(fraisse, "_ap_batch_failure", recording())
     assert fraisse._vector_engine(4, grid_values, scale, per_size).ap_ok
-    for kc in (1, 2, 3):
+    assert [len(blocks[0][1]) for blocks in calls] == [1, 2, 3]
+    for kc, blocks in zip((1, 2, 3), calls):
         seen = []
-        for members in calls:
-            for ms, sel in members:
-                if len(sel) == kc:
-                    rows = [row_of[ms.shape[1] - 1][m.tobytes()] for m in ms]
-                    assert rows == sorted(rows)
-                    seen += [(ms.shape[1], sel, r) for r in rows]
+        for ms, sel, targets in blocks:
+            rows = [row_of[ms.shape[1] - 1][m.tobytes()] for m in ms]
+            for target in set(targets.tolist()):
+                own = [r for r, t in zip(rows, targets) if t == target]
+                assert own == sorted(own)
+            seen += [(ms.shape[1], sel, r) for r in rows]
         expected = [
             (ka, sel, r)
             for ka in range(kc, 5)
@@ -500,6 +560,41 @@ def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
     monkeypatch.setattr(fraisse, "_ap_batch_failure", recording(chosen))
     report = fraisse._vector_engine(4, grid_values, scale, per_size)
     assert report.counterexample == "ap c-size=2 c-row=1 a=(2,(0, 1),0) b=(2,(0, 1),0)"
+
+
+def _record_kernel_calls(monkeypatch):
+    """The blocks of every AP kernel call from now on; the kernel still runs."""
+    calls, kernel = [], fraisse._ap_batch_failure
+
+    def recording(blocks):
+        calls.append(blocks)
+        return kernel(blocks)
+
+    monkeypatch.setattr(fraisse, "_ap_batch_failure", recording)
+    return calls
+
+
+def test_padded_batch_reads_each_targets_own_classes(monkeypatch):
+    """The size-3 slice over {1,2,3} at overlap size 2: three targets (the
+    overlap distance 1, 2 or 3) whose f widths differ, so the tables are
+    padded.  The batch passes as the oracle says, and a row added to the
+    last target, with the a-triangle of its overlap pair broken (f = (1, 1)
+    under d = 3), makes that target fail at the oracle's span: its overlap
+    as a, the new row as b."""
+    calls = _record_kernel_calls(monkeypatch)
+    check_fraisse_properties(3, [Fraction(1), Fraction(2), Fraction(3)])
+    blocks = calls[1]
+    assert [sel for _, sel, _ in blocks] == [(0, 1), (0, 1), (0, 2), (1, 2)]
+    widths = [_f_width(batch_members(blocks, target)) for target in (0, 1, 2)]
+    assert len(set(widths)) == 3
+    assert _ap_batch_failure(blocks) is None
+    assert reference_batch_failure(blocks) is None
+    m, sel, targets = blocks[1]
+    bad = np.array([[[0, 3, 1], [3, 0, 1], [1, 1, 0]]], dtype=m.dtype)
+    blocks[1] = (np.concatenate([m, bad]), sel, np.append(targets, 2))
+    expected = reference_batch_failure(blocks)
+    assert expected == (2, 0, 1, 0, int((targets == 2).sum()))
+    assert _ap_batch_failure(blocks) == expected
 
 
 def test_grouping_refuses_an_overlap_outside_the_c_batch():
@@ -526,6 +621,29 @@ def test_classes_index_every_vector():
         assert (classes[part_ids] == part).all()
 
 
+@pytest.mark.parametrize("spread", [3, 2**62], ids=["narrow", "wide"])
+def test_classes_rank_lead_first_like_unique_rows(spread):
+    """Against ``np.unique`` over the rows, and over the rows (lead,
+    vector): classes in lexicographic order and every vector's class.
+    Values in a range wider than the vectors are ranked by sorting, and at
+    width 16 the keys are compacted before they pass 2^62."""
+    rng = np.random.default_rng(8)
+    pool = rng.integers(-spread, spread, size=(40, 16), dtype=np.int64)
+    parts = [pool[rng.integers(0, 40, size=(n, 3))] for n in (5, 0, 11)]
+    leads = [np.sort(rng.integers(0, 4, size=len(part))) for part in parts]
+    led = [
+        np.column_stack([np.repeat(lead, 3), part.reshape(-1, 16)])
+        for lead, part in zip(leads, parts)
+    ]
+    for given, rows in [(None, [part.reshape(-1, 16) for part in parts]), (leads, led)]:
+        expected = np.unique(np.concatenate(rows), axis=0)
+        classes, ids = _classes(parts, given)
+        assert classes.tolist() == expected[:, -16:].tolist()
+        for part_ids, part_rows in zip(ids, rows):
+            assert part_ids.shape == (len(part_rows) // 3, 3)
+            assert expected[part_ids.ravel()].tolist() == part_rows.tolist()
+
+
 # -- AP work estimate ------------------------------------------------------------
 
 
@@ -540,8 +658,10 @@ def test_ap_work_estimate_by_hand():
 def test_ap_budget_boundary(monkeypatch, capsys):
     argv = ["fraisse-check", "--max-size", "3", "--grid", "1,2"]
     monkeypatch.setattr(fraisse, "AP_BUDGET_CHECKS", 1290)
+    calls = _record_kernel_calls(monkeypatch)
     assert run(argv) == 0
     assert capsys.readouterr().out.endswith("ap checked 1187: ok\nverdict pass\n")
+    assert [len(blocks[0][1]) for blocks in calls] == [1, 2]  # one batch per overlap size
     monkeypatch.setattr(fraisse, "AP_BUDGET_CHECKS", 1289)
 
     def checked(*args):
@@ -569,12 +689,62 @@ def test_ap_budget_admits_size_5_over_three_values(capsys):
     )
 
 
+def _golden_size_5(capsys, grid):
+    assert run(["fraisse-check", "--max-size", "5", "--grid", grid]) == 0
+    golden = Path(__file__).parent / "data" / f"fraisse-check-5-{grid}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_size_5_slice_matches_the_recorded_report(capsys):
     """Golden: the size-5 report over {1,2}, 100,137,955 AP spans, as the
     span kernel printed it."""
-    assert run(["fraisse-check", "--max-size", "5", "--grid", "1,2"]) == 0
-    golden = Path(__file__).parent / "data" / "fraisse-check-5-1,2.txt"
-    assert capsys.readouterr().out == golden.read_text()
+    _golden_size_5(capsys, "1,2")
+
+
+def test_size_5_slice_over_three_values_matches_the_recorded_report(capsys):
+    """Golden: the size-5 report over {1,2,3}, 36,178,487,692 AP spans, as
+    the per-target class kernel printed it."""
+    _golden_size_5(capsys, "1,2,3")
+
+
+@pytest.mark.parametrize(
+    "size, grid",
+    [(k, g) for g in ("1,2", "1,2,3") for k in (3, 4, 5)] + [(4, "1/2,1,2")],
+)
+def test_padded_class_checks_stay_within_the_ap_budget(monkeypatch, size, grid):
+    """The class checks the batched pass makes, counted from its padded
+    shapes (each triangle check's rows x pairs x padded table width, and
+    each padded table's cells x the terms per cell), never pass the
+    estimate the budget refuses by."""
+    values = [Fraction(q) for q in grid.split(",")]
+    grid_values, scale, int_grid = fraisse._prepare_grid(values)
+    per_size = [_valid_matrices(k, int_grid) for k in range(1, size + 1)]
+    checks = []
+    triangles, layout = fraisse._triangle_failures, fraisse._padded_chunks
+
+    def counted_triangles(d, first, second, table):
+        checks.append(first.shape[0] * first.shape[1] * table.shape[1])
+        return triangles(d, first, second, table)
+
+    def counted_layout(own, other, per_cell):
+        width, chunks = layout(own, other, per_cell)
+        checks.append(len(own) * width * per_cell)
+        return width, chunks
+
+    monkeypatch.setattr(fraisse, "_triangle_failures", counted_triangles)
+    monkeypatch.setattr(fraisse, "_padded_chunks", counted_layout)
+    assert fraisse._vector_engine(size, grid_values, scale, per_size).ap_ok
+    assert 0 < sum(checks) <= _ap_work(per_size, len(values))
+
+
+@pytest.mark.parametrize("grid", ["1,2,3", "1/2,1,2"])
+def test_size_4_slice_makes_one_kernel_call_per_overlap_size(monkeypatch, grid):
+    """The benchmark's size-4 slices decide each overlap size's targets in
+    one call (the per-target kernel made 28 and 22 calls)."""
+    calls = _record_kernel_calls(monkeypatch)
+    report = check_fraisse_properties(4, [Fraction(q) for q in grid.split(",")])
+    assert report.all_ok
+    assert [len(blocks[0][1]) for blocks in calls] == [1, 2, 3]
 
 
 def reference_hp(per_size):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -193,3 +194,34 @@ def test_parse_refuses_the_first_point_past_the_store_budget(monkeypatch):
         with pytest.raises(SpaceParseError) as refused:
             parse_space(doc)
         assert str(refused.value) == message
+
+
+def test_points_alone_allocate_no_rows():
+    """A 35 KB document of 3,000 point lines and no dist line is refused
+    with the first missing pair, within a few MB: the rows are allocated
+    at the first dist line, so none are here."""
+    doc = "space\n" + "".join(f"point p{i}\n" for i in range(3000)) + "end\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceParseError, match="^missing distance for pair p0 p1$"):
+            parse_space(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_points_after_dist_lines_grow_the_rows():
+    """A point listed after a dist line gets its row and column then: the
+    space reads like the canonical document of the same facts, and a pair
+    of a late point left out is named as missing."""
+    interleaved = (
+        "space\npoint a\npoint b\ndist a b 1/2\npoint c\ndist c a 1/1\ndist b c 3/2\n"
+        "point d\ndist a d 2/1\ndist b d 1/1\ndist c d 3/2\nend\n"
+    )
+    assert serialize_space(parse_space(interleaved)) == (
+        "space\npoint a\npoint b\npoint c\npoint d\ndist a b 1/2\ndist a c 1/1\n"
+        "dist a d 2/1\ndist b c 3/2\ndist b d 1/1\ndist c d 3/2\nend\n"
+    )
+    with pytest.raises(SpaceParseError, match="^missing distance for pair b c$"):
+        parse_space("space\npoint a\npoint b\ndist a b 1/1\npoint c\ndist a c 1/1\nend\n")

@@ -6,8 +6,12 @@ the directed read, the missing-entry clause), the completion rule and
 ``subspace`` on a repeated point) and its triangle pass, the limit
 builder's stage layout, rescale and image search, the orbit test's support
 and the orbit search's support-filtered level per entry, the Fraisse
-direct engine's embedding lists, the HP subset search, the AP check's
-overlap grouping and its four class-fact families, the CLI's start without
+direct engine's embedding lists, the HP subset search, the class ranking's
+key compaction, the AP check's overlap grouping, its four class-fact
+families and the batched pass's
+padding (the agreement check counting padded cells, a zero pad, a target's
+class offset off by one; counting padded cells in positivity is an
+equivalent mutant while the pad is positive), the CLI's start without
 numpy, and the witness admissibility test, shift core, trace bitmask
 conversions and reserved chain names.
 
@@ -51,6 +55,7 @@ WITNESS = "src/ordmet/witness.py"
 FRAISSE = "src/ordmet/fraisse.py"
 CLI = "src/ordmet/cli.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
+PADDED = "tests/test_fraisse.py::test_padded_batch_reads_each_targets_own_classes"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
 AGREEING = "tests/test_preserves.py::test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables"
@@ -318,17 +323,24 @@ MUTANTS = [
         ("tests/test_fraisse.py::test_grouping_refuses_an_overlap_outside_the_c_batch",),
     ),
     Mutant(
+        "classes-keys-never-compacted",
+        FRAISSE,
+        "        if bound * count > 1 << 62:\n",
+        "        if False:\n",
+        ("tests/test_fraisse.py::test_classes_rank_lead_first_like_unique_rows[wide]",),
+    ),
+    Mutant(
         "ap-positivity-admits-zero",
         FRAISSE,
-        "positive = cross > 0",
-        "positive = cross >= 0",
+        "((x <= 0) & real)",
+        "((x < 0) & real)",
         (f"{FAMILY}[positivity]",),
     ),
     Mutant(
         "ap-overlap-agreement-one-sided",
         FRAISSE,
-        "cross == f_cls[:, z]",
-        "cross <= f_cls[:, z]",
+        "((x != f_part[z]) & real)",
+        "((x > f_part[z]) & real)",
         (f"{FAMILY}[overlap]",),
     ),
     Mutant(
@@ -341,9 +353,37 @@ MUTANTS = [
     Mutant(
         "ap-b-triangle-table-dropped",
         FRAISSE,
-        "b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross.T))",
-        "b_bad.append(np.zeros((m.shape[0], cross.shape[0]), dtype=bool))",
+        "b_bad.append(_triangle_failures(d_b, ids[:, pb], ids[:, pb2], cross_t))",
+        "b_bad.append(np.zeros((m.shape[0], cross_t.shape[1]), dtype=bool))",
         (f"{FAMILY}[b-triangle]",),
+    ),
+    Mutant(
+        "ap-b-triangle-target-dropped",
+        FRAISSE,
+        "failing += [t[bad_a.any(axis=1)], t[bad_b.any(axis=1)]]",
+        "failing += [t[bad_a.any(axis=1)]]",
+        (f"{FAMILY}[b-triangle]",),
+    ),
+    Mutant(
+        "ap-agreement-counts-padding",
+        FRAISSE,
+        "((x != f_part[z]) & real)",
+        "(x != f_part[z])",
+        (PADDED,),
+    ),
+    Mutant(
+        "ap-pad-zero",
+        FRAISSE,
+        "pad = max(m.max() for m, _, _ in blocks)",
+        "pad = 0",
+        (PADDED,),
+    ),
+    Mutant(
+        "ap-target-class-offset-off-by-one",
+        FRAISSE,
+        'first = np.searchsorted(other, own, "left")',
+        'first = np.searchsorted(other, own, "left") + 1',
+        (PADDED,),
     ),
     Mutant(
         "enumeration-first-pair-fastest",
