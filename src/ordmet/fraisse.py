@@ -106,8 +106,8 @@ ENUMERATION_BUDGET_BYTES = 1 << 30
 CHUNK_ELEMENTS = 1 << 17
 
 # Most class checks the AP pass may make, as estimated by _ap_work.  Size 5
-# over {1,2,3} estimates 519,900,036 and checks in about 4 s end to end on a
-# 2-vCPU x86 host; size 5 over {1,2,3,4} (13,745,879,064) is refused.
+# over {1,2,3} estimates 519,900,036 and checks in about 2-3 s end to end on
+# a 2-vCPU x86 host; size 5 over {1,2,3,4} (13,745,879,064) is refused.
 AP_BUDGET_CHECKS = 1 << 31
 
 
