@@ -15,9 +15,9 @@ The checks read k, n and a trace as a Python int bitmask, bit i for chain
 index i: shifting is a left shift, and every other test is a bit test.  A
 trace is any iterable of chain indices.  Only ``WitnessConfig.space`` builds
 (and validates) the distance table, and only readers of ``chain`` build the
-chain.  ``exhaust_all_traces`` builds every admissible mask directly and
-refuses, before enumerating, when they would need more than
-``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests; ``verify_injection``
+chain.  ``exhaust_all_traces`` decides each admissible trace by its
+minimal-index class and refuses, before any check, when one check per trace
+would top ``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests; ``verify_injection``
 refuses, before building a mask, when its masks would need more than
 ``STORE_BUDGET_BYTES``.  A chain end 3k past 4,300 decimal digits is
 refused, and any other number that long is stated by its bit length.
@@ -346,10 +346,9 @@ class ExhaustReport:
         return out
 
 
-# Most shift checks plus pair tests exhaust_all_traces may make.  A trace
-# costs n shift checks and up to n(n-1)/2 pair tests, so the budget admits
-# 2^20 traces at n = 1; on a 2-vCPU x86 host under CPython 3.11 those take
-# about 4 s, and 2^20 traces at n = 19 took 67 s.
+# Most shift checks plus pair tests exhaust_all_traces may count: n shift
+# checks and n(n-1)/2 pair tests per trace, so 2^20 traces at n = 1.  Traces
+# are decided per class, so it bounds the traces, not the k + 2 - n checks.
 EXHAUST_BUDGET_CHECKS = 2**20
 
 
@@ -371,11 +370,13 @@ def _count(factor: int, exponent: int) -> str:
 
 def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
     """Check the injection on every admissible trace: every superset of the
-    tail inside the window, 2^(k+1-n) of them, by subset size and then
-    lexicographically.  Each trace is a bitmask over the chain indices.
-
-    Refuses with SpaceError, before enumerating, when those traces need
-    more than EXHAUST_BUDGET_CHECKS shift checks and pair tests.
+    tail inside the window, 2^(k+1-n) of them.  The verdict reads only bits
+    0..L (L the minimal index) and the end indices 3k - j, j < n, so one
+    check of tail | {L} decides class L's 2^(3k-n-L) traces (the tail alone
+    for L = 3k-n+1).  ``checked`` counts every trace decided; the first
+    failure by size, then lexicographically, is the tail alone, else tail |
+    {smallest failing L}.  Refuses with SpaceError, before any check, when
+    one check per trace would top EXHAUST_BUDGET_CHECKS.
     """
     # 2^size traces, one per subset of the free indices 2k .. 3k - n; from
     # the budget's bit length on, 2^size alone tops it and is not formed
@@ -386,17 +387,16 @@ def exhaust_all_traces(config: WitnessConfig) -> ExhaustReport:
             f" {_count(per_trace, size)} shift checks and pair tests,"
             f" over the budget of {EXHAUST_BUDGET_CHECKS}"
         )
-    free = range(2 * config.k, config.tail.start)
-    tail = sum(1 << i for i in config.tail)
-    bits = [1 << i for i in free]
+    start = config.tail.start
+    tail = (2 << 3 * config.k) - (1 << start)
     checked = passed = 0
     first_failure = None
-    for r in range(len(bits) + 1):
-        for extra in combinations(bits, r):
-            mask = tail + sum(extra)
-            checked += 1
-            if _shift_core(config.k, config.n, mask)[2]:
-                passed += 1
-            elif first_failure is None:
-                first_failure = _indices(mask)
+    for low in (start, *range(2 * config.k, start)):  # the tail alone first
+        mask = tail | 1 << low
+        count = 1 << start - 1 - low if low < start else 1
+        checked += count
+        if _shift_core(config.k, config.n, mask)[2]:
+            passed += count
+        elif first_failure is None:
+            first_failure = _indices(mask)
     return ExhaustReport(checked, passed, first_failure)

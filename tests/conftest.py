@@ -18,6 +18,9 @@ from ordmet.witness import (
     InadmissibleTraceError,
     InjectionReport,
     ShiftCheck,
+    WitnessConfig,
+    _indices,
+    _shift_core,
 )
 
 
@@ -473,6 +476,26 @@ def reference_exhaust(config, verdict=None) -> ExhaustReport:
                 passed += 1
             elif first_failure is None:
                 first_failure = tuple(sorted(members))
+    return ExhaustReport(checked, passed, first_failure)
+
+
+def enumerated_exhaust(config: WitnessConfig) -> ExhaustReport:
+    """Fast oracle for ``exhaust_all_traces``: every admissible trace built
+    as a bitmask, by subset size and then lexicographically, and checked
+    with ``_shift_core`` one by one; no budget."""
+    free = range(2 * config.k, config.tail.start)
+    tail = sum(1 << i for i in config.tail)
+    bits = [1 << i for i in free]
+    checked = passed = 0
+    first_failure = None
+    for r in range(len(bits) + 1):
+        for extra in combinations(bits, r):
+            mask = tail + sum(extra)
+            checked += 1
+            if _shift_core(config.k, config.n, mask)[2]:
+                passed += 1
+            elif first_failure is None:
+                first_failure = _indices(mask)
     return ExhaustReport(checked, passed, first_failure)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +246,21 @@ def test_witness_exhaust_states_huge_counts_as_powers_of_two(files, capsys, n, m
         f" {checks} shift checks and pair tests,"
         f" over the budget of {ordmet.witness.EXHAUST_BUDGET_CHECKS}\n"
     )
+
+
+def test_witness_exhaust_reproduces_the_recorded_grid(tmp_path, capsys):
+    """Byte for byte the output and exit status recorded from the engine
+    that checked every trace: (1, 1..20), up to 2^20 traces, (2..6, 1..4),
+    (19, 1), and the refused (1, 21), (19, 2) and (1, 100000)."""
+    recorded = json.loads((Path(__file__).parent / "data" / "witness-exhaust-grid.json").read_text())
+    support = tmp_path / "support.space"
+    support.write_text(recorded["support"])
+    for expected in recorded["runs"]:
+        status = run(witness_argv("exhaust", str(support), expected["n"], expected["m"]))
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (
+            expected["status"], expected["stdout"], expected["stderr"]
+        ), (expected["n"], expected["m"])
 
 
 def test_witness_build_refuses_oversized_table(files, tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    enumerated_exhaust,
     reference_admissible,
     reference_distinct,
     reference_exhaust,
@@ -361,6 +362,26 @@ def test_shift_core_matches_reference_on_every_mask(k):
         assert all(values == {True, False} for values in seen.values()), seen
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_shift_core_verdict_reads_only_low_bits_and_end_indices(k):
+    """The invariant exhaust's classes rest on: on every nonempty mask over
+    0..3k, admissible or not, with n up to k + 2, the verdict is the same
+    with every bit outside {0..L} and the end indices {3k - j : j < n}
+    cleared, and with all of them set (L the lowest set bit)."""
+    chain = (2 << 3 * k) - 1
+    verdicts = set()
+    for n in range(1, k + 3):
+        ends = chain - ((1 << 3 * k - n + 1) - 1)
+        for mask in range(1, chain + 1):
+            low = (mask & -mask).bit_length() - 1
+            read = (2 << low) - 1 | ends
+            verdict = witness._shift_core(k, n, mask)[2]
+            assert witness._shift_core(k, n, mask & read)[2] == verdict, (k, n, bin(mask))
+            assert witness._shift_core(k, n, mask | chain & ~read)[2] == verdict, (k, n, bin(mask))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # -- exhaust ----------------------------------------------------------------------
 
 
@@ -399,42 +420,68 @@ def test_exhaust_matches_reference(n, m):
     assert exhaust_all_traces(config) == reference_exhaust(config)
 
 
-def failing_sets(config):
-    """Chosen traces to fail: free indices a < b < c < d give tail+{a,d}
-    before tail+{b,c} by size then lexicographically, though its mask is
-    larger, and tail+{d} before both."""
-    tail = frozenset(config.tail)
-    a, b, c, d = [i for i in config.window if i not in config.tail][:4]
-    yield {tail | {b, c}}
-    yield {tail | {b, c}, tail | {a, d}}
-    yield {tail | {b, c}, tail | {a, d}, tail | {d}}
-    yield {tail | {a, b, c, d}}
-    yield set(admissible_traces(config))
+# Every (n, m) with n <= 6 whose 2^(k+1-n) traces number at most 2^13,
+# the benchmark's (3, 5) and (4, 4) among them.
+ENUMERABLE = [(n, m) for n in range(1, 7) for m in range(1, 14) if n * m + 1 - n <= 13]
+
+
+@pytest.mark.parametrize("n, m", ENUMERABLE)
+def test_exhaust_matches_enumeration(n, m):
+    config = build_witness(singleton_support(), n, m)
+    assert exhaust_all_traces(config) == enumerated_exhaust(config)
+
+
+@pytest.mark.parametrize("n, m", ENUMERABLE)
+def test_exhaust_checks_one_admissible_representative_per_class(n, m, monkeypatch):
+    """k + 2 - n calls, each on the smallest trace of one minimal-index
+    class: the tail alone first, then tail | {L} for L = 2k, 2k + 1, .."""
+    config = build_witness(singleton_support(), n, m)
+    core, masks = witness._shift_core, []
+
+    def recorded(k, n, mask):
+        masks.append(mask)
+        return core(k, n, mask)
+
+    monkeypatch.setattr(witness, "_shift_core", recorded)
+    exhaust_all_traces(config)
+    tail = as_mask(config.tail)
+    assert masks == [tail] + [tail | 1 << low for low in range(2 * config.k, config.tail.start)]
+    assert len(masks) == config.k + 2 - n
+    assert all(witness._is_admissible(config, mask) for mask in masks)
+
+
+def failing_classes(config):
+    """Minimal indices to fail: the tail-only class with a free class, two
+    free classes, the last free class alone, and every class."""
+    start, free = config.tail.start, range(2 * config.k, config.tail.start)
+    yield {start, free[1]}
+    yield {free[1], free[3]}
+    yield {free[-1]}
+    yield {start, *free}
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 3)])
 def test_exhaust_reports_injected_failures_like_reference(n, m, monkeypatch):
-    """No real trace fails, so a chosen set is made to fail in both the
-    mask engine and the reference; checked, passed, first-failure and the
-    report lines must agree."""
+    """No real trace fails, so the verdict is made to fail for chosen
+    minimal indices, class by class, in both the class engine and the
+    reference; checked, passed, first-failure and the report lines must
+    agree."""
     config = build_witness(singleton_support(), n, m)
     core = witness._shift_core
-    for failing in failing_sets(config):
-        masks = {as_mask(members) for members in failing}
+    for failing in failing_classes(config):
 
         def injected(k, n, mask):
             shifts, distinct, injective = core(k, n, mask)
-            return shifts, distinct, injective and mask not in masks
+            return shifts, distinct, injective and (mask & -mask).bit_length() - 1 not in failing
 
         monkeypatch.setattr(witness, "_shift_core", injected)
         report = exhaust_all_traces(config)
-        expected = reference_exhaust(config, lambda members: members not in failing)
+        expected = reference_exhaust(config, lambda members: min(members) not in failing)
         assert report == expected
         assert report.lines() == expected.lines()
-        assert report.passed == report.checked - len(failing)
         assert report.lines()[-1] == "verdict fail"
-        first = min(failing, key=lambda members: (len(members), sorted(members)))
-        assert report.first_failure == tuple(sorted(first))
+        first = config.tail.start if config.tail.start in failing else min(failing)
+        assert report.first_failure == tuple(sorted({first, *config.tail}))
 
 
 def test_exhaust_builds_no_membership_dicts(monkeypatch):

@@ -12,8 +12,10 @@ families and the batched pass's
 padding (the agreement check counting padded cells, a zero pad, a target's
 class offset off by one; counting padded cells in positivity is an
 equivalent mutant while the pad is positive), the CLI's start without
-numpy, and the witness admissibility test, shift core, trace bitmask
-conversions and reserved chain names.
+numpy, and the witness admissibility test, shift core (its reads outside
+the bits a verdict may depend on), exhaust's minimal-index classes (class
+size, representative, which failure is first), trace bitmask conversions
+and reserved chain names.
 
     python tools/mutants.py
 
@@ -72,6 +74,8 @@ ADMISSIBLE = (
 BAD_INPUT = "tests/test_amalgam.py::test_amalgam_refuses_each_bad_input_embedding"
 HP_FIRST = "tests/test_fraisse.py::test_hp_pass_reports_the_first_failing_subset"
 RESERVED = "tests/test_witness.py::test_reserved_names_match_the_chain_name_loop"
+READ_SET = "tests/test_witness.py::test_shift_core_verdict_reads_only_low_bits_and_end_indices[4]"
+INJECTED = "tests/test_witness.py::test_exhaust_reports_injected_failures_like_reference[2-3]"
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
@@ -447,6 +451,41 @@ MUTANTS = [
         "distinct = False",
         "distinct = True",
         (SHIFT_CORE,),
+    ),
+    Mutant(
+        "witness-end-test-reads-one-below-the-end",
+        WITNESS,
+        "image >> top & 1 == 1",
+        "image >> top - 1 & 1 == 1",
+        (READ_SET,),
+    ),
+    Mutant(
+        "witness-exhaust-class-size-off-by-one",
+        WITNESS,
+        "count = 1 << start - 1 - low if",
+        "count = 1 << start - low if",
+        ("tests/test_witness.py::test_exhaust_matches_enumeration[3-5]",),
+    ),
+    Mutant(
+        "witness-exhaust-first-failure-from-largest-class",
+        WITNESS,
+        "elif first_failure is None:",
+        "else:",
+        (INJECTED,),
+    ),
+    Mutant(
+        "witness-exhaust-tail-class-not-first",
+        WITNESS,
+        "for low in (start, *range(2 * config.k, start)):",
+        "for low in range(2 * config.k, start + 1):",
+        (INJECTED,),
+    ),
+    Mutant(
+        "witness-exhaust-representative-one-up",
+        WITNESS,
+        "mask = tail | 1 << low\n",
+        "mask = tail | 1 << low + 1\n",
+        ("tests/test_witness.py::test_exhaust_checks_one_admissible_representative_per_class[2-3]",),
     ),
     Mutant(
         "witness-indices-skip-bit-0",
