@@ -10,15 +10,17 @@ report:
 * ``direct`` builds every span as real objects and routes it through
   ``amalgamate`` and ``validate``.  The embeddings of each overlap c into
   each space are enumerated once per c and reused for every span over c;
-  each span is one ``amalgamate`` call, which checks both input embeddings
-  and then the glued space, the commuting square and both output
-  embeddings.  Exact but slow; meant for small bounds and for
-  cross-checking.
+  each span is one ``amalgamate`` call, which checks both input embeddings,
+  the completion and then the glued space.  Exact but slow; meant for
+  small bounds and for cross-checking.
 * ``vector`` rescales the grid to integers and checks the amalgam axioms
   with numpy.  For each span only the mixed triangle families can fail
   (the two sides are already valid and symmetry, identity, positivity of
   the glued table and the interleaved order hold by construction), so it
   checks those plus positivity and overlap-consistency of the cross block.
+  JEP has no pass of its own: the empty-overlap cross block is the
+  constant 1 + max(diam a, diam b), which breaks no triangle, so a pair
+  fails exactly when a or b is invalid, as the HP pass decides.
 
 The vector engine groups the AP spans by overlap matrix (their target)
 and decides them from class facts, not span by span, in one pass per
@@ -39,9 +41,10 @@ ValueError, before any pass runs.
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
 (with top the largest scaled grid value: 5 top in the AP triangles, whose
-cross distances reach 2 top, twice the JEP constant, 3 top in the
-enumeration).  A grid no dtype holds is refused with ValueError.  Each
-triangle is tested as the single predicate 2 max(d, x, y) <= d + x + y.
+cross distances reach 2 top, and 3 top in the enumeration).  The common
+denominator enters no array, so it does not bound the grid.  A grid no
+dtype holds is refused with ValueError.  Each triangle is tested as the
+single predicate 2 max(d, x, y) <= d + x + y.
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ _DTYPES = (np.int8, np.int16, np.int32, np.int64)
 # Peak bytes _valid_matrices may hold for one size.
 ENUMERATION_BUDGET_BYTES = 1 << 30
 
-# Elements in the widest temporary of one chunk of the JEP pass or of the
-# AP class checks.
+# Elements in the widest temporary of one chunk of the AP class checks.
 CHUNK_ELEMENTS = 1 << 17
 
 # Most class checks the AP pass may make, as estimated by _ap_work.  Size 5
@@ -114,10 +116,9 @@ AP_BUDGET_CHECKS = 1 << 31
 def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, np.ndarray]:
     """The sorted grid, its common denominator, and the scaled grid in the
     narrowest integer dtype that holds every intermediate value: triangle
-    sums of the enumeration (3 top), twice the JEP constant scale + diam,
-    and the AP triangles' d + x + y (5 top), top being the largest scaled
-    value.  NumPy casts a Python int operand into the array's dtype, so the
-    bound covers scale as well."""
+    sums of the enumeration (3 top) and the AP triangles' d + x + y (5 top),
+    top being the largest scaled value.  The denominator itself never
+    enters an array: the JEP verdict is the HP pass's, with no arithmetic."""
     values = sorted(set(Fraction(q) for q in grid))
     if not values:
         raise ValueError("distance grid is empty")
@@ -125,13 +126,13 @@ def _prepare_grid(grid: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], int, 
         raise ValueError("distance grid contains a non-positive value")
     scale = math.lcm(*(q.denominator for q in values))
     ints = [int(q * scale) for q in values]
-    bound = max(5 * ints[-1], 2 * (scale + ints[-1]))
+    bound = 5 * ints[-1]
     for dtype in _DTYPES:
         if bound <= np.iinfo(dtype).max:
             return tuple(values), scale, np.array(ints, dtype=dtype)
     raise ValueError(
         f"distance grid out of range: intermediate values reach {bound}"
-        f" (5 * {ints[-1]} or 2 * ({scale} + {ints[-1]})),"
+        f" (5 * {ints[-1]}),"
         f" over the int64 bound {np.iinfo(np.int64).max}"
     )
 
@@ -205,7 +206,7 @@ def check_fraisse_properties(
     grid_values, scale, int_grid = _prepare_grid(grid)
     per_size = [_valid_matrices(k, int_grid) for k in range(1, max_size + 1)]
     if engine == "vector":
-        return _vector_engine(max_size, grid_values, scale, per_size)
+        return _vector_engine(max_size, grid_values, per_size)
     if engine == "direct":
         return _direct_engine(max_size, grid_values, scale, per_size)
     raise ValueError(f"unknown engine {engine!r}")
@@ -346,7 +347,7 @@ def _first_subset_failure(batch: np.ndarray) -> tuple[tuple[int, ...], int]:
     raise AssertionError("a failing matrix fails on no position subset")
 
 
-def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
+def _vector_engine(max_size, grid_values, per_size) -> FraisseReport:
     work = _ap_work(per_size, len(grid_values))
     if work > AP_BUDGET_CHECKS:
         raise ValueError(
@@ -357,26 +358,11 @@ def _vector_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     hp_checked, counterexample = _hp_pass(per_size)
     hp_ok = counterexample is None
 
-    # JEP: cross block is the constant 1 + max(diam a, diam b).  Mixed
-    # triangles reduce to diam <= 2 * constant; everything else is inherited
-    # or structural.  Rows of a are taken in chunks, so no temporary grows
-    # with the square of a size's count.
-    diams = [batch.max(axis=(1, 2)) for batch in per_size]
-    jep_checked = 0
-    jep_ok = True
-    for da in diams:
-        for db in diams:
-            jep_checked += da.shape[0] * db.shape[0]
-            chunk = max(1, CHUNK_ELEMENTS // db.shape[0])
-            for start in range(0, da.shape[0] if jep_ok else 0, chunk):
-                part = da[start : start + chunk, None]
-                const = scale + np.maximum(part, db)
-                ok = (const > 0) & (part <= 2 * const) & (db <= 2 * const)
-                if not ok.all():
-                    jep_ok = False
-                    u, v = map(int, np.argwhere(~ok)[0])
-                    counterexample = counterexample or f"jep rows=({start + u},{v})"
-                    break
+    # JEP: a pair fails exactly when a or b is invalid (module docstring), so
+    # all pass when the HP pass finds no invalid matrix, and (a, a) fails
+    # when it finds one.
+    jep_checked = sum(counts) ** 2
+    jep_ok = hp_ok
 
     # AP: give each pointed space (space, overlap positions) the c row of its
     # induced overlap matrix, its target, ranked by its upper triangle with

@@ -17,10 +17,11 @@ builder reads them with the methods ``FinSpace`` has (``d``, ``position``,
 ``subspace`` and the rest).  The rows are the only stored form: a new
 denominator rescales them with ``_RowTable._rows_over``.  Each new point's
 column is the shortest-path completion through its subset, computed and
-re-checked against its triangle bounds by ``amalgam.shortest_path_column``
-(the rule ``amalgamate`` uses) in integers formed by ``spaces.scaled``, and
-is inserted at the new point's position.  Snapshots (``stage``) take a copy
-of the rows, so ``Fraction`` values are made only when ``d`` is read.
+re-checked against its lower triangle bound by
+``amalgam.shortest_path_column`` (the rule ``amalgamate`` uses) in integers
+formed by ``spaces.scaled``, and is inserted at the new point's position.
+Snapshots (``stage``) take a copy of the rows, so ``Fraction`` values are
+made only when ``d`` is read.
 
 Partial isomorphisms between finite subsets extend through the stage by the
 usual alternation: images are looked up among existing points in creation
@@ -225,7 +226,8 @@ class LimitBuilder(_RowTable):
         requested order gap inside it; remaining distances are completed by
         shortest path through the subset (the amalgamation rule), in
         integers over the common denominator, and each completed distance
-        is re-checked against its triangle bounds.
+        is re-checked against its lower triangle bound (the upper one holds
+        by the minimum).
         """
         points, pos = self.points, self._pos
         if not all(p in pos for p in dvec):
@@ -343,15 +345,15 @@ class LimitBuilder(_RowTable):
         return self._forth(iso, target)
 
     def _forth(self, iso: PartialIso, target: PointId) -> PartialIso:
-        """Forth step of a map already checked on the stage; the result is
-        checked again."""
+        """Forth step of a map already checked on the stage.  The extended
+        map is not checked again: a found image passed ``agrees_located``
+        against every pair of the map, and a realized image gets the
+        transported distances to the codomain (pinned by ``realize``'s
+        column re-check) in the codomain gap that target occupies in the
+        domain."""
         if target in set(iso.dom):
             return iso
-        image = self._find_or_realize_image(iso, target)
-        extended = iso.extended(target, image)
-        if not self.iso_ok(extended):
-            raise SpaceError("extension broke the partial isomorphism")
-        return extended
+        return iso.extended(target, self._find_or_realize_image(iso, target))
 
     def apply_auto(self, iso: PartialIso, x: PointId, fuel: int) -> PointId:
         """Image of ``x`` under the canonical automorphism the schedule

@@ -374,6 +374,27 @@ def test_amalgam_names_the_missing_pair_it_reads(a, b, overlap, pair):
         amalgamate(a, b, c, Embedding(c, a, ident), Embedding(c, b, ident))
 
 
+def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
+    """Oracle for the output amalgamate does not re-check: on every span of
+    the size-3 slice over {1, 2}, the empty overlap included, the square
+    commutes, embedding_ok accepts f_a and f_b, and their images overlap
+    exactly on the image of c."""
+    spaces = grid_spaces(3, [1, 2])
+    spans = 0
+    for c in [FinSpace((), {}), *spaces]:
+        into = [list(enumerate_embeddings(c, s)) for s in spaces]
+        for (a, into_a), (b, into_b) in product(zip(spaces, into), repeat=2):
+            for e_a, e_b in product(into_a, into_b):
+                _, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
+                overlap = [f_a(e_a(z)) for z in c.points]
+                assert overlap == [f_b(e_b(z)) for z in c.points]
+                assert embedding_ok(f_a) and embedding_ok(f_b)
+                assert f_a.image() & f_b.image() == frozenset(overlap)
+                spans += 1
+    assert len(spaces) == 1 + 2 + 8
+    assert spans == 121 + 1187  # the slice's JEP and AP instances
+
+
 @pytest.mark.parametrize("unit", [1, Fraction(1, 2)])
 def test_shortest_path_column_completes_through_every_anchor(unit):
     # points P0, P1, P2 with d01 = 2, d02 = 3, d12 = 1; the new point sits

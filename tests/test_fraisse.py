@@ -204,12 +204,26 @@ def test_grid_dtype_is_the_narrowest_that_holds_five_times_top(index):
         assert _prepare_grid([Fraction(top + 1)])[2].dtype == DTYPES[index + 1]
 
 
-def test_grid_dtype_holds_twice_the_jep_constant():
-    # scale + diam doubled: 2 * (62 + 1) = 126 fits int8, 2 * (63 + 1) does not
-    assert _prepare_grid([Fraction(1, 62)])[2].dtype == np.int8
-    assert _prepare_grid([Fraction(1, 63)])[2].dtype == np.int16
+def test_grid_dtype_ignores_the_common_denominator():
+    # the denominator enters no array: 1/63 and 2^-62 both scale to [1]
+    for q in (Fraction(1, 63), Fraction(1, 2**62)):
+        _, scale, ints = _prepare_grid([q])
+        assert (scale, ints.tolist(), ints.dtype) == (q.denominator, [1], np.int8)
     _, scale, ints = _prepare_grid([Fraction(1, 2), Fraction(1, 3)])
     assert (scale, ints.tolist(), ints.dtype) == (6, [2, 3], np.int8)
+
+
+def test_fraisse_check_over_grid_2_to_the_minus_62_reports_like_grid_1(capsys):
+    """The denominator 2^62 enters no array, so grid 2^-62 scales to [1] in
+    int8 and both engines report grid 1's lines but for the grid line."""
+    assert run(["fraisse-check", "--max-size", "3", "--grid", "1"]) == 0
+    unit = capsys.readouterr().out.splitlines()
+    assert run(["fraisse-check", "--max-size", "3", "--grid", "1/4611686018427387904"]) == 0
+    tiny = capsys.readouterr().out.splitlines()
+    assert tiny[1] == "grid 1/4611686018427387904"
+    assert tiny[:1] + tiny[2:] == unit[:1] + unit[2:]
+    direct = check_fraisse_properties(3, [Fraction(1, 2**62)], engine="direct").lines()
+    assert direct == tiny
 
 
 @pytest.mark.parametrize(
@@ -492,19 +506,19 @@ def test_injected_family_reports_the_span_oracles_counterexample(monkeypatch, fa
     real slice over 1..5, gives the engine the same report, with the same
     counterexample ap line, as the span oracle run per member pair.  The HP
     masks are patched to pass so that the AP line is reported."""
-    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in range(1, 6)])
+    grid_values, _, int_grid = fraisse._prepare_grid([Fraction(v) for v in range(1, 6)])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
     bad = np.array(FAMILY_TARGETS[family][2][1], dtype=int_grid.dtype)
     per_size[len(bad) - 1] = np.concatenate([per_size[len(bad) - 1], bad[None]])
     monkeypatch.setattr(fraisse, "_triangle_mask", lambda batch: np.ones(len(batch), bool))
     monkeypatch.setattr(fraisse, "_positivity_mask", lambda batch: np.ones(len(batch), bool))
-    report = fraisse._vector_engine(3, grid_values, scale, per_size)
+    report = fraisse._vector_engine(3, grid_values, per_size)
     monkeypatch.setattr(
         fraisse,
         "_ap_batch_failure",
         lambda blocks: reference_batch_failure(blocks, span_ap_failure),
     )
-    assert fraisse._vector_engine(3, grid_values, scale, per_size) == report
+    assert fraisse._vector_engine(3, grid_values, per_size) == report
     assert (report.hp_ok, report.jep_ok, report.ap_ok) == (True, True, False)
     assert report.counterexample == FAMILY_COUNTEREXAMPLES[family]
 
@@ -515,7 +529,7 @@ def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
     the row of its overlap matrix in the reversed batch, each block's
     targets ascend with rows ascending inside a target, the call covers
     each pointed space once, and a failing call reports its target's row."""
-    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
+    grid_values, _, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3, 4)]
     per_size[1] = per_size[1][::-1]
     row_of = [{m.tobytes(): r for r, m in enumerate(batch)} for batch in per_size]
@@ -539,7 +553,7 @@ def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
         return failure
 
     monkeypatch.setattr(fraisse, "_ap_batch_failure", recording())
-    assert fraisse._vector_engine(4, grid_values, scale, per_size).ap_ok
+    assert fraisse._vector_engine(4, grid_values, per_size).ap_ok
     assert [len(blocks[0][1]) for blocks in calls] == [1, 2, 3]
     for kc, blocks in zip((1, 2, 3), calls):
         seen = []
@@ -558,7 +572,7 @@ def test_grouping_follows_an_out_of_order_c_batch(monkeypatch):
         assert sorted(seen) == sorted(expected)
 
     monkeypatch.setattr(fraisse, "_ap_batch_failure", recording(chosen))
-    report = fraisse._vector_engine(4, grid_values, scale, per_size)
+    report = fraisse._vector_engine(4, grid_values, per_size)
     assert report.counterexample == "ap c-size=2 c-row=1 a=(2,(0, 1),0) b=(2,(0, 1),0)"
 
 
@@ -600,12 +614,12 @@ def test_padded_batch_reads_each_targets_own_classes(monkeypatch):
 def test_grouping_refuses_an_overlap_outside_the_c_batch():
     """A size-3 row whose induced pair (distance 3) is no size-2 space of
     the grid {1,2} stops the AP pass with an internal error."""
-    grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
+    grid_values, _, int_grid = fraisse._prepare_grid([Fraction(1), Fraction(2)])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
     bad = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=int_grid.dtype)
     per_size[2] = np.concatenate([per_size[2], bad[None]])
     with pytest.raises(AssertionError, match="an overlap of size 2 matches no space"):
-        fraisse._vector_engine(3, grid_values, scale, per_size)
+        fraisse._vector_engine(3, grid_values, per_size)
 
 
 def test_classes_index_every_vector():
@@ -717,7 +731,7 @@ def test_padded_class_checks_stay_within_the_ap_budget(monkeypatch, size, grid):
     each padded table's cells x the terms per cell), never pass the
     estimate the budget refuses by."""
     values = [Fraction(q) for q in grid.split(",")]
-    grid_values, scale, int_grid = fraisse._prepare_grid(values)
+    grid_values, _, int_grid = fraisse._prepare_grid(values)
     per_size = [_valid_matrices(k, int_grid) for k in range(1, size + 1)]
     checks = []
     triangles, layout = fraisse._triangle_failures, fraisse._padded_chunks
@@ -733,7 +747,7 @@ def test_padded_class_checks_stay_within_the_ap_budget(monkeypatch, size, grid):
 
     monkeypatch.setattr(fraisse, "_triangle_failures", counted_triangles)
     monkeypatch.setattr(fraisse, "_padded_chunks", counted_layout)
-    assert fraisse._vector_engine(size, grid_values, scale, per_size).ap_ok
+    assert fraisse._vector_engine(size, grid_values, per_size).ap_ok
     assert 0 < sum(checks) <= _ap_work(per_size, len(values))
 
 
@@ -834,7 +848,12 @@ BROKEN_SLICES = {
         [[0, 1, 1], [1, 0, 3], [1, 3, 0]],
         _report_lines((49, 81, 737), "hp size=3 subset=(0, 1, 2)", (1, 2, 6), "FAIL", "FAIL", "FAIL"),
         _report_lines(
-            (49, 81, 737), "hp size=3 subset=(0, 1, 2) matrix-row=5", (1, 2, 6), "FAIL", "ok", "FAIL"
+            (49, 81, 737),
+            "hp size=3 subset=(0, 1, 2) matrix-row=5",
+            (1, 2, 6),
+            "FAIL",
+            "FAIL",
+            "FAIL",
         ),
         200,
         "79fa539ca20f1155d3644c46f5f62d32ae308fb2583f6acf5a71ac9dd878a2e6",
@@ -844,7 +863,12 @@ BROKEN_SLICES = {
         [[0, 0], [0, 0]],
         _report_lines((66, 144, 1308), "hp size=2 subset=(0, 1)", (1, 3, 8), "FAIL", "FAIL", "FAIL"),
         _report_lines(
-            (66, 144, 1308), "hp size=2 subset=(0, 1) matrix-row=2", (1, 3, 8), "FAIL", "ok", "FAIL"
+            (66, 144, 1308),
+            "hp size=2 subset=(0, 1) matrix-row=2",
+            (1, 3, 8),
+            "FAIL",
+            "FAIL",
+            "FAIL",
         ),
         144,
         "660397a49bedb1bb67b54532b4e1164a826a8edb0a9e395c380d46ef77b083bf",
@@ -854,8 +878,9 @@ BROKEN_SLICES = {
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_SLICES))
 def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
-    """Both engines report the recorded lines, and the direct engine's
-    amalgamate calls raise the recorded messages in the recorded order."""
+    """Both engines report the recorded lines, with the same hp, jep and ap
+    verdicts, and the direct engine's amalgamate calls raise the recorded
+    messages in the recorded order."""
     grid, matrix, direct_lines, vector_lines, raised, digest = BROKEN_SLICES[broken]
     grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in grid])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
@@ -873,8 +898,10 @@ def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
     amalgamate = fraisse.amalgamate
     monkeypatch.setattr(fraisse, "amalgamate", recording)
     direct = fraisse._direct_engine(3, grid_values, scale, per_size).lines()
-    vector = fraisse._vector_engine(3, grid_values, scale, per_size).lines()
+    vector = fraisse._vector_engine(3, grid_values, per_size).lines()
     assert [line for line in direct if not line.startswith("grid")] == direct_lines
     assert [line for line in vector if not line.startswith("grid")] == vector_lines
+    verdicts = [line for line in direct if line.startswith(("hp ", "jep ", "ap "))]
+    assert verdicts == [line for line in vector if line.startswith(("hp ", "jep ", "ap "))]
     assert len(messages) == raised
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == digest

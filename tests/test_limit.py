@@ -459,6 +459,29 @@ def test_image_search_matches_reference_failures():
     assert min(alone.values()) >= 10, alone
 
 
+# maps on the chain a0..a3 (ids 0..3) that the entry check must refuse
+BROKEN_MAPS = {
+    "order": ((0, 1), (1, 0)),
+    "distance": ((0, 1), (0, 2)),
+    "outside-cod": ((0,), (99,)),
+    "outside-dom": ((99,), (0,)),
+}
+
+
+@pytest.mark.parametrize("side", ["forth", "back"])
+@pytest.mark.parametrize("case", sorted(BROKEN_MAPS))
+def test_back_and_forth_refuses_a_broken_map_before_any_step(k1_chain, case, side):
+    """Negative control for the entry check, the one check of the map: a
+    map broken in order, in distance or naming a point outside the stage
+    is refused with the same error on both sides, before the stage grows."""
+    builder = new_builder(k1_chain)
+    assert builder.created == (0, 1, 2, 3)
+    with pytest.raises(SpaceError, match="^partial isomorphism is not valid on the current stage$"):
+        builder.back_and_forth_extend(PartialIso(*BROKEN_MAPS[case]), 3, side)
+    assert len(builder) == 4
+    builder.back_and_forth_extend(PartialIso((0, 1), (1, 2)), 3, side)  # a valid map extends
+
+
 def test_bad_side_rejected():
     builder = new_builder(make_space(["x"], {}))
     with pytest.raises(ValueError):

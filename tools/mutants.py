@@ -1,21 +1,23 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
-the directed read, the missing-entry clause), the completion rule and
-``amalgamate``'s input check, the int-row space (its one conversion
-``scaled``, its rescale ``_rows_over``, the given values of ``entries``,
-``subspace`` on a repeated point) and its triangle pass, the limit
-builder's stage layout, rescale and image search, the orbit test's support
-and the orbit search's support-filtered level per entry, the Fraisse
-direct engine's embedding lists, the HP subset search, the class ranking's
-key compaction, the AP check's overlap grouping, its four class-fact
-families and the batched pass's
-padding (the agreement check counting padded cells, a zero pad, a target's
-class offset off by one; counting padded cells in positivity is an
-equivalent mutant while the pad is positive), the CLI's start without
-numpy, and the witness admissibility test, shift core (its reads outside
-the bits a verdict may depend on), exhaust's minimal-index classes (class
-size, representative, which failure is first), trace bitmask conversions
-and reserved chain names.
+the directed read, the missing-entry clause), the completion rule (its
+minimum, filler and lower-bound re-check, the one bound that can fail),
+``amalgamate``'s input check and its output as the span oracle sees it,
+the int-row space (its one conversion ``scaled``, its rescale
+``_rows_over``, the given values of ``entries``, ``subspace`` on a
+repeated point) and its triangle pass, the limit builder's stage layout,
+rescale, back-and-forth entry check and image search, the orbit test's
+support and the orbit search's support-filtered level per entry, the
+Fraisse direct engine's embedding lists, the grid's dtype bound, the
+vector JEP verdict, the HP subset search, the class ranking's key
+compaction, the AP check's overlap grouping, its four class-fact families
+and the batched pass's padding (the agreement check counting padded cells,
+a zero pad, a target's class offset off by one; counting padded cells in
+positivity is an equivalent mutant while the pad is positive), the CLI's
+start without numpy, and the witness admissibility test, shift core (its
+reads outside the bits a verdict may depend on), exhaust's minimal-index
+classes (class size, representative, which failure is first), trace
+bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -76,6 +78,8 @@ HP_FIRST = "tests/test_fraisse.py::test_hp_pass_reports_the_first_failing_subset
 RESERVED = "tests/test_witness.py::test_reserved_names_match_the_chain_name_loop"
 READ_SET = "tests/test_witness.py::test_shift_core_verdict_reads_only_low_bits_and_end_indices[4]"
 INJECTED = "tests/test_witness.py::test_exhaust_reports_injected_failures_like_reference[2-3]"
+INJECTED_SLICE = "tests/test_fraisse.py::test_injected_broken_space_gets_the_recorded_reports"
+NARROWEST = "tests/test_fraisse.py::test_grid_dtype_is_the_narrowest_that_holds_five_times_top"
 ESCAPES = (
     f"{COLUMN}_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
@@ -200,16 +204,16 @@ MUTANTS = [
     Mutant(
         "column-recheck-dropped",
         AMALGAM,
-        "if not abs(leg - v) <= value <= leg + v:",
+        "if abs(leg - v) > value:",
         "if False:",
         ESCAPES,
     ),
     Mutant(
-        "column-lower-bound-dropped",
+        "amalgam-overlap-image-not-through-e_a",
         AMALGAM,
-        "if not abs(leg - v) <= value <= leg + v:",
-        "if not value <= leg + v:",
-        ESCAPES,
+        "else e_a(image_b[q])",
+        "else image_b[q]",
+        ("tests/test_amalgam.py::test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out",),
     ),
     Mutant(
         "column-wrong-filler",
@@ -285,6 +289,13 @@ MUTANTS = [
         ("tests/test_orbits.py::test_orbit_traces_matches_reference_on_broken_tables",),
     ),
     Mutant(
+        "back-and-forth-entry-check-dropped",
+        LIMIT,
+        "if not self.iso_ok(iso):",
+        "if False:",
+        ("tests/test_limit.py::test_back_and_forth_refuses_a_broken_map_before_any_step",),
+    ),
+    Mutant(
         "image-search-in-stage-order",
         LIMIT,
         "for w in self._created]",
@@ -303,7 +314,21 @@ MUTANTS = [
         FRAISSE,
         "into = [list(enumerate_embeddings(c, s)) for s in spaces]",
         "into = [list(enumerate_embeddings(spaces[0], s)) for s in spaces]",
-        ("tests/test_fraisse.py::test_injected_broken_space_gets_the_recorded_reports[triangle]",),
+        (f"{INJECTED_SLICE}[triangle]",),
+    ),
+    Mutant(
+        "vector-jep-always-ok",
+        FRAISSE,
+        "jep_ok = hp_ok",
+        "jep_ok = True",
+        (f"{INJECTED_SLICE}[triangle]", f"{INJECTED_SLICE}[positivity]"),
+    ),
+    Mutant(
+        "grid-bound-four-times-top",
+        FRAISSE,
+        "bound = 5 * ints[-1]",
+        "bound = 4 * ints[-1]",
+        tuple(f"{NARROWEST}[{index}]" for index in range(3)),
     ),
     Mutant(
         "hp-subset-pairs-one-way",
