@@ -8,13 +8,15 @@ distances are completed by the shortest path through the overlap, and the
 order interleaves deterministically (left-side points before right-side
 points inside each overlap gap).
 
-The completion rule exists once, as :func:`shortest_path_column`: the
-shortest path through the anchors, then a re-check of the lower triangle
-bound against every anchor.  ``amalgamate`` runs it on the int rows of
-both sides over their common denominator, and so does
+The completion rule exists once, as :func:`shortest_path_column`, the
+shortest path through the anchors.  ``amalgamate`` runs it on the int rows
+of both sides over their common denominator, and so does
 ``LimitBuilder.realize`` over its stage; both put rows over a scale with
 ``_RowTable._rows_over`` and form the new point's ints with
-``spaces.scaled``.
+``spaces.scaled``.  By Katetov's extension lemma, anchor distances that
+pass the two-sided triangle test on a metric space complete to a column
+that meets every triangle bound, so only ``amalgamate``, whose a or b may
+not be a metric, re-checks the lower bound against every anchor.
 
 ``amalgamate`` checks its input embeddings and validates the glued space on
 every call; the direct Fraisse engine makes one call per span and
@@ -142,27 +144,22 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
 
 def shortest_path_column(legs, size: int, filler):
     """A new point's distances to ``size`` points, completed by the shortest
-    path through its anchors, and the first value that escapes its bound.
+    path through its anchors.
 
     Each leg is (row, v): ``row[j]`` is an anchor's distance to point j and
     ``v`` the new point's distance to that anchor.  The column is the
     elementwise minimum of row + v over the legs, or ``filler`` everywhere
-    when there is no leg.  Being that minimum, every value already meets
-    the upper bound value <= row[j] + v of every anchor, so only the lower
-    bound |row[j] - v| <= value is re-checked; ``escape`` is (leg index, j)
-    of the first failure, anchor-major, or None.  An anchor's own entry
-    (row[j] == 0) completes to at most its leg and, by the lower bound, to
-    at least it.  Ints and Fractions work alike.
+    when there is no leg, so every value meets the upper bound
+    value <= row[j] + v of every anchor.  When the rows are a metric and
+    the legs pass the two-sided triangle test among the anchors, the lower
+    bound |row[j] - v| <= value holds too (Katetov's extension lemma: one
+    triangle step through the minimizing anchor), and an anchor's own entry
+    completes to its leg.  Ints and Fractions work alike.
     """
     if not legs:
-        return [filler] * size, None
+        return [filler] * size
     sums = [[leg + v for leg in row] for row, v in legs]
-    column = list(map(min, *sums)) if len(sums) > 1 else sums[0]
-    for k, (row, v) in enumerate(legs):
-        for j, (leg, value) in enumerate(zip(row, column)):
-            if abs(leg - v) > value:
-                return column, (k, j)
-    return column, None
+    return list(map(min, *sums)) if len(sums) > 1 else sums[0]
 
 
 def amalgamate(
@@ -184,7 +181,8 @@ def amalgamate(
     Every call checks its inputs first: each embedding's domain is exactly
     c's points, its images lie in its target, and :func:`preserves` accepts
     it (identity, so injectivity, order and distance).  It then checks the
-    completion (a cross distance under an anchor's lower bound is refused)
+    completion, anchor-major (a cross distance under an anchor's lower
+    bound, which only a or b that is not a metric can give, is refused),
     and ``validate``s the glued space, which fails when a or b is not a
     valid space.  The rest holds by construction, so it is not re-checked:
     the square commutes because f_b sends each overlap point e_b(z) to
@@ -254,13 +252,14 @@ def amalgamate(
         filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
         legs = [(row, b._read(b_rows, e_b(z), q)) for row, z in zip(anchor_rows, c.points)]
-        column, escape = shortest_path_column(legs, len(a), filler)
-        if escape is not None:
-            k, j = escape
-            raise AmalgamError(
-                f"cross distance {Fraction(column[j], scale)} escapes the bound "
-                f"through overlap point {c.name(c.points[k])}"
-            )
+        column = shortest_path_column(legs, len(a), filler)
+        for (row, v), z in zip(legs, c.points):
+            for leg, value in zip(row, column):
+                if abs(leg - v) > value:
+                    raise AmalgamError(
+                        f"cross distance {Fraction(value, scale)} escapes the bound "
+                        f"through overlap point {c.name(z)}"
+                    )
         i = at[ids[q]]
         for j, value in zip(a_at, column):
             rows[i][j] = rows[j][i] = value

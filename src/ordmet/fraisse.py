@@ -60,7 +60,7 @@ import numpy as np
 
 from .amalgam import AmalgamError, amalgamate
 from .rationals import format_rational
-from .spaces import Embedding, FinSpace, enumerate_embeddings, validate
+from .spaces import STORE_BUDGET_BYTES, Embedding, FinSpace, enumerate_embeddings, validate
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,6 @@ class FraisseReport:
 
 # Candidate integer dtypes for the vector engine, narrowest first.
 _DTYPES = (np.int8, np.int16, np.int32, np.int64)
-
-# Peak bytes _valid_matrices may hold for one size.
-ENUMERATION_BUDGET_BYTES = 1 << 30
 
 # Elements in the widest temporary of one chunk of the AP class checks.
 CHUNK_ELEMENTS = 1 << 17
@@ -157,7 +154,7 @@ def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarr
     """All valid distance matrices of the given size, entries from the scaled
     grid in its dtype, in lexicographic order of the upper-triangle value
     tuples.  Refuses before allocating when the candidates would need more
-    than ENUMERATION_BUDGET_BYTES."""
+    than ``spaces.STORE_BUDGET_BYTES``."""
     grid = np.asarray(int_grid)
     if size == 1:
         return np.zeros((1, 1, 1), dtype=grid.dtype)
@@ -167,10 +164,10 @@ def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarr
     # filling a column adds at most two count-entry temporaries, which
     # the filtered copy's share covers
     estimate = count * (2 * size * size * grid.itemsize + grid.itemsize + 3)
-    if estimate > ENUMERATION_BUDGET_BYTES:
+    if estimate > STORE_BUDGET_BYTES:
         raise ValueError(
             f"slice too large: {len(grid)}^{len(pairs)} candidate matrices at size {size}"
-            f" need about {estimate} bytes, over the {ENUMERATION_BUDGET_BYTES}-byte budget"
+            f" need about {estimate} bytes, over the {STORE_BUDGET_BYTES}-byte budget"
         )
     batch = np.zeros((count, size, size), dtype=grid.dtype)
     # row r holds the r-th value tuple: pair col's value changes every

@@ -16,10 +16,12 @@ Python ints over one common denominator indexed by stage position, and the
 builder reads them with the methods ``FinSpace`` has (``d``, ``position``,
 ``subspace`` and the rest).  The rows are the only stored form: a new
 denominator rescales them with ``_RowTable._rows_over``.  Each new point's
-column is the shortest-path completion through its subset, computed and
-re-checked against its lower triangle bound by
-``amalgam.shortest_path_column`` (the rule ``amalgamate`` uses) in integers
-formed by ``spaces.scaled``, and is inserted at the new point's position.
+column is the shortest-path completion through its subset,
+``amalgam.shortest_path_column`` (the rule ``amalgamate`` uses), in integers
+formed by ``spaces.scaled``, inserted at the new point's position.  It is
+not re-checked: by Katetov's extension lemma, distances that pass the
+two-sided triangle test on a subset of a metric space complete, by shortest
+path through the subset, to a column that meets every triangle bound.
 Snapshots (``stage``) take a copy of the rows, so ``Fraction`` values are
 made only when ``d`` is read.
 
@@ -225,9 +227,10 @@ class LimitBuilder(_RowTable):
         """Add one point with exact distances to the keyed subset and the
         requested order gap inside it; remaining distances are completed by
         shortest path through the subset (the amalgamation rule), in
-        integers over the common denominator, and each completed distance
-        is re-checked against its lower triangle bound (the upper one holds
-        by the minimum).
+        integers over the common denominator.  The feasibility test is the
+        one check: on a metric stage, a feasible request's shortest-path
+        column meets every triangle bound (Katetov's extension lemma), so
+        the stage stays a metric.
         """
         points, pos = self.points, self._pos
         if not all(p in pos for p in dvec):
@@ -245,10 +248,7 @@ class LimitBuilder(_RowTable):
         # Rows are symmetric, so row i doubles as the column of point i.
         legs = [(rows[pos[z]], scaled(dvec[z], scale)) for z in sub]
         filler = scale + max(map(max, rows)) if rows and not legs else 0
-        column, escape = shortest_path_column(legs, len(rows), filler)
-        if escape is not None:
-            name = self.names[points[escape[1]]]
-            raise SpaceError(f"completed distance to {name} escapes its bound")
+        column = shortest_path_column(legs, len(rows), filler)
 
         new = max(self._created, default=-1) + 1
         index = pos[sub[gap]] if gap < len(sub) else len(points)
@@ -348,10 +348,10 @@ class LimitBuilder(_RowTable):
         """Forth step of a map already checked on the stage.  The extended
         map is not checked again: a found image passed ``agrees_located``
         against every pair of the map, and a realized image gets the
-        transported distances to the codomain (pinned by ``realize``'s
-        column re-check) in the codomain gap that target occupies in the
-        domain."""
-        if target in set(iso.dom):
+        transported distances to the codomain (feasible, as the map
+        preserves distances, so its shortest-path column keeps them) in the
+        codomain gap that target occupies in the domain."""
+        if target in iso.dom:
             return iso
         return iso.extended(target, self._find_or_realize_image(iso, target))
 
@@ -360,25 +360,26 @@ class LimitBuilder(_RowTable):
         assigns to ``iso``: alternate forth steps (even) and back steps
         (odd) over uncovered points in creation order until ``x`` is
         determined.  Deterministic in (stage, iso, x, fuel); increasing fuel
-        can only extend, never revise, the answer.
+        can only extend, never revise, the answer.  The map is checked once,
+        when a step is needed; each step extends a checked map (``_forth``).
         """
         if fuel < 1:
             raise ValueError("fuel must be at least 1")
         if x not in self:
             raise SpaceError(f"point {x} not in stage")
+        if x in iso.dom:
+            return iso.mapping[x]
+        if not self.iso_ok(iso):
+            raise SpaceError("partial isomorphism is not valid on the current stage")
         current = iso
-        if x in set(current.dom):
-            return current.mapping[x]
         for step in range(fuel):
-            if step % 2 == 0:
-                covered = set(current.dom)
-                missing = next(p for p in self._created if p not in covered)
-                current = self.back_and_forth_extend(current, missing, "forth")
-            else:
-                covered = set(current.cod)
-                missing = next(p for p in self._created if p not in covered)
-                current = self.back_and_forth_extend(current, missing, "back")
-            if x in set(current.dom):
+            back = step % 2 == 1  # a back step is a forth step of the inverse
+            side = current.inverse() if back else current
+            covered = set(side.dom)
+            missing = next(p for p in self._created if p not in covered)
+            side = self._forth(side, missing)
+            current = side.inverse() if back else side
+            if x in current.dom:
                 return current.mapping[x]
         raise FuelExhaustedError(
             f"image of {self.names[x]} not determined within {fuel} steps"

@@ -197,15 +197,13 @@ def admissible(config: WitnessConfig, trace: Iterable[int]) -> bool:
 def _min_member(config: WitnessConfig, mask: int) -> int:
     if not _is_admissible(config, mask):
         raise InadmissibleTraceError(f"trace {list(_indices(mask))} is not admissible")
-    low = (mask & -mask).bit_length() - 1
-    if not 2 * config.k <= low <= 3 * config.k - config.n + 1:
-        raise WitnessError(f"minimal index {low} escaped its window")
-    return low
+    return (mask & -mask).bit_length() - 1
 
 
 def min_index(config: WitnessConfig, trace: Iterable[int]) -> int:
-    """Smallest chain index in the trace; always lands in
-    [2k, 3k - n + 1]."""
+    """Smallest chain index L of an admissible trace.  L lies in
+    [2k, 3k - n + 1]: an admissible mask has no bit below 2k and has the
+    tail bit 3k - n + 1 set."""
     return _min_member(config, _mask(config, trace))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from ordmet import FinSpace, MissingDistanceError, SpaceError, make_space
+from ordmet import FinSpace, FuelExhaustedError, MissingDistanceError, SpaceError, make_space
 from ordmet.fraisse import _pair_indices, _positivity_mask, _triangle_mask, _triangle_ok
 from ordmet.orbits import _fixed
 from ordmet.rationals import format_rational
@@ -155,6 +155,24 @@ def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
                 raise SpaceError(f"completed distance to {stage.name(r)} escapes its bound")
         column[r] = value
     return column
+
+
+def reference_apply_auto(builder, iso, x, fuel: int):
+    """Slow oracle for ``LimitBuilder.apply_auto``: the same alternation of
+    forth and back steps over uncovered points in creation order, each one
+    through the public ``back_and_forth_extend``, which checks the whole
+    map before every step."""
+    if x in iso.dom:
+        return iso.mapping[x]
+    current = iso
+    for step in range(fuel):
+        side = "forth" if step % 2 == 0 else "back"
+        covered = current.dom if side == "forth" else current.cod
+        missing = next(p for p in builder.created if p not in covered)
+        current = builder.back_and_forth_extend(current, missing, side)
+        if x in current.dom:
+            return current.mapping[x]
+    raise FuelExhaustedError(f"image of {builder.names[x]} not determined within {fuel} steps")
 
 
 def reference_failures(x, y, pairs) -> set[str]:

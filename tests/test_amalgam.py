@@ -400,30 +400,36 @@ def test_shortest_path_column_completes_through_every_anchor(unit):
     # points P0, P1, P2 with d01 = 2, d02 = 3, d12 = 1; the new point sits
     # at 1 from P0 and 2 from P1, so its distance to P2 is min(1 + 3, 2 + 1)
     legs = [([0, 2 * unit, 3 * unit], unit), ([2 * unit, 0, unit], 2 * unit)]
-    column, escape = shortest_path_column(legs, 3, None)
-    assert column == [unit, 2 * unit, 3 * unit]
-    assert escape is None
+    assert shortest_path_column(legs, 3, None) == [unit, 2 * unit, 3 * unit]
 
 
 @pytest.mark.parametrize("unit", [1, Fraction(1, 3)])
-def test_shortest_path_column_reports_first_escape_anchor_major(unit):
-    # anchors at distance 4 with the new point at 1 from both: the
-    # completion gives 1 to each anchor, under the bound |4 - 1| of anchor 0
-    column, escape = shortest_path_column([([0, 4 * unit], unit), ([4 * unit, 0], unit)], 2, None)
-    assert column == [unit, unit]
-    assert escape == (0, 1)
-    # non-metric rows (d12 = 5 > d01 + d02): every value passes anchor 0,
-    # and the first escape is anchor 1's bound at point 2
-    legs = [([0, unit, unit], unit), ([unit, 0, 5 * unit], unit)]
-    column, escape = shortest_path_column(legs, 3, None)
-    assert column == [unit, unit, 2 * unit]
-    assert escape == (1, 2)
+def test_amalgam_reports_first_escape_anchor_major(unit):
+    """Only a side that is not a metric takes a cross distance under an
+    anchor's lower bound; the embeddings preserve structure, so the
+    completion check is what refuses, naming the first escape in
+    anchor-major order."""
+    c = make_space(["z1", "z2"], {("z1", "z2"): 4 * unit})
+    # b holds the anchors at 4 and q at 1 from both: q completes to 1 from
+    # each anchor of a, under anchor z1's bound |4 - 1| at z2 (point-major
+    # order would name z2's bound at z1 first)
+    b = make_space(["z1", "z2", "q"], {("z1", "z2"): 4 * unit, ("z1", "q"): unit, ("z2", "q"): unit})
+    with pytest.raises(AmalgamError, match=f"^cross distance {unit} escapes the bound through overlap point z1$"):
+        amalgamate(c, b, c, Embedding(c, c, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1}))
+    # a not a metric (d(z2, p) = 5 > d(z2, z1) + d(z1, p)): q at 1 from both
+    # anchors completes to 2 at p, which passes z1's bound and escapes z2's
+    c = make_space(["z1", "z2"], {("z1", "z2"): unit})
+    a = make_space(["z1", "z2", "p"], {("z1", "z2"): unit, ("z1", "p"): unit, ("z2", "p"): 5 * unit})
+    b = make_space(["z1", "z2", "q"], {("z1", "z2"): unit, ("z1", "q"): unit, ("z2", "q"): unit})
+    e_a, e_b = Embedding(c, a, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1})
+    with pytest.raises(AmalgamError, match=f"^cross distance {2 * unit} escapes the bound through overlap point z2$"):
+        amalgamate(a, b, c, e_a, e_b)
 
 
 @pytest.mark.parametrize("filler", [7, Fraction(5, 2)])
 def test_shortest_path_column_fills_an_empty_overlap(filler):
-    assert shortest_path_column([], 3, filler) == ([filler] * 3, None)
-    assert shortest_path_column([], 0, filler) == ([], None)
+    assert shortest_path_column([], 3, filler) == [filler] * 3
+    assert shortest_path_column([], 0, filler) == []
 
 
 small_weights = st.fractions(

@@ -271,11 +271,11 @@ def test_enumeration_guard_estimates_bytes_at_the_grid_dtype(monkeypatch):
     # 3^6 candidates at size 4: batch and filtered copy (2 * 16 entries),
     # one sum entry and 3 mask bytes each
     int8 = np.array([1, 2, 3], dtype=np.int8)
-    monkeypatch.setattr(fraisse, "ENUMERATION_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3))
+    monkeypatch.setattr(fraisse, "STORE_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3))
     assert _valid_matrices(4, int8).shape[0] == 482
     with pytest.raises(ValueError, match=r"too large: 3\^6 .* about 194643 bytes"):
         _valid_matrices(4, int8.astype(np.int64))
-    monkeypatch.setattr(fraisse, "ENUMERATION_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3) - 1)
+    monkeypatch.setattr(fraisse, "STORE_BUDGET_BYTES", 729 * (2 * 16 + 1 + 3) - 1)
     with pytest.raises(ValueError, match="too large"):
         _valid_matrices(4, int8)
 

@@ -27,7 +27,7 @@ from ordmet import (
 import ordmet.limit
 from ordmet.limit import store_bytes, tasks_of_weight
 
-from conftest import path_metric_space, reference_column, reference_failures
+from conftest import path_metric_space, reference_apply_auto, reference_column, reference_failures
 
 EMPTY = FinSpace((), {})
 
@@ -264,16 +264,30 @@ def test_realize_gap_respects_subset_order():
     assert [builder.position(p) for p in (0, 1, 2)] == [0, 1, 3]
 
 
-def test_realize_reports_escaped_bound_when_feasibility_is_skipped(unit_pair, monkeypatch):
-    """Negative control: with the feasibility test switched off, an
-    infeasible request reaches the integer re-check, which must refuse it.
-    Both points are in the subset, so this also shows that the re-check
-    covers the subset's own entries."""
-    dvec = {0: Fraction(1, 4), 1: Fraction(1, 4)}
-    monkeypatch.setattr(ordmet.limit, "feasibility_violation", lambda base, dvec: None)
-    builder = new_builder(unit_pair)
-    with pytest.raises(SpaceError, match="completed distance to q escapes its bound"):
-        builder.realize(dvec, 0)
+def _lower_bound_escapes(space, dvec, new, points):
+    """The lower triangle bound that realize leaves to its feasibility test,
+    run as an oracle: the (anchor, point) pairs among ``points`` where the
+    new point's distance falls under |d(anchor, point) - dvec[anchor]|."""
+    return [(z, r) for z in dvec for r in points if abs(space.d(z, r) - dvec[z]) > space.d(new, r)]
+
+
+def test_grown_columns_meet_every_lower_bound(monkeypatch):
+    """Every column the fair schedule realizes in 200 points meets every
+    anchor's lower bound against every point present before it."""
+    realized = []
+    realize = ordmet.limit.LimitBuilder.realize
+
+    def recorded(self, dvec, gap):
+        before = self.created
+        new = realize(self, dvec, gap)
+        realized.append((dvec, new, before))
+        return new
+
+    monkeypatch.setattr(ordmet.limit.LimitBuilder, "realize", recorded)
+    stage = new_builder(EMPTY).grow(200).stage()
+    assert len(realized) == 200 and sum(len(dvec) > 1 for dvec, _, _ in realized) >= 100
+    for dvec, new, before in realized:
+        assert _lower_bound_escapes(stage, dvec, new, before) == []
 
 
 NEAR_2_70 = Fraction(2**70 - 35, 2**70 + 1)
@@ -310,6 +324,7 @@ def test_realize_matches_reference_column(seed):
         fresh = builder.realize(dvec, rng.randint(0, len(dvec)))
         for r in stage.points:
             assert builder.d(fresh, r) == builder.d(r, fresh) == expected[r]
+        assert _lower_bound_escapes(builder, dvec, fresh, stage.points) == []
         after = builder.stage()
         for p, q in stage.pairs():
             assert after.d(p, q) == stage.d(p, q)
@@ -527,6 +542,90 @@ def test_apply_auto_rejects_bad_fuel():
     builder = new_builder(make_space(["x"], {}))
     with pytest.raises(ValueError):
         builder.apply_auto(PartialIso((), ()), 0, 0)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MAPS))
+def test_apply_auto_refuses_a_broken_map_before_any_step(k1_chain, case):
+    """Negative control for apply_auto's one check of the map: a broken map
+    whose domain misses x is refused with the entry check's error, before
+    the stage grows."""
+    builder = new_builder(k1_chain)
+    with pytest.raises(SpaceError, match="^partial isomorphism is not valid on the current stage$"):
+        builder.apply_auto(PartialIso(*BROKEN_MAPS[case]), 3, 5)
+    assert len(builder) == 4
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of a LimitBuilder method, still running it."""
+    calls = []
+    method = getattr(ordmet.limit.LimitBuilder, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(ordmet.limit.LimitBuilder, name, counted)
+    return calls
+
+
+def test_apply_auto_returns_a_covered_image_without_a_check(k1_chain, monkeypatch):
+    """A point already in the domain is answered from the map as given,
+    broken or not: no check runs and the stage does not grow."""
+    checks = _count_calls(monkeypatch, "iso_ok")
+    builder = new_builder(k1_chain)
+    assert builder.apply_auto(PartialIso(*BROKEN_MAPS["order"]), 0, 1) == 1
+    assert builder.apply_auto(PartialIso(*BROKEN_MAPS["outside-cod"]), 0, 1) == 99
+    assert checks == [] and len(builder) == 4
+
+
+def test_apply_auto_checks_the_map_once(monkeypatch):
+    """Twelve steps on a 30-point stage (ten of them realize a point) check
+    the given map once; each later map is built from a checked one."""
+    builder = new_builder(EMPTY).grow(30)
+    iso = PartialIso((0, 1), (7, 1))
+    assert builder.iso_ok(iso)
+    checks = _count_calls(monkeypatch, "iso_ok")
+    steps = _count_calls(monkeypatch, "_forth")
+    assert builder.apply_auto(iso, 8, 12) == 8
+    assert len(steps) == 12 and len(builder) == 40
+    assert len(checks) == 1
+    with pytest.raises(FuelExhaustedError):
+        new_builder(EMPTY).grow(30).apply_auto(iso, 8, 11)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (SpaceError, FuelExhaustedError, InfeasibleExtensionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_apply_auto_matches_the_stepwise_reference():
+    """On seeded stages, maps (an embedding of a random subspace, or random
+    pairs that may break it), points and fuel, apply_auto answers, refuses
+    and grows the stage exactly as a loop of public back_and_forth_extend
+    steps does.  The cases answer, refuse a broken map and run out of fuel,
+    each at least five times."""
+    outcomes = []
+    for seed in range(6):
+        rng = random.Random(9100 + seed)
+        size = rng.randint(8, 20)
+        fast, slow = new_builder(EMPTY).grow(size), new_builder(EMPTY).grow(size)
+        base = fast.stage()
+        for _ in range(12):
+            dom = sorted(rng.sample(base.points, rng.randint(0, 3)), key=base.position)
+            if rng.random() < 0.8:
+                emb = rng.choice(list(enumerate_embeddings(base.subspace(dom), base)))
+                cod = [emb(p) for p in dom]
+            else:
+                cod = rng.sample(base.points, len(dom))
+            iso = PartialIso(tuple(dom), tuple(cod))
+            x, fuel = rng.choice(fast.created[:6]), rng.randint(1, 14)
+            expected = _outcome(reference_apply_auto, slow, iso, x, fuel)
+            assert _outcome(fast.apply_auto, iso, x, fuel) == expected
+            assert serialize_space(fast.stage()) == serialize_space(slow.stage())
+            outcomes.append(expected[0] if isinstance(expected, tuple) else int)
+    assert all(outcomes.count(kind) >= 5 for kind in (int, SpaceError, FuelExhaustedError))
 
 
 # -- schedule fairness -------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
 the directed read, the missing-entry clause), the completion rule (its
-minimum, filler and lower-bound re-check, the one bound that can fail),
-``amalgamate``'s input check and its output as the span oracle sees it,
-the int-row space (its one conversion ``scaled``, its rescale
-``_rows_over``, the given values of ``entries``, ``subspace`` on a
-repeated point) and its triangle pass, the limit builder's stage layout,
-rescale, back-and-forth entry check and image search, the orbit test's
+minimum and filler), ``amalgamate``'s input check, its lower-bound check
+of the completion (which only a side that is not a metric can fail, named
+anchor-major) and its output as the span oracle sees it, the int-row
+space (its one conversion ``scaled``, its rescale ``_rows_over``, the given
+values of ``entries``, ``subspace`` on a repeated point) and its triangle
+pass, the limit builder's stage layout, rescale, feasibility test (the one
+check ``realize`` makes), the entry checks of back-and-forth and
+``apply_auto`` and image search, the orbit test's
 support and the orbit search's support-filtered level per entry, the
 Fraisse direct engine's embedding lists, the grid's dtype bound, the
 vector JEP verdict, the HP subset search, the class ranking's key
@@ -81,9 +83,8 @@ INJECTED = "tests/test_witness.py::test_exhaust_reports_injected_failures_like_r
 INJECTED_SLICE = "tests/test_fraisse.py::test_injected_broken_space_gets_the_recorded_reports"
 NARROWEST = "tests/test_fraisse.py::test_grid_dtype_is_the_narrowest_that_holds_five_times_top"
 ESCAPES = (
-    f"{COLUMN}_reports_first_escape_anchor_major",
+    "tests/test_amalgam.py::test_amalgam_reports_first_escape_anchor_major",
     "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
-    "tests/test_limit.py::test_realize_reports_escaped_bound_when_feasibility_is_skipped",
 )
 
 MUTANTS = [
@@ -218,8 +219,8 @@ MUTANTS = [
     Mutant(
         "column-wrong-filler",
         AMALGAM,
-        "return [filler] * size, None",
-        "return [0] * size, None",
+        "return [filler] * size",
+        "return [0] * size",
         (
             f"{COLUMN}_fills_an_empty_overlap",
             "tests/test_amalgam.py::test_amalgam_empty_overlap_constant",
@@ -228,9 +229,9 @@ MUTANTS = [
     Mutant(
         "column-escape-index-ignored",
         AMALGAM,
-        "return column, (k, j)",
-        "return column, (0, 0)",
-        (ESCAPES[0], ESCAPES[2]),
+        "through overlap point {c.name(z)}",
+        "through overlap point {c.name(c.points[0])}",
+        (ESCAPES[0],),
     ),
     Mutant(
         "rows-over-scale-ignored",
@@ -291,9 +292,26 @@ MUTANTS = [
     Mutant(
         "back-and-forth-entry-check-dropped",
         LIMIT,
-        "if not self.iso_ok(iso):",
-        "if False:",
+        'not in stage")\n        if not self.iso_ok(iso):',
+        'not in stage")\n        if False:',
         ("tests/test_limit.py::test_back_and_forth_refuses_a_broken_map_before_any_step",),
+    ),
+    Mutant(
+        "apply-auto-entry-check-dropped",
+        LIMIT,
+        "return iso.mapping[x]\n        if not self.iso_ok(iso):",
+        "return iso.mapping[x]\n        if False:",
+        ("tests/test_limit.py::test_apply_auto_refuses_a_broken_map_before_any_step",),
+    ),
+    Mutant(
+        "realize-feasibility-dropped",
+        LIMIT,
+        "refusal = feasibility_violation(self.subspace(sub), dvec)",
+        "refusal = None",
+        (
+            "tests/test_limit.py::test_realize_infeasible_rejected",
+            "tests/test_limit.py::test_grown_columns_meet_every_lower_bound",
+        ),
     ),
     Mutant(
         "image-search-in-stage-order",
