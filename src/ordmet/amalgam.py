@@ -13,10 +13,12 @@ shortest path through the anchors.  ``amalgamate`` runs it on the int rows
 of both sides over their common denominator, and so does
 ``LimitBuilder.realize`` over its stage; both put rows over a scale with
 ``_RowTable._rows_over`` and form the new point's ints with
-``spaces.scaled``.  By Katetov's extension lemma, anchor distances that
-pass the two-sided triangle test on a metric space complete to a column
-that meets every triangle bound, so only ``amalgamate``, whose a or b may
-not be a metric, re-checks the lower bound against every anchor.
+``spaces.scaled``.  The feasibility test reads a row table in place, over
+all of its points or a subset, so ``realize`` tests a request on its own
+stage.  By Katetov's extension lemma, anchor distances that pass the
+two-sided triangle test on a metric space complete to a column that meets
+every triangle bound, so only ``amalgamate``, whose a or b may not be a
+metric, re-checks the lower bound against every anchor.
 
 ``amalgamate`` checks its input embeddings and validates the glued space on
 every call; the direct Fraisse engine makes one call per span and
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .rationals import format_rational
 from .spaces import (
@@ -38,6 +40,7 @@ from .spaces import (
     FinSpace,
     PointId,
     SpaceError,
+    _RowTable,
     diameter,
     preserves,
     scaled,
@@ -76,18 +79,28 @@ class ExtensionType:
 
 
 def feasibility_violation(
-    base: FinSpace, dvec: Mapping[PointId, Fraction]
+    base: _RowTable,
+    dvec: Mapping[PointId, Fraction],
+    points: Sequence[PointId] | None = None,
 ) -> tuple[tuple[PointId, PointId], str] | None:
-    """First base pair whose two-sided triangle bound rejects ``dvec``,
-    with a printable reason; None when the extension is feasible.  Compares
-    ints over one common denominator, pairs in ``pairs()`` order, and forms
-    ``Fraction``s only for the reason; a missing pair raises when reached."""
-    _check_dvec(base, dvec)
+    """First pair of ``points`` whose two-sided triangle bound rejects
+    ``dvec``, with a printable reason; None when the extension is feasible.
+
+    ``points`` are the base points to test, in position order: every point
+    of ``base`` by default, or, from ``LimitBuilder.realize``, the keys of
+    ``dvec``, a subset of its stage tested with no subspace built.  ``dvec``
+    must give each a positive distance.  Pairs are compared in
+    ``combinations(points, 2)`` order as ints over one common denominator,
+    ``base``'s own rows times ``scale // base._scale``; ``Fraction``s are
+    formed only for the reason, and a missing pair raises when reached."""
+    points = base.points if points is None else points
+    _check_dvec(base, points, dvec)
     scale = lcm(base._scale, *(v.denominator for v in dvec.values()))
-    rows = base._rows_over(scale)
+    factor = scale // base._scale
+    rows = base._rows
     want = {p: scaled(v, scale) for p, v in dvec.items()}
-    for p, q in base.pairs():
-        dpq, vp, vq = base._read(rows, p, q), want[p], want[q]
+    for p, q in combinations(points, 2):
+        dpq, vp, vq = base._read(rows, p, q) * factor, want[p], want[q]
         if dpq > vp + vq or abs(vp - vq) > dpq:
             d, dp, dq = (format_rational(v) for v in (base.d(p, q), dvec[p], dvec[q]))
             reason = f"{d} > {dp} + {dq}" if dpq > vp + vq else f"|{dp} - {dq}| > {d}"
@@ -104,8 +117,10 @@ def extension_feasible(base: FinSpace, dvec: Mapping[PointId, Fraction]) -> bool
     return feasibility_violation(base, dvec) is None
 
 
-def _check_dvec(base: FinSpace, dvec: Mapping[PointId, Fraction]) -> None:
-    for p in base.points:
+def _check_dvec(
+    base: _RowTable, points: Sequence[PointId], dvec: Mapping[PointId, Fraction]
+) -> None:
+    for p in points:
         if p not in dvec:
             raise SpaceError(f"dvec missing entry for point {p}")
     for p, v in dvec.items():
@@ -150,7 +165,9 @@ def shortest_path_column(legs, size: int, filler):
     ``v`` the new point's distance to that anchor.  The column is the
     elementwise minimum of row + v over the legs, or ``filler`` everywhere
     when there is no leg, so every value meets the upper bound
-    value <= row[j] + v of every anchor.  When the rows are a metric and
+    value <= row[j] + v of every anchor.  It starts as the first leg's sums
+    and folds in each later leg in one pass over the row, keeping the
+    earlier value on a tie, as ``min`` does.  When the rows are a metric and
     the legs pass the two-sided triangle test among the anchors, the lower
     bound |row[j] - v| <= value holds too (Katetov's extension lemma: one
     triangle step through the minimizing anchor), and an anchor's own entry
@@ -158,8 +175,11 @@ def shortest_path_column(legs, size: int, filler):
     """
     if not legs:
         return [filler] * size
-    sums = [[leg + v for leg in row] for row, v in legs]
-    return list(map(min, *sums)) if len(sums) > 1 else sums[0]
+    (row, v), *rest = legs
+    column = [leg + v for leg in row]
+    for row, v in rest:
+        column = [m if m <= (s := leg + v) else s for m, leg in zip(column, row)]
+    return column
 
 
 def amalgamate(

@@ -15,7 +15,9 @@ The stage's distances are kept in the layout of ``FinSpace``, as rows of
 Python ints over one common denominator indexed by stage position, and the
 builder reads them with the methods ``FinSpace`` has (``d``, ``position``,
 ``subspace`` and the rest).  The rows are the only stored form: a new
-denominator rescales them with ``_RowTable._rows_over``.  Each new point's
+denominator rescales them with ``_RowTable._rows_over``.  A request is
+tested on the stage's own rows, over its subset (``feasibility_violation``
+with the subset's points), with no subspace built.  Each new point's
 column is the shortest-path completion through its subset,
 ``amalgam.shortest_path_column`` (the rule ``amalgamate`` uses), in integers
 formed by ``spaces.scaled``, inserted at the new point's position.  It is
@@ -198,6 +200,7 @@ class LimitBuilder(_RowTable):
             )
         self.points: list[PointId] = list(seed.points)
         self.names: dict[PointId, str] = dict(seed.names)
+        self._seed_names = set(self.names.values())
         self._pos: dict[PointId, int] = dict(seed._pos)
         self._created: list[PointId] = list(seed.points)
         # a valid seed is complete and symmetric, so its rows are the store
@@ -228,9 +231,14 @@ class LimitBuilder(_RowTable):
         requested order gap inside it; remaining distances are completed by
         shortest path through the subset (the amalgamation rule), in
         integers over the common denominator.  The feasibility test is the
-        one check: on a metric stage, a feasible request's shortest-path
+        one check, run on the stage's own rows over the subset in position
+        order (each value must be positive; a refusal names the first
+        failing pair): on a metric stage, a feasible request's shortest-path
         column meets every triangle bound (Katetov's extension lemma), so
-        the stage stays a metric.
+        the stage stays a metric.  The fresh name ``u<id>``, with ``_``
+        appended while it is taken, is tested against the seed's names
+        alone: a name made here determines its id, so it never meets another
+        name made here.
         """
         points, pos = self.points, self._pos
         if not all(p in pos for p in dvec):
@@ -238,7 +246,7 @@ class LimitBuilder(_RowTable):
         sub = sorted(dvec, key=pos.__getitem__)
         if not 0 <= gap <= len(sub):
             raise SpaceError(f"gap {gap} outside 0..{len(sub)}")
-        refusal = feasibility_violation(self.subspace(sub), dvec)
+        refusal = feasibility_violation(self, dvec, sub)
         if refusal is not None:
             raise InfeasibleExtensionError(*refusal)
 
@@ -253,12 +261,10 @@ class LimitBuilder(_RowTable):
         new = max(self._created, default=-1) + 1
         index = pos[sub[gap]] if gap < len(sub) else len(points)
         points.insert(index, new)
-        for i in range(index, len(points)):
-            pos[points[i]] = i
+        pos.update(zip(points[index:], range(index, len(points))))
         self._created.append(new)
         name = f"u{new}"
-        taken = set(self.names.values())
-        while name in taken:
+        while name in self._seed_names:
             name = name + "_"
         self.names[new] = name
         for row, value in zip(rows, column):

@@ -134,6 +134,16 @@ def reference_feasibility(base: FinSpace, dvec):
     return None
 
 
+def reference_shortest_path_column(legs, size: int, filler):
+    """Slow oracle for ``shortest_path_column``: every leg's sums built in
+    full, then ``min`` over each point's sums (the first minimal value on
+    a tie), or ``filler`` everywhere when there is no leg."""
+    if not legs:
+        return [filler] * size
+    sums = [[leg + v for leg in row] for row, v in legs]
+    return list(map(min, *sums)) if len(sums) > 1 else sums[0]
+
+
 def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
     """Slow oracle for ``LimitBuilder.realize``: the new point's distance to
     every stage point in ``Fraction`` arithmetic.  Subset points keep their

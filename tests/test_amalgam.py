@@ -27,7 +27,7 @@ from ordmet import (
 import ordmet.amalgam
 from ordmet.amalgam import feasibility_violation, shortest_path_column
 
-from conftest import path_metric_space, reference_feasibility
+from conftest import path_metric_space, reference_feasibility, reference_shortest_path_column
 
 
 def grid_spaces(max_size, grid):
@@ -123,6 +123,10 @@ def test_feasibility_raises_on_a_missing_pair_only_when_reached():
     dvec[1] = Fraction(1)
     with pytest.raises(MissingDistanceError, match=r"pair \(1, 2\)"):
         feasibility_violation(base, dvec)
+    # over a subset of the table's points, only their pairs are read
+    assert feasibility_violation(base, {0: Fraction(1), 2: Fraction(1)}, (0, 2)) is None
+    with pytest.raises(MissingDistanceError, match=r"pair \(1, 2\)"):
+        feasibility_violation(base, {1: Fraction(1), 2: Fraction(1)}, (1, 2))
 
 
 # -- extend_one_point ------------------------------------------------------------
@@ -430,6 +434,40 @@ def test_amalgam_reports_first_escape_anchor_major(unit):
 def test_shortest_path_column_fills_an_empty_overlap(filler):
     assert shortest_path_column([], 3, filler) == [filler] * 3
     assert shortest_path_column([], 0, filler) == []
+
+
+def _random_legs(rng, legs: int, size: int, kind: str):
+    """``legs`` legs over ``size`` points with values from 0 to 4, so that
+    sums tie often.  "mixed" makes every other leg's values Fractions equal
+    to ints, so a tie shows which leg's value the column kept."""
+
+    def value(i):
+        v = rng.randint(0, 3)
+        if kind == "int" or (kind == "mixed" and i % 2 == 0):
+            return v
+        return Fraction(v, rng.choice([1, 2, 3]) if kind == "fraction" else 1)
+
+    return [([value(i) for _ in range(size)], value(i) + 1) for i in range(legs)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+@pytest.mark.parametrize("legs", range(1, 9))
+def test_shortest_path_column_matches_the_reference(legs, kind):
+    """The one-pass-per-leg fold against the all-sums ``min``, on ints,
+    Fractions and ties between an int and an equal Fraction (the value
+    kept must be the earlier leg's, type and all), with empty rows too."""
+    rng = random.Random(legs * 7 + len(kind))
+    ties = 0
+    for size in [0, 1, 2, 3, 5, 17] * 4:
+        case = _random_legs(rng, legs, size, kind)
+        got = shortest_path_column(case, size, None)
+        expected = reference_shortest_path_column(case, size, None)
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        sums = [[leg + v for leg in row] for row, v in case]
+        ties += sum(len({type(s) for s in col if s == min(col)}) > 1 for col in zip(*sums))
+    if kind == "mixed" and legs > 1:
+        assert ties >= 10  # an int and an equal Fraction share the minimum
 
 
 small_weights = st.fractions(

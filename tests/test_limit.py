@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from hashlib import sha256
+from math import lcm
 
 import pytest
 
@@ -27,7 +28,13 @@ from ordmet import (
 import ordmet.limit
 from ordmet.limit import store_bytes, tasks_of_weight
 
-from conftest import path_metric_space, reference_apply_auto, reference_column, reference_failures
+from conftest import (
+    path_metric_space,
+    reference_apply_auto,
+    reference_column,
+    reference_failures,
+    reference_feasibility,
+)
 
 EMPTY = FinSpace((), {})
 
@@ -329,6 +336,103 @@ def test_realize_matches_reference_column(seed):
         for p, q in stage.pairs():
             assert after.d(p, q) == stage.d(p, q)
     assert validate(builder.stage()).is_valid
+
+
+NEW_DENOMINATORS = [d for d in range(7, 200) if all(d % k for k in range(2, d))] + [2**61 - 1]
+
+
+def _request(rng, stage, scale, kind):
+    """A request over 2 to 5 stage points whose values have a prime
+    denominator new to the stage (``scale`` is not a multiple of it):
+    "feasible", distances from an anchor plus an offset (a Katetov
+    function); "upper", every value under half of every stage distance;
+    "lower", the feasible request with one value past the diameter."""
+    sub = rng.sample(stage.points, rng.randint(2, min(5, len(stage))))
+    den = rng.choice([d for d in NEW_DENOMINATORS if scale % d])
+    if kind == "upper":
+        return {z: Fraction(rng.randint(1, 3), 1000 * den) for z in sub}
+    anchor = rng.choice(stage.points)
+    offset = rng.randint(0, 2) + Fraction(rng.randint(1, min(den - 1, 50)), den)
+    dvec = {z: stage.d(anchor, z) + offset for z in sub}
+    if kind == "lower":
+        dvec[rng.choice(sub)] = 1 + diameter(stage) + Fraction(rng.randint(1, 3), den)
+    return dvec
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_realize_matches_reference_feasibility_on_new_denominators(seed):
+    """Requests whose denominators are new to the stage (so its rows are
+    read times a factor above 1) against the slow oracle on the subspace:
+    a refusal has the oracle's pair and message and leaves the stage as it
+    was; a pass realizes the oracle's column."""
+    rng = random.Random(seed)
+    builder = new_builder(EMPTY).grow(rng.randint(20, 80))
+    seen = {"feasible": 0, "upper": 0, "lower": 0}
+    for kind in rng.sample(sorted(seen) * 12, 36):
+        stage = builder.stage()
+        dvec = _request(rng, stage, builder._scale, kind)
+        assert lcm(builder._scale, *(v.denominator for v in dvec.values())) > builder._scale
+        sub = sorted(dvec, key=stage.position)
+        expected = reference_feasibility(stage.subspace(sub), dvec)
+        gap = rng.randint(0, len(sub))
+        if expected is None:
+            column = reference_column(stage, dvec)
+            fresh = builder.realize(dvec, gap)
+            assert {r: builder.d(fresh, r) for r in stage.points} == column
+            seen["feasible"] += 1
+            continue
+        with pytest.raises(InfeasibleExtensionError) as refused:
+            builder.realize(dvec, gap)
+        assert (refused.value.pair, str(refused.value)) == expected
+        assert serialize_space(builder.stage()) == serialize_space(stage)
+        seen["lower" if ": |" in expected[1] else "upper"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_realize_refuses_a_nonpositive_value_before_any_pair():
+    """A value that is not positive is refused with the dvec check's text,
+    after the gap check and before any pair is read, even when a pair
+    would refuse the request."""
+    builder = new_builder(EMPTY).grow(12)
+    a, b, c = builder.points[:3]
+    cases = [
+        ({a: Fraction(1), b: Fraction(0)}, f"dvec value for {b} must be positive, got 0"),
+        ({a: Fraction(-1, 2)}, f"dvec value for {a} must be positive, got -1/2"),
+        # (a, b) is infeasible at 1/1000 each; the dvec check comes first
+        (
+            {a: Fraction(1, 1000), b: Fraction(1, 1000), c: Fraction(-3, 7)},
+            f"dvec value for {c} must be positive, got -3/7",
+        ),
+    ]
+    before = serialize_space(builder.stage())
+    for dvec, message in cases:
+        with pytest.raises(SpaceError) as refused:
+            builder.realize(dvec, 0)
+        assert type(refused.value) is SpaceError and str(refused.value) == message
+    with pytest.raises(SpaceError, match=r"^gap 4 outside 0\.\.3$"):
+        builder.realize(cases[2][0], 4)
+    assert serialize_space(builder.stage()) == before
+
+
+def test_grow_builds_no_subspace(monkeypatch):
+    """The schedule's requests are tested on the stage's own rows."""
+
+    def refused(self, keep):
+        raise AssertionError("subspace built")
+
+    monkeypatch.setattr(ordmet.spaces._RowTable, "subspace", refused)
+    assert len(new_builder(EMPTY).grow(60)) == 60
+
+
+def test_realized_name_skips_every_taken_suffix():
+    """The first new point of a two-point seed is ``u2``; with ``u2`` and
+    ``u2_`` taken by the seed it is named ``u2__``."""
+    builder = new_builder(make_space(["u2", "u2_"], {("u2", "u2_"): 1}))
+    fresh = builder.realize({0: Fraction(1)}, 0)
+    assert fresh == 2 and builder.names[fresh] == "u2__"
+    later = builder.realize({}, 0)
+    assert builder.names[later] == "u3"
+    assert sorted(builder.stage().names.values()) == ["u2", "u2_", "u2__", "u3"]
 
 
 # Digests of serialize_space(new_builder(empty).grow(N).stage()), recorded

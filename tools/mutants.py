@@ -1,14 +1,15 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
 the directed read, the missing-entry clause), the completion rule (its
-minimum and filler), ``amalgamate``'s input check, its lower-bound check
-of the completion (which only a side that is not a metric can fail, named
-anchor-major) and its output as the span oracle sees it, the int-row
-space (its one conversion ``scaled``, its rescale ``_rows_over``, the given
-values of ``entries``, ``subspace`` on a repeated point) and its triangle
-pass, the limit builder's stage layout, rescale, feasibility test (the one
-check ``realize`` makes), the entry checks of back-and-forth and
-``apply_auto`` and image search, the orbit test's
+minimum, its tie order and filler), ``amalgamate``'s input check, its
+lower-bound check of the completion (which only a side that is not a
+metric can fail, named anchor-major) and its output as the span oracle
+sees it, the int-row space (its one conversion ``scaled``, its rescale
+``_rows_over``, the given values of ``entries``, ``subspace`` on a
+repeated point) and its triangle pass, the limit builder's stage layout,
+rescale, feasibility test (the one check ``realize`` makes, its scale
+factor and positivity check) and fresh names, the entry checks of
+back-and-forth and ``apply_auto`` and image search, the orbit test's
 support and the orbit search's support-filtered level per entry, the
 Fraisse direct engine's embedding lists, the grid's dtype bound, the
 vector JEP verdict, the HP subset search, the class ranking's key
@@ -26,7 +27,9 @@ bitmask conversions and reserved chain names.
 Each mutant names a file, an exact source snippet, its replacement and the
 tests that must catch it.  The unmutated tree must first pass every named
 test.  Then each mutant is applied in its own temporary copy of ``src/``
-and ``tests/``, and its tests must fail (pytest exit status 1).  A snippet
+and ``tests/``, and its tests must fail (pytest exit status 1).  The
+mutants run in a pool of one thread per CPU, each thread driving one
+pytest process at a time; verdicts print in list order.  A snippet
 that does not occur exactly once in its file is an error, so a refactor
 has to port the mutants it touches.  Exit status 0 when every mutant is
 killed, 1 otherwise.  Standard library only; the tests need pytest.
@@ -39,6 +42,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,8 +72,8 @@ IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_ca
 AGREEING = "tests/test_preserves.py::test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables"
 NARROWING = "(dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0])"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
-FEASIBILITY = "tests/test_amalgam.py::test_feasibility_matches_reference_on_mixed_denominators"
 GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
+REALIZE_ORACLE = "tests/test_limit.py::test_realize_matches_reference_feasibility_on_new_denominators"
 BACK_AND_FORTH = "tests/test_limit.py::test_back_and_forth_stage_is_byte_identical"
 SHIFT_CORE = "tests/test_witness.py::test_shift_core_matches_reference_on_every_mask[4]"
 ADMISSIBLE = (
@@ -198,9 +203,16 @@ MUTANTS = [
     Mutant(
         "column-max-instead-of-min",
         AMALGAM,
-        "list(map(min, *sums))",
-        "list(map(max, *sums))",
-        (f"{COLUMN}_completes_through_every_anchor",),
+        "m if m <= (s := leg + v) else s",
+        "m if m >= (s := leg + v) else s",
+        (f"{COLUMN}_completes_through_every_anchor", f"{COLUMN}_matches_the_reference[2-int]"),
+    ),
+    Mutant(
+        "column-tie-keeps-later-leg",
+        AMALGAM,
+        "m if m <= (s := leg + v) else s",
+        "m if m < (s := leg + v) else s",
+        (f"{COLUMN}_matches_the_reference[2-mixed]",),
     ),
     Mutant(
         "column-recheck-dropped",
@@ -238,7 +250,10 @@ MUTANTS = [
         SPACES,
         "factor = scale // self._scale",
         "factor = 1",
-        (FEASIBILITY,),
+        (
+            "tests/test_limit.py::test_builder_reads_like_its_stage",
+            "tests/test_amalgam.py::test_amalgam_valid_on_random_spans",
+        ),
     ),
     Mutant(
         "scaled-denominator-ignored",
@@ -264,9 +279,16 @@ MUTANTS = [
     Mutant(
         "stage-pos-refresh-late",
         LIMIT,
-        "for i in range(index, len(points)):",
-        "for i in range(index + 1, len(points)):",
+        "zip(points[index:], range(index, len(points)))",
+        "zip(points[index + 1:], range(index + 1, len(points)))",
         (GROWN,),
+    ),
+    Mutant(
+        "fresh-name-suffixed-once",
+        LIMIT,
+        "while name in self._seed_names:",
+        "if name in self._seed_names:",
+        ("tests/test_limit.py::test_realized_name_skips_every_taken_suffix",),
     ),
     Mutant(
         "stage-rescale-skipped",
@@ -306,12 +328,26 @@ MUTANTS = [
     Mutant(
         "realize-feasibility-dropped",
         LIMIT,
-        "refusal = feasibility_violation(self.subspace(sub), dvec)",
+        "refusal = feasibility_violation(self, dvec, sub)",
         "refusal = None",
         (
             "tests/test_limit.py::test_realize_infeasible_rejected",
             "tests/test_limit.py::test_grown_columns_meet_every_lower_bound",
         ),
+    ),
+    Mutant(
+        "realize-scale-factor-dropped",
+        AMALGAM,
+        "factor = scale // base._scale",
+        "factor = 1",
+        (REALIZE_ORACLE,),
+    ),
+    Mutant(
+        "realize-positivity-check-dropped",
+        AMALGAM,
+        "if v <= 0:",
+        "if False:",
+        ("tests/test_limit.py::test_realize_refuses_a_nonpositive_value_before_any_pair",),
     ),
     Mutant(
         "image-search-in-stage-order",
@@ -577,6 +613,18 @@ def pytest_status(tree: Path, tests) -> int:
     return done.returncode
 
 
+def run_mutant(tmp: Path, m: Mutant) -> int:
+    """Exit status of ``m``'s tests in its own copy of the tree, mutated."""
+    tree = tmp / m.name
+    copy_tree(tree)
+    path = tree / m.file
+    path.write_text(path.read_text().replace(m.snippet, m.replacement))
+    try:
+        return pytest_status(tree, m.tests)
+    finally:
+        shutil.rmtree(tree)
+
+
 def main() -> int:
     stale = [m.name for m in MUTANTS if (ROOT / m.file).read_text().count(m.snippet) != 1]
     if stale:
@@ -591,16 +639,12 @@ def main() -> int:
             print("error: the unmutated tree fails the mutants' tests", file=sys.stderr)
             return 1
         survivors = 0
-        for m in MUTANTS:
-            tree = Path(tmp) / m.name
-            copy_tree(tree)
-            path = tree / m.file
-            path.write_text(path.read_text().replace(m.snippet, m.replacement))
-            status = pytest_status(tree, m.tests)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
-            survivors += status != 1
-            print(f"{verdict:<10} {m.name}")
-            shutil.rmtree(tree)
+        # each worker thread waits on its own pytest process; map yields in list order
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for m, status in zip(MUTANTS, pool.map(partial(run_mutant, Path(tmp)), MUTANTS)):
+                verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+                survivors += status != 1
+                print(f"{verdict:<10} {m.name}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
