@@ -6,13 +6,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``num/den`` (or a bare integer) into a canonical Fraction.
+    """Parse ``num/den`` (or a bare integer) of ASCII digits into a
+    canonical Fraction.
 
-    Raises ValueError for anything else, including a zero denominator.
+    Raises ValueError for anything else, including a zero denominator and
+    digits of other scripts.
     """
     match = _RATIONAL_RE.match(text.strip())
     if match is None:

@@ -7,7 +7,7 @@ import pytest
 
 import ordmet.cli
 import ordmet.spacefile
-from ordmet import AmalgamError, validate
+from ordmet import AmalgamError, FinSpace, new_builder, validate
 from ordmet.cli import run
 from ordmet.limit import STORE_BUDGET_BYTES, store_bytes
 from ordmet.spacefile import parse_space, serialize_space
@@ -124,6 +124,38 @@ def test_fraisse_check_past_64_pairs(capsys):
 def test_fraisse_check_bad_grid(capsys):
     assert run(["fraisse-check", "--max-size", "3", "--grid", "1,zebra"]) == 2
     assert run(["fraisse-check", "--max-size", "3", "--grid", "0,1"]) == 2
+
+
+def test_non_ascii_digits_exit_two(tmp_path, capsys):
+    path = tmp_path / "arabic.space"
+    path.write_text("space\npoint a\npoint b\ndist a b \u0663/\u0662\nend\n")
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 4: malformed rational '\u0663/\u0662'\n"
+    assert run(["fraisse-check", "--max-size", "3", "--grid", "\u0661"]) == 2
+    assert capsys.readouterr().err == "error: malformed rational '\u0661'\n"
+
+
+def test_canonical_and_commented_stage_files_report_alike(tmp_path, capsys):
+    """A grown stage file is read by the canonical reader; behind a comment
+    line it goes through the line parser.  validate, iso and embed --all
+    print the same on both."""
+    stage = new_builder(FinSpace((), {})).grow(64).stage()
+    text = serialize_space(stage)
+    pattern = tmp_path / "pattern.space"
+    pattern.write_text(serialize_space(stage.subspace(stage.points[5:9])))
+    reports = []
+    for name, doc in (("canonical.space", text), ("commented.space", "# comment\n" + text)):
+        path = str(tmp_path / name)
+        Path(path).write_text(doc)
+        report = []
+        for argv in (["validate", path], ["iso", path, path],
+                     ["embed", str(pattern), path, "--all"]):
+            status = run(argv)
+            captured = capsys.readouterr()
+            report.append((status, captured.out, captured.err))
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [status for status, _, _ in reports[0]] == [0, 0, 0]
 
 
 def test_limit_grow_from_empty(tmp_path, capsys):

@@ -34,6 +34,14 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["\u0661/\u0662", "\u0663", "1/\u0662", "\uff11/2", "\u00b2"])
+def test_parse_accepts_ascii_digits_only(bad):
+    """Digits of other scripts (Arabic-Indic, fullwidth, superscript) are
+    malformed, though ``int`` reads some of them."""
+    with pytest.raises(ValueError, match="^malformed rational"):
+        parse_rational(bad)
+
+
 def test_format_always_carries_denominator():
     assert format_rational(Fraction(1)) == "1/1"
     assert format_rational(Fraction(2, 4)) == "1/2"

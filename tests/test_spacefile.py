@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordmet import FinSpace, SpaceError, canonical_iso, make_space, new_builder, validate
+from ordmet import FinSpace, SpaceError, build_witness, canonical_iso, make_space, new_builder, validate
 from ordmet import spacefile
 from ordmet.rationals import parse_rational
 from ordmet.spacefile import SpaceParseError, parse_space, serialize_space
@@ -225,3 +225,160 @@ def test_points_after_dist_lines_grow_the_rows():
     )
     with pytest.raises(SpaceParseError, match="^missing distance for pair b c$"):
         parse_space("space\npoint a\npoint b\ndist a b 1/1\npoint c\ndist a c 1/1\nend\n")
+
+
+def facts(space: FinSpace):
+    return space.points, space.names, space._rows, space._scale
+
+
+def outcome(parse, doc: str):
+    """What a parser makes of ``doc``: the facts of its space, or the type
+    and message of what it raised."""
+    try:
+        return facts(parse(doc))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+NAMES = st.sampled_from(["a", "b", "c1", "x_2", "Z", "end", "space", "point", "dist", "p0"])
+VALUES = st.fractions(min_value=Fraction(-2), max_value=Fraction(5), max_denominator=7)
+
+
+@st.composite
+def serialized_spaces(draw, max_points=8):
+    names = draw(st.lists(NAMES, max_size=max_points, unique=True))
+    entries = {pair: draw(VALUES) for pair in combinations(range(len(names)), 2)}
+    return serialize_space(FinSpace(tuple(range(len(names))), entries, dict(enumerate(names))))
+
+
+MUTATIONS = (
+    "comment line", "trailing comment", "blank line", "crlf", "tab", "double space",
+    "trailing space", "swap dist lines", "point after dist", "drop line", "duplicate line",
+    "token 2/4", "token 3", "token -1/2", "bare token line", "content after end", "missing end",
+)
+
+
+def mutate(lines: list[str], kind: str, data) -> list[str]:
+    """``lines`` (a canonical document's, without their LFs) with one change."""
+    lines = list(lines)
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    dists = [k for k, line in enumerate(lines) if line.startswith("dist ")]
+    dist_at = data.draw(st.sampled_from(dists), label="dist line") if dists else None
+    if kind == "comment line":
+        lines.insert(at, "# a comment")
+    elif kind == "trailing comment":
+        lines[at] += "  # note"
+    elif kind == "blank line":
+        lines.insert(at, "")
+    elif kind == "crlf":
+        lines[at] += "\r"
+    elif kind in ("tab", "double space") and " " in lines[at]:
+        lines[at] = lines[at].replace(" ", "\t" if kind == "tab" else "  ", 1)
+    elif kind == "trailing space":
+        lines[at] += " "
+    elif kind == "swap dist lines" and len(dists) > 1:
+        other = data.draw(st.sampled_from([k for k in dists if k != dist_at]), label="other")
+        lines[dist_at], lines[other] = lines[other], lines[dist_at]
+    elif kind == "point after dist" and dists:
+        point = max(k for k, line in enumerate(lines) if line.startswith("point "))
+        moved = lines.pop(point)
+        lines.insert(dist_at, moved)
+    elif kind == "drop line":
+        del lines[at]
+    elif kind == "duplicate line":
+        lines.insert(at, lines[at])
+    elif kind.startswith("token ") and dists:
+        lines[dist_at] = lines[dist_at].rsplit(" ", 1)[0] + " " + kind.split()[1]
+    elif kind == "bare token line" and dists:
+        lines[dist_at] = lines[dist_at].rsplit(" ", 1)[1]
+    elif kind == "content after end":
+        lines.append("point late")
+    elif kind == "missing end":
+        lines.remove("end")
+    return lines
+
+
+@settings(max_examples=250, deadline=None)
+@given(serialized_spaces(), st.sampled_from(MUTATIONS), st.data())
+def test_parse_space_matches_the_line_parser_on_mutated_documents(text, kind, data):
+    doc = "\n".join(mutate(text.split("\n")[:-1], kind, data)) + "\n"
+    want = outcome(spacefile._parse_lines, doc)
+    assert outcome(parse_space, doc) == want
+    read = spacefile._read_canonical(doc)
+    assert read is None or facts(read) == want
+
+
+@st.composite
+def one_character_changed(draw):
+    text = draw(serialized_spaces())
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.sampled_from(" \t\r\n#/-0_ab١")) + text[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), one_character_changed()))
+def test_canonical_reader_returns_the_line_parsers_space_or_none(text):
+    read = spacefile._read_canonical(text)
+    assert read is None or facts(read) == outcome(spacefile._parse_lines, text)
+
+
+def refuse_line_parsing(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the line parser ran on a canonical document")
+
+    monkeypatch.setattr(spacefile, "_parse_lines", refuse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(serialized_spaces())
+def test_written_spaces_load_without_the_line_parser(text):
+    want = outcome(spacefile._parse_lines, text)
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_line_parsing(patch)
+        assert outcome(parse_space, text) == want
+        assert serialize_space(parse_space(text)) == text
+
+
+def test_grown_stage_and_witness_table_load_without_the_line_parser(monkeypatch):
+    stage = serialize_space(new_builder(FinSpace((), {})).grow(64).stage())
+    table = serialize_space(build_witness(make_space(["b0"], {}), 2, 3).space)
+    want = [outcome(spacefile._parse_lines, text) for text in (stage, table)]
+    refuse_line_parsing(monkeypatch)
+    assert [outcome(parse_space, text) for text in (stage, table)] == want
+    assert [serialize_space(parse_space(text)) for text in (stage, table)] == [stage, table]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["2/4", "3", "+1/2", "01/2", "1/02", "-0/1", "1_0/1", "٣/٢", "1/0", "1/-2", "1/2/3", "0x1/2"],
+)
+def test_noncanonical_tokens_are_left_to_the_line_parser(token):
+    """A value token that does not format back to itself makes the reader
+    decline, and the line parser reads or refuses the document."""
+    doc = f"space\npoint p\npoint q\npoint r\ndist p q 1/2\ndist p r {token}\ndist q r 1/1\nend\n"
+    assert spacefile._read_canonical(doc) is None
+    assert outcome(parse_space, doc) == outcome(spacefile._parse_lines, doc)
+
+
+def test_a_dist_line_cut_to_its_token_is_not_read():
+    doc = "space\npoint p\npoint q\n1/2\nend\n"
+    assert spacefile._read_canonical(doc) is None
+    with pytest.raises(SpaceParseError, match="^line 4: unrecognized directive '1/2'$"):
+        parse_space(doc)
+
+
+def test_canonical_reader_holds_no_more_than_the_line_parser():
+    """On a 600-point stage the reader's traced peak is at most 1.25 times
+    the line parser's."""
+    text = serialize_space(new_builder(FinSpace((), {})).grow(600).stage())
+    peaks = []
+    for parse in (spacefile._parse_lines, spacefile._read_canonical):
+        tracemalloc.start()
+        try:
+            space = parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(space) == 600
+        del space
+    assert peaks[1] <= 1.25 * peaks[0]

@@ -17,10 +17,12 @@ compaction, the AP check's overlap grouping, its four class-fact families
 and the batched pass's padding (the agreement check counting padded cells,
 a zero pad, a target's class offset off by one; counting padded cells in
 positivity is an equivalent mutant while the pad is positive), the CLI's
-start without numpy, and the witness admissibility test, shift core (its
-reads outside the bits a verdict may depend on), exhaust's minimal-index
-classes (class size, representative, which failure is first), trace
-bitmask conversions and reserved chain names.
+start without numpy, the space-file reader of canonical documents (its
+head comparison, row offsets, budget decline and canonical-token check)
+and the line parser's token memo, and the witness admissibility test,
+shift core (its reads outside the bits a verdict may depend on),
+exhaust's minimal-index classes (class size, representative, which
+failure is first), trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -65,6 +67,8 @@ LIMIT = "src/ordmet/limit.py"
 WITNESS = "src/ordmet/witness.py"
 FRAISSE = "src/ordmet/fraisse.py"
 CLI = "src/ordmet/cli.py"
+SPACEFILE = "src/ordmet/spacefile.py"
+PARSE_TESTS = "tests/test_spacefile.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
 PADDED = "tests/test_fraisse.py::test_padded_batch_reads_each_targets_own_classes"
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
@@ -188,10 +192,38 @@ MUTANTS = [
     ),
     Mutant(
         "parse-memo-keyed-on-value",
-        "src/ordmet/spacefile.py",
+        SPACEFILE,
         "k = token_index[value] = len(values) - 1",
         "k = token_index[values[-1]] = len(values) - 1",
-        ("tests/test_spacefile.py::test_each_distinct_value_token_is_parsed_once",),
+        (f"{PARSE_TESTS}::test_each_distinct_value_token_is_parsed_once",),
+    ),
+    Mutant(
+        "canonical-head-comparison-dropped",
+        SPACEFILE,
+        "if not all(map(str.startswith, block, heads)):",
+        "if False:",
+        (f"{PARSE_TESTS}::test_a_dist_line_cut_to_its_token_is_not_read",),
+    ),
+    Mutant(
+        "canonical-row-offset-one-off",
+        SPACEFILE,
+        "stop = start + n - 1 - i",
+        "stop = start + n - i",
+        (f"{PARSE_TESTS}::test_grown_stage_and_witness_table_load_without_the_line_parser",),
+    ),
+    Mutant(
+        "canonical-budget-decline-dropped",
+        SPACEFILE,
+        " or store_bytes(n) > STORE_BUDGET_BYTES:",
+        ":",
+        (f"{PARSE_TESTS}::test_parse_refuses_the_first_point_past_the_store_budget",),
+    ),
+    Mutant(
+        "canonical-token-check-dropped",
+        SPACEFILE,
+        "if format_rational(value) != token:",
+        "if False:",
+        (f"{PARSE_TESTS}::test_noncanonical_tokens_are_left_to_the_line_parser",),
     ),
     Mutant(
         "amalgam-input-preserves-check-dropped",
