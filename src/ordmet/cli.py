@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = usage or input error,
-3 = internal error.
+3 = internal error: any other exception, printed as one line.
 All reports go to stdout, one fact per line, in a stable order; error
 messages go to stderr.
 """
@@ -14,12 +14,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .amalgam import AmalgamError
 from .limit import new_builder
 from .rationals import format_rational, parse_rational
 from .spacefile import parse_space, serialize_space
 from .spaces import FinSpace, canonical_iso, enumerate_embeddings, validate
-from .witness import WitnessError, build_witness, exhaust_all_traces, verify_injection
+from .witness import build_witness, exhaust_all_traces, verify_injection
 
 
 def _load(path: str) -> FinSpace:
@@ -180,13 +179,12 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AmalgamError, WitnessError) as exc:
-        # a failed internal construction check, not a fault of the input
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

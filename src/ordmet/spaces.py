@@ -531,28 +531,38 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
     ``MissingDistanceError`` when either table misses a pair.
     """
     if len(x) < 2:  # nothing to compare
-        return _embeddings(x, y, x._rows, y._rows, [])
+        return _embeddings(x, y, x._rows, y._rows)
     scale = lcm(x._scale, y._scale)
-    return _embeddings(x, y, _complete_rows(x, scale), _complete_rows(y, scale), [])
+    return _embeddings(x, y, _complete_rows(x, scale), _complete_rows(y, scale))
 
 
-def _embeddings(x, y, xrows, yrows, chosen: list[int]) -> Iterator[Embedding]:
-    """The embeddings that extend the target positions ``chosen``, over
-    rows on one scale.  A module-level generator, so that no reference
-    cycle keeps the rows alive after the search."""
-    depth, n, k = len(chosen), len(y), len(x)
-    if depth == k:
-        yield Embedding(x, y, {x.points[i]: y.points[t] for i, t in enumerate(chosen)})
-        return
-    start = chosen[-1] + 1 if chosen else 0
-    candidates = range(start, n - (k - depth) + 1)
-    for want, s in zip(xrows[depth], chosen):
-        yrow = yrows[s]
-        candidates = [t for t in candidates if yrow[t] == want]
-    for t in candidates:
+def _embeddings(x, y, xrows, yrows) -> Iterator[Embedding]:
+    """The embeddings of ``x`` into ``y``, over rows on one scale.  An
+    explicit stack walks the search: ``stack[d]`` iterates the target
+    positions left for source point d and ``chosen[d]`` is the one taken,
+    so no source size meets the recursion limit.  A module-level
+    generator, so that no reference cycle keeps the rows alive after the
+    search."""
+    n, k = len(y), len(x)
+    chosen, stack = [], []
+    while True:
+        depth = len(chosen)
+        if depth == k:
+            yield Embedding(x, y, {x.points[i]: y.points[t] for i, t in enumerate(chosen)})
+        else:
+            start = chosen[-1] + 1 if chosen else 0
+            candidates = range(start, n - (k - depth) + 1)
+            for want, s in zip(xrows[depth], chosen):
+                yrow = yrows[s]
+                candidates = [t for t in candidates if yrow[t] == want]
+            stack.append(iter(candidates))
+        # the next candidate of the deepest level that has one left
+        while stack and (t := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        del chosen[len(stack) - 1 :]
         chosen.append(t)
-        yield from _embeddings(x, y, xrows, yrows, chosen)
-        chosen.pop()
 
 
 def _complete_rows(space: FinSpace, scale: int) -> list[list[int]]:

@@ -14,8 +14,8 @@ of the non-metacompactness argument.
 The checks read k, n and a trace as a Python int bitmask, bit i for chain
 index i: shifting is a left shift, and every other test is a bit test.  A
 trace is any iterable of chain indices.  Only ``WitnessConfig.space`` builds
-(and validates) the distance table, and only readers of ``chain`` build the
-chain.  ``exhaust_all_traces`` decides each admissible trace by its
+the distance table, a metric by construction, and only readers of ``chain``
+build the chain.  ``exhaust_all_traces`` decides each admissible trace by its
 minimal-index class and refuses, before any check, when one check per trace
 would top ``EXHAUST_BUDGET_CHECKS`` shift checks and pair tests; ``verify_injection``
 refuses, before building a mask, when its masks would need more than
@@ -39,10 +39,6 @@ from .spaces import STORE_BUDGET_BYTES, FinSpace, PointId, SpaceError, diameter,
 
 class InadmissibleTraceError(ValueError):
     """The trace breaks one of the admissibility constraints."""
-
-
-class WitnessError(RuntimeError):
-    """Internal construction check failed (should never happen)."""
 
 
 # The chain point names a0, a1, ...: "a" and a decimal numeral in ASCII
@@ -80,8 +76,22 @@ class WitnessConfig:
 
     @functools.cached_property
     def space(self) -> FinSpace:
-        """Support and chain as one validated space, built on first read;
-        refused before allocating when its rows top the store budget."""
+        """Support and chain as one space, built on first read; refused
+        before allocating when its rows top the store budget.
+
+        The table is a metric by construction, so it is not validated.
+        With diam the support's diameter and far = diam + 4:
+
+        * triangles inside the support hold, as ``build_witness``
+          validated it;
+        * the chain points are |i - j| / k apart, a line metric of
+          diameter 3;
+        * support points s, s' and a chain point a have sides d(s, s'),
+          far, far: d(s, s') <= diam < 2 far, and far <= far + d(s, s');
+        * a support point s and chain points a, a' have sides d(a, a'),
+          far, far: d(a, a') <= 3 < 2 far, and far <= far + d(a, a');
+        * the rows are symmetric, positive off the diagonal and zero on it.
+        """
         points = len(self.support) + 3 * self.k + 1
         estimate = store_bytes(points)
         if estimate > STORE_BUDGET_BYTES:
@@ -100,13 +110,7 @@ class WitnessConfig:
             [gap] * len(support) + [abs(i - j) * step for j in range(len(chain))]
             for i in range(len(chain))
         ]
-        space = FinSpace._of_rows(tuple(support.points) + chain, rows, scale, names)
-        check = validate(space)
-        if not check.is_valid:
-            raise WitnessError(
-                "configuration failed validation: " + check.violations[0].describe(space)
-            )
-        return space
+        return FinSpace._of_rows(tuple(support.points) + chain, rows, scale, names)
 
     @property
     def top(self) -> PointId:

@@ -5,6 +5,7 @@ from itertools import combinations
 from typing import Optional
 
 import pytest
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -51,6 +52,20 @@ def path_metric_space(size: int, weights: dict[tuple[int, int], Fraction]) -> Fi
                     dist[(i, j)] = through
     entries = {(i, j): dist[(i, j)] for i, j in combinations(range(size), 2)}
     return FinSpace(tuple(range(size)), entries)
+
+
+small_weights = st.fractions(
+    min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=4
+)
+
+
+@st.composite
+def valid_spaces(draw, min_size=1, max_size=4):
+    size = draw(st.integers(min_size, max_size))
+    weights = {
+        pair: draw(small_weights) for pair in combinations(range(size), 2)
+    }
+    return path_metric_space(size, weights)
 
 
 def reference_d(entries, p, q):

@@ -1,18 +1,21 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmet.cli
 import ordmet.spacefile
-from ordmet import AmalgamError, FinSpace, new_builder, validate
+from ordmet import FinSpace, make_space, new_builder, validate
 from ordmet.cli import run
 from ordmet.limit import STORE_BUDGET_BYTES, store_bytes
 from ordmet.spacefile import parse_space, serialize_space
-from ordmet.spaces import ValidationReport, Violation
-from ordmet.witness import WitnessError
 
 from conftest import chain_space
 
@@ -103,6 +106,18 @@ def test_embed_none(files, tmp_path, capsys):
     chain.write_text(serialize_space(chain_space(1)))
     assert run(["embed", files["wide.space"], files["unit.space"]]) == 1
     assert capsys.readouterr().out == "none\n"
+
+
+def test_embed_of_a_chain_past_the_recursion_limit_finds_the_identity(tmp_path, capsys):
+    size = 1100
+    rows = [[abs(i - j) for j in range(size)] for i in range(size)]
+    names = {i: f"a{i}" for i in range(size)}
+    chain = tmp_path / "chain.space"
+    chain.write_text(serialize_space(FinSpace._of_rows(range(size), rows, 1, names)))
+    assert run(["embed", str(chain), str(chain)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == " ".join(f"a{i}->a{i}" for i in range(size)) + "\n"
+    assert captured.err == ""
 
 
 def test_fraisse_check_passes(capsys):
@@ -413,31 +428,6 @@ def test_witness_refuses_a_chain_end_past_4300_digits(files, tmp_path, capsys, c
     )
 
 
-def test_only_witness_build_validates_the_table(files, tmp_path, monkeypatch, capsys):
-    """Negative control: a validate that fails on every space larger than
-    the one-point support fails build with exit 3 and is never reached by
-    verify or exhaust."""
-    real = ordmet.witness.validate
-
-    def failing(space):
-        if len(space) <= 1:
-            return real(space)
-        return ValidationReport((Violation("triangle", space.points[:3], "injected"),))
-
-    monkeypatch.setattr(ordmet.witness, "validate", failing)
-    out = tmp_path / "config.space"
-    assert run(witness_argv("build", files["single.space"], 2, 1, "--out", str(out))) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "internal error: configuration failed validation: triangle b0 a0 a1: injected\n"
-    )
-    assert not out.exists()
-    assert run(witness_argv("verify", files["single.space"], 2, 1, "--trace", "5,6")) == 0
-    assert run(witness_argv("exhaust", files["single.space"], 2, 1)) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "verdict pass"
-
-
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["validate"]) == 2
@@ -455,17 +445,29 @@ def test_witness_bad_parameters_exit_two(files, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("error", [WitnessError, AmalgamError])
-def test_internal_error_exits_three(files, monkeypatch, capsys, error):
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (RuntimeError("broken"), "RuntimeError: broken"),
+        (KeyError(7), "KeyError: 7"),
+        (AssertionError("unreachable"), "AssertionError: unreachable"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "RecursionError: maximum recursion depth exceeded"),
+    ],
+    ids=["RuntimeError", "KeyError", "AssertionError", "RecursionError"],
+)
+def test_internal_error_exits_three(files, monkeypatch, capsys, error, line):
+    """Any exception other than OSError and ValueError is a fault of the
+    program: exit 3 and one line on stderr, never a traceback and exit 1."""
     def broken(*args):
-        raise error("construction check failed")
+        raise error
 
     monkeypatch.setattr(ordmet.cli, "build_witness", broken)
     argv = ["witness", "exhaust", "--support", files["single.space"], "--n", "2", "--m", "1"]
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: construction check failed\n"
+    assert captured.err == f"internal error: {line}\n"
 
 
 def test_console_entry_point(files, tmp_path):
@@ -521,3 +523,88 @@ def test_fraisse_names_resolve_on_access():
     assert namespace["FraisseReport"] is ordmet.fraisse.FraisseReport
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         ordmet.no_such_name
+
+
+# -- fuzzed inputs -------------------------------------------------------------
+
+FUZZ_TOKENS = [
+    "", "0/1", "-1/2", "2/4", "1/0", "3", "x", "p0", "p9", "a0", "dist", "point", "end",
+    "space", "#", "1e3", "١/٢", "99999999999999999999999/7",
+]
+
+
+@st.composite
+def mutated_space_files(draw):
+    """``serialize_space`` output of a random 0-6 point table, valid or not,
+    with one line dropped, duplicated or swapped, or one token replaced."""
+    size = draw(st.integers(0, 6))
+    values = st.sampled_from(["1/2", "1", "3/2", "2", "5"])
+    names = [f"p{i}" for i in range(size)]
+    dists = {pair: draw(values) for pair in combinations(names, 2)}
+    lines = serialize_space(make_space(names, dists)).splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+    if edit == "drop":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    elif edit == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    else:
+        tokens = lines[at].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def run_captured(argv) -> tuple[int, str]:
+    """Exit status and stderr of one in-process command line; an exception
+    that escapes ``run`` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    return status, err.getvalue()
+
+
+def assert_contract(status: int, err: str) -> None:
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.strip()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=mutated_space_files())
+def test_mutated_space_files_keep_the_exit_contract(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.space"
+    path.write_text(text)
+    file = str(path)
+    for argv in (["validate", file], ["iso", file, file], ["embed", file, file, "--all"]):
+        assert_contract(*run_captured(argv))
+
+
+@st.composite
+def trace_arguments(draw):
+    """n, m and a --trace value on a one-point support: chain indices in
+    and around the window, the tail half the time (so that some traces are
+    admissible), and at times one fuzz token."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = 3 * n * m
+    near = st.integers(-1, top + 1) | st.integers(2 * n * m, top)
+    trace = draw(st.lists(near, max_size=6))
+    if draw(st.booleans()):
+        trace += range(top - n + 1, top + 1)
+    tokens = [str(i) for i in trace]
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(FUZZ_TOKENS)))
+    return n, m, ",".join(tokens)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(arguments=trace_arguments())
+def test_random_traces_keep_the_exit_contract(tmp_path_factory, arguments):
+    n, m, trace = arguments
+    support = tmp_path_factory.getbasetemp() / "single.space"
+    support.write_text(SINGLE)
+    assert_contract(*run_captured(witness_argv("verify", str(support), n, m, "--trace", trace)))

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ordmet import (
     FinSpace,
@@ -28,6 +27,7 @@ from conftest import (
     reference_d,
     reference_has_pair,
     reference_violations,
+    valid_spaces,
 )
 
 
@@ -40,20 +40,6 @@ def brute_force_pair_slots(space, dist):
         for i, j in combinations(range(len(pts)), 2)
         if space.d(pts[i], pts[j]) == dist
     ]
-
-
-small_weights = st.fractions(
-    min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=4
-)
-
-
-@st.composite
-def valid_spaces(draw, min_size=1, max_size=4):
-    size = draw(st.integers(min_size, max_size))
-    weights = {
-        pair: draw(small_weights) for pair in combinations(range(size), 2)
-    }
-    return path_metric_space(size, weights)
 
 
 # -- validate ----------------------------------------------------------------
@@ -341,6 +327,17 @@ def test_embeddings_lexicographic_and_preserving():
     assert tuples == sorted(tuples)
     assert tuples == brute_force_pair_slots(target, Fraction(2))
     assert all(embedding_ok(emb) for emb in found)
+
+
+def test_chain_past_the_recursion_limit_embeds_into_itself_as_the_identity():
+    """The search keeps one candidate iterator per placed point on a stack
+    of its own, so a 1,200-point source is no deeper than a 2-point one."""
+    size = 1200
+    rows = [[abs(i - j) for j in range(size)] for i in range(size)]
+    chain = FinSpace._of_rows(range(size), rows, 1, {})
+    found = list(enumerate_embeddings(chain, chain))
+    assert len(found) == 1
+    assert found[0].mapping == {p: p for p in range(size)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     enumerated_exhaust,
@@ -12,6 +14,7 @@ from conftest import (
     reference_exhaust,
     reference_injection,
     reference_shift,
+    valid_spaces,
 )
 from ordmet import witness
 from ordmet import (
@@ -83,6 +86,29 @@ def test_support_precedes_chain():
     assert top_support < bottom_chain
     positions = [config.space.position(p) for p in config.chain]
     assert positions == sorted(positions)
+
+
+SUPPORTS = {
+    "single": singleton_support(),
+    "pair-1/2": pair_support(Fraction(1, 2)),
+    "pair-1": pair_support(1),
+    "pair-2": pair_support(2),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("support", SUPPORTS.values(), ids=SUPPORTS.keys())
+def test_table_is_a_metric(support, n, m):
+    """Oracle for the table's proof by construction: ``space`` builds it
+    without validating it."""
+    assert validate(build_witness(support, n, m).space).is_valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_spaces(max_size=5), st.integers(1, 3), st.integers(1, 3))
+def test_table_is_a_metric_on_random_supports(support, n, m):
+    assert validate(build_witness(support, n, m).space).is_valid
 
 
 def test_build_parameter_validation():

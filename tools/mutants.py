@@ -6,23 +6,25 @@ lower-bound check of the completion (which only a side that is not a
 metric can fail, named anchor-major) and its output as the span oracle
 sees it, the int-row space (its one conversion ``scaled``, its rescale
 ``_rows_over``, the given values of ``entries``, ``subspace`` on a
-repeated point) and its triangle pass, the limit builder's stage layout,
-rescale, feasibility test (the one check ``realize`` makes, its scale
-factor and positivity check) and fresh names, the entry checks of
-back-and-forth and ``apply_auto`` and image search, the orbit test's
-support and the orbit search's support-filtered level per entry, the
-Fraisse direct engine's embedding lists, the grid's dtype bound, the
-vector JEP verdict, the HP subset search, the class ranking's key
-compaction, the AP check's overlap grouping, its four class-fact families
-and the batched pass's padding (the agreement check counting padded cells,
-a zero pad, a target's class offset off by one; counting padded cells in
-positivity is an equivalent mutant while the pad is positive), the CLI's
-start without numpy, the space-file reader of canonical documents (its
-head comparison, row offsets, budget decline and canonical-token check)
-and the line parser's token memo, and the witness admissibility test,
-shift core (its reads outside the bits a verdict may depend on),
-exhaust's minimal-index classes (class size, representative, which
-failure is first), trace bitmask conversions and reserved chain names.
+repeated point), its triangle pass and its embedding search's candidate
+order, the limit builder's stage layout, rescale, feasibility test (the
+one check ``realize`` makes, its scale factor and positivity check) and
+fresh names, the entry checks of back-and-forth and ``apply_auto`` and
+image search, the orbit test's support and the orbit search's
+support-filtered level per entry, the Fraisse direct engine's embedding
+lists, the grid's dtype bound, the vector JEP verdict, the HP subset
+search, the class ranking's key compaction, the AP check's overlap
+grouping, its four class-fact families and the batched pass's padding (the
+agreement check counting padded cells, a zero pad, a target's class offset
+off by one; counting padded cells in positivity is an equivalent mutant
+while the pad is positive), the CLI's start without numpy and its exit 3
+for any unexpected exception, the space-file reader of canonical documents
+(its head comparison, row offsets, budget decline and canonical-token
+check) and the line parser's token memo, and the witness table's far
+distance, its admissibility test, shift core (its reads outside the bits a
+verdict may depend on), exhaust's minimal-index classes (class size,
+representative, which failure is first), trace bitmask conversions and
+reserved chain names.
 
     python tools/mutants.py
 
@@ -510,9 +512,35 @@ MUTANTS = [
     Mutant(
         "fraisse-imported-eagerly",
         CLI,
-        "from .amalgam import AmalgamError\n",
-        "from .amalgam import AmalgamError\nfrom .fraisse import check_fraisse_properties\n",
+        "from .limit import new_builder\n",
+        "from .limit import new_builder\nfrom .fraisse import check_fraisse_properties\n",
         ("tests/test_cli.py::test_only_fraisse_check_loads_numpy",),
+    ),
+    Mutant(
+        "cli-catch-all-removed",
+        CLI,
+        "    except Exception as exc:  # a fault of the program, not of the input\n"
+        '        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)\n'
+        "        return 3\n",
+        "",
+        ("tests/test_cli.py::test_internal_error_exits_three[KeyError]",),
+    ),
+    Mutant(
+        "embeddings-stack-order",
+        SPACES,
+        "stack.append(iter(candidates))",
+        "stack.append(iter(candidates[::-1]))",
+        (
+            "tests/test_spaces.py::test_unit_pair_embeds_three_ways",
+            "tests/test_spaces.py::test_embeddings_lexicographic_and_preserving",
+        ),
+    ),
+    Mutant(
+        "witness-far-quarter",
+        WITNESS,
+        "diameter(support) + 4",
+        "diameter(support) / 4",
+        ("tests/test_witness.py::test_table_is_a_metric[pair-1-1-1]",),
     ),
     Mutant(
         "witness-tail-shifted-down",
