@@ -19,18 +19,16 @@ from .amalgam import (
 from .limit import (
     FuelExhaustedError,
     LimitBuilder,
-    PartialIso,
     compose,
     new_builder,
-    partial_iso_ok,
 )
 from .orbits import Support, orbit_traces, same_fix_orbit
 from .rationals import calkin_wilf, format_rational, parse_rational
 from .spacefile import SpaceParseError, parse_space, serialize_space
 from .spaces import (
-    Embedding,
     FinSpace,
     MissingDistanceError,
+    PartialIso,
     PointId,
     SpaceError,
     ValidationReport,
@@ -41,6 +39,7 @@ from .spaces import (
     embedding_ok,
     enumerate_embeddings,
     make_space,
+    partial_iso_ok,
     validate,
 )
 from .witness import (
@@ -58,7 +57,6 @@ from .witness import (
 
 __all__ = [
     "AmalgamError",
-    "Embedding",
     "ExhaustReport",
     "ExtensionType",
     "FinSpace",

@@ -20,9 +20,11 @@ two-sided triangle test on a metric space complete to a column that meets
 every triangle bound, so only ``amalgamate``, whose a or b may not be a
 metric, re-checks the lower bound against every anchor.
 
-``amalgamate`` checks its input embeddings and validates the glued space on
-every call; the direct Fraisse engine makes one call per span and
-enumerates each overlap's embeddings once, outside it.
+``amalgamate`` takes and returns embeddings as ``spaces.PartialIso``s,
+which name no spaces: the spaces come as their own arguments.  It checks
+its input embeddings and validates the glued space on every call; the
+direct Fraisse engine makes one call per span and enumerates each
+overlap's embeddings once, outside it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Mapping, Sequence
 
 from .rationals import format_rational
 from .spaces import (
-    Embedding,
     FinSpace,
+    PartialIso,
     PointId,
     SpaceError,
     _RowTable,
@@ -186,9 +188,9 @@ def amalgamate(
     a: FinSpace,
     b: FinSpace,
     c: FinSpace,
-    e_a: Embedding,
-    e_b: Embedding,
-) -> tuple[FinSpace, Embedding, Embedding]:
+    e_a: PartialIso,
+    e_b: PartialIso,
+) -> tuple[FinSpace, PartialIso, PartialIso]:
     """Glue ``a`` and ``b`` along ``c`` and return (d, f_a, f_b) with
     f_a . e_a == f_b . e_b.
 
@@ -212,16 +214,16 @@ def amalgamate(
     completed entry at an anchor equals its leg, and the overlap's own
     distances are c's on both sides).
     """
-    for e, src, tgt, tag in ((e_a, c, a, "e_a"), (e_b, c, b, "e_b")):
-        mapping = e.mapping
-        if mapping.keys() != src._pos.keys():
+    map_a, map_b = e_a.mapping, e_b.mapping
+    for mapping, tgt, tag in ((map_a, a, "e_a"), (map_b, b, "e_b")):
+        if mapping.keys() != c._pos.keys():
             raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
         if not all(q in tgt._pos for q in mapping.values()):
             raise AmalgamError(f"{tag} does not land in its target")
-        if not preserves(src, tgt, ((p, mapping[p]) for p in src.points)):
+        if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):
             raise AmalgamError(f"{tag} does not preserve structure")
 
-    image_b = {e_b(z): z for z in c.points}
+    image_b = {map_b[z]: z for z in c.points}
     b_extra = [q for q in b.points if q not in image_b]
 
     # Ids: keep a's; b-only points keep theirs unless taken.
@@ -236,9 +238,9 @@ def amalgamate(
 
     # Order: slices of a split by overlap points, with each b gap appended
     # in front of the next overlap point (a-side first inside a gap).
-    anchors_a = [e_a(z) for z in c.points]  # in overlap order == order in a
+    anchors_a = [map_a[z] for z in c.points]  # in overlap order == order in a
     b_at = b._pos
-    anchors_b = sorted(b_at[e_b(z)] for z in c.points)
+    anchors_b = sorted(b_at[map_b[z]] for z in c.points)
     gaps_b: dict[int, list[PointId]] = {i: [] for i in range(len(c) + 1)}
     for q in b_extra:
         gaps_b[bisect_left(anchors_b, b_at[q])].append(q)
@@ -271,7 +273,7 @@ def amalgamate(
     if not anchors_a and len(a) and len(b):
         filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
-        legs = [(row, b._read(b_rows, e_b(z), q)) for row, z in zip(anchor_rows, c.points)]
+        legs = [(row, b._read(b_rows, map_b[z], q)) for row, z in zip(anchor_rows, c.points)]
         column = shortest_path_column(legs, len(a), filler)
         for (row, v), z in zip(legs, c.points):
             for leg, value in zip(row, column):
@@ -292,16 +294,11 @@ def amalgamate(
         taken.add(nm)
 
     glued = FinSpace._of_rows(order, rows, scale, names)
-    f_a = Embedding(a, glued, {p: p for p in a.points})
-    f_b = Embedding(
-        b,
-        glued,
-        {q: ids[q] if q in ids else e_a(image_b[q]) for q in b.points},
-    )
-
     report = validate(glued)
     if not report.is_valid:
         raise AmalgamError(
             "amalgam failed validation: " + report.violations[0].describe(glued)
         )
+    f_a = PartialIso(a.points, a.points)
+    f_b = PartialIso(b.points, tuple(ids[q] if q in ids else map_a[image_b[q]] for q in b.points))
     return glued, f_a, f_b

@@ -103,8 +103,8 @@ def _cmd_iso(args) -> int:
     if emb is None:
         print("none")
         return 1
-    for p in x.points:
-        print(f"{x.names[p]} -> {y.names[emb(p)]}")
+    for p, q in zip(emb.dom, emb.cod):
+        print(f"{x.names[p]} -> {y.names[q]}")
     return 0
 
 
@@ -112,7 +112,7 @@ def _cmd_embed(args) -> int:
     x, y = _load(args.file1), _load(args.file2)
     found = 0
     for emb in enumerate_embeddings(x, y):
-        print(" ".join(f"{x.names[p]}->{y.names[emb(p)]}" for p in x.points))
+        print(" ".join(f"{x.names[p]}->{y.names[q]}" for p, q in zip(emb.dom, emb.cod)))
         found += 1
         if not args.all:
             break

@@ -34,9 +34,13 @@ every fact holds, in time linear in its rows.  The pass lays out every
 target's cross distances in one padded table and checks the triangle
 families once per (space size, overlap positions) block over all targets;
 only the first failing target is spread back over its spans, to report the
-first failing one in enumeration order.  The AP pass estimates its class
-checks from the space counts and refuses over AP_BUDGET_CHECKS with
-ValueError, before any pass runs.
+first failing one in enumeration order.
+
+Both engines enumerate the sizes in turn and add up each size's share of
+the AP pass's class checks, estimated from its space count.  Every share
+is nonnegative, so the first size at which the sum tops AP_BUDGET_CHECKS
+refuses the slice with ValueError, before any larger size is enumerated
+and before any pass runs.
 
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
@@ -60,7 +64,7 @@ import numpy as np
 
 from .amalgam import AmalgamError, amalgamate
 from .rationals import format_rational
-from .spaces import STORE_BUDGET_BYTES, Embedding, FinSpace, enumerate_embeddings, validate
+from .spaces import STORE_BUDGET_BYTES, FinSpace, PartialIso, enumerate_embeddings, validate
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,23 @@ def _matrix_space(matrix: np.ndarray, scale: int) -> FinSpace:
     return FinSpace._of_rows(range(matrix.shape[0]), matrix.tolist(), scale, {})
 
 
+def _ap_work(ka: int, count: int, max_size: int, grid_len: int) -> int:
+    """Upper bound on the class checks of the AP pass over the ``count``
+    spaces of size ``ka`` in a slice up to ``max_size``.  Every pointed
+    space (ka points, overlap of kc < max size points) contributes its rows
+    times the f classes (at most grid^kc) times its a-pairs plus the
+    min-plus terms of its g rows (ka * kc), and its rows times the g classes
+    (at most (grid + 1)^kc, with the 0 of an overlap point) times its
+    b-extra pairs.  The batched pass pads every target to the widest
+    target's classes, which stay within the same bounds."""
+    work = 0
+    for kc in range(1, min(ka, max_size - 1) + 1):
+        rows = math.comb(ka, kc) * count
+        work += rows * grid_len**kc * (math.comb(ka, 2) + ka * kc)
+        work += rows * (grid_len + 1) ** kc * math.comb(ka - kc, 2)
+    return work
+
+
 def check_fraisse_properties(
     max_size: int,
     grid: Iterable[Fraction],
@@ -201,7 +222,16 @@ def check_fraisse_properties(
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     grid_values, scale, int_grid = _prepare_grid(grid)
-    per_size = [_valid_matrices(k, int_grid) for k in range(1, max_size + 1)]
+    per_size, work = [], 0
+    for k in range(1, max_size + 1):
+        per_size.append(_valid_matrices(k, int_grid))
+        work += _ap_work(k, per_size[-1].shape[0], max_size, len(grid_values))
+        if work > AP_BUDGET_CHECKS:
+            bound = "about" if k == max_size else "at least"
+            raise ValueError(
+                f"slice too large: the AP pass needs {bound} {work} class checks,"
+                f" over the {AP_BUDGET_CHECKS}-check budget"
+            )
     if engine == "vector":
         return _vector_engine(max_size, grid_values, per_size)
     if engine == "direct":
@@ -232,17 +262,15 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     hp_ok = False
                     counterexample = f"hp size={len(sp)} subset={keep}"
 
-    empty = FinSpace((), {})
+    empty, nowhere = FinSpace((), {}), PartialIso((), ())
     jep_checked = 0
     jep_ok = True
     for a in spaces:
         for b in spaces:
             jep_checked += 1
             try:
-                _, f_a, f_b = amalgamate(
-                    a, b, empty, Embedding(empty, a, {}), Embedding(empty, b, {})
-                )
-                if f_a.image() & f_b.image():
+                _, f_a, f_b = amalgamate(a, b, empty, nowhere, nowhere)
+                if set(f_a.cod) & set(f_b.cod):
                     raise AmalgamError("joint embedding images overlap")
             except AmalgamError as exc:
                 if jep_ok:
@@ -260,7 +288,7 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                         ap_checked += 1
                         try:
                             _, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
-                            shared = f_a.image() & f_b.image()
+                            shared = frozenset(f_a.cod) & frozenset(f_b.cod)
                             if shared != frozenset(f_a(e_a(z)) for z in c.points):
                                 raise AmalgamError("images overlap beyond c")
                         except AmalgamError as exc:
@@ -284,24 +312,6 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
 
 # ---------------------------------------------------------------------------
 # vector engine
-
-
-def _ap_work(per_size: Sequence[np.ndarray], grid_len: int) -> int:
-    """Upper bound on the class checks of the AP pass.  Every pointed space
-    (ka points, overlap of kc < max size points) contributes its rows times
-    the f classes (at most grid^kc) times its a-pairs plus the min-plus terms
-    of its g rows (ka * kc), and its rows times the g classes (at most
-    (grid + 1)^kc, with the 0 of an overlap point) times its b-extra pairs.
-    The batched pass pads every target to the widest target's classes,
-    which stay within the same bounds."""
-    work = 0
-    for kc in range(1, len(per_size)):
-        f_classes, g_classes = grid_len**kc, (grid_len + 1) ** kc
-        for ka in range(kc, len(per_size) + 1):
-            rows = math.comb(ka, kc) * per_size[ka - 1].shape[0]
-            work += rows * f_classes * (math.comb(ka, 2) + ka * kc)
-            work += rows * g_classes * math.comb(ka - kc, 2)
-    return work
 
 
 def _hp_pass(per_size: Sequence[np.ndarray]) -> tuple[int, Optional[str]]:
@@ -345,12 +355,6 @@ def _first_subset_failure(batch: np.ndarray) -> tuple[tuple[int, ...], int]:
 
 
 def _vector_engine(max_size, grid_values, per_size) -> FraisseReport:
-    work = _ap_work(per_size, len(grid_values))
-    if work > AP_BUDGET_CHECKS:
-        raise ValueError(
-            f"slice too large: the AP pass needs about {work} class checks,"
-            f" over the {AP_BUDGET_CHECKS}-check budget"
-        )
     counts = tuple(batch.shape[0] for batch in per_size)
     hp_checked, counterexample = _hp_pass(per_size)
     hp_ok = counterexample is None

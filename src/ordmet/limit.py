@@ -27,12 +27,14 @@ path through the subset, to a column that meets every triangle bound.
 Snapshots (``stage``) take a copy of the rows, so ``Fraction`` values are
 made only when ``d`` is read.
 
-Partial isomorphisms between finite subsets extend through the stage by the
-usual alternation: images are looked up among existing points in creation
-order through ``spaces.agreeing`` (as the orbit search looks up its
-candidates): one row lookup against the map's first pair drops most of
-them, and the shared predicate ``spaces.agrees_located`` decides the rest
-against every pair of the map.  The first accepted point is the image; a
+Partial isomorphisms between finite subsets (``spaces.PartialIso``, the
+package's one map type, checked by ``spaces.partial_iso_ok``) extend
+through the stage by the usual alternation: images are looked up among
+existing points in creation order through ``spaces.agreeing`` (as the
+orbit search looks up its candidates): one row lookup against the map's
+first pair drops most of them, and the shared predicate
+``spaces.agrees_located`` decides the rest against every pair of the
+map.  The first accepted point is the image; a
 point is freshly realized when nothing fits, which pins one canonical
 automorphism to the schedule.  The row-store budget (``store_bytes``,
 ``STORE_BUDGET_BYTES``) is the one ``spaces`` defines for every table.
@@ -50,12 +52,13 @@ from .rationals import calkin_wilf
 from .spaces import (
     STORE_BUDGET_BYTES,
     FinSpace,
+    PartialIso,
     PointId,
     SpaceError,
     _RowTable,
     agreeing,
     locate,
-    preserves,
+    partial_iso_ok,
     scaled,
     store_bytes,
     validate,
@@ -66,43 +69,6 @@ class FuelExhaustedError(RuntimeError):
     """apply_auto ran out of back-and-forth steps; retry with more fuel."""
 
 
-@dataclass(frozen=True)
-class PartialIso:
-    """Finite distance- and order-preserving bijection between subsets.
-
-    ``dom`` and ``cod`` are aligned tuples; listing order carries no
-    meaning.  Preservation is checked against a space via
-    :func:`partial_iso_ok`.
-    """
-
-    dom: tuple[PointId, ...]
-    cod: tuple[PointId, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.dom) != len(self.cod):
-            raise ValueError("dom and cod must have equal length")
-        if len(set(self.dom)) != len(self.dom):
-            raise ValueError("duplicate point in dom")
-        if len(set(self.cod)) != len(self.cod):
-            raise ValueError("duplicate point in cod")
-
-    @property
-    def mapping(self) -> dict[PointId, PointId]:
-        return dict(zip(self.dom, self.cod))
-
-    def __call__(self, p: PointId) -> PointId:
-        return self.mapping[p]
-
-    def __len__(self) -> int:
-        return len(self.dom)
-
-    def inverse(self) -> "PartialIso":
-        return PartialIso(self.cod, self.dom)
-
-    def extended(self, x: PointId, y: PointId) -> "PartialIso":
-        return PartialIso(self.dom + (x,), self.cod + (y,))
-
-
 def compose(outer: PartialIso, inner: PartialIso) -> PartialIso:
     """outer after inner, defined where the image of inner meets outer."""
     outer_map = outer.mapping
@@ -110,15 +76,6 @@ def compose(outer: PartialIso, inner: PartialIso) -> PartialIso:
         (x, outer_map[y]) for x, y in zip(inner.dom, inner.cod) if y in outer_map
     ]
     return PartialIso(tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
-
-
-def partial_iso_ok(space: FinSpace, iso: PartialIso) -> bool:
-    """True iff the map lives inside the space and preserves distances and
-    the structural order pairwise."""
-    for p in iso.dom + iso.cod:
-        if p not in space:
-            return False
-    return preserves(space, space, zip(iso.dom, iso.cod))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,17 @@ support pointwise and sends one tuple to the other must be a well-defined
 partial isomorphism.  Homogeneity of the ambient limit makes this exact, so
 no automorphism is ever materialized.
 
-``orbit_traces`` searches position by position.  The support pairs are the
-same at every node of that search, so each entry's candidates are tested
-against them once, when the search first reaches that entry, through
-``spaces.agreeing``; each node then tests that shorter list against the
-images placed so far only.  The split is exact: a candidate is accepted
-when it agrees with the support and with every placed image, whichever is
-tested first; and since each entry's list is built at the first node that
-reaches the entry, the search raises for a missing distance exactly when a
-test of every node against support and images together would.
+``orbit_traces`` searches position by position, on an explicit stack, so
+a tuple of any length stays within the recursion limit.  The support pairs
+are the same at every node of that search, so each entry's candidates are
+tested against them once, when the search first reaches that entry,
+through ``spaces.agreeing``; each node then tests that shorter list
+against the images placed so far only.  The split is exact: a candidate is
+accepted when it agrees with the support and with every placed image,
+whichever is tested first; and since each entry's list is built at the
+first node that reaches the entry, the search raises for a missing
+distance exactly when a test of every node against support and images
+together would.
 """
 
 from __future__ import annotations
@@ -67,26 +69,33 @@ def orbit_traces(
     fixed = locate(stage, stage, _fixed(stage, support, t))
     # each entry of t paired with every stage point, located once
     options = [locate(stage, stage, [(p, c) for c in stage.points]) for p in t]
+    return _traces(stage._rows, fixed, options)
+
+
+def _traces(rows, fixed, options) -> set[tuple[PointId, ...]]:
+    """Every tuple of images, entry i taken from ``options[i]``, that
+    agrees with the located ``fixed`` support pairs and with itself.  An
+    explicit stack walks the search, as ``spaces._embeddings`` does:
+    ``stack[d]`` iterates entry d's candidates that agree with ``chosen``,
+    the located pairs placed for the first d entries, so no tuple length
+    meets the recursion limit.  ``levels[d]`` holds entry d's candidates
+    that agree with the support, built when the search first reaches entry
+    d, so that a missing distance raises only where a search of every node
+    against the support would reach it."""
     found: set[tuple[PointId, ...]] = set()
-    _descend(stage._rows, fixed, options, [], [], found)
-    return found
-
-
-def _descend(rows, fixed, options, levels: list, chosen: list, found: set) -> None:
-    """Add to ``found`` every way of extending ``chosen``, the located pairs
-    placed for the first entries of ``t``, to all of ``t``.  ``levels[i]``
-    holds entry i's candidates that agree with the ``fixed`` support, built
-    when the search first reaches entry i, so that a missing distance raises
-    only where a search of every node against the support would reach it.
-    A module-level recursion, so that no reference cycle keeps ``options``
-    alive after the search."""
-    depth = len(chosen)
-    if depth == len(options):
-        found.add(tuple(q for _, q, _, _ in chosen))
-        return
-    if depth == len(levels):
-        levels.append(agreeing(rows, options[depth], fixed))
-    for here in agreeing(rows, levels[depth], chosen):
+    levels, chosen, stack = [], [], []
+    while True:
+        depth = len(chosen)
+        if depth == len(options):
+            found.add(tuple(q for _, q, _, _ in chosen))
+        else:
+            if depth == len(levels):
+                levels.append(agreeing(rows, options[depth], fixed))
+            stack.append(iter(agreeing(rows, levels[depth], chosen)))
+        # the next candidate of the deepest entry that has one left
+        while stack and (here := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return found
+        del chosen[len(stack) - 1 :]
         chosen.append(here)
-        _descend(rows, fixed, options, levels, chosen, found)
-        chosen.pop()

@@ -13,6 +13,10 @@ one row lookup before the shared predicate ``agrees_located`` decides.
 Every module forms row ints with :func:`scaled` and puts rows over a new
 scale with ``_RowTable._rows_over``.  The read side of that layout is one
 base class, which the growing ``LimitBuilder`` shares.
+Every map between points is one type, :class:`PartialIso`, aligned
+``dom`` and ``cod`` tuples: the two searches return it, and its two checks
+are folds of ``preserves``, ``embedding_ok`` (total on one space, into
+another) and ``partial_iso_ok`` (inside one space).
 Construction is permissive: a space may hold a broken candidate table, and
 ``validate`` reports every violated axiom.  Spaces are immutable after
 construction; every operation here is a pure function.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -371,35 +376,40 @@ def _triangle_violation(a, b, via, far, leg1, leg2) -> Violation:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """Order- and distance-preserving injection between spaces."""
+@dataclass(frozen=True)
+class PartialIso:
+    """The one map type: a finite injection given by aligned tuples,
+    ``dom[i]`` sent to ``cod[i]``.  It names no spaces; a check against
+    spaces (:func:`embedding_ok`, :func:`partial_iso_ok`) says whether it
+    preserves identity, order and distance there.  A map that is not
+    injective cannot be built."""
 
-    source: FinSpace
-    target: FinSpace
-    mapping: Mapping[PointId, PointId]
+    dom: tuple[PointId, ...]
+    cod: tuple[PointId, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
+        if len(self.dom) != len(self.cod):
+            raise ValueError("dom and cod must have equal length")
+        if len(set(self.dom)) != len(self.dom):
+            raise ValueError("duplicate point in dom")
+        if len(set(self.cod)) != len(self.cod):
+            raise ValueError("duplicate point in cod")
+
+    @cached_property
+    def mapping(self) -> dict[PointId, PointId]:
+        return dict(zip(self.dom, self.cod))
 
     def __call__(self, p: PointId) -> PointId:
         return self.mapping[p]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return (
-            self.source is other.source
-            and self.target is other.target
-            and self.mapping == other.mapping
-        )
+    def __len__(self) -> int:
+        return len(self.dom)
 
-    def image(self) -> frozenset[PointId]:
-        return frozenset(self.mapping.values())
+    def inverse(self) -> "PartialIso":
+        return PartialIso(self.cod, self.dom)
 
-    def index_tuple(self) -> tuple[int, ...]:
-        """Target positions of the images, in source order."""
-        return tuple(self.target.position(self.mapping[p]) for p in self.source.points)
+    def extended(self, x: PointId, y: PointId) -> "PartialIso":
+        return PartialIso(self.dom + (x,), self.cod + (y,))
 
 
 def _factors(x, y) -> tuple[int, int]:
@@ -490,38 +500,42 @@ def preserves(x, y, pairs: Iterable[tuple[PointId, PointId]]) -> bool:
     return True
 
 
-def embedding_ok(emb: Embedding) -> bool:
-    """True iff the map is total on the source, lands in the target, and
-    preserves identity, distances and the structural order exactly.  The
-    identity rule of :func:`preserves` rejects a map that is not injective,
-    so over a table with a missing pair such a map may raise
-    ``MissingDistanceError`` first, as :func:`preserves` does."""
-    src, tgt, mp = emb.source, emb.target, emb.mapping
-    if mp.keys() != src._pos.keys():
+def embedding_ok(x, y, emb: PartialIso) -> bool:
+    """True iff the map is defined exactly on the points of ``x``, lands in
+    ``y``, and preserves identity, distances and the structural order
+    exactly: :func:`preserves` in ``x``'s point order."""
+    mp = emb.mapping
+    if mp.keys() != x._pos.keys():
         return False
-    if any(q not in tgt for q in mp.values()):
+    if any(q not in y for q in emb.cod):
         return False
-    return preserves(src, tgt, ((p, mp[p]) for p in src.points))
+    return preserves(x, y, ((p, mp[p]) for p in x.points))
 
 
-def canonical_iso(x: FinSpace, y: FinSpace) -> Optional[Embedding]:
+def partial_iso_ok(space, iso: PartialIso) -> bool:
+    """True iff the map lives inside the space and preserves distances and
+    the structural order pairwise: :func:`preserves` in listing order."""
+    for p in iso.dom + iso.cod:
+        if p not in space:
+            return False
+    return preserves(space, space, zip(iso.dom, iso.cod))
+
+
+def canonical_iso(x: FinSpace, y: FinSpace) -> Optional[PartialIso]:
     """The unique order-respecting bijection if it is distance-preserving.
 
     The total order admits only one candidate bijection (position i to
     position i); return it when it works, None otherwise.  A size mismatch
     yields None, not an error.
     """
-    if len(x) != len(y):
+    if len(x) != len(y) or not preserves(x, y, zip(x.points, y.points)):
         return None
-    mapping = dict(zip(x.points, y.points))
-    if not preserves(x, y, mapping.items()):
-        return None
-    return Embedding(x, y, mapping)
+    return PartialIso(x.points, y.points)
 
 
-def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
-    """All embeddings of ``x`` into ``y``, in lexicographic order of the
-    chosen target index tuples.
+def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[PartialIso]:
+    """All embeddings of ``x`` into ``y``, each defined on ``x.points`` in
+    order, in lexicographic order of the chosen target index tuples.
 
     Order preservation pins each embedding to a strictly increasing tuple of
     target positions, so the search walks positions left to right, smallest
@@ -536,7 +550,7 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[Embedding]:
     return _embeddings(x, y, _complete_rows(x, scale), _complete_rows(y, scale))
 
 
-def _embeddings(x, y, xrows, yrows) -> Iterator[Embedding]:
+def _embeddings(x, y, xrows, yrows) -> Iterator[PartialIso]:
     """The embeddings of ``x`` into ``y``, over rows on one scale.  An
     explicit stack walks the search: ``stack[d]`` iterates the target
     positions left for source point d and ``chosen[d]`` is the one taken,
@@ -548,7 +562,7 @@ def _embeddings(x, y, xrows, yrows) -> Iterator[Embedding]:
     while True:
         depth = len(chosen)
         if depth == k:
-            yield Embedding(x, y, {x.points[i]: y.points[t] for i, t in enumerate(chosen)})
+            yield PartialIso(x.points, tuple(map(y.points.__getitem__, chosen)))
         else:
             start = chosen[-1] + 1 if chosen else 0
             candidates = range(start, n - (k - depth) + 1)

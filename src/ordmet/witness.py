@@ -33,8 +33,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional
 
-from .limit import PartialIso
-from .spaces import STORE_BUDGET_BYTES, FinSpace, PointId, SpaceError, diameter, scaled, store_bytes, validate
+from .spaces import STORE_BUDGET_BYTES, FinSpace, PartialIso, PointId, SpaceError, diameter, scaled, store_bytes, validate
 
 
 class InadmissibleTraceError(ValueError):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from ordmet import (
     AmalgamError,
-    Embedding,
     ExtensionType,
     FinSpace,
     InfeasibleExtensionError,
     MissingDistanceError,
+    PartialIso,
     SpaceError,
     amalgamate,
     canonical_iso,
@@ -182,12 +182,12 @@ def test_feasibility_matches_validation_oracle():
 # -- amalgamate ------------------------------------------------------------------
 
 
-def embed_named(sub: FinSpace, sup: FinSpace, pairs: dict[str, str]) -> Embedding:
-    return Embedding(
-        sub,
-        sup,
-        {sub.point_named(a): sup.point_named(b) for a, b in pairs.items()},
-    )
+def map_of(pairs: dict) -> PartialIso:
+    return PartialIso(tuple(pairs), tuple(pairs.values()))
+
+
+def embed_named(sub: FinSpace, sup: FinSpace, pairs: dict[str, str]) -> PartialIso:
+    return map_of({sub.point_named(a): sup.point_named(b) for a, b in pairs.items()})
 
 
 def test_amalgam_shortest_path_distance():
@@ -208,7 +208,7 @@ def test_amalgam_absorbs_contained_side():
     a = make_space(["x", "y", "z"], {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 2})
     b = make_space(["x", "y"], {("x", "y"): 1})
     glued, f_a, f_b = amalgamate(
-        a, b, b, embed_named(b, a, {"x": "x", "y": "y"}), Embedding(b, b, {0: 0, 1: 1})
+        a, b, b, embed_named(b, a, {"x": "x", "y": "y"}), PartialIso((0, 1), (0, 1))
     )
     assert canonical_iso(glued, a) is not None
     assert f_a.mapping == {p: p for p in a.points}
@@ -216,7 +216,7 @@ def test_amalgam_absorbs_contained_side():
 
 def test_amalgam_of_identical_spans():
     a = make_space(["x", "y"], {("x", "y"): 1})
-    ident = Embedding(a, a, {0: 0, 1: 1})
+    ident = PartialIso((0, 1), (0, 1))
     glued, _, _ = amalgamate(a, a, a, ident, ident)
     assert canonical_iso(glued, a) is not None
 
@@ -225,9 +225,7 @@ def test_amalgam_empty_overlap_constant():
     a = make_space(["x", "y"], {("x", "y"): 3})
     b = make_space(["u"], {})
     empty = FinSpace((), {})
-    glued, f_a, f_b = amalgamate(
-        a, b, empty, Embedding(empty, a, {}), Embedding(empty, b, {})
-    )
+    glued, f_a, f_b = amalgamate(a, b, empty, PartialIso((), ()), PartialIso((), ()))
     # cross distance is 1 + max(diam a, diam b) = 4; a-side precedes b-side
     assert glued.d(f_a(0), f_b(0)) == 4
     assert glued.points[:2] == (0, 1)
@@ -250,8 +248,8 @@ def test_amalgam_commutes_and_overlaps_exactly():
     glued, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
     for z in c.points:
         assert f_a(e_a(z)) == f_b(e_b(z))
-    assert f_a.image() & f_b.image() == frozenset(f_a(e_a(z)) for z in c.points)
-    assert embedding_ok(f_a) and embedding_ok(f_b)
+    assert frozenset(f_a.cod) & frozenset(f_b.cod) == frozenset(f_a(e_a(z)) for z in c.points)
+    assert embedding_ok(a, glued, f_a) and embedding_ok(b, glued, f_b)
     # q's completed distance to p: min over z of path sums = min(1+3, 1+1)
     assert glued.d(f_a(a.point_named("p")), f_b(b.point_named("q"))) == 2
 
@@ -259,15 +257,11 @@ def test_amalgam_commutes_and_overlaps_exactly():
 def test_amalgam_rejects_non_preserving_embedding():
     c = make_space(["z"], {})
     a = make_space(["z", "p"], {("z", "p"): 1})
-    bad = Embedding(c, a, {0: 1})  # sends z to p: fine as a map, but use a
-    # broken one for the distance check below
     b = make_space(["z", "q"], {("z", "q"): 2})
-    broken = Embedding(
-        make_space(["z", "w"], {("z", "w"): 5}), a, {0: 0, 1: 1}
-    )
+    # c's pair at 5 goes to a's pair at 1
+    broken = PartialIso((0, 1), (0, 1))
     with pytest.raises(AmalgamError):
         amalgamate(a, b, make_space(["z", "w"], {("z", "w"): 5}), broken, broken)
-    del bad
 
 
 def test_amalgam_order_rule_gap_interleaving():
@@ -289,7 +283,7 @@ def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypat
     c = make_space(["z1", "z2"], {("z1", "z2"): 4})
     a = make_space(["z1", "z2"], {("z1", "z2"): 4})
     b = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
-    e_a, e_b = Embedding(c, a, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1})
+    e_a = e_b = PartialIso((0, 1), (0, 1))
     with pytest.raises(AmalgamError, match="e_b does not preserve structure"):
         amalgamate(a, b, c, e_a, e_b)
     monkeypatch.setattr(ordmet.amalgam, "preserves", lambda x, y, pairs: True)
@@ -300,14 +294,10 @@ def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypat
 
 
 # Spaces for the input checks: c has two points at distance 1, a and b each
-# hold it with one more point.  The flat spaces hold a pair at distance 0,
-# which a map sending both ends to one point preserves in distance.
+# hold it with one more point.
 BAD_INPUT_C = make_space(["z1", "z2"], {("z1", "z2"): 1})
 BAD_INPUT_A = make_space(["z1", "p", "z2"], {("z1", "p"): 2, ("p", "z2"): 1, ("z1", "z2"): 1})
 BAD_INPUT_B = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 2, ("z2", "q"): 1})
-FLAT_C = FinSpace((0, 1), {(0, 1): 0})
-FLAT_A = FinSpace((0, 1, 2), {(0, 1): 0, (0, 2): 1, (1, 2): 1})
-FLAT_B = FinSpace((0, 1, 3), {(0, 1): 0, (0, 3): 2, (1, 3): 2})
 
 # case: (bad e_a into BAD_INPUT_A, bad e_b into BAD_INPUT_B, message after the tag)
 BAD_INPUTS = {
@@ -326,26 +316,24 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", [*BAD_INPUTS, "non-injective"])
 def test_amalgam_refuses_each_bad_input_embedding(side, case):
     """Each input failure of e_a or e_b, the other embedding valid, raises
-    its own message; with both broken, e_a's is raised.  The non-injective
-    map keeps the distance 0 of the flat pair, so only identity and order
-    reject it."""
+    its own message; with both broken, e_a's is raised.  A map that sends
+    both overlap points to one point is refused earlier: it cannot be
+    built."""
     if case == "non-injective":
-        c, a, b = FLAT_C, FLAT_A, FLAT_B
-        good_a, good_b = {0: 0, 1: 1}, {0: 0, 1: 1}
-        bad_a, bad_b, message = {0: 0, 1: 0}, {0: 1, 1: 1}, "does not preserve structure"
-    else:
-        c, a, b = BAD_INPUT_C, BAD_INPUT_A, BAD_INPUT_B
-        good_a, good_b = {0: 0, 1: 2}, {0: 0, 1: 1}
-        bad_a, bad_b, message = BAD_INPUTS[case]
+        with pytest.raises(ValueError, match="^duplicate point in cod$"):
+            map_of({0: 0, 1: 0} if side == "e_a" else {0: 1, 1: 1})
+        return
+    c, a, b = BAD_INPUT_C, BAD_INPUT_A, BAD_INPUT_B
+    good_a, good_b = {0: 0, 1: 2}, {0: 0, 1: 1}
+    bad_a, bad_b, message = BAD_INPUTS[case]
     maps = (bad_a, good_b) if side == "e_a" else (good_a, bad_b)
-    e_a, e_b = Embedding(c, a, maps[0]), Embedding(c, b, maps[1])
+    e_a, e_b = map(map_of, maps)
     with pytest.raises(AmalgamError, match=f"^{side} {message}$"):
         amalgamate(a, b, c, e_a, e_b)
     if side == "e_b":
         with pytest.raises(AmalgamError, match="^e_a "):
-            amalgamate(a, b, c, Embedding(c, a, bad_a), e_b)
-    if case != "non-injective":  # the flat spaces glue into a broken table
-        amalgamate(a, b, c, Embedding(c, a, good_a), Embedding(c, b, good_b))
+            amalgamate(a, b, c, map_of(bad_a), e_b)
+    amalgamate(a, b, c, map_of(good_a), map_of(good_b))
 
 
 @pytest.mark.parametrize(
@@ -373,9 +361,8 @@ def test_amalgam_refuses_each_bad_input_embedding(side, case):
 )
 def test_amalgam_names_the_missing_pair_it_reads(a, b, overlap, pair):
     c = FinSpace(overlap, {})
-    ident = {z: z for z in overlap}
     with pytest.raises(MissingDistanceError, match=re.escape(f"pair {pair}")):
-        amalgamate(a, b, c, Embedding(c, a, ident), Embedding(c, b, ident))
+        amalgamate(a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, overlap))
 
 
 def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
@@ -389,11 +376,11 @@ def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
         into = [list(enumerate_embeddings(c, s)) for s in spaces]
         for (a, into_a), (b, into_b) in product(zip(spaces, into), repeat=2):
             for e_a, e_b in product(into_a, into_b):
-                _, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
+                glued, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
                 overlap = [f_a(e_a(z)) for z in c.points]
                 assert overlap == [f_b(e_b(z)) for z in c.points]
-                assert embedding_ok(f_a) and embedding_ok(f_b)
-                assert f_a.image() & f_b.image() == frozenset(overlap)
+                assert embedding_ok(a, glued, f_a) and embedding_ok(b, glued, f_b)
+                assert frozenset(f_a.cod) & frozenset(f_b.cod) == frozenset(overlap)
                 spans += 1
     assert len(spaces) == 1 + 2 + 8
     assert spans == 121 + 1187  # the slice's JEP and AP instances
@@ -419,13 +406,13 @@ def test_amalgam_reports_first_escape_anchor_major(unit):
     # order would name z2's bound at z1 first)
     b = make_space(["z1", "z2", "q"], {("z1", "z2"): 4 * unit, ("z1", "q"): unit, ("z2", "q"): unit})
     with pytest.raises(AmalgamError, match=f"^cross distance {unit} escapes the bound through overlap point z1$"):
-        amalgamate(c, b, c, Embedding(c, c, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1}))
+        amalgamate(c, b, c, PartialIso((0, 1), (0, 1)), PartialIso((0, 1), (0, 1)))
     # a not a metric (d(z2, p) = 5 > d(z2, z1) + d(z1, p)): q at 1 from both
     # anchors completes to 2 at p, which passes z1's bound and escapes z2's
     c = make_space(["z1", "z2"], {("z1", "z2"): unit})
     a = make_space(["z1", "z2", "p"], {("z1", "z2"): unit, ("z1", "p"): unit, ("z2", "p"): 5 * unit})
     b = make_space(["z1", "z2", "q"], {("z1", "z2"): unit, ("z1", "q"): unit, ("z2", "q"): unit})
-    e_a, e_b = Embedding(c, a, {0: 0, 1: 1}), Embedding(c, b, {0: 0, 1: 1})
+    e_a = e_b = PartialIso((0, 1), (0, 1))
     with pytest.raises(AmalgamError, match=f"^cross distance {2 * unit} escapes the bound through overlap point z2$"):
         amalgamate(a, b, c, e_a, e_b)
 
@@ -496,12 +483,12 @@ def test_amalgam_valid_on_random_spans(data):
         st.permutations(range(size_a)).map(lambda p: tuple(sorted(p[:size_c])))
     )
     c = a.subspace([a.points[i] for i in keep])
-    e_a = Embedding(c, a, {p: p for p in c.points})
+    e_a = PartialIso(c.points, c.points)
     candidates = list(enumerate_embeddings(c, b))
     if not candidates:
         return
     e_b = candidates[data.draw(st.integers(0, len(candidates) - 1))]
     glued, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
     assert validate(glued).is_valid
-    assert embedding_ok(f_a) and embedding_ok(f_b)
-    assert f_a.image() & f_b.image() == frozenset(f_a(e_a(z)) for z in c.points)
+    assert embedding_ok(a, glued, f_a) and embedding_ok(b, glued, f_b)
+    assert frozenset(f_a.cod) & frozenset(f_b.cod) == frozenset(f_a(e_a(z)) for z in c.points)

@@ -608,3 +608,32 @@ def test_random_traces_keep_the_exit_contract(tmp_path_factory, arguments):
     support = tmp_path_factory.getbasetemp() / "single.space"
     support.write_text(SINGLE)
     assert_contract(*run_captured(witness_argv("verify", str(support), n, m, "--trace", trace)))
+
+
+# -1, 0, small values, 10**6, 10**7 and 10**4400, past the 4,300 digits
+# that ``int`` parses from a string
+NUMBERS = ["-1", "0", "1", "2", "3", "4", str(10**6), str(10**7), "1" + "0" * 4400]
+# two small valid grids, then bad ones
+GRIDS = ["1", "2/3", "", ",", "0", "-1", "1,0", "1/0", "x", "1e3", "1/2/3", "١", "1" + "0" * 4400]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["fraisse-check", "limit grow", "witness build", "witness exhaust"]),
+    first=st.sampled_from(NUMBERS),
+    second=st.sampled_from(NUMBERS),
+    grid=st.sampled_from(GRIDS),
+)
+def test_numeric_arguments_keep_the_exit_contract(tmp_path_factory, command, first, second, grid):
+    """Sizes, step counts and witness parameters out of range, small or
+    huge are each refused or answered: exit 0, 1 or 2 and no traceback."""
+    work = tmp_path_factory.getbasetemp()
+    support, out = work / "single.space", str(work / "numeric.space")
+    support.write_text(SINGLE)
+    argv = {
+        "fraisse-check": ["fraisse-check", "--max-size", first, "--grid", grid],
+        "limit grow": ["limit", "grow", "--seed", "empty", "--steps", first, "--out", out],
+        "witness build": witness_argv("build", str(support), first, second, "--out", out),
+        "witness exhaust": witness_argv("exhaust", str(support), first, second),
+    }[command]
+    assert_contract(*run_captured(argv))

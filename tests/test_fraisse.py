@@ -661,12 +661,19 @@ def test_classes_rank_lead_first_like_unique_rows(spread):
 # -- AP work estimate ------------------------------------------------------------
 
 
+def slice_work(per_size, grid_len):
+    """The AP estimate of a whole slice, every size's share added up."""
+    return sum(_ap_work(k, len(batch), len(per_size), grid_len) for k, batch in enumerate(per_size, 1))
+
+
 def test_ap_work_estimate_by_hand():
     # size 3 over {1,2}: 1, 2 and 8 spaces, 2 f classes and 3 g classes per
     # overlap point; kc = 1: 1*2*1 + 4*2*3 + 24*(2*6 + 3*1) = 386, kc = 2:
-    # 2*4*5 + 24*4*9 = 904
+    # 2*4*5 + 24*4*9 = 904.  By size: 2, then 4*2*3 + 2*4*5 = 64, then
+    # 24*(2*6 + 3*1) + 24*4*9 = 1224
     per_size = [_valid_matrices(k, np.array([1, 2], dtype=np.int8)) for k in (1, 2, 3)]
-    assert _ap_work(per_size, 2) == 1290
+    assert [_ap_work(k, len(batch), 3, 2) for k, batch in enumerate(per_size, 1)] == [2, 64, 1224]
+    assert slice_work(per_size, 2) == 1290
 
 
 def test_ap_budget_boundary(monkeypatch, capsys):
@@ -693,7 +700,7 @@ def test_ap_budget_boundary(monkeypatch, capsys):
 
 def test_ap_budget_admits_size_5_over_three_values(capsys):
     per_size = [_valid_matrices(k, np.array([1, 2, 3], dtype=np.int8)) for k in range(1, 6)]
-    assert _ap_work(per_size, 3) == 519_900_036 <= fraisse.AP_BUDGET_CHECKS
+    assert slice_work(per_size, 3) == 519_900_036 <= fraisse.AP_BUDGET_CHECKS
     assert run(["fraisse-check", "--max-size", "5", "--grid", "1,2,3,4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -701,6 +708,44 @@ def test_ap_budget_admits_size_5_over_three_values(capsys):
         "error: slice too large: the AP pass needs about 13745879064 class checks,"
         f" over the {fraisse.AP_BUDGET_CHECKS}-check budget\n"
     )
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The sizes ``_valid_matrices`` is called with, in call order."""
+    sizes = []
+    valid_matrices = fraisse._valid_matrices
+
+    def counted(size, int_grid):
+        sizes.append(size)
+        return valid_matrices(size, int_grid)
+
+    monkeypatch.setattr(fraisse, "_valid_matrices", counted)
+    return sizes
+
+
+def test_ap_budget_refuses_at_the_first_size_past_it(enumerated, capsys):
+    """Every size's share of the estimate is nonnegative, so a slice is
+    refused at the first size whose running sum tops the budget, before a
+    larger size is enumerated, by either engine: grid {1} tops it at size
+    17, whatever the largest size.  Below the largest size the sum is a
+    lower bound."""
+    assert run(["fraisse-check", "--max-size", "200", "--grid", "1"]) == 2
+    assert enumerated == list(range(1, 18))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slice too large: the AP pass needs at least 2825905345 class checks,"
+        f" over the {fraisse.AP_BUDGET_CHECKS}-check budget\n"
+    )
+    enumerated.clear()
+    with pytest.raises(ValueError, match="needs at least 2825905345 class checks"):
+        check_fraisse_properties(200, [1], engine="direct")
+    assert enumerated == list(range(1, 18))
+    enumerated.clear()
+    with pytest.raises(ValueError, match="needs about 2825904920 class checks"):
+        check_fraisse_properties(17, [1])
+    assert enumerated == list(range(1, 18))
 
 
 def _golden_size_5(capsys, grid):
@@ -748,7 +793,7 @@ def test_padded_class_checks_stay_within_the_ap_budget(monkeypatch, size, grid):
     monkeypatch.setattr(fraisse, "_triangle_failures", counted_triangles)
     monkeypatch.setattr(fraisse, "_padded_chunks", counted_layout)
     assert fraisse._vector_engine(size, grid_values, per_size).ap_ok
-    assert 0 < sum(checks) <= _ap_work(per_size, len(values))
+    assert 0 < sum(checks) <= slice_work(per_size, len(values))
 
 
 @pytest.mark.parametrize("grid", ["1,2,3", "1/2,1,2"])

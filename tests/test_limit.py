@@ -6,7 +6,6 @@ from math import lcm
 import pytest
 
 from ordmet import (
-    Embedding,
     FinSpace,
     FuelExhaustedError,
     InfeasibleExtensionError,
@@ -255,8 +254,8 @@ def test_realize_matches_amalgamate_completion():
         stage_before,
         extended,
         base,
-        Embedding(base, stage_before, {p: p for p in base.points}),
-        Embedding(base, extended, {p: p for p in base.points}),
+        PartialIso(base.points, base.points),
+        PartialIso(base.points, base.points),
     )
     for r in stage_before.points:
         assert builder.d(fresh, r) == glued.d(f_b(new_in_ext), f_a(r))

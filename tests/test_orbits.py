@@ -192,3 +192,13 @@ def test_orbit_traces_matches_reference_on_broken_tables():
         seen["raised" if want is MissingDistanceError else "returned"] += 1
         seen["larger"] += want is not MissingDistanceError and len(want) > 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_orbit_traces_of_a_tuple_past_the_recursion_limit():
+    """The search keeps one candidate iterator per placed entry on a stack
+    of its own, so a 1,100-entry tuple is no deeper than a 2-entry one:
+    the map from a constant tuple is defined exactly by its one image."""
+    stage = make_space(["x", "y", "z"], {("x", "y"): 1, ("x", "z"): 2, ("y", "z"): 1})
+    size = 1100
+    assert orbit_traces(stage, [], (0,) * size) == {(p,) * size for p in stage.points}
+    assert orbit_traces(stage, [0], (0,) * size) == {(0,) * size}

@@ -17,7 +17,6 @@ from itertools import combinations, product
 import pytest
 
 from ordmet import (
-    Embedding,
     FinSpace,
     MissingDistanceError,
     PartialIso,
@@ -76,10 +75,11 @@ def case_embedding_ok(rng):
     y = random_space(rng, rng.randint(1, 5))
     x = y.subspace(rng.sample(y.points, rng.randint(1, len(y))))
     if rng.random() < 0.2:
-        mapping = {p: p for p in x.points}
+        cod = x.points
     else:
-        mapping = {p: rng.choice(y.points) for p in x.points}
-    return embedding_ok(Embedding(x, y, mapping)), reference_failures(x, y, list(mapping.items()))
+        cod = tuple(rng.sample(y.points, len(x)))
+    pairs = list(zip(x.points, cod))
+    return embedding_ok(x, y, PartialIso(x.points, cod)), reference_failures(x, y, pairs)
 
 
 def case_canonical_iso(rng):
@@ -123,7 +123,7 @@ CALLERS = {
     "preserves": (case_preserves, ALL_KINDS),
     "preserves-builder": (lambda rng: case_preserves(rng, builders=True), ALL_KINDS),
     "agrees": (case_agrees, ALL_KINDS),
-    "embedding_ok": (case_embedding_ok, ALL_KINDS),
+    "embedding_ok": (case_embedding_ok, {"order", "distance"}),
     "canonical_iso": (case_canonical_iso, {"distance"}),
     "partial_iso_ok": (case_partial_iso_ok, {"order", "distance"}),
     "iso_ok": (case_iso_ok, {"order", "distance"}),
@@ -169,14 +169,19 @@ BAD_MAPS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_MAPS))
 def test_embedding_ok_refuses_bad_maps_without_raising(case):
-    """Not total, out of the target or not injective: False, not an error.
-    In the flat target, points 1 and 2 are at distance 0 apart, so a
-    distance check alone cannot tell the non-injective map from the
-    identity; the identity rule rejects it."""
+    """Not total or out of the target: False, not an error.  A map that
+    is not injective is refused earlier, by the constructor, even into the
+    flat target, where points 1 and 2 are at distance 0 apart and a
+    distance check alone could not tell it from the identity."""
     target = FinSpace((0, 1, 2, 3), {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 0, (1, 3): 1, (2, 3): 1})
     source = target.subspace([0, 1, 2])
-    assert embedding_ok(Embedding(source, target, {0: 0, 1: 1, 2: 2}))
-    assert embedding_ok(Embedding(source, target, BAD_MAPS[case])) is False
+    mapping = BAD_MAPS[case]
+    assert embedding_ok(source, target, PartialIso((0, 1, 2), (0, 1, 2)))
+    if case.startswith("non-injective"):
+        with pytest.raises(ValueError, match="^duplicate point in cod$"):
+            PartialIso(tuple(mapping), tuple(mapping.values()))
+        return
+    assert embedding_ok(source, target, PartialIso(tuple(mapping), tuple(mapping.values()))) is False
 
 
 def test_missing_entry_is_read_only_after_identity_and_order_pass():

@@ -250,7 +250,7 @@ def test_equal_scaled_ints_over_different_scales_are_told_apart():
     assert not preserves(x, y, [(0, 0), (1, 1)])
     # the same values over different scales still match
     z = make_space(["a", "b", "c"], {("a", "b"): "1/3", ("a", "c"): "1/2", ("b", "c"): "1/2"})
-    assert [e.index_tuple() for e in enumerate_embeddings(x, z)] == [(0, 2), (1, 2)]
+    assert [tuple(map(z.position, e.cod)) for e in enumerate_embeddings(x, z)] == [(0, 2), (1, 2)]
     assert preserves(x, z, [(0, 1), (1, 2)])
 
 
@@ -279,7 +279,7 @@ def test_iso_between_unit_pairs(unit_pair):
     emb = canonical_iso(unit_pair, other)
     assert emb is not None
     assert emb.mapping == {0: 0, 1: 1}
-    assert embedding_ok(emb)
+    assert embedding_ok(unit_pair, other, emb)
 
 
 def test_iso_distance_mismatch(unit_pair):
@@ -304,7 +304,7 @@ def test_single_point_embeds_everywhere(k1_chain):
     single = make_space(["x"], {})
     found = list(enumerate_embeddings(single, k1_chain))
     assert len(found) == len(k1_chain)
-    assert [emb.index_tuple() for emb in found] == [(0,), (1,), (2,), (3,)]
+    assert [tuple(map(k1_chain.position, emb.cod)) for emb in found] == [(0,), (1,), (2,), (3,)]
 
 
 def test_far_pair_has_no_embedding(k1_chain):
@@ -316,17 +316,17 @@ def test_far_pair_has_no_embedding(k1_chain):
 def test_unit_pair_embeds_three_ways(unit_pair, k1_chain):
     assert brute_force_pair_slots(k1_chain, Fraction(1)) == [(0, 1), (1, 2), (2, 3)]
     found = list(enumerate_embeddings(unit_pair, k1_chain))
-    assert [emb.index_tuple() for emb in found] == [(0, 1), (1, 2), (2, 3)]
+    assert [tuple(map(k1_chain.position, emb.cod)) for emb in found] == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_embeddings_lexicographic_and_preserving():
     source = make_space(["x", "y"], {("x", "y"): 2})
     target = chain_space(1, top=5)
     found = list(enumerate_embeddings(source, target))
-    tuples = [emb.index_tuple() for emb in found]
+    tuples = [tuple(map(target.position, emb.cod)) for emb in found]
     assert tuples == sorted(tuples)
     assert tuples == brute_force_pair_slots(target, Fraction(2))
-    assert all(embedding_ok(emb) for emb in found)
+    assert all(embedding_ok(source, target, emb) for emb in found)
 
 
 def test_chain_past_the_recursion_limit_embeds_into_itself_as_the_identity():
@@ -352,8 +352,22 @@ def test_embeddings_match_brute_force(x, y):
             for i, j in combinations(range(len(x)), 2)
         ):
             expected.append(positions)
-    found = [emb.index_tuple() for emb in enumerate_embeddings(x, y)]
+    found = [tuple(map(y.position, emb.cod)) for emb in enumerate_embeddings(x, y)]
     assert found == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_spaces(max_size=3), valid_spaces(max_size=4))
+def test_embedding_ok_accepts_every_map_the_searches_return(x, y):
+    """Each embedding is defined on x's points in order and passes
+    ``embedding_ok``, and so does the canonical isomorphism of x onto its
+    image."""
+    for emb in enumerate_embeddings(x, y):
+        assert emb.dom == x.points
+        assert embedding_ok(x, y, emb)
+        image = y.subspace(emb.cod)
+        iso = canonical_iso(x, image)
+        assert iso is not None and embedding_ok(x, image, iso)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,10 +11,11 @@ order, the limit builder's stage layout, rescale, feasibility test (the
 one check ``realize`` makes, its scale factor and positivity check) and
 fresh names, the entry checks of back-and-forth and ``apply_auto`` and
 image search, the orbit test's support and the orbit search's
-support-filtered level per entry, the Fraisse direct engine's embedding
-lists, the grid's dtype bound, the vector JEP verdict, the HP subset
-search, the class ranking's key compaction, the AP check's overlap
-grouping, its four class-fact families and the batched pass's padding (the
+support-filtered level per entry and its stack's cut of the placed
+entries, the Fraisse direct engine's embedding lists, the AP estimate's
+overlap sizes per space size, the grid's dtype bound, the vector JEP
+verdict, the HP subset search, the class ranking's key compaction, the AP
+check's overlap grouping, its four class-fact families and the batched pass's padding (the
 agreement check counting padded cells, a zero pad, a target's class offset
 off by one; counting padded cells in positivity is an equivalent mutant
 while the pad is positive), the CLI's start without numpy and its exit 3
@@ -69,6 +70,7 @@ LIMIT = "src/ordmet/limit.py"
 WITNESS = "src/ordmet/witness.py"
 FRAISSE = "src/ordmet/fraisse.py"
 CLI = "src/ordmet/cli.py"
+ORBITS = "src/ordmet/orbits.py"
 SPACEFILE = "src/ordmet/spacefile.py"
 PARSE_TESTS = "tests/test_spacefile.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
@@ -102,7 +104,7 @@ MUTANTS = [
     Mutant(
         "embedding-ok-target-test-dropped",
         SPACES,
-        "if any(q not in tgt for q in mp.values()):",
+        "if any(q not in y for q in emb.cod):",
         "if False:",
         ("tests/test_preserves.py::test_embedding_ok_refuses_bad_maps_without_raising[outside-target]",),
     ),
@@ -230,9 +232,9 @@ MUTANTS = [
     Mutant(
         "amalgam-input-preserves-check-dropped",
         AMALGAM,
-        "if not preserves(src, tgt, ((p, mapping[p]) for p in src.points)):",
+        "if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):",
         "if not True:",
-        (f"{BAD_INPUT}[non-injective-e_a]", f"{BAD_INPUT}[distance-e_b]"),
+        (f"{BAD_INPUT}[order-e_a]", f"{BAD_INPUT}[distance-e_b]"),
     ),
     Mutant(
         "column-max-instead-of-min",
@@ -258,7 +260,7 @@ MUTANTS = [
     Mutant(
         "amalgam-overlap-image-not-through-e_a",
         AMALGAM,
-        "else e_a(image_b[q])",
+        "else map_a[image_b[q]]",
         "else image_b[q]",
         ("tests/test_amalgam.py::test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out",),
     ),
@@ -333,17 +335,24 @@ MUTANTS = [
     ),
     Mutant(
         "orbit-support-dropped",
-        "src/ordmet/orbits.py",
+        ORBITS,
         "return preserves(stage, stage, fixed + list(zip(t1, t2)))",
         "return preserves(stage, stage, list(zip(t1, t2)))",
         ("tests/test_orbits.py::test_support_is_pinned",),
     ),
     Mutant(
         "orbit-level-of-depth-0-reused",
-        "src/ordmet/orbits.py",
+        ORBITS,
         "agreeing(rows, levels[depth], chosen)",
         "agreeing(rows, levels[0], chosen)",
         ("tests/test_orbits.py::test_orbit_traces_matches_reference_on_broken_tables",),
+    ),
+    Mutant(
+        "orbit-stack-cuts-chosen-one-level-off",
+        ORBITS,
+        "del chosen[len(stack) - 1 :]",
+        "del chosen[len(stack) - 2 :]",
+        ("tests/test_preserves.py::test_orbit_traces_matches_brute_force_scan",),
     ),
     Mutant(
         "back-and-forth-entry-check-dropped",
@@ -410,6 +419,13 @@ MUTANTS = [
         "jep_ok = hp_ok",
         "jep_ok = True",
         (f"{INJECTED_SLICE}[triangle]", f"{INJECTED_SLICE}[positivity]"),
+    ),
+    Mutant(
+        "ap-work-overlap-as-large-as-the-slice",
+        FRAISSE,
+        "range(1, min(ka, max_size - 1) + 1)",
+        "range(1, min(ka, max_size) + 1)",
+        ("tests/test_fraisse.py::test_ap_work_estimate_by_hand",),
     ),
     Mutant(
         "grid-bound-four-times-top",
