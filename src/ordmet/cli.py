@@ -25,6 +25,16 @@ def _load(path: str) -> FinSpace:
     return parse_space(Path(path).read_text())
 
 
+def _int(text: str) -> int:
+    """``int`` for argparse, whose own refusal would echo the whole value:
+    one of over 40 characters is shown by its first 40 and its length."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: every build leaves
@@ -55,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fraisse-check",
         help="exhaustive class-property check over a finite distance grid",
     )
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_int, required=True)
     p.add_argument("--grid", required=True, help="comma-separated positive rationals")
     p.set_defaults(func=_cmd_fraisse)
 
@@ -63,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     limit_sub = p.add_subparsers(dest="subcommand", required=True)
     g = limit_sub.add_parser("grow", help="grow a stage from a seed")
     g.add_argument("--seed", required=True, help="space file or the word 'empty'")
-    g.add_argument("--steps", type=int, required=True)
+    g.add_argument("--steps", type=_int, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_limit_grow)
 
@@ -77,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         w = wit_sub.add_parser(name)
         w.set_defaults(func=func)
         w.add_argument("--support", required=True, help="space file for the support")
-        w.add_argument("--n", type=int, required=True)
-        w.add_argument("--m", type=int, required=True)
+        w.add_argument("--n", type=_int, required=True)
+        w.add_argument("--m", type=_int, required=True)
         if needs_out:
             w.add_argument("--out", required=True)
         if needs_trace:

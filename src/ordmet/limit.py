@@ -7,9 +7,10 @@ creation index), a distance to each of them drawn from the Calkin-Wilf
 enumeration of the positive rationals, and an order gap inside the subset.
 Requests are consumed in weight order (weight = subset size + creation
 indices + rational indices + gap), so every request over every finite
-subset is scheduled after finitely many steps; requests that mention points
-not created yet wait in a FIFO side queue.  Growth never renames or
-reorders existing points, so successive stages form an increasing chain.
+subset is scheduled after finitely many steps, and each names only points
+that exist when it is drawn (the proof is at ``_schedule``).  Growth never
+renames or reorders existing points, so successive stages form an
+increasing chain.
 
 The stage's distances are kept in the layout of ``FinSpace``, as rows of
 Python ints over one common denominator indexed by stage position, and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Iterator, Mapping
 
@@ -88,49 +90,52 @@ class ExtensionTask:
     gap: int
 
 
-def _ascending_tuples(length: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing tuples of naturals with the exact sum, lex order."""
+def _tuples(size: int, budget: int, increasing: bool, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``size`` naturals with sum in [low, budget], in lex order;
+    only strictly increasing ones when ``increasing``."""
 
-    def rec(prefix: list[int], start: int, left: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            if budget == 0:
+    def rec(prefix: list[int], start: int, left: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == size:
+            if budget - left >= low:
                 yield tuple(prefix)
             return
-        smallest = left * start + left * (left - 1) // 2
-        if smallest > budget:
-            return
-        for v in range(start, budget + 1):
+        for v in range(start, left + 1):
             prefix.append(v)
-            yield from rec(prefix, v + 1, left - 1, budget - v)
+            yield from rec(prefix, v + 1 if increasing else 0, left - v)
             prefix.pop()
 
-    yield from rec([], 0, length, total)
-
-
-def _compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(length - 1, total - head):
-            yield (head,) + tail
+    return rec([], 0, budget)
 
 
 def tasks_of_weight(weight: int) -> list[ExtensionTask]:
     """Every task whose components sum to ``weight``, sorted by subset size,
-    then subset, then distance indices, then gap.  Each task has exactly one
-    weight, so concatenating the levels enumerates all tasks once."""
+    then subset, then distance indices (the gap is what is left over).  Each
+    task has exactly one weight, so concatenating the levels enumerates all
+    tasks once."""
     found = []
     for size in range(weight + 1):
-        budget = weight - size
-        for id_sum in range(budget + 1):
-            for subset in _ascending_tuples(size, id_sum):
-                for gap in range(min(size, budget - id_sum) + 1):
-                    for rvec in _compositions(size, budget - id_sum - gap):
-                        found.append(ExtensionTask(subset, rvec, gap))
-    found.sort(key=lambda t: (len(t.subset), t.subset, t.rational_indices, t.gap))
+        for subset in _tuples(size, weight - size, True):
+            left = weight - size - sum(subset)
+            for rvec in _tuples(size, left, False, low=left - size):
+                found.append(ExtensionTask(subset, rvec, left - sum(rvec)))
     return found
+
+
+def _schedule() -> Iterator[ExtensionTask]:
+    """The fair schedule: the levels ``tasks_of_weight(w)`` for w = 0, 1,
+    2, ... in turn.  Every task it yields names points that exist by the
+    time it is drawn, whatever the seed:
+
+    - a task of weight w with subset size s >= 1 names creation indices
+      <= w - s, as the indices are naturals with sum <= w - s;
+    - level 0's empty task always realizes, and so does the single-anchor
+      task ((v - 1,), (0,), 0) of each level v >= 1, which has no pair to
+      test;
+    - so, by induction on w, at least w points exist when level w starts,
+      and its tasks name indices < w.
+    """
+    for weight in count():
+        yield from tasks_of_weight(weight)
 
 
 class LimitBuilder(_RowTable):
@@ -164,10 +169,7 @@ class LimitBuilder(_RowTable):
         self._rows: list[list[int]] = [row[:] for row in seed._rows]
         self._scale = seed._scale
         self._keys = None
-        self._weight = 0
-        self._level: list[ExtensionTask] = []
-        self._level_pos = 0
-        self._waiting: list[ExtensionTask] = []
+        self._tasks = _schedule()
 
     # -- stage queries ------------------------------------------------------
 
@@ -230,21 +232,6 @@ class LimitBuilder(_RowTable):
         rows.insert(index, column)
         return new
 
-    def _next_task(self) -> ExtensionTask:
-        for i, task in enumerate(self._waiting):
-            if all(ix < len(self._created) for ix in task.subset):
-                return self._waiting.pop(i)
-        while True:
-            while self._level_pos >= len(self._level):
-                self._level = tasks_of_weight(self._weight)
-                self._weight += 1
-                self._level_pos = 0
-            task = self._level[self._level_pos]
-            self._level_pos += 1
-            if all(ix < len(self._created) for ix in task.subset):
-                return task
-            self._waiting.append(task)
-
     def grow(self, steps: int) -> "LimitBuilder":
         """Realize the next ``steps`` scheduled extensions; the stage grows
         by exactly ``steps`` points."""
@@ -257,15 +244,14 @@ class LimitBuilder(_RowTable):
                 f" of distance rows, over the {STORE_BUDGET_BYTES}-byte budget"
             )
         for _ in range(steps):
-            while True:
-                task = self._next_task()
+            for task in self._tasks:
                 sub = [self._created[i] for i in task.subset]
                 dvec = {p: calkin_wilf(r) for p, r in zip(sub, task.rational_indices)}
                 try:
                     self.realize(dvec, task.gap)
-                    break
                 except InfeasibleExtensionError:
-                    pass  # its distances break a triangle: no extension
+                    continue  # its distances break a triangle: no extension
+                break
         return self
 
     # -- homogeneity engine --------------------------------------------------

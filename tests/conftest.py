@@ -11,6 +11,7 @@ import numpy as np
 
 from ordmet import FinSpace, FuelExhaustedError, MissingDistanceError, SpaceError, make_space
 from ordmet.fraisse import _pair_indices, _positivity_mask, _triangle_mask, _triangle_ok
+from ordmet.limit import ExtensionTask
 from ordmet.orbits import _fixed
 from ordmet.rationals import format_rational
 from ordmet.spaces import Violation, agrees_located, locate
@@ -180,6 +181,52 @@ def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:
                 raise SpaceError(f"completed distance to {stage.name(r)} escapes its bound")
         column[r] = value
     return column
+
+
+def _ascending_tuples(length: int, total: int):
+    """Strictly increasing tuples of naturals with the exact sum, lex order."""
+
+    def rec(prefix: list[int], start: int, left: int, budget: int):
+        if left == 0:
+            if budget == 0:
+                yield tuple(prefix)
+            return
+        smallest = left * start + left * (left - 1) // 2
+        if smallest > budget:
+            return
+        for v in range(start, budget + 1):
+            prefix.append(v)
+            yield from rec(prefix, v + 1, left - 1, budget - v)
+            prefix.pop()
+
+    yield from rec([], 0, length, total)
+
+
+def _compositions(length: int, total: int):
+    """Tuples of naturals of the given length with the exact sum."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions(length - 1, total - head):
+            yield (head,) + tail
+
+
+def reference_tasks_of_weight(weight: int) -> list[ExtensionTask]:
+    """Slow oracle for ``tasks_of_weight``: every (subset, distance
+    indices, gap) with the weight, generated by subset size, index sum and
+    gap, then sorted by subset size, subset, distance indices and gap."""
+    found = []
+    for size in range(weight + 1):
+        budget = weight - size
+        for id_sum in range(budget + 1):
+            for subset in _ascending_tuples(size, id_sum):
+                for gap in range(min(size, budget - id_sum) + 1):
+                    for rvec in _compositions(size, budget - id_sum - gap):
+                        found.append(ExtensionTask(subset, rvec, gap))
+    found.sort(key=lambda t: (len(t.subset), t.subset, t.rational_indices, t.gap))
+    return found
 
 
 def reference_apply_auto(builder, iso, x, fuel: int):

@@ -69,6 +69,22 @@ def test_nonpositive_dvec_rejected(unit_pair):
         extension_feasible(unit_pair, {0: Fraction(0), 1: Fraction(1)})
 
 
+def test_unknown_dvec_point_rejected(unit_pair):
+    with pytest.raises(SpaceError, match="dvec names unknown point 5"):
+        extension_feasible(unit_pair, {0: Fraction(1), 1: Fraction(1), 5: Fraction(1)})
+
+
+def test_fresh_name_skips_every_taken_suffix():
+    """The new point 3 is named p3; with p3, p3_2 and p3_3 taken it is
+    named p3_4."""
+    base = make_space(
+        ["p3", "p3_2", "p3_3"],
+        {("p3", "p3_2"): 1, ("p3_2", "p3_3"): 1, ("p3", "p3_3"): 1},
+    )
+    grown = extend_one_point(base, ExtensionType(base, {0: 1, 1: 1, 2: 1}, 3))
+    assert grown.names[3] == "p3_4"
+
+
 def _feasibility_outcome(check, base, dvec):
     """What ``check`` answers, or the type and text of what it raises."""
     try:

@@ -150,6 +150,22 @@ def test_non_ascii_digits_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed rational '\u0661'\n"
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("space\npoint a\npoint b\ndist a b\nend\n", "line 4: expected 'dist <p> <q> <value>'"),
+        ("space\npoint a b\nend\n", "line 2: expected 'point <name>'"),
+        ("# a comment\n\n  # another\n", "empty document: missing 'space' header"),
+    ],
+    ids=["dist-arity", "point-arity", "comments-only"],
+)
+def test_validate_refuses_a_malformed_document(tmp_path, capsys, text, line):
+    path = tmp_path / "malformed.space"
+    path.write_text(text)
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_canonical_and_commented_stage_files_report_alike(tmp_path, capsys):
     """A grown stage file is read by the canonical reader; behind a comment
     line it goes through the line parser.  validate, iso and embed --all
@@ -626,7 +642,8 @@ GRIDS = ["1", "2/3", "", ",", "0", "-1", "1,0", "1/0", "x", "1e3", "1/2/3", "١"
 )
 def test_numeric_arguments_keep_the_exit_contract(tmp_path_factory, command, first, second, grid):
     """Sizes, step counts and witness parameters out of range, small or
-    huge are each refused or answered: exit 0, 1 or 2 and no traceback."""
+    huge are each refused or answered: exit 0, 1 or 2, no traceback, and
+    at most 300 bytes of stderr (a huge value is not echoed whole)."""
     work = tmp_path_factory.getbasetemp()
     support, out = work / "single.space", str(work / "numeric.space")
     support.write_text(SINGLE)
@@ -636,4 +653,6 @@ def test_numeric_arguments_keep_the_exit_contract(tmp_path_factory, command, fir
         "witness build": witness_argv("build", str(support), first, second, "--out", out),
         "witness exhaust": witness_argv("exhaust", str(support), first, second),
     }[command]
-    assert_contract(*run_captured(argv))
+    status, err = run_captured(argv)
+    assert_contract(status, err)
+    assert len(err.encode()) <= 300

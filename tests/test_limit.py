@@ -33,6 +33,7 @@ from conftest import (
     reference_column,
     reference_failures,
     reference_feasibility,
+    reference_tasks_of_weight,
 )
 
 EMPTY = FinSpace((), {})
@@ -606,6 +607,19 @@ def test_bad_side_rejected():
         builder.back_and_forth_extend(PartialIso((), ()), 0, "sideways")
 
 
+def test_entry_checks_refuse_a_point_outside_the_stage():
+    """realize, back_and_forth_extend and apply_auto each name the point
+    that is not in the stage, and the stage does not grow."""
+    builder = new_builder(make_space(["x"], {}))
+    with pytest.raises(SpaceError, match="dvec keys must be stage points"):
+        builder.realize({0: Fraction(1), 5: Fraction(1)}, 0)
+    with pytest.raises(SpaceError, match="target 5 not in stage"):
+        builder.back_and_forth_extend(PartialIso((), ()), 5, "forth")
+    with pytest.raises(SpaceError, match="point 5 not in stage"):
+        builder.apply_auto(PartialIso((), ()), 5, 4)
+    assert builder.created == (0,)
+
+
 # -- apply_auto -------------------------------------------------------------------
 
 
@@ -752,6 +766,45 @@ def test_task_levels_are_disjoint_and_sorted():
             (len(t.subset), t.subset, t.rational_indices, t.gap) for t in level
         ]
         assert keys == sorted(keys)
+
+
+def test_tasks_of_weight_matches_the_generate_and_sort_reference():
+    for w in range(17):
+        assert tasks_of_weight(w) == reference_tasks_of_weight(w), w
+
+
+SCHEDULE_SEEDS = {
+    "empty": EMPTY,
+    "one-point": make_space(["x"], {}),
+    "chain-3": make_space(
+        ["a0", "a1", "a2"], {("a0", "a1"): 1, ("a1", "a2"): 1, ("a0", "a2"): 2}
+    ),
+    "constant-12": make_space(
+        [f"c{i}" for i in range(12)],
+        {(f"c{i}", f"c{j}"): 1 for i in range(12) for j in range(i + 1, 12)},
+    ),
+    "ids-7-3-11": FinSpace(
+        (7, 3, 11), {(7, 3): Fraction(1), (3, 11): Fraction(2), (7, 11): Fraction(2)}
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", SCHEDULE_SEEDS.values(), ids=SCHEDULE_SEEDS)
+def test_every_drawn_task_names_existing_points(seed):
+    """The schedule needs no waiting room: each task that grow draws names
+    only creation indices of points that already exist."""
+    builder = new_builder(seed)
+    tasks, drawn = builder._tasks, []
+
+    def checked():
+        for task in tasks:
+            assert max(task.subset, default=-1) < len(builder.created), task
+            drawn.append(task)
+            yield task
+
+    builder._tasks = checked()
+    builder.grow(1500)
+    assert len(builder) == len(seed) + 1500 and len(drawn) >= 1500
 
 
 def test_extension_progress_bound():

@@ -90,3 +90,10 @@ def test_calkin_wilf_hits_small_rationals():
     for num in range(1, 6):
         for den in range(1, 6):
             assert Fraction(num, den) in prefix
+
+
+@pytest.mark.parametrize("index", [-1, -2, -7])
+@pytest.mark.parametrize("sequence", [stern_diatomic, calkin_wilf])
+def test_negative_indices_refused(sequence, index):
+    with pytest.raises(ValueError, match="negative index"):
+        sequence(index)

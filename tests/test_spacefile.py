@@ -173,6 +173,12 @@ def test_a_name_ending_in_a_newline_is_not_serialized():
         serialize_space(space)
 
 
+def test_a_repeated_name_is_not_serialized():
+    space = FinSpace((0, 1), {(0, 1): Fraction(1)}, {0: "a", 1: "a"})
+    with pytest.raises(SpaceError, match="duplicate point name 'a'"):
+        serialize_space(space)
+
+
 def equidistant_doc(size: int) -> str:
     names = [f"e{i}" for i in range(size)]
     lines = ["space", *(f"point {name}" for name in names)]

@@ -19,7 +19,7 @@ from ordmet import (
     validate,
 )
 from ordmet.spacefile import parse_space, serialize_space
-from ordmet.spaces import preserves
+from ordmet.spaces import locate, preserves
 
 from conftest import (
     chain_space,
@@ -436,3 +436,22 @@ def test_subspace_inherits_order_and_distances(k1_chain):
 def test_unknown_point_rejected_at_construction():
     with pytest.raises(SpaceError):
         FinSpace((0, 1), {(0, 7): Fraction(1)})
+
+
+@pytest.mark.parametrize("missing_in", ["source", "target"])
+def test_enumerate_embeddings_raises_on_a_missing_pair(missing_in):
+    """A search over two or more source points compares distances, so a
+    missing pair in either table raises before any embedding is made."""
+    gappy = FinSpace((0, 1, 2), {(0, 1): Fraction(1), (1, 2): Fraction(1)})
+    x, y = (gappy, chain_space(1)) if missing_in == "source" else (chain_space(1, top=2), gappy)
+    with pytest.raises(MissingDistanceError, match="no distance recorded for pair"):
+        enumerate_embeddings(x, y)
+
+
+def test_locate_refuses_an_unknown_point():
+    chain = chain_space(1)
+    assert locate(chain, chain, [(0, 1)]) == [(0, 1, 0, 1)]
+    with pytest.raises(SpaceError, match="point 9 not in space"):
+        locate(chain, chain, [(0, 1), (9, 2)])
+    with pytest.raises(SpaceError, match="point 9 not in space"):
+        locate(chain, chain, [(1, 9)])

@@ -8,8 +8,9 @@ sees it, the int-row space (its one conversion ``scaled``, its rescale
 ``_rows_over``, the given values of ``entries``, ``subspace`` on a
 repeated point), its triangle pass and its embedding search's candidate
 order, the limit builder's stage layout, rescale, feasibility test (the
-one check ``realize`` makes, its scale factor and positivity check) and
-fresh names, the entry checks of back-and-forth and ``apply_auto`` and
+one check ``realize`` makes, its scale factor and positivity check),
+fresh names and schedule (its first level, strictly increasing subsets,
+the gap bound), the entry checks of back-and-forth and ``apply_auto`` and
 image search, the orbit test's support and the orbit search's
 support-filtered level per entry and its stack's cut of the placed
 entries, the Fraisse direct engine's embedding lists, the AP estimate's
@@ -21,11 +22,11 @@ off by one; counting padded cells in positivity is an equivalent mutant
 while the pad is positive), the CLI's start without numpy and its exit 3
 for any unexpected exception, the space-file reader of canonical documents
 (its head comparison, row offsets, budget decline and canonical-token
-check) and the line parser's token memo, and the witness table's far
-distance, its admissibility test, shift core (its reads outside the bits a
-verdict may depend on), exhaust's minimal-index classes (class size,
-representative, which failure is first), trace bitmask conversions and
-reserved chain names.
+check) and the line parser's token memo and dist-line arity check, and
+the witness table's far distance, its admissibility test, shift core (its
+reads outside the bits a verdict may depend on), exhaust's minimal-index
+classes (class size, representative, which failure is first), trace
+bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -83,6 +84,8 @@ COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
 GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
 REALIZE_ORACLE = "tests/test_limit.py::test_realize_matches_reference_feasibility_on_new_denominators"
 BACK_AND_FORTH = "tests/test_limit.py::test_back_and_forth_stage_is_byte_identical"
+DRAWN = "tests/test_limit.py::test_every_drawn_task_names_existing_points"
+TASK_LEVELS = "tests/test_limit.py::test_tasks_of_weight_matches_the_generate_and_sort_reference"
 SHIFT_CORE = "tests/test_witness.py::test_shift_core_matches_reference_on_every_mask[4]"
 ADMISSIBLE = (
     "tests/test_witness.py::test_admissible_and_min_index_match_reference_on_every_subset[2-1]",
@@ -228,6 +231,13 @@ MUTANTS = [
         "if format_rational(value) != token:",
         "if False:",
         (f"{PARSE_TESTS}::test_noncanonical_tokens_are_left_to_the_line_parser",),
+    ),
+    Mutant(
+        "parse-dist-arity-dropped",
+        SPACEFILE,
+        "if len(tokens) != 4:",
+        "if False:",
+        ("tests/test_cli.py::test_validate_refuses_a_malformed_document[dist-arity]",),
     ),
     Mutant(
         "amalgam-input-preserves-check-dropped",
@@ -405,6 +415,27 @@ MUTANTS = [
         "(target, w, tpos, pos[w])",
         "(target, target, tpos, pos[w])",
         ("tests/test_limit.py::test_image_search_matches_reference_failures",),
+    ),
+    Mutant(
+        "schedule-skips-level-zero",
+        LIMIT,
+        "count()",
+        "count(1)",
+        (f"{DRAWN}[empty]", GROWN),
+    ),
+    Mutant(
+        "tuples-not-strictly-increasing",
+        LIMIT,
+        "v + 1",
+        "v",
+        (TASK_LEVELS,),
+    ),
+    Mutant(
+        "gap-past-subset-size",
+        LIMIT,
+        "low=left - size",
+        "low=left - size - 1",
+        (TASK_LEVELS,),
     ),
     Mutant(
         "direct-engine-embeddings-of-the-first-c",
