@@ -143,7 +143,10 @@ def _fresh_name(taken: set[str], stem: str) -> str:
 
 def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     """Realize a feasible extension; raises InfeasibleExtensionError (naming
-    the offending pair) otherwise."""
+    the offending pair) otherwise.  ``ext.slot`` must be a gap of ``base``,
+    which ``ExtensionType`` checked against ``ext.base`` only."""
+    if not 0 <= ext.slot <= len(base):
+        raise SpaceError(f"slot {ext.slot} outside 0..{len(base)}")
     dvec = ext.dvec
     refusal = feasibility_violation(base, dvec)
     if refusal is not None:
@@ -236,22 +239,17 @@ def amalgamate(
         ids[q] = new
         used.add(new)
 
-    # Order: slices of a split by overlap points, with each b gap appended
-    # in front of the next overlap point (a-side first inside a gap).
-    anchors_a = [map_a[z] for z in c.points]  # in overlap order == order in a
+    # Order: one sort.  a's point p keys (pos_a(p), 1, 0); a b-only point q
+    # keys (pos_a of the overlap point closing q's gap in b, len(a) past the
+    # last one, 0, pos_b(q)), so a-side first inside a gap.  The overlap is
+    # in c's order in a and in b, as both embeddings keep it.
+    anchors_a = [map_a[z] for z in c.points]
     b_at = b._pos
-    anchors_b = sorted(b_at[map_b[z]] for z in c.points)
-    gaps_b: dict[int, list[PointId]] = {i: [] for i in range(len(c) + 1)}
-    for q in b_extra:
-        gaps_b[bisect_left(anchors_b, b_at[q])].append(q)
-    order: list[PointId] = []
-    gap = 0
-    for p in a.points:
-        if gap < len(anchors_a) and p == anchors_a[gap]:
-            order.extend(ids[q] for q in gaps_b[gap])
-            gap += 1
-        order.append(p)
-    order.extend(ids[q] for q in gaps_b[len(c)])
+    anchors_b = [b_at[map_b[z]] for z in c.points]
+    closing = [a._pos[p] for p in anchors_a] + [len(a)]
+    keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]
+    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0, b_at[q]), ids[q]) for q in b_extra]
+    order = [p for _, p in sorted(keyed)]
 
     # The glued table as int rows over the common denominator of a and b:
     # a's rows as they are, b's extra pairs, then each b-only point as a new

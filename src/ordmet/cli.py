@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .limit import new_builder
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_integer, parse_rational
 from .spacefile import parse_space, serialize_space
 from .spaces import FinSpace, canonical_iso, enumerate_embeddings, validate
 from .witness import build_witness, exhaust_all_traces, verify_injection
@@ -26,10 +26,11 @@ def _load(path: str) -> FinSpace:
 
 
 def _int(text: str) -> int:
-    """``int`` for argparse, whose own refusal would echo the whole value:
-    one of over 40 characters is shown by its first 40 and its length."""
+    """``parse_integer`` for argparse, whose own refusal would echo the
+    whole value: one of over 40 characters is shown by its first 40 and its
+    length."""
     try:
-        return int(text)
+        return parse_integer(text)
     except ValueError:
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
@@ -165,7 +166,7 @@ def _cmd_witness_build(args) -> int:
 
 def _cmd_witness_verify(args) -> int:
     config = _witness_config(args)
-    trace = frozenset(int(tok) for tok in args.trace.split(",") if tok.strip())
+    trace = frozenset(parse_integer(tok) for tok in args.trace.split(",") if tok.strip())
     report = verify_injection(config, trace)
     for line in report.lines():
         print(line)

@@ -40,7 +40,11 @@ Both engines enumerate the sizes in turn and add up each size's share of
 the AP pass's class checks, estimated from its space count.  Every share
 is nonnegative, so the first size at which the sum tops AP_BUDGET_CHECKS
 refuses the slice with ValueError, before any larger size is enumerated
-and before any pass runs.
+and before any pass runs.  Below the largest size, a size is refused
+before it is enumerated when the sum tops the budget with the previous
+size's count in its place: one more point at the top grid value from every
+point keeps a valid matrix valid (d <= 2 top, top <= d + top), so no size
+has fewer spaces than the one before, and the share grows with the count.
 
 The vector engine works in one integer dtype, chosen once per grid: the
 narrowest of int8/int16/int32/int64 that holds every intermediate value
@@ -154,25 +158,30 @@ def _positivity_mask(batch: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _check_candidate_bytes(size: int, grid: np.ndarray) -> None:
+    """Refuse a size whose candidate matrices over ``grid`` would need more
+    than ``spaces.STORE_BUDGET_BYTES`` to enumerate."""
+    pairs = math.comb(size, 2)
+    # the batch and its filtered copy, one sum entry and three mask bytes;
+    # filling a column adds at most two count-entry temporaries, which
+    # the filtered copy's share covers
+    estimate = len(grid) ** pairs * (2 * size * size * grid.itemsize + grid.itemsize + 3)
+    if estimate > STORE_BUDGET_BYTES:
+        raise ValueError(
+            f"slice too large: {len(grid)}^{pairs} candidate matrices at size {size}"
+            f" need about {estimate} bytes, over the {STORE_BUDGET_BYTES}-byte budget"
+        )
+
+
 def _valid_matrices(size: int, int_grid: Sequence[int] | np.ndarray) -> np.ndarray:
     """All valid distance matrices of the given size, entries from the scaled
     grid in its dtype, in lexicographic order of the upper-triangle value
     tuples.  Refuses before allocating when the candidates would need more
     than ``spaces.STORE_BUDGET_BYTES``."""
     grid = np.asarray(int_grid)
-    if size == 1:
-        return np.zeros((1, 1, 1), dtype=grid.dtype)
+    _check_candidate_bytes(size, grid)
     pairs = list(combinations(range(size), 2))
     count = len(grid) ** len(pairs)
-    # the batch and its filtered copy, one sum entry and three mask bytes;
-    # filling a column adds at most two count-entry temporaries, which
-    # the filtered copy's share covers
-    estimate = count * (2 * size * size * grid.itemsize + grid.itemsize + 3)
-    if estimate > STORE_BUDGET_BYTES:
-        raise ValueError(
-            f"slice too large: {len(grid)}^{len(pairs)} candidate matrices at size {size}"
-            f" need about {estimate} bytes, over the {STORE_BUDGET_BYTES}-byte budget"
-        )
     batch = np.zeros((count, size, size), dtype=grid.dtype)
     # row r holds the r-th value tuple: pair col's value changes every
     # len(grid)^(pairs - 1 - col) rows, the last pair's fastest (C order)
@@ -203,6 +212,14 @@ def _ap_work(ka: int, count: int, max_size: int, grid_len: int) -> int:
     return work
 
 
+def _check_ap_budget(work: int, bound: str) -> None:
+    if work > AP_BUDGET_CHECKS:
+        raise ValueError(
+            f"slice too large: the AP pass needs {bound} {work} class checks,"
+            f" over the {AP_BUDGET_CHECKS}-check budget"
+        )
+
+
 def check_fraisse_properties(
     max_size: int,
     grid: Iterable[Fraction],
@@ -222,16 +239,15 @@ def check_fraisse_properties(
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     grid_values, scale, int_grid = _prepare_grid(grid)
-    per_size, work = [], 0
+    per_size, work, count = [], 0, 1  # count: spaces of size k - 1, one empty space
     for k in range(1, max_size + 1):
+        if k < max_size:  # size k has at least as many spaces as size k - 1
+            _check_candidate_bytes(k, int_grid)
+            _check_ap_budget(work + _ap_work(k, count, max_size, len(grid_values)), "at least")
         per_size.append(_valid_matrices(k, int_grid))
-        work += _ap_work(k, per_size[-1].shape[0], max_size, len(grid_values))
-        if work > AP_BUDGET_CHECKS:
-            bound = "about" if k == max_size else "at least"
-            raise ValueError(
-                f"slice too large: the AP pass needs {bound} {work} class checks,"
-                f" over the {AP_BUDGET_CHECKS}-check budget"
-            )
+        count = per_size[-1].shape[0]
+        work += _ap_work(k, count, max_size, len(grid_values))
+        _check_ap_budget(work, "about" if k == max_size else "at least")
     if engine == "vector":
         return _vector_engine(max_size, grid_values, per_size)
     if engine == "direct":
@@ -269,9 +285,7 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
         for b in spaces:
             jep_checked += 1
             try:
-                _, f_a, f_b = amalgamate(a, b, empty, nowhere, nowhere)
-                if set(f_a.cod) & set(f_b.cod):
-                    raise AmalgamError("joint embedding images overlap")
+                amalgamate(a, b, empty, nowhere, nowhere)
             except AmalgamError as exc:
                 if jep_ok:
                     jep_ok = False
@@ -287,10 +301,7 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     for e_b in embeddings_b:
                         ap_checked += 1
                         try:
-                            _, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
-                            shared = frozenset(f_a.cod) & frozenset(f_b.cod)
-                            if shared != frozenset(f_a(e_a(z)) for z in c.points):
-                                raise AmalgamError("images overlap beyond c")
+                            amalgamate(a, b, c, e_a, e_b)
                         except AmalgamError as exc:
                             if ap_ok:
                                 ap_ok = False
@@ -367,8 +378,9 @@ def _vector_engine(max_size, grid_values, per_size) -> FraisseReport:
 
     # AP: give each pointed space (space, overlap positions) the c row of its
     # induced overlap matrix, its target, ranked by its upper triangle with
-    # the c batch in one _classes call; then decide every target of one
-    # overlap size in one kernel call, each (ka, sel) block's rows sorted by
+    # the c batch in one _classes call (a one-point overlap's upper triangle
+    # is empty: one class, c row 0); then decide every target of one overlap
+    # size in one kernel call, each (ka, sel) block's rows sorted by
     # target.  At the largest size every target is one row, the overlap
     # itself, so the pass only counts its spans.
     ap_checked = len(per_size[-1])
@@ -376,17 +388,13 @@ def _vector_engine(max_size, grid_values, per_size) -> FraisseReport:
     for kc in range(1, max_size):
         c_batch = per_size[kc - 1]
         blocks = [(ka, sel) for ka in range(kc, max_size + 1) for sel in combinations(range(ka), kc)]
-        if kc == 1:  # no pair to rank: every overlap is the one point, c row 0
-            c_row = np.zeros(1, dtype=np.int64)
-            block_ids = [np.zeros(len(per_size[ka - 1]), dtype=np.int64) for ka, _ in blocks]
-        else:
-            first, second = _pair_indices(kc)
-            induced = [
-                per_size[ka - 1][:, np.take(sel, first), np.take(sel, second)] for ka, sel in blocks
-            ]
-            classes, (c_ids, *block_ids) = _classes([c_batch[:, first, second], *induced])
-            c_row = np.full(len(classes), -1)
-            c_row[c_ids] = np.arange(len(c_batch))
+        first, second = _pair_indices(kc)
+        induced = [
+            per_size[ka - 1][:, np.take(sel, first), np.take(sel, second)] for ka, sel in blocks
+        ]
+        classes, (c_ids, *block_ids) = _classes([c_batch[:, first, second], *induced])
+        c_row = np.full(len(classes), -1)
+        c_row[c_ids] = np.arange(len(c_batch))
         batch = []
         for (ka, sel), ids in zip(blocks, block_ids):
             targets = c_row[ids]
@@ -477,7 +485,8 @@ def _classes(
     ranks the classes.  Keys the g and f rows of ``_ap_batch_failure`` and,
     on the upper triangles of overlap matrices, the AP overlap groups."""
     width = parts[0].shape[-1]
-    vectors = np.concatenate([part.reshape(-1, width) for part in parts])
+    lengths = [math.prod(part.shape[:-1]) for part in parts]  # vectors per part, at any width
+    vectors = np.concatenate([part.reshape(n, width) for part, n in zip(parts, lengths)])
 
     def columns():
         if leads is not None:
@@ -497,10 +506,9 @@ def _classes(
     classes = np.empty((count, width), dtype=vectors.dtype)
     classes[inverse] = vectors
     ids, start = [], 0
-    for part in parts:
-        stop = start + part.size // width
-        ids.append(inverse[start:stop].reshape(part.shape[:-1]))
-        start = stop
+    for part, n in zip(parts, lengths):
+        ids.append(inverse[start : start + n].reshape(part.shape[:-1]))
+        start += n
     return classes, ids
 
 

@@ -6,7 +6,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+# ASCII digits only: ``int`` also reads other scripts' digits, "_" and "+".
+_INTEGER = "-?[0-9]+"
+_RATIONAL_RE = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse a decimal integer, ``-?[0-9]+`` after ``strip()``, the
+    numerator rule of :func:`parse_rational`.  Raises ValueError for
+    anything else."""
+    if re.fullmatch(_INTEGER, text.strip()) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -16,7 +27,7 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError for anything else, including a zero denominator and
     digits of other scripts.
     """
-    match = _RATIONAL_RE.match(text.strip())
+    match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
     num = int(match.group(1))

@@ -4,9 +4,12 @@ A space is a finite list of points carrying a strict total order (the list
 order) and a symmetric, positive, triangle-satisfying table of rational
 distances.  The table is stored once, as rows of Python ints over one
 common denominator, indexed by position in the order; it is the only
-stored form of a distance.  Every check here (``validate``, ``agrees`` /
-``preserves``, ``enumerate_embeddings``) compares those ints; a ``Fraction``
-is made when a distance leaves the API (``d``, ``entries``) or is printed.
+stored form of a distance that anything computes with.  A space built
+from a table also keeps the table's given ``Fraction``s, in ``_keys``,
+for ``entries`` to return as given.  Every check here (``validate``,
+``agrees`` / ``preserves``, ``enumerate_embeddings``) compares those ints;
+a ``Fraction`` is made when a distance leaves the API (``d``,
+``entries``) or is printed.
 The searches for a map inside one table (orbits, the limit builder's
 images) take their candidates through ``agreeing``, which narrows them by
 one row lookup before the shared predicate ``agrees_located`` decides.
@@ -137,9 +140,10 @@ class FinSpace(_RowTable):
     The rows are directed, so a broken candidate table is recorded at
     construction: an asymmetric pair keeps both values, a diagonal entry
     keeps its override, and a point listed twice gets a row at each of its
-    positions.  The rows are the only stored form of a distance: :meth:`d`
-    makes a ``Fraction`` from them when read, and ``entries`` is a
-    read-only view of the table as given, returning the given values.
+    positions.  The rows are the only stored form of a distance that
+    anything computes with: :meth:`d` makes a ``Fraction`` from them when
+    read.  ``entries`` is a read-only view of the table as given, returning
+    the given values, which a constructed space keeps in ``_keys``.
     """
 
     __slots__ = ()

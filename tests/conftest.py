@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -158,6 +159,33 @@ def reference_shortest_path_column(legs, size: int, filler):
         return [filler] * size
     sums = [[leg + v for leg in row] for row, v in legs]
     return list(map(min, *sums)) if len(sums) > 1 else sums[0]
+
+
+def reference_glued_order(a: FinSpace, b: FinSpace, c: FinSpace, e_a, e_b) -> list[int]:
+    """Slow oracle for the order of ``amalgamate``'s glued space: b-only
+    points take ids as ``amalgamate`` gives them (their own unless taken,
+    else one past the largest id in use), are bucketed by the gap of b's
+    overlap they sit in, and a's points are walked with each bucket put in
+    front of the overlap point that closes it, the last bucket at the end."""
+    image_b = {e_b(z) for z in c.points}
+    b_extra = [q for q in b.points if q not in image_b]
+    used, ids = set(a.points), {}
+    for q in b_extra:
+        ids[q] = q if q not in used else max(used) + 1
+        used.add(ids[q])
+    anchors_a = [e_a(z) for z in c.points]
+    anchors_b = sorted(b.position(e_b(z)) for z in c.points)
+    gaps_b = {i: [] for i in range(len(c) + 1)}
+    for q in b_extra:
+        gaps_b[bisect_left(anchors_b, b.position(q))].append(q)
+    order, gap = [], 0
+    for p in a.points:
+        if gap < len(anchors_a) and p == anchors_a[gap]:
+            order.extend(ids[q] for q in gaps_b[gap])
+            gap += 1
+        order.append(p)
+    order.extend(ids[q] for q in gaps_b[len(c)])
+    return order
 
 
 def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:

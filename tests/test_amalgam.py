@@ -27,7 +27,12 @@ from ordmet import (
 import ordmet.amalgam
 from ordmet.amalgam import feasibility_violation, shortest_path_column
 
-from conftest import path_metric_space, reference_feasibility, reference_shortest_path_column
+from conftest import (
+    path_metric_space,
+    reference_feasibility,
+    reference_glued_order,
+    reference_shortest_path_column,
+)
 
 
 def grid_spaces(max_size, grid):
@@ -176,6 +181,15 @@ def test_extend_infeasible_names_pair(unit_pair):
 def test_bad_slot_rejected(unit_pair):
     with pytest.raises(SpaceError):
         ExtensionType(unit_pair, {0: Fraction(1), 1: Fraction(1)}, 3)
+
+
+def test_extend_refuses_a_slot_outside_its_own_base():
+    """The extension's slot was checked against ``ext.base``, a larger
+    space here; ``extend_one_point`` places the point in its own base."""
+    single = make_space(["x"], {})
+    wide = make_space(["x", "y", "z"], {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 2})
+    with pytest.raises(SpaceError, match=r"^slot 3 outside 0\.\.1$"):
+        extend_one_point(single, ExtensionType(wide, {0: Fraction(1)}, 3))
 
 
 def test_feasibility_matches_validation_oracle():
@@ -400,6 +414,52 @@ def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
                 spans += 1
     assert len(spaces) == 1 + 2 + 8
     assert spans == 121 + 1187  # the slice's JEP and AP instances
+
+
+def line_space(ids, xs) -> FinSpace:
+    """Points ``ids`` in this order at positions ``xs`` of the line."""
+    placed = list(zip(ids, xs))
+    return FinSpace(
+        tuple(ids), {(p, q): Fraction(abs(x - y)) for (p, x), (q, y) in combinations(placed, 2)}
+    )
+
+
+def test_glued_order_matches_the_gap_bucket_walk():
+    """One keyed sort orders the glued space as the gap-bucket walk does,
+    on seeded spans of line spaces whose ids, out of order, are drawn from
+    one range: the cases below all occur."""
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(500):
+        ka, kb = rng.randint(1, 6), rng.randint(1, 6)
+        kc = rng.randint(0, min(ka, kb))
+        xa = sorted(rng.sample(range(40), ka))
+        xc = sorted(rng.sample(xa, kc))
+        xb = sorted(xc + rng.sample([x for x in range(40) if x not in xc], kb - kc))
+        ids_a, ids_b = rng.sample(range(12), ka), rng.sample(range(12), kb)
+        a, b = line_space(ids_a, xa), line_space(ids_b, xb)
+        c = a.subspace([ids_a[xa.index(x)] for x in xc])
+        e_a = PartialIso(c.points, c.points)
+        e_b = PartialIso(c.points, tuple(ids_b[xb.index(x)] for x in xc))
+        glued, _, _ = amalgamate(a, b, c, e_a, e_b)
+        assert list(glued.points) == reference_glued_order(a, b, c, e_a, e_b)
+        extra = [x for x in xb if x not in xc]
+        seen.update(
+            "empty overlap" if not xc
+            else "before the first anchor" if x < xc[0]
+            else "after the last anchor" if x > xc[-1]
+            else "between anchors"
+            for x in extra
+        )
+        if {ids_b[xb.index(x)] for x in extra} & set(a.points):
+            seen.add("b id taken by a")
+    assert seen == {
+        "empty overlap",
+        "before the first anchor",
+        "between anchors",
+        "after the last anchor",
+        "b id taken by a",
+    }
 
 
 @pytest.mark.parametrize("unit", [1, Fraction(1, 2)])

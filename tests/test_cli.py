@@ -290,6 +290,26 @@ def witness_argv(command, support, n, m, *extra):
     return ["witness", command, "--support", support, "--n", str(n), "--m", str(m), *extra]
 
 
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+3"])
+def test_integer_options_take_ascii_digits_only(value, capsys):
+    """``int`` reads other scripts' digits, underscores and a plus sign;
+    integer options take ``-?[0-9]+``, as grid values and space files do."""
+    assert run(["fraisse-check", "--max-size", value, "--grid", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --max-size: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("token", ["\u0663", "0_3"])
+def test_trace_tokens_take_ascii_digits_only(files, token, capsys):
+    argv = witness_argv("verify", files["single.space"], 1, 1, "--trace", token)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed integer {token!r}\n"
+    assert run(witness_argv("verify", files["single.space"], 1, 1, "--trace", " 3")) == 0
+
+
 @pytest.mark.parametrize(
     "n, m, traces, checks",
     [

@@ -633,6 +633,10 @@ def test_classes_index_every_vector():
     for part, part_ids in zip(parts, ids):
         assert part_ids.shape == part.shape[:-1]
         assert (classes[part_ids] == part).all()
+    # zero-width vectors, as a one-point overlap's upper triangle, are one class
+    classes, ids = _classes([np.zeros((3, 0), dtype=np.int8), np.zeros((2, 2, 0), dtype=np.int8)])
+    assert classes.shape == (1, 0)
+    assert [part_ids.tolist() for part_ids in ids] == [[0, 0, 0], [[0, 0], [0, 0]]]
 
 
 @pytest.mark.parametrize("spread", [3, 2**62], ids=["narrow", "wide"])
@@ -729,9 +733,10 @@ def test_ap_budget_refuses_at_the_first_size_past_it(enumerated, capsys):
     refused at the first size whose running sum tops the budget, before a
     larger size is enumerated, by either engine: grid {1} tops it at size
     17, whatever the largest size.  Below the largest size the sum is a
-    lower bound."""
+    lower bound, found from size 16's count before size 17 is enumerated
+    (grid {1} has one space of each size, so the bound is the sum)."""
     assert run(["fraisse-check", "--max-size", "200", "--grid", "1"]) == 2
-    assert enumerated == list(range(1, 18))
+    assert enumerated == list(range(1, 17))
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -741,11 +746,33 @@ def test_ap_budget_refuses_at_the_first_size_past_it(enumerated, capsys):
     enumerated.clear()
     with pytest.raises(ValueError, match="needs at least 2825905345 class checks"):
         check_fraisse_properties(200, [1], engine="direct")
-    assert enumerated == list(range(1, 18))
+    assert enumerated == list(range(1, 17))
     enumerated.clear()
     with pytest.raises(ValueError, match="needs about 2825904920 class checks"):
         check_fraisse_properties(17, [1])
     assert enumerated == list(range(1, 18))
+
+
+def test_ap_budget_refuses_before_enumerating_a_size_over_it(enumerated, monkeypatch, capsys):
+    """Over {1,2} every matrix is valid, so size 6 has 2^15 spaces; with
+    that count in place of size 7's the sum tops the budget, and the slice
+    is refused before size 7's 2^21 candidates are enumerated."""
+    valid_matrices = fraisse._valid_matrices
+
+    def up_to_six(size, int_grid):
+        if size == 7:
+            raise AssertionError("size 7 was enumerated past the budget")
+        return valid_matrices(size, int_grid)
+
+    monkeypatch.setattr(fraisse, "_valid_matrices", up_to_six)
+    assert run(["fraisse-check", "--max-size", "1000000", "--grid", "1,2"]) == 2
+    assert enumerated == list(range(1, 7))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: slice too large: the AP pass needs at least 5613051530 class checks,"
+        f" over the {fraisse.AP_BUDGET_CHECKS}-check budget\n"
+    )
 
 
 def _golden_size_5(capsys, grid):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ordmet.rationals import (
     calkin_wilf,
     format_rational,
+    parse_integer,
     parse_rational,
     stern_diatomic,
 )
@@ -40,6 +41,13 @@ def test_parse_accepts_ascii_digits_only(bad):
     malformed, though ``int`` reads some of them."""
     with pytest.raises(ValueError, match="^malformed rational"):
         parse_rational(bad)
+
+
+def test_parse_integer_takes_the_numerator_rule():
+    assert [parse_integer(text) for text in ["0", "-12", " 7 ", "007"]] == [0, -12, 7, 7]
+    for bad in ["", "+3", "1_0", "\u0663", "1.0", "1/1", "- 1"]:
+        with pytest.raises(ValueError, match="^malformed integer"):
+            parse_integer(bad)
 
 
 def test_format_always_carries_denominator():

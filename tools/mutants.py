@@ -2,31 +2,35 @@
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
 the directed read, the missing-entry clause), the completion rule (its
 minimum, its tie order and filler), ``amalgamate``'s input check, its
-lower-bound check of the completion (which only a side that is not a
-metric can fail, named anchor-major) and its output as the span oracle
-sees it, the int-row space (its one conversion ``scaled``, its rescale
-``_rows_over``, the given values of ``entries``, ``subspace`` on a
-repeated point), its triangle pass and its embedding search's candidate
-order, the limit builder's stage layout, rescale, feasibility test (the
-one check ``realize`` makes, its scale factor and positivity check),
-fresh names and schedule (its first level, strictly increasing subsets,
-the gap bound), the entry checks of back-and-forth and ``apply_auto`` and
-image search, the orbit test's support and the orbit search's
-support-filtered level per entry and its stack's cut of the placed
-entries, the Fraisse direct engine's embedding lists, the AP estimate's
-overlap sizes per space size, the grid's dtype bound, the vector JEP
-verdict, the HP subset search, the class ranking's key compaction, the AP
-check's overlap grouping, its four class-fact families and the batched pass's padding (the
-agreement check counting padded cells, a zero pad, a target's class offset
-off by one; counting padded cells in positivity is an equivalent mutant
-while the pad is positive), the CLI's start without numpy and its exit 3
-for any unexpected exception, the space-file reader of canonical documents
-(its head comparison, row offsets, budget decline and canonical-token
-check) and the line parser's token memo and dist-line arity check, and
-the witness table's far distance, its admissibility test, shift core (its
-reads outside the bits a verdict may depend on), exhaust's minimal-index
-classes (class size, representative, which failure is first), trace
-bitmask conversions and reserved chain names.
+lower-bound check of the completion (which only a side that is not a metric
+can fail, named anchor-major), its output as the span oracle sees it and
+its glued order's sort keys (the tie between a gap's b points and the
+overlap point closing it, the key past the last overlap point),
+``extend_one_point``'s slot check against its own base, the int-row space
+(its one conversion ``scaled``, its rescale ``_rows_over``, the given
+values of ``entries``, ``subspace`` on a repeated point), its triangle pass
+and its embedding search's candidate order, the limit builder's stage
+layout, rescale, feasibility test (the one check ``realize`` makes, its
+scale factor and positivity check), fresh names and schedule (its first
+level, strictly increasing subsets, the gap bound), the entry checks of
+back-and-forth and ``apply_auto`` and image search, the orbit test's
+support and the orbit search's support-filtered level per entry and its
+stack's cut of the placed entries, the Fraisse direct engine's embedding
+lists, the AP estimate's overlap sizes per space size and its lower bound
+before a size below the largest is enumerated, the grid's dtype bound, the
+vector JEP verdict, the HP subset search, the class ranking's key
+compaction and zero-width vectors, the AP check's overlap grouping, its
+four class-fact families and the batched pass's padding (the agreement
+check counting padded cells, a zero pad, a target's class offset off by
+one; counting padded cells in positivity is an equivalent mutant while the
+pad is positive), the CLI's start without numpy, its ASCII integer rule and
+its exit 3 for any unexpected exception, the space-file reader of canonical
+documents (its head comparison, row offsets, budget decline and
+canonical-token check) and the line parser's token memo and dist-line arity
+check, and the witness table's far distance, its admissibility test, shift
+core (its reads outside the bits a verdict may depend on), exhaust's
+minimal-index classes (class size, representative, which failure is first),
+trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -73,6 +77,7 @@ FRAISSE = "src/ordmet/fraisse.py"
 CLI = "src/ordmet/cli.py"
 ORBITS = "src/ordmet/orbits.py"
 SPACEFILE = "src/ordmet/spacefile.py"
+RATIONALS = "src/ordmet/rationals.py"
 PARSE_TESTS = "tests/test_spacefile.py"
 FAMILY = "tests/test_fraisse.py::test_class_path_catches_each_family_alone"
 PADDED = "tests/test_fraisse.py::test_padded_batch_reads_each_targets_own_classes"
@@ -81,6 +86,10 @@ IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_ca
 AGREEING = "tests/test_preserves.py::test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables"
 NARROWING = "(dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0])"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
+GLUED_ORDER = (
+    "tests/test_amalgam.py::test_amalgam_order_rule_gap_interleaving",
+    "tests/test_amalgam.py::test_glued_order_matches_the_gap_bucket_walk",
+)
 GROWN = "tests/test_limit.py::test_grown_stages_are_byte_identical"
 REALIZE_ORACLE = "tests/test_limit.py::test_realize_matches_reference_feasibility_on_new_denominators"
 BACK_AND_FORTH = "tests/test_limit.py::test_back_and_forth_stage_is_byte_identical"
@@ -273,6 +282,29 @@ MUTANTS = [
         "else map_a[image_b[q]]",
         "else image_b[q]",
         ("tests/test_amalgam.py::test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out",),
+    ),
+    Mutant(
+        "amalgam-order-b-after-anchor",
+        AMALGAM,
+        "keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]\n"
+        "    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0,",
+        "keyed = [((i, 0, 0), p) for i, p in enumerate(a.points)]\n"
+        "    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 1,",
+        GLUED_ORDER,
+    ),
+    Mutant(
+        "amalgam-order-last-gap-closed-early",
+        AMALGAM,
+        "+ [len(a)]",
+        "+ [len(a) - 1]",
+        GLUED_ORDER,
+    ),
+    Mutant(
+        "extend-slot-unchecked",
+        AMALGAM,
+        "if not 0 <= ext.slot <= len(base):",
+        "if False:",
+        ("tests/test_amalgam.py::test_extend_refuses_a_slot_outside_its_own_base",),
     ),
     Mutant(
         "column-wrong-filler",
@@ -494,6 +526,20 @@ MUTANTS = [
         ("tests/test_fraisse.py::test_classes_rank_lead_first_like_unique_rows[wide]",),
     ),
     Mutant(
+        "classes-zero-width-by-minus-one",
+        FRAISSE,
+        "part.reshape(n, width)",
+        "part.reshape(-1, width)",
+        ("tests/test_fraisse.py::test_classes_index_every_vector",),
+    ),
+    Mutant(
+        "ap-early-bound-at-largest-size",
+        FRAISSE,
+        "if k < max_size:",
+        "if True:",
+        ("tests/test_fraisse.py::test_ap_budget_refuses_at_the_first_size_past_it",),
+    ),
+    Mutant(
         "ap-positivity-admits-zero",
         FRAISSE,
         "((x <= 0) & real)",
@@ -562,6 +608,16 @@ MUTANTS = [
         "from .limit import new_builder\n",
         "from .limit import new_builder\nfrom .fraisse import check_fraisse_properties\n",
         ("tests/test_cli.py::test_only_fraisse_check_loads_numpy",),
+    ),
+    Mutant(
+        "cli-int-any-digit",
+        RATIONALS,
+        '_INTEGER = "-?[0-9]+"',
+        '_INTEGER = r"-?\\d+"',
+        (
+            "tests/test_cli.py::test_integer_options_take_ascii_digits_only",
+            "tests/test_cli.py::test_trace_tokens_take_ascii_digits_only",
+        ),
     ),
     Mutant(
         "cli-catch-all-removed",
