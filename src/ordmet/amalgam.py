@@ -21,10 +21,12 @@ every triangle bound, so only ``amalgamate``, whose a or b may not be a
 metric, re-checks the lower bound against every anchor.
 
 ``amalgamate`` takes and returns embeddings as ``spaces.PartialIso``s,
-which name no spaces: the spaces come as their own arguments.  It checks
-its input embeddings and validates the glued space on every call; the
-direct Fraisse engine makes one call per span and enumerates each
-overlap's embeddings once, outside it.
+which name no spaces: the spaces come as their own arguments.  It is two
+steps: ``_side`` checks one input embedding and keeps the facts of that
+side alone, and ``_glue`` completes, orders and validates the glued space
+of two checked sides.  ``amalgamate`` runs them once per call, e_a's side
+first; the direct Fraisse engine checks each side once per overlap and
+glues once per span.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
@@ -187,6 +190,53 @@ def shortest_path_column(legs, size: int, filler):
     return column
 
 
+class _Side:
+    """One side of a span: ``space`` with the embedding of the overlap c
+    into it, after ``_side`` checked them, and the facts that depend on that
+    side alone, kept for its use as a and as b.  ``anchors`` are the images
+    of c's points in c's order.  As a: ``closing`` holds each anchor's
+    position and then ``len(space)``, ``keys`` each point's sort key,
+    ``f_a`` is the identity and ``taken`` holds the base names.  As b:
+    ``image`` maps each anchor to its point of c, ``extra`` lists the other
+    points in order, and ``gaps`` holds each one's gap among the anchors
+    (the index of the anchor that closes it, ``len(anchors)`` past the last)
+    and its position.  The diameter, which only an empty overlap reads, is
+    computed at its first use."""
+
+    def __init__(self, space: FinSpace, c: FinSpace, mapping: dict[PointId, PointId]):
+        at = space._pos
+        self.space, self.mapping = space, mapping
+        self.anchors = [mapping[z] for z in c.points]
+        anchor_at = [at[p] for p in self.anchors]
+        self.closing = anchor_at + [len(space)]
+        self.keys = [((i, 1, 0), p) for i, p in enumerate(space.points)]
+        self.f_a = PartialIso(space.points, space.points)
+        self.taken = frozenset(space.names.values())
+        self.image = {mapping[z]: z for z in c.points}
+        self.extra = [q for q in space.points if q not in self.image]
+        self.gaps = [(bisect_left(anchor_at, at[q]), at[q]) for q in self.extra]
+
+    @cached_property
+    def diameter(self) -> Fraction:
+        return diameter(self.space)
+
+
+def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> _Side:
+    """``emb`` as a side of a span over ``c``, after the input checks of
+    :func:`amalgamate`: its domain is exactly c's points, its images lie in
+    ``space``, and :func:`preserves` accepts it (identity, so injectivity,
+    order and distance).  A failed check raises ``AmalgamError`` naming
+    ``tag``; no distance is read but by ``preserves``."""
+    mapping = emb.mapping
+    if mapping.keys() != c._pos.keys():
+        raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
+    if not all(q in space._pos for q in mapping.values()):
+        raise AmalgamError(f"{tag} does not land in its target")
+    if not preserves(c, space, ((z, mapping[z]) for z in c.points)):
+        raise AmalgamError(f"{tag} does not preserve structure")
+    return _Side(space, c, mapping)
+
+
 def amalgamate(
     a: FinSpace,
     b: FinSpace,
@@ -203,31 +253,31 @@ def amalgamate(
     :func:`shortest_path_column`, and orders each overlap gap with a's
     points before b's, placing b's points by their positions in b.
 
-    Every call checks its inputs first: each embedding's domain is exactly
-    c's points, its images lie in its target, and :func:`preserves` accepts
-    it (identity, so injectivity, order and distance).  It then checks the
-    completion, anchor-major (a cross distance under an anchor's lower
-    bound, which only a or b that is not a metric can give, is refused),
-    and ``validate``s the glued space, which fails when a or b is not a
-    valid space.  The rest holds by construction, so it is not re-checked:
-    the square commutes because f_b sends each overlap point e_b(z) to
-    e_a(z); f_a is the identity over a's rows, copied verbatim; f_b keeps
-    b's order (e_a and e_b keep c's, and b's other points fill the gaps in
-    b's order) and b's distances (its extra pairs are copied, each
+    Every call checks its inputs first, e_a and then e_b, with
+    :func:`_side`: each embedding's domain is exactly c's points, its images
+    lie in its target, and :func:`preserves` accepts it.  :func:`_glue`
+    then checks the completion and validates the glued space.
+    """
+    return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"), c)
+
+
+def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso, PartialIso]:
+    """The amalgam of two checked sides over ``c``, a's as ``left`` and b's
+    as ``right``: :func:`amalgamate` after its input checks.
+
+    It checks the completion, anchor-major (a cross distance under an
+    anchor's lower bound, which only a or b that is not a metric can give,
+    is refused), and ``validate``s the glued space, which fails when a or b
+    is not a valid space.  The rest holds by construction, so it is not
+    re-checked: the square commutes because f_b sends each overlap point
+    e_b(z) to e_a(z); f_a is the identity over a's rows, copied verbatim;
+    f_b keeps b's order (e_a and e_b keep c's, and b's other points fill the
+    gaps in b's order) and b's distances (its extra pairs are copied, each
     completed entry at an anchor equals its leg, and the overlap's own
     distances are c's on both sides).
     """
-    map_a, map_b = e_a.mapping, e_b.mapping
-    for mapping, tgt, tag in ((map_a, a, "e_a"), (map_b, b, "e_b")):
-        if mapping.keys() != c._pos.keys():
-            raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
-        if not all(q in tgt._pos for q in mapping.values()):
-            raise AmalgamError(f"{tag} does not land in its target")
-        if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):
-            raise AmalgamError(f"{tag} does not preserve structure")
-
-    image_b = {map_b[z]: z for z in c.points}
-    b_extra = [q for q in b.points if q not in image_b]
+    a, b = left.space, right.space
+    map_a, map_b, image_b, b_extra = left.mapping, right.mapping, right.image, right.extra
 
     # Ids: keep a's; b-only points keep theirs unless taken.
     used = set(a.points)
@@ -243,12 +293,8 @@ def amalgamate(
     # keys (pos_a of the overlap point closing q's gap in b, len(a) past the
     # last one, 0, pos_b(q)), so a-side first inside a gap.  The overlap is
     # in c's order in a and in b, as both embeddings keep it.
-    anchors_a = [map_a[z] for z in c.points]
-    b_at = b._pos
-    anchors_b = [b_at[map_b[z]] for z in c.points]
-    closing = [a._pos[p] for p in anchors_a] + [len(a)]
-    keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]
-    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0, b_at[q]), ids[q]) for q in b_extra]
+    closing = left.closing
+    keyed = left.keys + [((closing[gap], 0, at_b), ids[q]) for q, (gap, at_b) in zip(b_extra, right.gaps)]
     order = [p for _, p in sorted(keyed)]
 
     # The glued table as int rows over the common denominator of a and b:
@@ -266,10 +312,10 @@ def amalgamate(
         i, j = at[ids[q1]], at[ids[q2]]
         rows[i][j] = rows[j][i] = b._read(b_rows, q1, q2)
 
-    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in anchors_a]
+    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in left.anchors]
     filler = 0
-    if not anchors_a and len(a) and len(b):
-        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
+    if not left.anchors and len(a) and len(b):
+        filler = scaled(1 + max(left.diameter, right.diameter), scale)
     for q in b_extra:
         legs = [(row, b._read(b_rows, map_b[z], q)) for row, z in zip(anchor_rows, c.points)]
         column = shortest_path_column(legs, len(a), filler)
@@ -284,8 +330,7 @@ def amalgamate(
         for j, value in zip(a_at, column):
             rows[i][j] = rows[j][i] = value
 
-    names = dict(a.names)
-    taken = set(names.values())
+    names, taken = dict(a.names), set(left.taken)
     for q in b_extra:
         nm = _fresh_name(taken, b.names[q])
         names[ids[q]] = nm
@@ -297,6 +342,5 @@ def amalgamate(
         raise AmalgamError(
             "amalgam failed validation: " + report.violations[0].describe(glued)
         )
-    f_a = PartialIso(a.points, a.points)
     f_b = PartialIso(b.points, tuple(ids[q] if q in ids else map_a[image_b[q]] for q in b.points))
-    return glued, f_a, f_b
+    return glued, left.f_a, f_b

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .limit import new_builder
-from .rationals import format_rational, parse_integer, parse_rational
+from .rationals import format_rational, parse_integer, parse_rational, shown
 from .spacefile import parse_space, serialize_space
 from .spaces import FinSpace, canonical_iso, enumerate_embeddings, validate
 from .witness import build_witness, exhaust_all_traces, verify_injection
@@ -32,8 +32,7 @@ def _int(text: str) -> int:
     try:
         return parse_integer(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 @functools.cache

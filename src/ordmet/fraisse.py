@@ -8,11 +8,14 @@ to canonical isomorphism with no duplicates.  Two engines produce the same
 report:
 
 * ``direct`` builds every span as real objects and routes it through
-  ``amalgamate`` and ``validate``.  The embeddings of each overlap c into
-  each space are enumerated once per c and reused for every span over c;
-  each span is one ``amalgamate`` call, which checks both input embeddings,
-  the completion and then the glued space.  Exact but slow; meant for
-  small bounds and for cross-checking.
+  ``amalgamate``'s two steps and ``validate``.  The embeddings of each
+  overlap c into each space are enumerated once per c.  Each side of a
+  span, one embedding of c into one space, is checked by ``_side`` at its
+  first use and kept for every later span over c, as a and as b; each span
+  is then one ``_glue`` call, which checks the completion and the glued
+  space.  Every span gets ``amalgamate``'s checks, verdict and message, in
+  its order.  Exact but slow; meant for small bounds and for
+  cross-checking.
 * ``vector`` rescales the grid to integers and checks the amalgam axioms
   with numpy.  For each span only the mixed triangle families can fail
   (the two sides are already valid and symmetry, identity, positivity of
@@ -62,11 +65,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .amalgam import AmalgamError, amalgamate
+from .amalgam import AmalgamError, _glue, _side
 from .rationals import format_rational
 from .spaces import STORE_BUDGET_BYTES, FinSpace, PartialIso, enumerate_embeddings, validate
 
@@ -281,31 +284,21 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
     empty, nowhere = FinSpace((), {}), PartialIso((), ())
     jep_checked = 0
     jep_ok = True
-    for a in spaces:
-        for b in spaces:
-            jep_checked += 1
-            try:
-                amalgamate(a, b, empty, nowhere, nowhere)
-            except AmalgamError as exc:
-                if jep_ok:
-                    jep_ok = False
-                    counterexample = counterexample or f"jep {exc}"
+    for failure in _span_failures(spaces, empty, [[nowhere]] * len(spaces)):
+        jep_checked += 1
+        if failure is not None and jep_ok:
+            jep_ok = False
+            counterexample = counterexample or f"jep {failure}"
 
     ap_checked = 0
     ap_ok = True
     for c in spaces:
         into = [list(enumerate_embeddings(c, s)) for s in spaces]
-        for a, embeddings_a in zip(spaces, into):
-            for e_a in embeddings_a:
-                for b, embeddings_b in zip(spaces, into):
-                    for e_b in embeddings_b:
-                        ap_checked += 1
-                        try:
-                            amalgamate(a, b, c, e_a, e_b)
-                        except AmalgamError as exc:
-                            if ap_ok:
-                                ap_ok = False
-                                counterexample = counterexample or f"ap {exc}"
+        for failure in _span_failures(spaces, c, into):
+            ap_checked += 1
+            if failure is not None and ap_ok:
+                ap_ok = False
+                counterexample = counterexample or f"ap {failure}"
 
     return FraisseReport(
         max_size,
@@ -319,6 +312,42 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
         ap_ok,
         counterexample,
     )
+
+
+def _span_failures(spaces, c, into) -> Iterator[Optional[str]]:
+    """The ``AmalgamError`` message of each span (a, e_a, b, e_b) over ``c``,
+    None for one that glues, in enumeration order: a and b range over
+    ``spaces`` and e_a, e_b over their lists in ``into``.
+
+    A span is ``amalgamate`` made of its two steps, ``_glue`` of the sides
+    that ``_side`` checks.  Each side, one embedding into one space, is
+    built at its first use and kept for every later span over c, so it is
+    checked once as a and as b; one whose check fails keeps its message,
+    per tag, and every span that uses it fails with that message again.  A
+    span's e_a side is looked up before its e_b side, as ``amalgamate``
+    checks them."""
+    built = [[None] * len(embeddings) for embeddings in into]
+    refused: dict[tuple[int, int, str], str] = {}
+
+    def side(i: int, k: int, tag: str):
+        if built[i][k] is None and (i, k, tag) not in refused:
+            try:
+                built[i][k] = _side(spaces[i], c, into[i][k], tag)
+            except AmalgamError as exc:
+                refused[i, k, tag] = str(exc)
+        if built[i][k] is None:
+            raise AmalgamError(refused[i, k, tag])
+        return built[i][k]
+
+    ends = [(i, k) for i, embeddings in enumerate(into) for k in range(len(embeddings))]
+    for i, k in ends:
+        for j, l in ends:
+            try:
+                _glue(side(i, k, "e_a"), side(j, l, "e_b"), c)
+            except AmalgamError as exc:
+                yield str(exc)
+            else:
+                yield None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ enumeration of the positive rationals (Calkin-Wilf order)."""
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 # ASCII digits only: ``int`` also reads other scripts' digits, "_" and "+".
@@ -11,12 +12,28 @@ _INTEGER = "-?[0-9]+"
 _RATIONAL_RE = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
 
 
+def shown(text: str) -> str:
+    """``text`` as a refusal shows it: its repr, or, past 40 characters,
+    the repr of its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def _check_digits(kind: str, text: str, digits: str) -> None:
+    """Refuse a run of more digits than ``int`` converts
+    (``sys.get_int_max_str_digits()``, 0 for no limit), naming ``text``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ValueError(f"{kind} {shown(text)} has {len(digits)} digits, over the {limit}-digit limit")
+
+
 def parse_integer(text: str) -> int:
     """Parse a decimal integer, ``-?[0-9]+`` after ``strip()``, the
     numerator rule of :func:`parse_rational`.  Raises ValueError for
-    anything else."""
-    if re.fullmatch(_INTEGER, text.strip()) is None:
+    anything else, and for more digits than ``int`` converts."""
+    match = re.fullmatch(_INTEGER, text.strip())
+    if match is None:
         raise ValueError(f"malformed integer {text!r}")
+    _check_digits("integer", text, match[0].lstrip("-"))
     return int(text)
 
 
@@ -24,12 +41,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``num/den`` (or a bare integer) of ASCII digits into a
     canonical Fraction.
 
-    Raises ValueError for anything else, including a zero denominator and
-    digits of other scripts.
+    Raises ValueError for anything else, including a zero denominator,
+    digits of other scripts and a run of more digits than ``int`` converts.
     """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
+    for digits in match.groups(""):
+        _check_digits("rational", text, digits.lstrip("-"))
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) is not None else 1
     if den == 0:

@@ -20,9 +20,11 @@ the same space for a canonical document:
 - ``_read_canonical`` reads exactly the canonical form above.  It checks the
   header, the ``end`` line, the line count and the point block first, then
   compares each row's dist lines with their expected heads, a row at a
-  time; it parses each distinct value token once and requires it to format
-  back to itself.  It declines, returning None, on any other text and on a
-  document over the row-store budget, and never raises.
+  time; it parses each distinct value token once, with ``parse_rational``,
+  so ``2/4`` is read as the line parser reads it.  It declines, returning
+  None, on any other text, on a token ``parse_rational`` refuses or that
+  has surrounding whitespace, and on a document over the row-store budget,
+  and never raises.
 - ``_parse_lines`` reads every other document line by line and is the only
   source of refusals.  It parses each distinct value token once, keeps only
   the names until the first ``dist`` line, allocates the rows there, and
@@ -68,12 +70,14 @@ def _read_canonical(text: str) -> FinSpace | None:
     """The space of a canonical document, None for any other text.
 
     Accepts exactly ``space``, n ``point`` lines of distinct names, the
-    n(n-1)/2 ``dist`` lines in (i, j) order with single spaces and a
-    canonical value token each, ``end`` and a final LF, and declines a
-    document over the row-store budget.  The header, ``end`` line, line
-    count and point block are checked first; then each row's dist lines are
-    compared with their expected heads by C-level maps.  Each distinct
-    token is parsed once and must format back to itself.  Never raises.
+    n(n-1)/2 ``dist`` lines in (i, j) order with single spaces and a value
+    token each, ``end`` and a final LF, and declines a document over the
+    row-store budget.  The header, ``end`` line, line count and point block
+    are checked first; then each row's dist lines are compared with their
+    expected heads by C-level maps.  Each distinct token is parsed once by
+    ``parse_rational``; one it refuses, or one with surrounding whitespace,
+    which ``parse_rational`` strips but the line parser may read as a line
+    break (a form feed or a file separator), declines.  Never raises.
     """
     if not (text.startswith("space\n") and text.endswith("\nend\n")):
         return None
@@ -105,12 +109,11 @@ def _read_canonical(text: str) -> FinSpace | None:
             found = list(map(token_index.__getitem__, tokens))
         except KeyError:
             for token in set(tokens).difference(token_index):
-                num, _, den = token.partition("/")
-                try:
-                    value = Fraction(int(num), int(den))
-                except (ValueError, ZeroDivisionError):
+                if token != token.strip():  # the line parser may split it off its line
                     return None
-                if format_rational(value) != token:
+                try:
+                    value = parse_rational(token)
+                except ValueError:
                     return None
                 token_index[token] = len(values)
                 values.append(value)

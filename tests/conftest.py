@@ -3,6 +3,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional
 
 import pytest
@@ -10,12 +11,21 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from ordmet import FinSpace, FuelExhaustedError, MissingDistanceError, SpaceError, make_space
+from ordmet import (
+    AmalgamError,
+    FinSpace,
+    FuelExhaustedError,
+    MissingDistanceError,
+    PartialIso,
+    SpaceError,
+    make_space,
+)
+from ordmet.amalgam import _fresh_name, shortest_path_column
 from ordmet.fraisse import _pair_indices, _positivity_mask, _triangle_mask, _triangle_ok
 from ordmet.limit import ExtensionTask
 from ordmet.orbits import _fixed
 from ordmet.rationals import format_rational
-from ordmet.spaces import Violation, agrees_located, locate
+from ordmet.spaces import Violation, agrees_located, diameter, locate, preserves, scaled, validate
 from ordmet.witness import (
     ExhaustReport,
     InadmissibleTraceError,
@@ -186,6 +196,101 @@ def reference_glued_order(a: FinSpace, b: FinSpace, c: FinSpace, e_a, e_b) -> li
         order.append(p)
     order.extend(ids[q] for q in gaps_b[len(c)])
     return order
+
+
+def reference_amalgamate(
+    a: FinSpace,
+    b: FinSpace,
+    c: FinSpace,
+    e_a: PartialIso,
+    e_b: PartialIso,
+) -> tuple[FinSpace, PartialIso, PartialIso]:
+    """``amalgamate`` as one function, the oracle for its split into
+    ``_side`` and ``_glue``: the same checks in the same order, and the same
+    glued space, maps, exceptions and messages."""
+    map_a, map_b = e_a.mapping, e_b.mapping
+    for mapping, tgt, tag in ((map_a, a, "e_a"), (map_b, b, "e_b")):
+        if mapping.keys() != c._pos.keys():
+            raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
+        if not all(q in tgt._pos for q in mapping.values()):
+            raise AmalgamError(f"{tag} does not land in its target")
+        if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):
+            raise AmalgamError(f"{tag} does not preserve structure")
+
+    image_b = {map_b[z]: z for z in c.points}
+    b_extra = [q for q in b.points if q not in image_b]
+
+    # Ids: keep a's; b-only points keep theirs unless taken.
+    used = set(a.points)
+    ids: dict[PointId, PointId] = {}
+    for q in b_extra:
+        new = q
+        if new in used:
+            new = max(used) + 1
+        ids[q] = new
+        used.add(new)
+
+    # Order: one sort.  a's point p keys (pos_a(p), 1, 0); a b-only point q
+    # keys (pos_a of the overlap point closing q's gap in b, len(a) past the
+    # last one, 0, pos_b(q)), so a-side first inside a gap.  The overlap is
+    # in c's order in a and in b, as both embeddings keep it.
+    anchors_a = [map_a[z] for z in c.points]
+    b_at = b._pos
+    anchors_b = [b_at[map_b[z]] for z in c.points]
+    closing = [a._pos[p] for p in anchors_a] + [len(a)]
+    keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]
+    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0, b_at[q]), ids[q]) for q in b_extra]
+    order = [p for _, p in sorted(keyed)]
+
+    # The glued table as int rows over the common denominator of a and b:
+    # a's rows as they are, b's extra pairs, then each b-only point as a new
+    # point over a anchored at the overlap.  A missing pair raises when read.
+    scale = lcm(a._scale, b._scale)
+    a_rows, b_rows = a._rows_over(scale), b._rows_over(scale)
+    at = {p: i for i, p in enumerate(order)}
+    rows: list[list] = [[0] * len(order) for _ in order]
+    a_at = [at[p] for p in a.points]
+    for i, a_row in zip(a_at, a_rows):
+        for j, v in zip(a_at, a_row):
+            rows[i][j] = v
+    for q1, q2 in combinations(b_extra, 2):
+        i, j = at[ids[q1]], at[ids[q2]]
+        rows[i][j] = rows[j][i] = b._read(b_rows, q1, q2)
+
+    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in anchors_a]
+    filler = 0
+    if not anchors_a and len(a) and len(b):
+        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
+    for q in b_extra:
+        legs = [(row, b._read(b_rows, map_b[z], q)) for row, z in zip(anchor_rows, c.points)]
+        column = shortest_path_column(legs, len(a), filler)
+        for (row, v), z in zip(legs, c.points):
+            for leg, value in zip(row, column):
+                if abs(leg - v) > value:
+                    raise AmalgamError(
+                        f"cross distance {Fraction(value, scale)} escapes the bound "
+                        f"through overlap point {c.name(z)}"
+                    )
+        i = at[ids[q]]
+        for j, value in zip(a_at, column):
+            rows[i][j] = rows[j][i] = value
+
+    names = dict(a.names)
+    taken = set(names.values())
+    for q in b_extra:
+        nm = _fresh_name(taken, b.names[q])
+        names[ids[q]] = nm
+        taken.add(nm)
+
+    glued = FinSpace._of_rows(order, rows, scale, names)
+    report = validate(glued)
+    if not report.is_valid:
+        raise AmalgamError(
+            "amalgam failed validation: " + report.violations[0].describe(glued)
+        )
+    f_a = PartialIso(a.points, a.points)
+    f_b = PartialIso(b.points, tuple(ids[q] if q in ids else map_a[image_b[q]] for q in b.points))
+    return glued, f_a, f_b
 
 
 def reference_column(stage: FinSpace, dvec) -> dict[int, Fraction]:

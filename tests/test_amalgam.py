@@ -30,6 +30,7 @@ from ordmet.amalgam import feasibility_violation, shortest_path_column
 from conftest import (
     path_metric_space,
     reference_feasibility,
+    reference_amalgamate,
     reference_glued_order,
     reference_shortest_path_column,
 )
@@ -414,6 +415,87 @@ def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
                 spans += 1
     assert len(spaces) == 1 + 2 + 8
     assert spans == 121 + 1187  # the slice's JEP and AP instances
+
+
+def slice_spans(max_size, grid):
+    """Every span (a, b, c, e_a, e_b) of the slice, the empty overlap
+    first."""
+    spaces = grid_spaces(max_size, grid)
+    for c in [FinSpace((), {}), *spaces]:
+        into = [list(enumerate_embeddings(c, s)) for s in spaces]
+        for (a, into_a), (b, into_b) in product(zip(spaces, into), repeat=2):
+            for e_a, e_b in product(into_a, into_b):
+                yield a, b, c, e_a, e_b
+
+
+def amalgam_outcome(glue, a, b, c, e_a, e_b):
+    """What ``glue`` makes of a span: the glued space's points, names,
+    rows and scale with f_a and f_b, or the type and message it raised."""
+    try:
+        glued, f_a, f_b = glue(a, b, c, e_a, e_b)
+    except (AmalgamError, SpaceError) as exc:
+        return type(exc), str(exc)
+    return glued.points, glued.names, glued._rows, glued._scale, f_a, f_b
+
+
+def failing_spans():
+    """Spans that ``amalgamate`` refuses: each kind of bad embedding on
+    either side and on both, an a and a b that are not metrics, and a
+    missing pair in a and in b, also behind a bad e_b."""
+    c, a, b = BAD_INPUT_C, BAD_INPUT_A, BAD_INPUT_B
+    good_a, good_b = map_of({0: 0, 1: 2}), map_of({0: 0, 1: 1})
+    for bad_a, bad_b, _ in BAD_INPUTS.values():
+        yield a, b, c, map_of(bad_a), good_b
+        yield a, b, c, good_a, map_of(bad_b)
+        yield a, b, c, map_of(bad_a), map_of(bad_b)
+    broken = make_space(["x", "y", "w"], {("x", "y"): 1, ("y", "w"): 1, ("x", "w"): 3})
+    single, empty, nowhere = make_space(["u"], {}), FinSpace((), {}), PartialIso((), ())
+    yield broken, single, empty, nowhere, nowhere
+    yield single, broken, empty, nowhere, nowhere
+    one, at_x = make_space(["x"], {}), PartialIso((0,), (0,))
+    yield broken, broken, one, at_x, at_x
+    # a not a metric at an anchor: the completion escapes z2's bound
+    c = make_space(["z1", "z2"], {("z1", "z2"): 1})
+    not_metric = make_space(["z1", "z2", "p"], {("z1", "z2"): 1, ("z1", "p"): 1, ("z2", "p"): 5})
+    q_near = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
+    both = PartialIso((0, 1), (0, 1))
+    yield not_metric, q_near, c, both, both
+    yield q_near, not_metric, c, both, both
+    for a, b, overlap in [
+        (FinSpace((0, 1), {}), FinSpace((0, 5), {(0, 5): 2}), (0,)),
+        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5), {}), (0,)),
+        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5, 6), {(0, 5): 1, (0, 6): 1}), (0,)),
+        (FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}), FinSpace((5,), {}), ()),
+        (FinSpace((5,), {}), FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}), ()),
+    ]:
+        c = FinSpace(overlap, {})
+        yield a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, overlap)
+        yield a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, (7,) * len(overlap))
+
+
+def test_amalgamate_matches_the_reference():
+    """``_glue`` of two ``_side``s gives what the one-function reference
+    gives, the glued space and maps or the exception's type and message,
+    on every span of the size-3 slices over {1, 2} and {1, 3} and on the
+    failing spans, where each kind of refusal occurs."""
+    spans = 0
+    for grid in ([1, 2], [1, 3]):
+        for span in slice_spans(3, grid):
+            assert amalgam_outcome(amalgamate, *span) == amalgam_outcome(reference_amalgamate, *span)
+            spans += 1
+    assert spans == 1308 + 618  # the JEP and AP instances of both slices
+    refusals = set()
+    for span in failing_spans():
+        got = amalgam_outcome(amalgamate, *span)
+        assert got == amalgam_outcome(reference_amalgamate, *span)
+        refusals.add((got[0].__name__, got[1].split(" ")[0]))
+    assert refusals == {
+        ("AmalgamError", "e_a"),
+        ("AmalgamError", "e_b"),
+        ("AmalgamError", "amalgam"),
+        ("AmalgamError", "cross"),
+        ("MissingDistanceError", "no"),
+    }
 
 
 def line_space(ids, xs) -> FinSpace:

@@ -310,6 +310,28 @@ def test_trace_tokens_take_ascii_digits_only(files, token, capsys):
     assert run(witness_argv("verify", files["single.space"], 1, 1, "--trace", " 3")) == 0
 
 
+LONG = "1" + "0" * 4400
+LONG_REFUSED = f"{LONG[:40]!r}... (4401 characters) has 4401 digits, over the 4300-digit limit"
+
+
+def test_long_integer_tokens_are_refused_in_our_words(files, capsys):
+    """A run of 4,401 digits exits 2 with one line that shows the token by
+    its first 40 characters and its length, as a trace token, a grid value
+    and a space-file value alike."""
+    space = files["dir"] / "long.space"
+    space.write_text(f"space\npoint a\npoint b\ndist a b {LONG}\nend\n")
+    cases = [
+        (witness_argv("verify", files["single.space"], 1, 1, "--trace", LONG), f"integer {LONG_REFUSED}"),
+        (["fraisse-check", "--max-size", "2", "--grid", f"1,{LONG}"], f"rational {LONG_REFUSED}"),
+        (["validate", str(space)], f"line 4: rational {LONG_REFUSED}"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "n, m, traces, checks",
     [

@@ -11,13 +11,14 @@ import pytest
 from conftest import (
     batch_blocks,
     batch_members,
+    reference_amalgamate,
     reference_batch_failure,
     reference_span_failures,
     reference_target_failure,
     reference_valid_matrices,
     span_ap_failure,
 )
-from ordmet import fraisse
+from ordmet import PartialIso, enumerate_embeddings, fraisse, make_space
 from ordmet.amalgam import AmalgamError
 from ordmet.cli import run
 from ordmet.fraisse import (
@@ -951,7 +952,7 @@ BROKEN_SLICES = {
 @pytest.mark.parametrize("broken", sorted(BROKEN_SLICES))
 def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
     """Both engines report the recorded lines, with the same hp, jep and ap
-    verdicts, and the direct engine's amalgamate calls raise the recorded
+    verdicts, and the direct engine's per-span glue calls raise the recorded
     messages in the recorded order."""
     grid, matrix, direct_lines, vector_lines, raised, digest = BROKEN_SLICES[broken]
     grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in grid])
@@ -962,13 +963,13 @@ def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
 
     def recording(*args):
         try:
-            return amalgamate(*args)
+            return glue(*args)
         except AmalgamError as exc:
             messages.append(str(exc))
             raise
 
-    amalgamate = fraisse.amalgamate
-    monkeypatch.setattr(fraisse, "amalgamate", recording)
+    glue = fraisse._glue
+    monkeypatch.setattr(fraisse, "_glue", recording)
     direct = fraisse._direct_engine(3, grid_values, scale, per_size).lines()
     vector = fraisse._vector_engine(3, grid_values, per_size).lines()
     assert [line for line in direct if not line.startswith("grid")] == direct_lines
@@ -977,3 +978,73 @@ def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
     assert verdicts == [line for line in vector if line.startswith(("hp ", "jep ", "ap "))]
     assert len(messages) == raised
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == digest
+
+
+def test_direct_engine_checks_each_side_once_per_overlap(monkeypatch):
+    """One direct run over the size-3 slice over {1, 2} calls ``_side`` once
+    per space for JEP and once per (c, s, embedding of c into s) for AP: a
+    side is checked once per overlap, not once per span."""
+    grid_values, scale, int_grid = _prepare_grid([Fraction(1), Fraction(2)])
+    per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
+    spaces = [fraisse._matrix_space(batch[row], scale) for batch in per_size for row in range(len(batch))]
+    calls = []
+    side = fraisse._side
+
+    def counting(*args):
+        calls.append(args)
+        return side(*args)
+
+    monkeypatch.setattr(fraisse, "_side", counting)
+    report = fraisse._direct_engine(3, grid_values, scale, per_size)
+    sides = sum(len(list(enumerate_embeddings(c, s))) for c in spaces for s in spaces)
+    assert (report.jep_checked, report.ap_checked) == (121, 1187)
+    assert report.jep_ok and report.ap_ok
+    assert len(calls) == len(spaces) + sides == 11 + 63
+
+
+def test_a_failing_side_is_checked_once_per_tag(monkeypatch):
+    """``_span_failures`` gives each span's ``amalgamate`` message, None
+    for a span that glues, with bad embeddings injected on both sides; a
+    side whose check fails is checked once as e_a and once as e_b, and its
+    message is kept for every later span that uses it."""
+    spaces = [make_space(["x"], {}), make_space(["x", "y"], {("x", "y"): 1})]
+    c = spaces[1]
+    into = [list(enumerate_embeddings(c, s)) for s in spaces]
+    into[0].append(PartialIso((0,), (0,)))  # not defined on all of c
+    into[1].append(PartialIso((0, 1), (1, 0)))  # reverses c's order
+    expected = []
+    for a, into_a in zip(spaces, into):
+        for e_a, (b, into_b) in product(into_a, zip(spaces, into)):
+            for e_b in into_b:
+                try:
+                    reference_amalgamate(a, b, c, e_a, e_b)
+                    expected.append(None)
+                except AmalgamError as exc:
+                    expected.append(str(exc))
+    calls = []
+    side = fraisse._side
+
+    def counting(space, c, emb, tag):
+        calls.append((spaces.index(space), emb, tag))
+        return side(space, c, emb, tag)
+
+    monkeypatch.setattr(fraisse, "_side", counting)
+    assert list(fraisse._span_failures(spaces, c, into)) == expected
+    assert expected == [
+        "e_a is not defined exactly on the overlap space",
+        "e_a is not defined exactly on the overlap space",
+        "e_a is not defined exactly on the overlap space",
+        "e_b is not defined exactly on the overlap space",
+        None,
+        "e_b does not preserve structure",
+        "e_a does not preserve structure",
+        "e_a does not preserve structure",
+        "e_a does not preserve structure",
+    ]
+    assert calls == [
+        (0, into[0][0], "e_a"),
+        (1, into[1][0], "e_a"),
+        (0, into[0][0], "e_b"),
+        (1, into[1][1], "e_b"),
+        (1, into[1][1], "e_a"),
+    ]

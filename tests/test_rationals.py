@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -48,6 +49,25 @@ def test_parse_integer_takes_the_numerator_rule():
     for bad in ["", "+3", "1_0", "\u0663", "1.0", "1/1", "- 1"]:
         with pytest.raises(ValueError, match="^malformed integer"):
             parse_integer(bad)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_refuses_more_digits_than_int_converts(sign):
+    """4,300 digits parse; 4,301 are refused in our own words, the token
+    shown by its first 40 characters and its length, the run by its digit
+    count, where ``int`` would point at ``sys.set_int_max_str_digits``."""
+    most = sign + "9" * 4300
+    assert parse_integer(most) == int(most)
+    assert parse_rational(f"{most}/7") == Fraction(int(most), 7)
+    assert parse_rational(f"1/{'0' * 4299}1") == 1
+    over = sign + "1" + "0" * 4300
+    shown = f"{over[:40]!r}... ({len(over)} characters)"
+    with pytest.raises(ValueError, match=rf"^integer {re.escape(shown)} has 4301 digits, over the 4300-digit limit$"):
+        parse_integer(over)
+    for text in [over, f"{over}/3", f"3/{'0' * 4300}1"]:
+        shown = f"{text[:40]!r}... ({len(text)} characters)"
+        with pytest.raises(ValueError, match=rf"^rational {re.escape(shown)} has 4301 digits, over the 4300-digit limit$"):
+            parse_rational(text)
 
 
 def test_format_always_carries_denominator():

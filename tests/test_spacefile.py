@@ -149,6 +149,8 @@ def test_noncanonical_tokens_serialize_canonically_and_then_stay():
 
 
 def test_each_distinct_value_token_is_parsed_once(monkeypatch):
+    """Both readers parse each distinct token once: the canonical reader
+    the document as it is, the line parser the same with a comment."""
     calls = []
 
     def counting(token):
@@ -161,10 +163,12 @@ def test_each_distinct_value_token_is_parsed_once(monkeypatch):
         "dist p q 1/2\ndist p r 2/4\ndist p s 1/2\n"
         "dist q r 2/4\ndist q s 3\ndist r s 1/2\nend\n"
     )
-    space = parse_space(doc)
-    assert sorted(calls) == ["1/2", "2/4", "3"]
-    assert [space.d(0, j) for j in (1, 2, 3)] == [Fraction(1, 2)] * 3
-    assert space.d(1, 3) == 3
+    for read, text in [(spacefile._read_canonical, doc), (spacefile._parse_lines, doc + "# a comment\n")]:
+        calls.clear()
+        space = read(text)
+        assert sorted(calls) == ["1/2", "2/4", "3"]
+        assert [space.d(0, j) for j in (1, 2, 3)] == [Fraction(1, 2)] * 3
+        assert space.d(1, 3) == 3
 
 
 def test_a_name_ending_in_a_newline_is_not_serialized():
@@ -359,11 +363,43 @@ def test_grown_stage_and_witness_table_load_without_the_line_parser(monkeypatch)
     ["2/4", "3", "+1/2", "01/2", "1/02", "-0/1", "1_0/1", "٣/٢", "1/0", "1/-2", "1/2/3", "0x1/2"],
 )
 def test_noncanonical_tokens_are_left_to_the_line_parser(token):
-    """A value token that does not format back to itself makes the reader
-    decline, and the line parser reads or refuses the document."""
+    """Every value token that does not format back to itself gets the line
+    parser's outcome: one that ``parse_rational`` refuses makes the reader
+    decline and the line parser refuse, and one it accepts (``2/4``, ``3``,
+    ``01/2``, ``1/02``, ``-0/1``) is read by the reader as the line parser
+    reads it."""
     doc = f"space\npoint p\npoint q\npoint r\ndist p q 1/2\ndist p r {token}\ndist q r 1/1\nend\n"
+    want = outcome(spacefile._parse_lines, doc)
+    read = spacefile._read_canonical(doc)
+    try:
+        parse_rational(token)
+    except ValueError:
+        assert read is None and want[0] is SpaceParseError
+    else:
+        assert facts(read) == want
+    assert outcome(parse_space, doc) == want
+
+
+@pytest.mark.parametrize("token", ["\x1c1/2", "\x0c1/2", "\x851/2", " 1/2", "1/2\r", "1/2 "])
+def test_tokens_with_surrounding_whitespace_are_left_to_the_line_parser(token):
+    """``parse_rational`` strips a token, but the line parser splits a line
+    at a file separator, a form feed or a next-line character and then
+    refuses its dist line, so the reader declines a token with surrounding
+    whitespace."""
+    doc = f"space\npoint p\npoint q\ndist p q {token}\nend\n"
     assert spacefile._read_canonical(doc) is None
     assert outcome(parse_space, doc) == outcome(spacefile._parse_lines, doc)
+
+
+def test_a_stage_with_a_reducible_last_token_is_read_once(monkeypatch):
+    """A 250-point stage whose last value token is ``2/4`` is read by the
+    reader alone, into the line parser's space."""
+    text = serialize_space(new_builder(FinSpace((), {})).grow(250).stage())
+    text = text.rpartition(" ")[0] + " 2/4\nend\n"  # "end" holds no space
+    want = outcome(spacefile._parse_lines, text)
+    assert want[2][-2][-1] == want[3] // 2  # the last pair reads 1/2
+    refuse_line_parsing(monkeypatch)
+    assert outcome(parse_space, text) == want
 
 
 def test_a_dist_line_cut_to_its_token_is_not_read():

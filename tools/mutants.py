@@ -1,36 +1,39 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
 the directed read, the missing-entry clause), the completion rule (its
-minimum, its tie order and filler), ``amalgamate``'s input check, its
-lower-bound check of the completion (which only a side that is not a metric
-can fail, named anchor-major), its output as the span oracle sees it and
-its glued order's sort keys (the tie between a gap's b points and the
-overlap point closing it, the key past the last overlap point),
-``extend_one_point``'s slot check against its own base, the int-row space
-(its one conversion ``scaled``, its rescale ``_rows_over``, the given
-values of ``entries``, ``subspace`` on a repeated point), its triangle pass
-and its embedding search's candidate order, the limit builder's stage
-layout, rescale, feasibility test (the one check ``realize`` makes, its
-scale factor and positivity check), fresh names and schedule (its first
-level, strictly increasing subsets, the gap bound), the entry checks of
-back-and-forth and ``apply_auto`` and image search, the orbit test's
-support and the orbit search's support-filtered level per entry and its
-stack's cut of the placed entries, the Fraisse direct engine's embedding
-lists, the AP estimate's overlap sizes per space size and its lower bound
-before a size below the largest is enumerated, the grid's dtype bound, the
-vector JEP verdict, the HP subset search, the class ranking's key
-compaction and zero-width vectors, the AP check's overlap grouping, its
-four class-fact families and the batched pass's padding (the agreement
-check counting padded cells, a zero pad, a target's class offset off by
-one; counting padded cells in positivity is an equivalent mutant while the
-pad is positive), the CLI's start without numpy, its ASCII integer rule and
-its exit 3 for any unexpected exception, the space-file reader of canonical
-documents (its head comparison, row offsets, budget decline and
-canonical-token check) and the line parser's token memo and dist-line arity
-check, and the witness table's far distance, its admissibility test, shift
-core (its reads outside the bits a verdict may depend on), exhaust's
-minimal-index classes (class size, representative, which failure is first),
-trace bitmask conversions and reserved chain names.
+minimum, its tie order and filler), ``amalgamate``'s input check
+(``_side``) and its e_a-before-e_b order, its lower-bound check of the
+completion (which only a side that is not a metric can fail, named
+anchor-major), its output as the span oracle sees it and its glued order's
+sort keys (the tie between a gap's b points and the overlap point closing
+it, the key past the last overlap point), ``extend_one_point``'s slot check
+against its own base, the int-row space (its one conversion ``scaled``, its
+rescale ``_rows_over``, the given values of ``entries``, ``subspace`` on a
+repeated point), its triangle pass and its embedding search's candidate
+order, the limit builder's stage layout, rescale, feasibility test (the one
+check ``realize`` makes, its scale factor and positivity check), fresh
+names and schedule (its first level, strictly increasing subsets, the gap
+bound), the entry checks of back-and-forth and ``apply_auto`` and image
+search, the orbit test's support and the orbit search's support-filtered
+level per entry and its stack's cut of the placed entries, the Fraisse
+direct engine's embedding lists and side table (built per overlap, a failed
+side's message kept per tag, e_a's side looked up first), the AP estimate's
+overlap sizes per space size and its lower bound before a size below the
+largest is enumerated, the grid's dtype bound, the vector JEP verdict, the
+HP subset search, the class ranking's key compaction and zero-width
+vectors, the AP check's overlap grouping, its four class-fact families and
+the batched pass's padding (the agreement check counting padded cells, a
+zero pad, a target's class offset off by one; counting padded cells in
+positivity is an equivalent mutant while the pad is positive), the CLI's
+start without numpy, its ASCII integer rule, the digit limit of integer and
+rational tokens and its exit 3 for any unexpected exception, the space-file
+reader of canonical documents (its head comparison, row offsets, budget
+decline and whitespace decline of a value token) and the line parser's
+token memo and dist-line arity check, and the witness table's far distance,
+its admissibility test, shift core (its reads outside the bits a verdict
+may depend on), exhaust's minimal-index classes (class size,
+representative, which failure is first), trace bitmask conversions and
+reserved chain names.
 
     python tools/mutants.py
 
@@ -106,6 +109,9 @@ RESERVED = "tests/test_witness.py::test_reserved_names_match_the_chain_name_loop
 READ_SET = "tests/test_witness.py::test_shift_core_verdict_reads_only_low_bits_and_end_indices[4]"
 INJECTED = "tests/test_witness.py::test_exhaust_reports_injected_failures_like_reference[2-3]"
 INJECTED_SLICE = "tests/test_fraisse.py::test_injected_broken_space_gets_the_recorded_reports"
+SIDES_ONCE = "tests/test_fraisse.py::test_direct_engine_checks_each_side_once_per_overlap"
+FAILING_SIDE = "tests/test_fraisse.py::test_a_failing_side_is_checked_once_per_tag"
+AMALGAM_REFERENCE = "tests/test_amalgam.py::test_amalgamate_matches_the_reference"
 NARROWEST = "tests/test_fraisse.py::test_grid_dtype_is_the_narrowest_that_holds_five_times_top"
 ESCAPES = (
     "tests/test_amalgam.py::test_amalgam_reports_first_escape_anchor_major",
@@ -235,11 +241,21 @@ MUTANTS = [
         (f"{PARSE_TESTS}::test_parse_refuses_the_first_point_past_the_store_budget",),
     ),
     Mutant(
-        "canonical-token-check-dropped",
+        "canonical-token-whitespace-decline-dropped",
         SPACEFILE,
-        "if format_rational(value) != token:",
+        "if token != token.strip():",
         "if False:",
-        (f"{PARSE_TESTS}::test_noncanonical_tokens_are_left_to_the_line_parser",),
+        (f"{PARSE_TESTS}::test_tokens_with_surrounding_whitespace_are_left_to_the_line_parser",),
+    ),
+    Mutant(
+        "digit-limit-unchecked",
+        RATIONALS,
+        "if limit and len(digits) > limit:",
+        "if False:",
+        (
+            "tests/test_rationals.py::test_parse_refuses_more_digits_than_int_converts",
+            "tests/test_cli.py::test_long_integer_tokens_are_refused_in_our_words",
+        ),
     ),
     Mutant(
         "parse-dist-arity-dropped",
@@ -251,7 +267,7 @@ MUTANTS = [
     Mutant(
         "amalgam-input-preserves-check-dropped",
         AMALGAM,
-        "if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):",
+        "if not preserves(c, space, ((z, mapping[z]) for z in c.points)):",
         "if not True:",
         (f"{BAD_INPUT}[order-e_a]", f"{BAD_INPUT}[distance-e_b]"),
     ),
@@ -270,6 +286,13 @@ MUTANTS = [
         (f"{COLUMN}_matches_the_reference[2-mixed]",),
     ),
     Mutant(
+        "amalgam-e_b-checked-first",
+        AMALGAM,
+        'return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"), c)',
+        'right = _side(b, c, e_b, "e_b")\n    return _glue(_side(a, c, e_a, "e_a"), right, c)',
+        (f"{BAD_INPUT}[order-e_b]", AMALGAM_REFERENCE),
+    ),
+    Mutant(
         "column-recheck-dropped",
         AMALGAM,
         "if abs(leg - v) > value:",
@@ -286,17 +309,15 @@ MUTANTS = [
     Mutant(
         "amalgam-order-b-after-anchor",
         AMALGAM,
-        "keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]\n"
-        "    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0,",
-        "keyed = [((i, 0, 0), p) for i, p in enumerate(a.points)]\n"
-        "    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 1,",
+        "self.keys = [((i, 1, 0), p)",
+        "self.keys = [((i, -1, 0), p)",
         GLUED_ORDER,
     ),
     Mutant(
         "amalgam-order-last-gap-closed-early",
         AMALGAM,
-        "+ [len(a)]",
-        "+ [len(a) - 1]",
+        "+ [len(space)]",
+        "+ [len(space) - 1]",
         GLUED_ORDER,
     ),
     Mutant(
@@ -475,6 +496,27 @@ MUTANTS = [
         "into = [list(enumerate_embeddings(c, s)) for s in spaces]",
         "into = [list(enumerate_embeddings(spaces[0], s)) for s in spaces]",
         (f"{INJECTED_SLICE}[triangle]",),
+    ),
+    Mutant(
+        "direct-engine-side-cache-kept-across-overlaps",
+        FRAISSE,
+        "built = [[None] * len(embeddings) for embeddings in into]",
+        'built = _span_failures.__dict__.setdefault("built", [[None] * len(embeddings) for embeddings in into])',
+        (SIDES_ONCE,),
+    ),
+    Mutant(
+        "direct-engine-side-error-dropped",
+        FRAISSE,
+        "if built[i][k] is None and (i, k, tag) not in refused:",
+        "if built[i][k] is None:",
+        (FAILING_SIDE,),
+    ),
+    Mutant(
+        "direct-engine-e_b-side-first",
+        FRAISSE,
+        '_glue(side(i, k, "e_a"), side(j, l, "e_b"), c)',
+        '_glue(*reversed((side(j, l, "e_b"), side(i, k, "e_a"))), c)',
+        (FAILING_SIDE,),
     ),
     Mutant(
         "vector-jep-always-ok",
