@@ -168,7 +168,6 @@ class LimitBuilder(_RowTable):
         # a valid seed is complete and symmetric, so its rows are the store
         self._rows: list[list[int]] = [row[:] for row in seed._rows]
         self._scale = seed._scale
-        self._keys = None
         self._tasks = _schedule()
 
     # -- stage queries ------------------------------------------------------

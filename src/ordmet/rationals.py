@@ -32,7 +32,7 @@ def parse_integer(text: str) -> int:
     anything else, and for more digits than ``int`` converts."""
     match = re.fullmatch(_INTEGER, text.strip())
     if match is None:
-        raise ValueError(f"malformed integer {text!r}")
+        raise ValueError(f"malformed integer {shown(text)}")
     _check_digits("integer", text, match[0].lstrip("-"))
     return int(text)
 
@@ -46,13 +46,13 @@ def parse_rational(text: str) -> Fraction:
     """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
-        raise ValueError(f"malformed rational {text!r}")
+        raise ValueError(f"malformed rational {shown(text)}")
     for digits in match.groups(""):
         _check_digits("rational", text, digits.lstrip("-"))
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) is not None else 1
     if den == 0:
-        raise ValueError(f"malformed rational {text!r}: zero denominator")
+        raise ValueError(f"malformed rational {shown(text)}: zero denominator")
     return Fraction(num, den)
 
 

@@ -4,12 +4,10 @@ A space is a finite list of points carrying a strict total order (the list
 order) and a symmetric, positive, triangle-satisfying table of rational
 distances.  The table is stored once, as rows of Python ints over one
 common denominator, indexed by position in the order; it is the only
-stored form of a distance that anything computes with.  A space built
-from a table also keeps the table's given ``Fraction``s, in ``_keys``,
-for ``entries`` to return as given.  Every check here (``validate``,
-``agrees`` / ``preserves``, ``enumerate_embeddings``) compares those ints;
-a ``Fraction`` is made when a distance leaves the API (``d``,
-``entries``) or is printed.
+stored form of a distance.  Every check here (``validate``, ``agrees`` /
+``preserves``, ``enumerate_embeddings``) compares those ints; a
+``Fraction`` is made when a distance leaves the API (``d``, ``entries``)
+or is printed.
 The searches for a map inside one table (orbits, the limit builder's
 images) take their candidates through ``agreeing``, which narrows them by
 one row lookup before the shared predicate ``agrees_located`` decides.
@@ -20,9 +18,11 @@ Every map between points is one type, :class:`PartialIso`, aligned
 ``dom`` and ``cod`` tuples: the two searches return it, and its two checks
 are folds of ``preserves``, ``embedding_ok`` (total on one space, into
 another) and ``partial_iso_ok`` (inside one space).
-Construction is permissive: a space may hold a broken candidate table, and
-``validate`` reports every violated axiom.  Spaces are immutable after
-construction; every operation here is a pure function.
+Construction refuses a point listed twice, as ``PartialIso`` refuses a
+repeated point in a map, and is otherwise permissive: a space may hold a
+broken candidate table, and ``validate`` reports every violated axiom.
+Spaces are immutable after construction; every operation here is a pure
+function.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ class _RowTable:
     """Read side of :class:`FinSpace`, shared by ``LimitBuilder``.  ``_pos``
     maps each point to its position in ``points``; ``_rows[i][j]`` is
     d(points[i], points[j]) times ``_scale`` as a Python int, None for a
-    missing pair; ``_keys`` maps each directed pair as given to its given
-    ``Fraction``, None for complete rows."""
+    missing pair.  The rows are directed: a hand-built table may hold two
+    values for one pair, or a nonzero diagonal."""
 
-    __slots__ = ("points", "names", "_pos", "_rows", "_scale", "_keys")
+    __slots__ = ("points", "names", "_pos", "_rows", "_scale")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -115,35 +115,25 @@ class _RowTable:
         return combinations(self.points, 2)
 
     def subspace(self, keep: Iterable[PointId]) -> "FinSpace":
-        """Induced space on ``keep``: order, rows and the given pairs (with
-        their given values) among the kept points are inherited.  The kept
-        positions come from ``_pos``; a table that lists a point twice keeps
-        each of its positions, found by a scan of every point."""
-        kept = set(keep)
-        at = sorted(map(self.position, kept))
-        if len(self._pos) != len(self.points):
-            at = [i for i, p in enumerate(self.points) if p in kept]
+        """Induced space on ``keep``: the order and the rows among the kept
+        points are inherited."""
+        at = sorted(map(self.position, set(keep)))
         rows = [[row[j] for j in at] for row in map(self._rows.__getitem__, at)]
-        keys = self._keys
-        if keys is not None:
-            keys = {(p, q): v for (p, q), v in keys.items() if p in kept and q in kept}
         pts = [self.points[i] for i in at]
-        return FinSpace._of_rows(pts, rows, self._scale, self.names, keys)
+        return FinSpace._of_rows(pts, rows, self._scale, self.names)
 
 
 class FinSpace(_RowTable):
     """Finite ordered metric space.
 
-    ``points`` lists point ids in increasing structural order; ids are
-    opaque.  The constructor takes the table as given, a mapping from
-    directed pairs to rationals, and stores it once as int rows by position.
+    ``points`` lists distinct point ids in increasing structural order;
+    ids are opaque, and a repeated id raises ``SpaceError``.  The
+    constructor takes a mapping from directed pairs to rationals and stores
+    it once as int rows by position, the only stored form of a distance.
     The rows are directed, so a broken candidate table is recorded at
-    construction: an asymmetric pair keeps both values, a diagonal entry
-    keeps its override, and a point listed twice gets a row at each of its
-    positions.  The rows are the only stored form of a distance that
-    anything computes with: :meth:`d` makes a ``Fraction`` from them when
-    read.  ``entries`` is a read-only view of the table as given, returning
-    the given values, which a constructed space keeps in ``_keys``.
+    construction: an asymmetric pair keeps both values and a diagonal entry
+    keeps its override.  :meth:`d` and ``entries`` make ``Fraction``s from
+    the rows when read.
     """
 
     __slots__ = ()
@@ -156,49 +146,41 @@ class FinSpace(_RowTable):
     ) -> None:
         pts = tuple(points)
         pos = {p: i for i, p in enumerate(pts)}
-        given: dict[tuple[PointId, PointId], Fraction] = {}
+        if len(pos) != len(pts):
+            raise SpaceError("a point is listed twice")
+        given: dict[tuple[int, int], Fraction] = {}  # keyed by position pair
         for (p, q), value in entries.items():
             if p not in pos or q not in pos:
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
-            given[(p, q)] = value if type(value) is Fraction else Fraction(value)
+            given[pos[p], pos[q]] = value if type(value) is Fraction else Fraction(value)
         scale = lcm(*{v.denominator for v in given.values()})
         ints = {key: scaled(v, scale) for key, v in given.items()}
-        at: dict[PointId, list[int]] = {}  # every position of each point
-        for i, p in enumerate(pts):
-            at.setdefault(p, []).append(i)
         rows: list[list] = [[None] * len(pts) for _ in pts]
         for i, row in enumerate(rows):
             row[i] = 0
         # d(p, q) is the (p, q) entry, else the (q, p) entry: fill the
         # reverse reading first, so that the entry as given overwrites it
-        for (p, q), value in ints.items():
-            for j in at[q]:
-                for i in at[p]:
-                    rows[j][i] = value
-        for (p, q), value in ints.items():
-            for i in at[p]:
-                for j in at[q]:
-                    rows[i][j] = value
-        self._adopt(pts, rows, scale, names or {}, given)
+        for (i, j), value in ints.items():
+            rows[j][i] = value
+        for (i, j), value in ints.items():
+            rows[i][j] = value
+        self._adopt(pts, rows, scale, names or {})
 
     @classmethod
-    def _of_rows(cls, points, rows, scale: int, names, keys=None) -> "FinSpace":
+    def _of_rows(cls, points, rows, scale: int, names) -> "FinSpace":
         """Space adopting ``rows`` (one per point, over ``scale``) as they
-        are.  ``keys`` maps the directed pairs of the table as given to
-        their given values; None means the rows are complete, symmetric and
-        zero on the diagonal, with the position pairs i < j as keys."""
+        are."""
         space = object.__new__(cls)
-        space._adopt(tuple(points), rows, scale, names, keys)
+        space._adopt(tuple(points), rows, scale, names)
         return space
 
-    def _adopt(self, pts, rows, scale, names, keys) -> None:
+    def _adopt(self, pts, rows, scale, names) -> None:
         fill = object.__setattr__
         fill(self, "points", pts)
-        fill(self, "names", {p: str(names.get(p, f"p{p}")) for p in pts})
+        fill(self, "names", {p: str(names[p]) if p in names else f"p{p}" for p in pts})
         fill(self, "_pos", {p: i for i, p in enumerate(pts)})
         fill(self, "_rows", rows)
         fill(self, "_scale", scale)
-        fill(self, "_keys", keys)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"FinSpace is immutable: cannot set {name!r}")
@@ -207,9 +189,16 @@ class FinSpace(_RowTable):
         return iter(self.points)
 
     @property
-    def entries(self) -> Mapping[tuple[PointId, PointId], Fraction]:
-        """The distance table as given: directed keys, ``Fraction`` values."""
-        return _Entries(self)
+    def entries(self) -> dict[tuple[PointId, PointId], Fraction]:
+        """Each point pair (p, q), p before q, that holds a value, in
+        ``combinations`` order, mapped to d(p, q) as a ``Fraction``."""
+        pts, scale = self.points, self._scale
+        return {
+            (pts[i], pts[j]): Fraction(v, scale)
+            for i, row in enumerate(self._rows)
+            for j, v in enumerate(row[i + 1 :], i + 1)
+            if v is not None
+        }
 
     def precedes(self, p: PointId, q: PointId) -> bool:
         return self.position(p) < self.position(q)
@@ -219,39 +208,6 @@ class FinSpace(_RowTable):
             if self.names[p] == name:
                 return p
         raise SpaceError(f"no point named {name!r}")
-
-    def has_pair(self, p: PointId, q: PointId) -> bool:
-        if self._keys is not None:
-            return (p, q) in self._keys or (q, p) in self._keys
-        return p != q and p in self._pos and q in self._pos
-
-
-class _Entries(Mapping):
-    """Read-only view of a space's table as given: its directed pairs with
-    the given values, or, for complete rows, the position pairs i < j read
-    from the rows as ``Fraction``s."""
-
-    __slots__ = ("_space",)
-
-    def __init__(self, space: FinSpace) -> None:
-        self._space = space
-
-    def __getitem__(self, key) -> Fraction:
-        space, (p, q) = self._space, key
-        if space._keys is not None:
-            return space._keys[key]
-        pos = space._pos
-        if not (p in pos and q in pos and pos[p] < pos[q]):
-            raise KeyError(key)
-        return space.d(p, q)
-
-    def __iter__(self) -> Iterator[tuple[PointId, PointId]]:
-        keys = self._space._keys
-        return combinations(self._space.points, 2) if keys is None else iter(keys)
-
-    def __len__(self) -> int:
-        keys, n = self._space._keys, len(self._space.points)
-        return n * (n - 1) // 2 if keys is None else len(keys)
 
 
 def scaled(value: Fraction, scale: int) -> int:
@@ -279,7 +235,7 @@ def make_space(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "order" | "missing" | "symmetry" | "identity" | "positivity" | "triangle"
+    kind: str  # "missing" | "symmetry" | "identity" | "positivity" | "triangle"
     points: tuple[PointId, ...]
     detail: str
 
@@ -307,12 +263,6 @@ def validate(space: FinSpace) -> ValidationReport:
     """
     out: list[Violation] = []
     points, rows, scale = space.points, space._rows, space._scale
-    seen: set[PointId] = set()
-    for p in points:
-        if p in seen:
-            out.append(Violation("order", (p,), "point listed twice"))
-        seen.add(p)
-
     for i, p in enumerate(points):
         diag = rows[i][i]
         if diag != 0:

@@ -332,6 +332,38 @@ def test_long_integer_tokens_are_refused_in_our_words(files, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+MALFORMED = "x" * 5000
+
+
+def test_long_malformed_tokens_are_shown_short(files, capsys):
+    """A malformed token past 40 characters exits 2 with one short line
+    that shows its first 40 characters and its length, as a grid value, a
+    space-file value and a trace token alike; 40 characters show whole."""
+    space = files["dir"] / "malformed.space"
+    space.write_text(f"space\npoint a\npoint b\ndist a b {MALFORMED}\nend\n")
+    cut = f"{MALFORMED[:40]!r}... (5000 characters)"
+    zero = "1/" + "0" * 100
+    cases = [
+        (["fraisse-check", "--max-size", "2", "--grid", f"1,{MALFORMED}"], f"malformed rational {cut}"),
+        (["validate", str(space)], f"line 4: malformed rational {cut}"),
+        (
+            witness_argv("verify", files["single.space"], 1, 1, "--trace", MALFORMED),
+            f"malformed integer {cut}",
+        ),
+        (
+            ["fraisse-check", "--max-size", "2", "--grid", zero],
+            f"malformed rational {zero[:40]!r}... (102 characters): zero denominator",
+        ),
+        (["fraisse-check", "--max-size", "2", "--grid", "x" * 40], f"malformed rational {'x' * 40!r}"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert len(captured.err.encode()) <= 300
+
+
 @pytest.mark.parametrize(
     "n, m, traces, checks",
     [

@@ -7,9 +7,10 @@ completion (which only a side that is not a metric can fail, named
 anchor-major), its output as the span oracle sees it and its glued order's
 sort keys (the tie between a gap's b points and the overlap point closing
 it, the key past the last overlap point), ``extend_one_point``'s slot check
-against its own base, the int-row space (its one conversion ``scaled``, its
-rescale ``_rows_over``, the given values of ``entries``, ``subspace`` on a
-repeated point), its triangle pass and its embedding search's candidate
+against its own base, the int-row space (its one conversion ``scaled`` and
+the exactness guard on it, its rescale ``_rows_over``, its refusal of a
+repeated point, the missing pairs ``entries`` leaves out, the reading of an
+asymmetric pair), its triangle pass and its embedding search's candidate
 order, the limit builder's stage layout, rescale, feasibility test (the one
 check ``realize`` makes, its scale factor and positivity check), fresh
 names and schedule (its first level, strictly increasing subsets, the gap
@@ -26,14 +27,14 @@ the batched pass's padding (the agreement check counting padded cells, a
 zero pad, a target's class offset off by one; counting padded cells in
 positivity is an equivalent mutant while the pad is positive), the CLI's
 start without numpy, its ASCII integer rule, the digit limit of integer and
-rational tokens and its exit 3 for any unexpected exception, the space-file
-reader of canonical documents (its head comparison, row offsets, budget
-decline and whitespace decline of a value token) and the line parser's
-token memo and dist-line arity check, and the witness table's far distance,
-its admissibility test, shift core (its reads outside the bits a verdict
-may depend on), exhaust's minimal-index classes (class size,
-representative, which failure is first), trace bitmask conversions and
-reserved chain names.
+rational tokens, its short echo of a malformed one and its exit 3 for any
+unexpected exception, the space-file reader of canonical documents (its
+head comparison, row offsets, budget decline and whitespace decline of a
+value token) and the line parser's token memo and dist-line arity check,
+and the witness table's far distance, its admissibility test, shift core
+(its reads outside the bits a verdict may depend on), exhaust's
+minimal-index classes (class size, representative, which failure is first),
+trace bitmask conversions and reserved chain names.
 
     python tools/mutants.py
 
@@ -127,11 +128,18 @@ MUTANTS = [
         ("tests/test_preserves.py::test_embedding_ok_refuses_bad_maps_without_raising[outside-target]",),
     ),
     Mutant(
-        "subspace-repeated-point-scan-dropped",
+        "repeated-point-accepted",
         SPACES,
-        "if len(self._pos) != len(self.points):",
+        "if len(pos) != len(pts):",
         "if False:",
-        ("tests/test_spaces.py::test_subspace_keeps_the_given_table_among_kept_points",),
+        ("tests/test_spaces.py::test_duplicate_point_refused",),
+    ),
+    Mutant(
+        "entries-keeps-missing-pairs",
+        SPACES,
+        "            if v is not None\n",
+        "",
+        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
     ),
     Mutant(
         "agrees-identity-dropped",
@@ -206,10 +214,8 @@ MUTANTS = [
     Mutant(
         "asymmetric-pair-read-backwards",
         SPACES,
-        "rows[j][i] = value\n        for (p, q), value in ints.items():\n"
-        "            for i in at[p]:\n                for j in at[q]:\n                    rows[i][j] = value",
-        "rows[i][j] = value\n        for (p, q), value in ints.items():\n"
-        "            for i in at[p]:\n                for j in at[q]:\n                    rows[j][i] = value",
+        "rows[j][i] = value\n        for (i, j), value in ints.items():\n            rows[i][j] = value",
+        "rows[i][j] = value\n        for (i, j), value in ints.items():\n            rows[j][i] = value",
         ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
     ),
     Mutant(
@@ -256,6 +262,13 @@ MUTANTS = [
             "tests/test_rationals.py::test_parse_refuses_more_digits_than_int_converts",
             "tests/test_cli.py::test_long_integer_tokens_are_refused_in_our_words",
         ),
+    ),
+    Mutant(
+        "malformed-rational-echoed-whole",
+        RATIONALS,
+        'raise ValueError(f"malformed rational {shown(text)}")',
+        'raise ValueError(f"malformed rational {text!r}")',
+        ("tests/test_cli.py::test_long_malformed_tokens_are_shown_short",),
     ),
     Mutant(
         "parse-dist-arity-dropped",
@@ -362,11 +375,11 @@ MUTANTS = [
         ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
     ),
     Mutant(
-        "entries-given-value-rebuilt",
+        "scaled-true-division",
         SPACES,
-        "return space._keys[key]",
-        "return space.d(p, q) if key in space._keys else space._keys[key]",
-        ("tests/test_spaces.py::test_entries_become_fractions_and_given_fractions_are_kept",),
+        "value.numerator * (scale // value.denominator)",
+        "value.numerator * (scale / value.denominator)",
+        ("tests/test_exactness.py::test_modules_make_no_float[spaces.py]",),
     ),
     Mutant(
         "stage-row-appended",
