@@ -97,15 +97,15 @@ def feasibility_violation(
     must give each a positive distance.  Pairs are compared in
     ``combinations(points, 2)`` order as ints over one common denominator,
     ``base``'s own rows times ``scale // base._scale``; ``Fraction``s are
-    formed only for the reason, and a missing pair raises when reached."""
+    formed only for the reason."""
     points = base.points if points is None else points
     _check_dvec(base, points, dvec)
     scale = lcm(base._scale, *(v.denominator for v in dvec.values()))
     factor = scale // base._scale
-    rows = base._rows
+    pos, rows = base._pos, base._rows
     want = {p: scaled(v, scale) for p, v in dvec.items()}
     for p, q in combinations(points, 2):
-        dpq, vp, vq = base._read(rows, p, q) * factor, want[p], want[q]
+        dpq, vp, vq = rows[pos[p]][pos[q]] * factor, want[p], want[q]
         if dpq > vp + vq or abs(vp - vq) > dpq:
             d, dp, dq = (format_rational(v) for v in (base.d(p, q), dvec[p], dvec[q]))
             reason = f"{d} > {dp} + {dq}" if dpq > vp + vq else f"|{dp} - {dq}| > {d}"
@@ -147,7 +147,9 @@ def _fresh_name(taken: set[str], stem: str) -> str:
 def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     """Realize a feasible extension; raises InfeasibleExtensionError (naming
     the offending pair) otherwise.  ``ext.slot`` must be a gap of ``base``,
-    which ``ExtensionType`` checked against ``ext.base`` only."""
+    which ``ExtensionType`` checked against ``ext.base`` only.  The new
+    point's column, ``dvec`` over the lcm of the scales, is inserted at the
+    slot into a copy of the base rows, as ``LimitBuilder.realize`` does."""
     if not 0 <= ext.slot <= len(base):
         raise SpaceError(f"slot {ext.slot} outside 0..{len(base)}")
     dvec = ext.dvec
@@ -157,12 +159,16 @@ def extend_one_point(base: FinSpace, ext: ExtensionType) -> FinSpace:
     new = max(base.points, default=-1) + 1
     pts = list(base.points)
     pts.insert(ext.slot, new)
-    entries = dict(base.entries)
-    for p in base.points:
-        entries[(p, new)] = dvec[p]
+    scale = lcm(base._scale, *(v.denominator for v in dvec.values()))
+    rows = [row[:] for row in base._rows_over(scale)]
+    column = [scaled(dvec[p], scale) for p in base.points]
+    for row, value in zip(rows, column):
+        row.insert(ext.slot, value)
+    column.insert(ext.slot, 0)
+    rows.insert(ext.slot, column)
     names = dict(base.names)
     names[new] = _fresh_name(set(names.values()), f"p{new}")
-    return FinSpace(tuple(pts), entries, names)
+    return FinSpace._of_rows(pts, rows, scale, names)
 
 
 def shortest_path_column(legs, size: int, filler):
@@ -277,7 +283,7 @@ def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso,
     distances are c's on both sides).
     """
     a, b = left.space, right.space
-    map_a, map_b, image_b, b_extra = left.mapping, right.mapping, right.image, right.extra
+    map_a, image_b, b_extra = left.mapping, right.image, right.extra
 
     # Ids: keep a's; b-only points keep theirs unless taken.
     used = set(a.points)
@@ -299,7 +305,7 @@ def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso,
 
     # The glued table as int rows over the common denominator of a and b:
     # a's rows as they are, b's extra pairs, then each b-only point as a new
-    # point over a anchored at the overlap.  A missing pair raises when read.
+    # point over a anchored at the overlap.
     scale = lcm(a._scale, b._scale)
     a_rows, b_rows = a._rows_over(scale), b._rows_over(scale)
     at = {p: i for i, p in enumerate(order)}
@@ -308,16 +314,19 @@ def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso,
     for i, a_row in zip(a_at, a_rows):
         for j, v in zip(a_at, a_row):
             rows[i][j] = v
+    b_at = b._pos
     for q1, q2 in combinations(b_extra, 2):
         i, j = at[ids[q1]], at[ids[q2]]
-        rows[i][j] = rows[j][i] = b._read(b_rows, q1, q2)
+        rows[i][j] = rows[j][i] = b_rows[b_at[q1]][b_at[q2]]
 
-    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in left.anchors]
+    # the rows are symmetric, so an anchor's row in a is its column
+    anchor_rows = [a_rows[a._pos[za]] for za in left.anchors]
     filler = 0
     if not left.anchors and len(a) and len(b):
         filler = scaled(1 + max(left.diameter, right.diameter), scale)
     for q in b_extra:
-        legs = [(row, b._read(b_rows, map_b[z], q)) for row, z in zip(anchor_rows, c.points)]
+        q_row = b_rows[b_at[q]]
+        legs = [(row, q_row[b_at[zb]]) for row, zb in zip(anchor_rows, right.anchors)]
         column = shortest_path_column(legs, len(a), filler)
         for (row, v), z in zip(legs, c.points):
             for leg, value in zip(row, column):

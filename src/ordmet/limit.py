@@ -165,7 +165,7 @@ class LimitBuilder(_RowTable):
         self._seed_names = set(self.names.values())
         self._pos: dict[PointId, int] = dict(seed._pos)
         self._created: list[PointId] = list(seed.points)
-        # a valid seed is complete and symmetric, so its rows are the store
+        # every space's rows are complete and symmetric: a copy is the store
         self._rows: list[list[int]] = [row[:] for row in seed._rows]
         self._scale = seed._scale
         self._tasks = _schedule()

@@ -9,14 +9,10 @@ no automorphism is ever materialized.
 ``orbit_traces`` searches position by position, on an explicit stack, so
 a tuple of any length stays within the recursion limit.  The support pairs
 are the same at every node of that search, so each entry's candidates are
-tested against them once, when the search first reaches that entry,
-through ``spaces.agreeing``; each node then tests that shorter list
-against the images placed so far only.  The split is exact: a candidate is
-accepted when it agrees with the support and with every placed image,
-whichever is tested first; and since each entry's list is built at the
-first node that reaches the entry, the search raises for a missing
-distance exactly when a test of every node against support and images
-together would.
+tested against them once, before the search, through ``spaces.agreeing``;
+each node then tests that shorter list against the images placed so far
+only.  The split is exact: a candidate is accepted when it agrees with the
+support and with every placed image, whichever is tested first.
 """
 
 from __future__ import annotations
@@ -79,18 +75,15 @@ def _traces(rows, fixed, options) -> set[tuple[PointId, ...]]:
     ``stack[d]`` iterates entry d's candidates that agree with ``chosen``,
     the located pairs placed for the first d entries, so no tuple length
     meets the recursion limit.  ``levels[d]`` holds entry d's candidates
-    that agree with the support, built when the search first reaches entry
-    d, so that a missing distance raises only where a search of every node
-    against the support would reach it."""
+    that agree with the support."""
     found: set[tuple[PointId, ...]] = set()
-    levels, chosen, stack = [], [], []
+    levels = [agreeing(rows, level, fixed) for level in options]
+    chosen, stack = [], []
     while True:
         depth = len(chosen)
         if depth == len(options):
             found.add(tuple(q for _, q, _, _ in chosen))
         else:
-            if depth == len(levels):
-                levels.append(agreeing(rows, options[depth], fixed))
             stack.append(iter(agreeing(rows, levels[depth], chosen)))
         # the next candidate of the deepest entry that has one left
         while stack and (here := next(stack[-1], None)) is None:

@@ -18,11 +18,13 @@ Every map between points is one type, :class:`PartialIso`, aligned
 ``dom`` and ``cod`` tuples: the two searches return it, and its two checks
 are folds of ``preserves``, ``embedding_ok`` (total on one space, into
 another) and ``partial_iso_ok`` (inside one space).
-Construction refuses a point listed twice, as ``PartialIso`` refuses a
-repeated point in a map, and is otherwise permissive: a space may hold a
-broken candidate table, and ``validate`` reports every violated axiom.
-Spaces are immutable after construction; every operation here is a pure
-function.
+Construction refuses what the space-file parser refuses: a point listed
+twice, a pair with no distance, a pair given two distances and a nonzero
+distance from a point to itself.  So every table is complete, symmetric
+and zero on the diagonal, and every reader relies on it; ``validate``
+reports the axioms such a table can still break, positivity and the
+triangle inequality.  Spaces are immutable after construction; every
+operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ class SpaceError(ValueError):
 
 
 class MissingDistanceError(SpaceError):
-    """A required pair has no entry in the distance table."""
+    """A table given to a space has no distance for some pair."""
 
 
 # Upper estimate of one row-store entry: an 8-byte list slot plus its share
-# of a multi-digit int object (each completed value sits in two rows) and
+# of a multi-digit int object (each value sits in two rows) and
 # list over-allocation.  The parser, the limit builder and the witness
 # refuse tables whose estimate tops the budget before they allocate rows.
 ROW_ENTRY_BYTES = 32
@@ -64,9 +66,8 @@ def store_bytes(points: int) -> int:
 class _RowTable:
     """Read side of :class:`FinSpace`, shared by ``LimitBuilder``.  ``_pos``
     maps each point to its position in ``points``; ``_rows[i][j]`` is
-    d(points[i], points[j]) times ``_scale`` as a Python int, None for a
-    missing pair.  The rows are directed: a hand-built table may hold two
-    values for one pair, or a nonzero diagonal."""
+    d(points[i], points[j]) times ``_scale`` as a Python int.  The rows are
+    complete and symmetric, with 0 on the diagonal."""
 
     __slots__ = ("points", "names", "_pos", "_rows", "_scale")
 
@@ -88,27 +89,16 @@ class _RowTable:
         return self.names[p]
 
     def d(self, p: PointId, q: PointId) -> Fraction:
-        """Distance between two points; 0 on the diagonal unless overridden."""
-        return Fraction(self._read(self._rows, p, q), self._scale)
-
-    def _read(self, rows, p: PointId, q: PointId) -> int:
-        """The int ``d`` reads for (p, q) from ``rows``, these rows or
-        :meth:`_rows_over` of them; a missing pair raises."""
-        pos = self._pos
-        if p not in pos or q not in pos:
-            raise SpaceError(f"point {p if p not in pos else q} not in space")
-        value = rows[pos[p]][pos[q]]
-        if value is None:
-            raise MissingDistanceError(f"no distance recorded for pair ({p}, {q})")
-        return value
+        """Distance between two points; 0 on the diagonal."""
+        return Fraction(self._rows[self.position(p)][self.position(q)], self._scale)
 
     def _rows_over(self, scale: int) -> list[list]:
         """The rows over ``scale``, a multiple of ``_scale``: themselves, or
-        a scaled copy in which a missing pair stays None."""
+        a scaled copy."""
         factor = scale // self._scale
         if factor == 1:
             return self._rows
-        return [[v and v * factor for v in row] for row in self._rows]
+        return [[v * factor for v in row] for row in self._rows]
 
     def pairs(self) -> Iterator[tuple[PointId, PointId]]:
         """Unordered point pairs in lexicographic order of positions."""
@@ -127,13 +117,15 @@ class FinSpace(_RowTable):
     """Finite ordered metric space.
 
     ``points`` lists distinct point ids in increasing structural order;
-    ids are opaque, and a repeated id raises ``SpaceError``.  The
-    constructor takes a mapping from directed pairs to rationals and stores
-    it once as int rows by position, the only stored form of a distance.
-    The rows are directed, so a broken candidate table is recorded at
-    construction: an asymmetric pair keeps both values and a diagonal entry
-    keeps its override.  :meth:`d` and ``entries`` make ``Fraction``s from
-    the rows when read.
+    ids are opaque.  The constructor takes a mapping from point pairs to
+    rationals, one value per unordered pair, given either way round or
+    both ways with one value, and stores it once as symmetric int rows by
+    position, the only stored form of a distance.  A diagonal entry may be
+    given as 0.  It raises ``SpaceError`` for a repeated id, a pair given
+    two different values or a nonzero diagonal entry, and
+    ``MissingDistanceError`` for the first pair, in ``combinations``
+    order, that has no value.  :meth:`d` and ``entries`` make
+    ``Fraction``s from the rows when read.
     """
 
     __slots__ = ()
@@ -154,22 +146,26 @@ class FinSpace(_RowTable):
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
             given[pos[p], pos[q]] = value if type(value) is Fraction else Fraction(value)
         scale = lcm(*{v.denominator for v in given.values()})
-        ints = {key: scaled(v, scale) for key, v in given.items()}
         rows: list[list] = [[None] * len(pts) for _ in pts]
+        for (i, j), v in given.items():
+            value = scaled(v, scale)
+            if i == j and value:
+                raise SpaceError(f"nonzero distance from point {pts[i]} to itself")
+            if rows[i][j] not in (None, value):
+                raise SpaceError(f"pair ({pts[i]}, {pts[j]}) is given two distances")
+            rows[i][j] = rows[j][i] = value
         for i, row in enumerate(rows):
             row[i] = 0
-        # d(p, q) is the (p, q) entry, else the (q, p) entry: fill the
-        # reverse reading first, so that the entry as given overwrites it
-        for (i, j), value in ints.items():
-            rows[j][i] = value
-        for (i, j), value in ints.items():
-            rows[i][j] = value
+            if None in row:  # any earlier pair was checked with its earlier row
+                pair = (pts[i], pts[row.index(None)])
+                raise MissingDistanceError(f"no distance recorded for pair {pair}")
         self._adopt(pts, rows, scale, names or {})
 
     @classmethod
     def _of_rows(cls, points, rows, scale: int, names) -> "FinSpace":
         """Space adopting ``rows`` (one per point, over ``scale``) as they
-        are."""
+        are: the caller makes them complete, symmetric and zero on the
+        diagonal."""
         space = object.__new__(cls)
         space._adopt(tuple(points), rows, scale, names)
         return space
@@ -190,14 +186,13 @@ class FinSpace(_RowTable):
 
     @property
     def entries(self) -> dict[tuple[PointId, PointId], Fraction]:
-        """Each point pair (p, q), p before q, that holds a value, in
-        ``combinations`` order, mapped to d(p, q) as a ``Fraction``."""
+        """Each point pair (p, q), p before q, in ``combinations`` order,
+        mapped to d(p, q) as a ``Fraction``."""
         pts, scale = self.points, self._scale
         return {
             (pts[i], pts[j]): Fraction(v, scale)
             for i, row in enumerate(self._rows)
             for j, v in enumerate(row[i + 1 :], i + 1)
-            if v is not None
         }
 
     def precedes(self, p: PointId, q: PointId) -> bool:
@@ -235,7 +230,7 @@ def make_space(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "missing" | "symmetry" | "identity" | "positivity" | "triangle"
+    kind: str  # "positivity" | "triangle"
     points: tuple[PointId, ...]
     detail: str
 
@@ -254,63 +249,41 @@ class ValidationReport:
 
 
 def validate(space: FinSpace) -> ValidationReport:
-    """Check every axiom and report each violation.
+    """Check the axioms a space can break and report each violation: a
+    distance between two points that is not positive, pair by pair, then
+    every failed triangle.
 
-    Accepts raw candidate tables: missing entries, asymmetric entries and
-    nonzero diagonal entries are reported rather than raised.  The report is
-    a pure function of the space.  Every check reads the resolved rows;
-    ``Fraction`` values are formed only to format a violation.
+    Construction already refused a missing pair, two distances for one
+    pair and a nonzero diagonal.  The report is a pure function of the
+    space.  Every check reads the int rows; ``Fraction`` values are formed
+    only to format a violation.
     """
     out: list[Violation] = []
-    points, rows, scale = space.points, space._rows, space._scale
-    for i, p in enumerate(points):
-        diag = rows[i][i]
-        if diag != 0:
-            out.append(Violation("identity", (p,), f"d(x,x) = {format_rational(Fraction(diag, scale))}"))
-
-    n = len(points)
-    for i, p in enumerate(points):
-        row = rows[i]
-        for j in range(i + 1, n):
-            q, value, back = points[j], row[j], rows[j][i]
-            if value is None:
-                out.append(Violation("missing", (p, q), "no distance entry"))
-                continue
-            if value != back:
-                detail = (
-                    f"{format_rational(Fraction(value, scale))} != "
-                    f"{format_rational(Fraction(back, scale))}"
-                )
-                out.append(Violation("symmetry", (p, q), detail))
-            if value <= 0:
-                out.append(Violation("positivity", (p, q), f"d = {format_rational(Fraction(value, scale))}"))
+    rows, scale = space._rows, space._scale
+    for (i, p), (j, q) in combinations(enumerate(space.points), 2):
+        if rows[i][j] <= 0:
+            out.append(Violation("positivity", (p, q), f"d = {format_rational(Fraction(rows[i][j], scale))}"))
 
     _triangle_pass(space, out)
     return ValidationReport(tuple(out))
 
 
 def _triangle_pass(space: FinSpace, out: list[Violation]) -> None:
-    """Append the triangle violations of the resolved table.
+    """Append the triangle violations of the table.
 
-    Reads the upper triangle of the rows (the pair at positions i < j
-    resolves to ``rows[i][j]``) as exact Python ints; triples with a
-    missing pair are skipped.  Violations are formatted from ``Fraction``
-    values, triples in ``combinations`` order, one report per failed side,
-    the far pair first.
+    Reads the upper triangle of the rows (the pair at positions i < j is
+    ``rows[i][j]``) as exact Python ints.  Violations are formatted from
+    ``Fraction`` values, triples in ``combinations`` order, one report per
+    failed side, the far pair first.
     """
     rows, pts, scale = space._rows, space.points, space._scale
     n = len(rows)
     for a in range(n - 2):
         ra = rows[a]
         for b in range(a + 1, n - 1):
-            ab = ra[b]
-            if ab is None:
-                continue
-            rb = rows[b]
+            ab, rb = ra[b], rows[b]
             for c in range(b + 1, n):
                 ac, bc = ra[c], rb[c]
-                if ac is None or bc is None:
-                    continue
                 if ab > ac + bc or ac > ab + bc or bc > ab + ac:
                     x, y, z = pts[a], pts[b], pts[c]
                     dxy, dxz, dyz = (Fraction(v, scale) for v in (ab, ac, bc))
@@ -386,10 +359,7 @@ def agrees(x, y, placed: Iterable[tuple[PointId, PointId]], p: PointId, q: Point
     (``_rows``, over ``_scale``) that spaces and limit builders share, so
     ``x`` and ``y`` may be either, and the same object for a map inside one
     space.
-    Rows over different scales are compared by cross-multiplying.  A
-    distance is read only once identity and order hold for its pair, so on
-    a table with a missing entry a pair broken in order is rejected and an
-    unbroken one raises ``MissingDistanceError``.
+    Rows over different scales are compared by cross-multiplying.
     """
     here, *rest = locate(x, y, [(p, q), *placed])
     return agrees_located(x._rows, y._rows, *_factors(x, y), here, rest)
@@ -415,11 +385,7 @@ def agrees_located(xrows, yrows, fx: int, fy: int, here: tuple, placed) -> bool:
             return False
         if (xp < xp2) != (yq < yq2):
             return False
-        dx, dy = xrow[xp2], yrow[yq2]
-        if dx is None or dy is None:
-            pair = (p, p2) if dx is None else (q, q2)
-            raise MissingDistanceError(f"no distance recorded for pair {pair}")
-        if dx * fx != dy * fy:
+        if xrow[xp2] * fx != yrow[yq2] * fy:
             return False
     return True
 
@@ -429,16 +395,10 @@ def agreeing(rows, options, placed) -> list[tuple]:
     ``agrees_located(rows, rows, 1, 1, here, placed)`` accepts, in order:
     candidates for a map inside one table.  One row lookup first drops a
     candidate whose distance to the first placed image differs from its
-    preimage's, which that call rejects anyway; it reads the directed
-    entries the call reads, and keeps a candidate where either is None, so
-    that the call still raises ``MissingDistanceError``."""
+    preimage's, which that call rejects anyway."""
     if placed:
         _, _, xp0, yq0 = placed[0]
-        options = [
-            here
-            for here in options
-            if (dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0]) or dx is None or dy is None
-        ]
+        options = [here for here in options if rows[here[2]][xp0] == rows[here[3]][yq0]]
     return [here for here in options if agrees_located(rows, rows, 1, 1, here, placed)]
 
 
@@ -494,14 +454,10 @@ def enumerate_embeddings(x: FinSpace, y: FinSpace) -> Iterator[PartialIso]:
     Order preservation pins each embedding to a strictly increasing tuple of
     target positions, so the search walks positions left to right, smallest
     candidate first, checking distances against everything already placed.
-    Both row sets are put over the lcm of the two scales once per call; a
-    search that compares distances (two or more source points) raises
-    ``MissingDistanceError`` when either table misses a pair.
+    Both row sets are put over the lcm of the two scales once per call.
     """
-    if len(x) < 2:  # nothing to compare
-        return _embeddings(x, y, x._rows, y._rows)
     scale = lcm(x._scale, y._scale)
-    return _embeddings(x, y, _complete_rows(x, scale), _complete_rows(y, scale))
+    return _embeddings(x, y, x._rows_over(scale), y._rows_over(scale))
 
 
 def _embeddings(x, y, xrows, yrows) -> Iterator[PartialIso]:
@@ -533,21 +489,12 @@ def _embeddings(x, y, xrows, yrows) -> Iterator[PartialIso]:
         chosen.append(t)
 
 
-def _complete_rows(space: FinSpace, scale: int) -> list[list[int]]:
-    """The rows of a complete table over ``scale``."""
-    for i, row in enumerate(space._rows):
-        if None in row:
-            pair = (space.points[i], space.points[row.index(None)])
-            raise MissingDistanceError(f"no distance recorded for pair {pair}")
-    return space._rows_over(scale)
-
-
 def diameter(space: FinSpace) -> Fraction:
-    """Largest pairwise distance; 0 for a singleton, an error when empty."""
+    """Largest distance in the table, 0 for a singleton; an error when
+    empty."""
     if len(space) == 0:
         raise SpaceError("diameter of the empty space is undefined")
-    largest = max((space._read(space._rows, p, q) for p, q in space.pairs()), default=0)
-    return Fraction(largest, space._scale)
+    return Fraction(max(map(max, space._rows)), space._scale)
 
 
 def ball_trace(space: FinSpace, center: PointId, radius: Fraction) -> frozenset[PointId]:

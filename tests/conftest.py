@@ -15,7 +15,6 @@ from ordmet import (
     AmalgamError,
     FinSpace,
     FuelExhaustedError,
-    MissingDistanceError,
     PartialIso,
     SpaceError,
     make_space,
@@ -80,10 +79,24 @@ def valid_spaces(draw, min_size=1, max_size=4):
     return path_metric_space(size, weights)
 
 
+def assert_complete_table(space) -> None:
+    """The invariant of every space's rows, checked where rows are built
+    without the constructor: one row per point, each holding one Python int
+    per point, symmetric, 0 on the diagonal, over a positive int scale.
+    ``validate`` reads only the upper triangle, so it cannot see a lower
+    entry that disagrees."""
+    rows, n = space._rows, len(space.points)
+    assert type(space._scale) is int and space._scale > 0
+    assert len(rows) == n and all(len(row) == n for row in rows)
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(rows[i][i] == 0 for i in range(n))
+    assert all(rows[i][j] == rows[j][i] for i, j in combinations(range(n), 2))
+
+
 def reference_d(entries, p, q):
     """Slow oracle for ``FinSpace.d`` on the table ``entries`` as given: the
     (p, q) entry, else the (q, p) entry, else 0 on the diagonal; None when
-    the pair is missing."""
+    the pair is missing, a table the constructor refuses."""
     for key in ((p, q), (q, p)):
         if key in entries:
             return Fraction(entries[key])
@@ -91,9 +104,11 @@ def reference_d(entries, p, q):
 
 
 def reference_violations(points, entries) -> tuple[Violation, ...]:
-    """Slow oracle for ``validate`` of ``FinSpace(points, entries)``: every
-    axiom checked on the table as given, pair by pair and triple by triple
-    in ``Fraction`` arithmetic, in the report order."""
+    """Slow oracle for ``FinSpace(points, entries)`` and its ``validate``:
+    every axiom checked on the table as given, pair by pair and triple by
+    triple in ``Fraction`` arithmetic, in the report order.  The
+    constructor refuses a table reported "identity", "missing" or
+    "symmetry"; ``validate`` of any other reports the rest."""
     out = []
     for p in points:
         diag = entries.get((p, p))
@@ -149,6 +164,21 @@ def reference_feasibility(base: FinSpace, dvec):
                 f"|{format_rational(dvec[p])} - {format_rational(dvec[q])}| > {format_rational(dpq)}"
             )
     return None
+
+
+def reference_extend_one_point(base: FinSpace, ext) -> FinSpace:
+    """Slow oracle for ``extend_one_point`` of a feasible extension: the
+    base's entries and the new point's distances, rebuilt through the
+    constructor, with the new point at ``ext.slot``."""
+    new = max(base.points, default=-1) + 1
+    pts = list(base.points)
+    pts.insert(ext.slot, new)
+    entries = dict(base.entries)
+    for p in base.points:
+        entries[(p, new)] = ext.dvec[p]
+    names = dict(base.names)
+    names[new] = _fresh_name(set(names.values()), f"p{new}")
+    return FinSpace(tuple(pts), entries, names)
 
 
 def reference_shortest_path_column(legs, size: int, filler):
@@ -234,7 +264,7 @@ def reference_amalgamate(
 
     # The glued table as int rows over the common denominator of a and b:
     # a's rows as they are, b's extra pairs, then each b-only point as a new
-    # point over a anchored at the overlap.  A missing pair raises when read.
+    # point over a anchored at the overlap.
     scale = lcm(a._scale, b._scale)
     a_rows, b_rows = a._rows_over(scale), b._rows_over(scale)
     at = {p: i for i, p in enumerate(order)}
@@ -245,14 +275,14 @@ def reference_amalgamate(
             rows[i][j] = v
     for q1, q2 in combinations(b_extra, 2):
         i, j = at[ids[q1]], at[ids[q2]]
-        rows[i][j] = rows[j][i] = b._read(b_rows, q1, q2)
+        rows[i][j] = rows[j][i] = b_rows[b.position(q1)][b.position(q2)]
 
-    anchor_rows = [[a._read(a_rows, p, za) for p in a.points] for za in anchors_a]
+    anchor_rows = [[a_rows[a.position(p)][a.position(za)] for p in a.points] for za in anchors_a]
     filler = 0
     if not anchors_a and len(a) and len(b):
         filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
-        legs = [(row, b._read(b_rows, map_b[z], q)) for row, z in zip(anchor_rows, c.points)]
+        legs = [(row, b_rows[b.position(map_b[z])][b.position(q)]) for row, z in zip(anchor_rows, c.points)]
         column = shortest_path_column(legs, len(a), filler)
         for (row, v), z in zip(legs, c.points):
             for leg, value in zip(row, column):
@@ -398,7 +428,7 @@ def reference_preserves(x, y, pairs) -> bool:
 
 
 def reference_orbit_traces(stage, support, t) -> set[tuple]:
-    """Oracle for ``orbit_traces`` on any table, broken ones included: the
+    """Oracle for ``orbit_traces`` on any space, invalid ones included: the
     search that locates the support and the placed prefix at every node and
     tests every candidate against all of them with ``agrees_located``."""
     fixed = _fixed(stage, support, t)
@@ -420,23 +450,15 @@ def _reference_descend(stage, fixed, t, options, prefix: list, found: set) -> No
             prefix.pop()
 
 
-def or_missing(call, *args):
-    """``call(*args)``, or the class ``MissingDistanceError`` when it raises
-    one, so that two searches compare by their outcome."""
-    try:
-        return call(*args)
-    except MissingDistanceError:
-        return MissingDistanceError
-
-
-BROKEN_KINDS = ("asymmetric", "zero", "diagonal", "missing")
+REFUSED_KINDS = ("asymmetric", "diagonal", "missing")
 
 
 def broken_table(rng, kind: str) -> FinSpace:
     """A space of 3-6 points over distances {1, 2}, so that orbits are
-    large, broken in one way: an asymmetric pair given both ways, a zero
-    distance between distinct points, a nonzero diagonal entry, or missing
-    pairs."""
+    large, broken in one way: a zero distance between distinct points
+    (kind "zero"), which ``validate`` reports, or one of
+    ``REFUSED_KINDS``, which the constructor refuses: an asymmetric pair
+    given both ways, a nonzero diagonal entry, or missing pairs."""
     size = rng.randint(3, 6)
     base = path_metric_space(size, {pair: rng.choice([1, 2]) for pair in combinations(range(size), 2)})
     entries = dict(base.entries)

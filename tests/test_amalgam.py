@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +11,6 @@ from ordmet import (
     ExtensionType,
     FinSpace,
     InfeasibleExtensionError,
-    MissingDistanceError,
     PartialIso,
     SpaceError,
     amalgamate,
@@ -28,7 +26,9 @@ import ordmet.amalgam
 from ordmet.amalgam import feasibility_violation, shortest_path_column
 
 from conftest import (
+    assert_complete_table,
     path_metric_space,
+    reference_extend_one_point,
     reference_feasibility,
     reference_amalgamate,
     reference_glued_order,
@@ -109,8 +109,8 @@ def _refusal_kind(outcome):
 
 def test_feasibility_matches_reference_on_mixed_denominators():
     """The int comparison answers like the Fraction loop, refusal text
-    included, on passing dvecs, dvecs that break the upper or the lower
-    bound, and a table with a missing pair."""
+    included, on passing dvecs and dvecs that break the upper or the lower
+    bound."""
     rng = random.Random(4242)
     denominators = [1, 2, 3, 4, 5, 6, 7, 9]
     kinds = set()
@@ -122,33 +122,26 @@ def test_feasibility_matches_reference_on_mixed_denominators():
             for j in range(i + 1, size)
         }
         base = path_metric_space(size, weights)
-        given = dict(base.entries)
-        if size > 2 and rng.random() < 0.2:
-            del given[rng.choice(list(given))]
-            base = FinSpace(base.points, given)
         anchor = rng.choice(base.points)
         dvec = {}
         for p in base.points:
-            near = base.d(anchor, p) if {(anchor, p), (p, anchor)} & given.keys() else Fraction(1)
+            near = base.d(anchor, p) if p != anchor else Fraction(1)
             offset = Fraction(rng.randint(0, 8), rng.choice(denominators))
             dvec[p] = max(near + offset * rng.choice([-1, 1]), Fraction(1, 13))
         expected = _feasibility_outcome(reference_feasibility, base, dvec)
         assert _feasibility_outcome(feasibility_violation, base, dvec) == expected
         kinds.add(_refusal_kind(expected))
-    assert kinds == {"pass", "upper", "lower", "raised"}, kinds
+    assert kinds == {"pass", "upper", "lower"}, kinds
 
 
-def test_feasibility_raises_on_a_missing_pair_only_when_reached():
-    base = FinSpace((0, 1, 2), {(0, 1): 1, (0, 2): 1})
+def test_feasibility_refuses_the_first_failing_pair_of_the_points_given():
+    base = FinSpace((0, 1, 2), {(0, 1): 1, (0, 2): 1, (1, 2): 2})
     dvec = {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1)}
     assert feasibility_violation(base, dvec)[0] == (0, 1)  # refused before (1, 2)
-    dvec[1] = Fraction(1)
-    with pytest.raises(MissingDistanceError, match=r"pair \(1, 2\)"):
-        feasibility_violation(base, dvec)
-    # over a subset of the table's points, only their pairs are read
-    assert feasibility_violation(base, {0: Fraction(1), 2: Fraction(1)}, (0, 2)) is None
-    with pytest.raises(MissingDistanceError, match=r"pair \(1, 2\)"):
-        feasibility_violation(base, {1: Fraction(1), 2: Fraction(1)}, (1, 2))
+    assert feasibility_violation(base, {0: 1, 1: 1, 2: Fraction(1, 4)})[0] == (1, 2)
+    # over a subset of the table's points, only their pairs are tested
+    assert feasibility_violation(base, dvec, (0, 2)) is None
+    assert feasibility_violation(base, dvec, (1, 2))[0] == (1, 2)
 
 
 # -- extend_one_point ------------------------------------------------------------
@@ -191,6 +184,39 @@ def test_extend_refuses_a_slot_outside_its_own_base():
     wide = make_space(["x", "y", "z"], {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 2})
     with pytest.raises(SpaceError, match=r"^slot 3 outside 0\.\.1$"):
         extend_one_point(single, ExtensionType(wide, {0: Fraction(1)}, 3))
+
+
+def test_extend_one_point_matches_the_constructor_reference():
+    """The copied rows with the new column inserted make the space the
+    constructor makes of the base's entries and the new distances: the
+    same points, names, rows and scale, at every slot of seeded bases with
+    mixed denominators, ids out of order and a taken default name."""
+    rng = random.Random(34)
+    denominators = [1, 2, 3, 4, 6, 9]
+    rescaled = 0
+    for _ in range(120):
+        size = rng.randint(0, 6)
+        weights = {
+            (i, j): Fraction(rng.randint(1, 12), rng.choice(denominators))
+            for i, j in combinations(range(size + 1), 2)
+        }
+        whole = path_metric_space(size + 1, weights)  # the new point is its last
+        ids = rng.sample(range(12), size)
+        names = {p: rng.choice(["x", "y", f"p{max(ids, default=-1) + 1}"]) + str(i) for i, p in enumerate(ids)}
+        if ids and rng.random() < 0.5:
+            names[ids[0]] = f"p{max(ids) + 1}"
+        entries = {(ids[i], ids[j]): whole.d(i, j) for i, j in combinations(range(size), 2)}
+        base = FinSpace(ids, entries, names)
+        dvec = {p: whole.d(i, size) for i, p in enumerate(ids)}
+        for slot in range(size + 1):
+            ext = ExtensionType(base, dvec, slot)
+            grown, want = extend_one_point(base, ext), reference_extend_one_point(base, ext)
+            assert_complete_table(grown)
+            assert (grown.points, grown.names, grown._rows, grown._scale) == (
+                want.points, want.names, want._rows, want._scale
+            )
+        rescaled += grown._scale != base._scale
+    assert rescaled >= 10
 
 
 def test_feasibility_matches_validation_oracle():
@@ -367,35 +393,6 @@ def test_amalgam_refuses_each_bad_input_embedding(side, case):
     amalgamate(a, b, c, map_of(good_a), map_of(good_b))
 
 
-@pytest.mark.parametrize(
-    "a, b, overlap, pair",
-    [
-        # a lacks an anchor's distance to one of its own points
-        (FinSpace((0, 1), {}), FinSpace((0, 5), {(0, 5): 2}), (0,), "(1, 0)"),
-        # b lacks an anchor's distance to an extra point
-        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5), {}), (0,), "(0, 5)"),
-        # b lacks the distance between two extra points
-        (
-            FinSpace((0, 1), {(0, 1): 1}),
-            FinSpace((0, 5, 6), {(0, 5): 1, (0, 6): 1}),
-            (0,),
-            "(5, 6)",
-        ),
-        # an empty overlap reads every pair of a for its diameter
-        (
-            FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}),
-            FinSpace((5,), {}),
-            (),
-            "(0, 2)",
-        ),
-    ],
-)
-def test_amalgam_names_the_missing_pair_it_reads(a, b, overlap, pair):
-    c = FinSpace(overlap, {})
-    with pytest.raises(MissingDistanceError, match=re.escape(f"pair {pair}")):
-        amalgamate(a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, overlap))
-
-
 def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
     """Oracle for the output amalgamate does not re-check: on every span of
     the size-3 slice over {1, 2}, the empty overlap included, the square
@@ -408,6 +405,7 @@ def test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out():
         for (a, into_a), (b, into_b) in product(zip(spaces, into), repeat=2):
             for e_a, e_b in product(into_a, into_b):
                 glued, f_a, f_b = amalgamate(a, b, c, e_a, e_b)
+                assert_complete_table(glued)
                 overlap = [f_a(e_a(z)) for z in c.points]
                 assert overlap == [f_b(e_b(z)) for z in c.points]
                 assert embedding_ok(a, glued, f_a) and embedding_ok(b, glued, f_b)
@@ -440,8 +438,7 @@ def amalgam_outcome(glue, a, b, c, e_a, e_b):
 
 def failing_spans():
     """Spans that ``amalgamate`` refuses: each kind of bad embedding on
-    either side and on both, an a and a b that are not metrics, and a
-    missing pair in a and in b, also behind a bad e_b."""
+    either side and on both, and an a and a b that are not metrics."""
     c, a, b = BAD_INPUT_C, BAD_INPUT_A, BAD_INPUT_B
     good_a, good_b = map_of({0: 0, 1: 2}), map_of({0: 0, 1: 1})
     for bad_a, bad_b, _ in BAD_INPUTS.values():
@@ -461,16 +458,6 @@ def failing_spans():
     both = PartialIso((0, 1), (0, 1))
     yield not_metric, q_near, c, both, both
     yield q_near, not_metric, c, both, both
-    for a, b, overlap in [
-        (FinSpace((0, 1), {}), FinSpace((0, 5), {(0, 5): 2}), (0,)),
-        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5), {}), (0,)),
-        (FinSpace((0, 1), {(0, 1): 1}), FinSpace((0, 5, 6), {(0, 5): 1, (0, 6): 1}), (0,)),
-        (FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}), FinSpace((5,), {}), ()),
-        (FinSpace((5,), {}), FinSpace((0, 1, 2), {(0, 1): 1, (1, 2): 1}), ()),
-    ]:
-        c = FinSpace(overlap, {})
-        yield a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, overlap)
-        yield a, b, c, PartialIso(overlap, overlap), PartialIso(overlap, (7,) * len(overlap))
 
 
 def test_amalgamate_matches_the_reference():
@@ -494,7 +481,6 @@ def test_amalgamate_matches_the_reference():
         ("AmalgamError", "e_b"),
         ("AmalgamError", "amalgam"),
         ("AmalgamError", "cross"),
-        ("MissingDistanceError", "no"),
     }
 
 

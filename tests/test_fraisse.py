@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_complete_table,
     batch_blocks,
     batch_members,
     reference_amalgamate,
@@ -182,7 +183,10 @@ def test_valid_matrices_keep_the_grid_dtype():
     for dtype in DTYPES:
         grid = np.array([1, 2, 3], dtype=dtype)
         for size in (1, 2, 3):
-            assert _valid_matrices(size, grid).dtype == dtype
+            batch = _valid_matrices(size, grid)
+            assert batch.dtype == dtype
+            for matrix in batch:
+                assert_complete_table(fraisse._matrix_space(matrix, 3))
 
 
 @pytest.mark.parametrize("grid", [[1], [1, 2], [1, 2, 3], [2, 3, 5], [1, 2, 3, 4]])

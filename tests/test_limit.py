@@ -28,6 +28,7 @@ import ordmet.limit
 from ordmet.limit import store_bytes, tasks_of_weight
 
 from conftest import (
+    assert_complete_table,
     path_metric_space,
     reference_apply_auto,
     reference_column,
@@ -179,6 +180,8 @@ def test_builder_reads_like_its_stage():
         inserts += builder.position(builder.created[-1]) < len(builder) - 1
         rescales += builder._scale != scale
         _assert_reads_like_stage(builder)
+        assert_complete_table(builder)
+        assert_complete_table(before)
         # the snapshot taken before the step keeps its values, across a rescale too
         assert {pair: before.d(*pair) for pair in table} == table
         assert dict(before.entries) == {pair: table[pair] for pair in before.pairs()}

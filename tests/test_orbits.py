@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from ordmet import (
-    MissingDistanceError,
     PartialIso,
     SpaceError,
     build_witness,
@@ -16,7 +15,7 @@ from ordmet import (
     same_fix_orbit,
 )
 
-from conftest import BROKEN_KINDS, broken_table, or_missing, path_metric_space, reference_orbit_traces
+from conftest import broken_table, path_metric_space, reference_orbit_traces
 
 
 def equidistant(n):
@@ -176,22 +175,20 @@ def test_orbit_members_extend_via_back_and_forth(witness):
 
 
 def test_orbit_traces_matches_reference_on_broken_tables():
-    """On tables broken each way, the search that tests the support once
-    per entry finds the set the per-node search finds, or both raise for a
-    missing distance; both outcomes and every kind of table occur."""
+    """On tables with a zero distance between distinct points, the search
+    that tests the support once per entry finds the set the per-node
+    search finds; orbits beyond ``t`` itself and orbits of ``t`` alone both
+    occur."""
     rng = random.Random("broken-orbits")
     seen = Counter()
     for trial in range(400):
-        kind = BROKEN_KINDS[trial % len(BROKEN_KINDS)]
-        stage = broken_table(rng, kind)
+        stage = broken_table(rng, "zero")
         support = rng.sample(stage.points, rng.randint(0, 2))
         t = tuple(rng.choice(stage.points) for _ in range(rng.randint(1, 3)))
-        want = or_missing(reference_orbit_traces, stage, support, t)
-        assert or_missing(orbit_traces, stage, support, t) == want, (trial, kind)
-        seen[kind] += 1
-        seen["raised" if want is MissingDistanceError else "returned"] += 1
-        seen["larger"] += want is not MissingDistanceError and len(want) > 1
-    assert min(seen.values()) >= 10, seen
+        want = reference_orbit_traces(stage, support, t)
+        assert orbit_traces(stage, support, t) == want, trial
+        seen["larger" if len(want) > 1 else "alone"] += 1
+    assert len(seen) == 2 and min(seen.values()) >= 10, seen
 
 
 def test_orbit_traces_of_a_tuple_past_the_recursion_limit():

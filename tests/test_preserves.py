@@ -6,7 +6,8 @@ predicate; ``embedding_ok``, ``canonical_iso``, ``partial_iso_ok``,
 compared with ``reference_preserves`` on seeded random maps, valid and
 broken, and the broken ones must include maps that break exactly one
 property.  ``agreeing``, the candidate filter of the orbit and image
-searches, is compared with a filter by ``agrees_located`` on broken tables.
+searches, is compared with a filter by ``agrees_located`` on tables with a
+zero distance.
 """
 
 import random
@@ -18,7 +19,6 @@ import pytest
 
 from ordmet import (
     FinSpace,
-    MissingDistanceError,
     PartialIso,
     canonical_iso,
     embedding_ok,
@@ -30,9 +30,7 @@ from ordmet import (
 from ordmet.spaces import agreeing, agrees, agrees_located, locate, preserves
 
 from conftest import (
-    BROKEN_KINDS,
     broken_table,
-    or_missing,
     path_metric_space,
     reference_failures,
     reference_preserves,
@@ -184,20 +182,6 @@ def test_embedding_ok_refuses_bad_maps_without_raising(case):
     assert embedding_ok(source, target, PartialIso(tuple(mapping), tuple(mapping.values()))) is False
 
 
-def test_missing_entry_is_read_only_after_identity_and_order_pass():
-    """On a table without d(0, 2), a map that breaks order at that pair is
-    rejected before the distance is read; one that keeps identity and
-    order there has to read it and raises."""
-    holey = FinSpace((0, 1, 2), {(0, 1): Fraction(1), (1, 2): Fraction(1)})
-    swapped, fixed = ((0, 2), (2, 0)), ((0, 2), (0, 2))
-    assert not preserves(holey, holey, zip(*swapped))
-    assert not partial_iso_ok(holey, PartialIso(*swapped))
-    with pytest.raises(MissingDistanceError):
-        preserves(holey, holey, zip(*fixed))
-    with pytest.raises(MissingDistanceError):
-        partial_iso_ok(holey, PartialIso(*fixed))
-
-
 def test_orbit_traces_matches_brute_force_scan():
     """Every tuple of the stage whose map from ``t`` (support fixed)
     passes the oracle, and no other; orbits beyond ``t`` itself and
@@ -222,39 +206,25 @@ def test_orbit_traces_matches_brute_force_scan():
 
 def test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables():
     """``agreeing`` returns the candidates that ``agrees_located`` accepts,
-    in order, or raises where a filter by it raises, on tables broken each
-    way.  Its row lookup drops candidates, and finds a missing entry on one
-    side only, each in many trials."""
+    in order, on tables with a zero distance between distinct points.  Its
+    row lookup drops candidates, the call after it drops more, and some
+    are accepted, each in many trials."""
     rng = random.Random("agreeing")
     seen = Counter()
     for trial in range(400):
-        kind = BROKEN_KINDS[trial % len(BROKEN_KINDS)]
-        space = broken_table(rng, kind)
+        space = broken_table(rng, "zero")
         rows = space._rows
 
         def located(count):
             return locate(space, space, [(rng.choice(space.points), rng.choice(space.points)) for _ in range(count)])
 
         options, placed = located(rng.randint(0, 8)), located(rng.randint(0, 3))
-        want = or_missing(lambda: [here for here in options if agrees_located(rows, rows, 1, 1, here, placed)])
-        assert or_missing(agreeing, rows, options, placed) == want, trial
-        seen[kind] += 1
-        seen["raised" if want is MissingDistanceError else "returned"] += 1
+        want = [here for here in options if agrees_located(rows, rows, 1, 1, here, placed)]
+        assert agreeing(rows, options, placed) == want, trial
+        seen["accepted"] += bool(want)
         if placed:
             _, _, xp0, yq0 = placed[0]
-            firsts = [(rows[xp][xp0], rows[yq][yq0]) for _, _, xp, yq in options]
-            seen["dropped"] += any(None not in (dx, dy) and dx != dy for dx, dy in firsts)
-            seen["one-sided-none"] += any((dx is None) != (dy is None) for dx, dy in firsts)
-    assert min(seen.values()) >= 10, seen
-
-
-def test_agreeing_reads_the_directed_entries():
-    """d(0, 1) is given as 1 and d(1, 0) as 2.  Sending 0 to 2 agrees with
-    the placed pair (1, 3) when read as the predicate reads it, d(0, 1)
-    against d(2, 3); the transposed entries, d(1, 0) and d(3, 2), differ."""
-    space = FinSpace(range(4), {(0, 1): 1, (1, 0): 2, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1})
-    rows = space._rows
-    here, placed = locate(space, space, [(0, 2), (1, 3)])
-    assert rows[1][0] != rows[3][2]
-    assert agrees_located(rows, rows, 1, 1, here, [placed])
-    assert agreeing(rows, [here], [placed]) == [here]
+            narrowed = [here for here in options if rows[here[2]][xp0] == rows[here[3]][yq0]]
+            seen["dropped"] += len(narrowed) < len(options)
+            seen["dropped after"] += len(want) < len(narrowed)
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen

@@ -12,7 +12,7 @@ from ordmet.rationals import parse_rational
 from ordmet.spacefile import SpaceParseError, parse_space, serialize_space
 from ordmet.spaces import store_bytes
 
-from conftest import chain_space, path_metric_space
+from conftest import assert_complete_table, chain_space, path_metric_space
 
 UNIT_PAIR_DOC = """space
 point p
@@ -314,6 +314,8 @@ def test_parse_space_matches_the_line_parser_on_mutated_documents(text, kind, da
     doc = "\n".join(mutate(text.split("\n")[:-1], kind, data)) + "\n"
     want = outcome(spacefile._parse_lines, doc)
     assert outcome(parse_space, doc) == want
+    if not isinstance(want[0], type):
+        assert_complete_table(spacefile._parse_lines(doc))
     read = spacefile._read_canonical(doc)
     assert read is None or facts(read) == want
 
@@ -346,6 +348,7 @@ def test_written_spaces_load_without_the_line_parser(text):
     with pytest.MonkeyPatch.context() as patch:
         refuse_line_parsing(patch)
         assert outcome(parse_space, text) == want
+        assert_complete_table(parse_space(text))
         assert serialize_space(parse_space(text)) == text
 
 

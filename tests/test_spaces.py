@@ -22,6 +22,9 @@ from ordmet.spacefile import parse_space, serialize_space
 from ordmet.spaces import locate, preserves
 
 from conftest import (
+    REFUSED_KINDS,
+    assert_complete_table,
+    broken_table,
     chain_space,
     path_metric_space,
     reference_d,
@@ -45,28 +48,29 @@ def brute_force_pair_slots(space, dist):
 
 
 def test_entries_read_the_rows_as_fractions():
-    given, back, there, here = Fraction(2, 3), Fraction(3, 4), Fraction(1, 5), Fraction(2, 5)
+    given, back, both = Fraction(2, 3), Fraction(3, 4), Fraction(1, 5)
     table = {
         (0, 1): 1,
         (0, 2): "3/4",
         (1, 2): given,
         (3, 0): back,
-        (1, 3): there,
-        (3, 1): here,
-        (2, 2): Fraction(1),
+        (1, 3): both,
+        (3, 1): Fraction(2, 10),
+        (2, 3): 2,
+        (2, 2): 0,
     }
     space = FinSpace((0, 1, 2, 3), table)
-    # position pairs in order, a reversed key read forward, an asymmetric
-    # pair read as given, the missing pair (2, 3) and the diagonal left out
-    want = {(0, 1): 1, (0, 2): Fraction(3, 4), (0, 3): back, (1, 2): given, (1, 3): there}
+    # position pairs in order, a reversed key read forward, a pair given
+    # both ways with one value read once, the zero diagonal left out
+    want = {(0, 1): 1, (0, 2): Fraction(3, 4), (0, 3): back, (1, 2): given, (1, 3): both, (2, 3): 2}
     assert list(space.entries.items()) == list(want.items())
-    assert [type(v) for v in space.entries.values()] == [Fraction] * 5
+    assert [type(v) for v in space.entries.values()] == [Fraction] * 6
     assert space.d(2, 0) == Fraction(3, 4)  # a str value is parsed
-    assert (space.d(1, 3), space.d(3, 1), space.d(2, 2)) == (there, here, 1)
+    assert (space.d(1, 3), space.d(3, 1), space.d(2, 2)) == (both, both, 0)
     assert space.subspace(space.points).entries == want
     sub = space.subspace([3, 1, 2])
-    assert sub.entries == {(1, 2): given, (1, 3): there}
-    assert (sub.d(3, 1), sub.d(2, 2)) == (here, 1)
+    assert sub.entries == {(1, 2): given, (1, 3): both, (2, 3): 2}
+    assert (sub.d(3, 1), sub.d(2, 2)) == (both, 0)
 
 
 def test_singleton_valid():
@@ -89,21 +93,49 @@ def test_k1_chain_valid(k1_chain):
 
 
 def test_missing_pair_reported():
-    space = FinSpace((0, 1, 2), {(0, 1): Fraction(1), (0, 2): Fraction(1)})
-    report = validate(space)
-    kinds = [v.kind for v in report.violations]
-    assert kinds == ["missing"]
-    assert report.violations[0].points == (1, 2)
+    """Construction names the first pair without a distance, in position
+    order, whichever way round the other pairs are given."""
+    with pytest.raises(MissingDistanceError, match=r"^no distance recorded for pair \(1, 2\)$"):
+        FinSpace((0, 1, 2, 3), {(0, 1): 1, (0, 2): 1, (3, 0): 1})
+    with pytest.raises(MissingDistanceError, match=r"^no distance recorded for pair \(2, 1\)$"):
+        FinSpace((2, 0, 1), {(0, 2): 1})
+    with pytest.raises(MissingDistanceError, match=r"pair \(0, 1\)$"):
+        make_space(["x", "y", "z"], {("y", "z"): 1})
 
 
 def test_asymmetry_reported():
-    space = FinSpace((0, 1), {(0, 1): Fraction(1), (1, 0): Fraction(2)})
-    assert [v.kind for v in validate(space).violations] == ["symmetry"]
+    """A pair given both ways with two values is refused, naming the pair
+    as its second key gives it; both ways with one value is accepted."""
+    with pytest.raises(SpaceError, match=r"^pair \(1, 0\) is given two distances$") as refused:
+        FinSpace((0, 1), {(0, 1): Fraction(1), (1, 0): Fraction(2)})
+    assert type(refused.value) is SpaceError
+    with pytest.raises(SpaceError, match="two distances"):
+        make_space(["x", "y"], {("x", "y"): "1/2", ("y", "x"): "1/3"})
+    space = FinSpace((0, 1), {(0, 1): "2/4", (1, 0): Fraction(1, 2)})
+    assert (space.d(0, 1), space.d(1, 0)) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_bad_diagonal_reported():
-    space = FinSpace((0, 1), {(0, 1): Fraction(1), (0, 0): Fraction(1)})
-    assert [v.kind for v in validate(space).violations] == ["identity"]
+    """A nonzero distance from a point to itself is refused; a zero one is
+    accepted."""
+    with pytest.raises(SpaceError, match=r"^nonzero distance from point 0 to itself$") as refused:
+        FinSpace((0, 1), {(0, 1): Fraction(1), (0, 0): Fraction(1)})
+    assert type(refused.value) is SpaceError
+    with pytest.raises(SpaceError, match="to itself"):
+        make_space(["x"], {("x", "x"): -1})
+    space = FinSpace((0, 1), {(0, 0): 0, (0, 1): Fraction(1), (1, 1): "0/3"})
+    assert validate(space).is_valid and space.d(1, 1) == 0
+
+
+def test_broken_tables_of_three_kinds_are_refused():
+    """``broken_table``'s kinds other than "zero" are tables the
+    constructor refuses, each with its own error."""
+    rng = random.Random("refused")
+    for kind in REFUSED_KINDS * 20:
+        with pytest.raises(SpaceError) as refused:
+            broken_table(rng, kind)
+        assert (type(refused.value) is MissingDistanceError) == (kind == "missing")
+    assert not validate(broken_table(rng, "zero")).is_valid
 
 
 def test_zero_distance_reported():
@@ -158,68 +190,90 @@ def random_table(rng):
     return tuple(range(size)), entries
 
 
+REFUSED_VIOLATIONS = {"identity", "missing", "symmetry"}
+
+
 def test_validate_matches_reference_on_candidate_tables():
+    """Construction raises exactly when the oracle reports a kind it
+    refuses: ``MissingDistanceError`` naming the oracle's first missing
+    pair when that is the only such kind, else ``SpaceError``.  Otherwise
+    ``validate`` reports what the oracle reports."""
     rng = random.Random(2024)
-    failing = 0
-    seen_kinds = set()
+    refused = failing = 0
+    seen_kinds, reported = set(), set()
     cases = 1500
     for _ in range(cases):
         points, entries = random_table(rng)
+        want = reference_violations(points, entries)
+        kinds = {v.kind for v in want}
+        seen_kinds |= kinds
+        if kinds & REFUSED_VIOLATIONS:
+            with pytest.raises(SpaceError) as exc:
+                FinSpace(points, entries)
+            if kinds & REFUSED_VIOLATIONS == {"missing"}:
+                pair = next(v.points for v in want if v.kind == "missing")
+                assert type(exc.value) is MissingDistanceError
+                assert str(exc.value) == f"no distance recorded for pair {pair}"
+            else:
+                assert type(exc.value) is SpaceError
+            refused += 1
+            continue
         violations = validate(FinSpace(points, entries)).violations
-        assert violations == reference_violations(points, entries)
+        assert violations == want
         failing += bool(violations)
-        seen_kinds |= {v.kind for v in violations}
-    assert failing >= cases // 2
-    assert seen_kinds == {"identity", "missing", "symmetry", "positivity", "triangle"}
+        reported |= kinds
+    assert refused >= cases // 4 and failing >= 30, (refused, failing)
+    assert seen_kinds == REFUSED_VIOLATIONS | reported and reported == {"positivity", "triangle"}
 
 
 def test_rows_resolve_like_the_given_table():
     """``d`` on every ordered pair and ``entries`` on every position pair
-    that has a value match the table as given, on broken candidate tables
-    of every kind."""
+    match the table as given, on every candidate table the constructor
+    accepts: pairs given both ways with one value, a zero diagonal entry,
+    huge denominators and values that are not positive among them."""
     rng = random.Random(808)
     seen = Counter()
     for _ in range(600):
         points, entries = random_table(rng)
-        space = FinSpace(points, entries)
+        try:
+            space = FinSpace(points, entries)
+        except SpaceError:
+            seen["refused"] += 1
+            continue
         for p in points:
             for q in points:
-                want = reference_d(entries, p, q)
-                if want is None:
-                    with pytest.raises(MissingDistanceError):
-                        space.d(p, q)
-                else:
-                    assert space.d(p, q) == want
+                assert space.d(p, q) == reference_d(entries, p, q)
         view = space.entries
-        want = [(pair, reference_d(entries, *pair)) for pair in combinations(points, 2)]
-        assert list(view.items()) == [(pair, v) for pair, v in want if v is not None]
+        assert list(view.items()) == [(pair, reference_d(entries, *pair)) for pair in combinations(points, 2)]
         assert all(type(v) is Fraction for v in view.values())
-        seen["missing"] += any(v is None for _, v in want)
-        seen["asymmetric"] += any(entries.get((q, p), v) != v for (p, q), v in entries.items())
+        seen["both ways"] += any(p != q and (q, p) in entries for p, q in entries)
         seen["diagonal"] += any(p == q for p, q in entries)
         seen["huge"] += any(v.denominator > 2**64 for v in entries.values())
         seen["nonpositive"] += any(v <= 0 for v in entries.values())
-    assert min(seen.values()) > 0 and len(seen) == 5
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 def test_subspace_keeps_the_given_table_among_kept_points():
     rng = random.Random(909)
+    subspaces = 0
     for _ in range(300):
         points, entries = random_table(rng)
         keep = set(rng.sample(points, rng.randint(0, len(points))))
-        sub = FinSpace(points, entries).subspace(keep)
+        try:
+            space = FinSpace(points, entries)
+        except SpaceError:
+            continue
+        sub = space.subspace(keep)
         kept = {(p, q): v for (p, q), v in entries.items() if p in keep and q in keep}
         assert sub.points == tuple(p for p in points if p in keep)
+        assert_complete_table(sub)
         assert sub.entries == FinSpace(sub.points, kept).entries
         assert validate(sub) == validate(FinSpace(sub.points, kept))
         for p in keep:
             for q in keep:
-                want = reference_d(kept, p, q)
-                if want is None:
-                    with pytest.raises(MissingDistanceError):
-                        sub.d(p, q)
-                else:
-                    assert sub.d(p, q) == want
+                assert sub.d(p, q) == reference_d(kept, p, q)
+        subspaces += 1
+    assert subspaces >= 100
 
 
 def test_parsed_and_sliced_spaces_view_the_position_pairs():
@@ -430,15 +484,6 @@ def test_unknown_point_rejected_at_construction():
     with pytest.raises(SpaceError):
         FinSpace((0, 1), {(0, 7): Fraction(1)})
 
-
-@pytest.mark.parametrize("missing_in", ["source", "target"])
-def test_enumerate_embeddings_raises_on_a_missing_pair(missing_in):
-    """A search over two or more source points compares distances, so a
-    missing pair in either table raises before any embedding is made."""
-    gappy = FinSpace((0, 1, 2), {(0, 1): Fraction(1), (1, 2): Fraction(1)})
-    x, y = (gappy, chain_space(1)) if missing_in == "source" else (chain_space(1, top=2), gappy)
-    with pytest.raises(MissingDistanceError, match="no distance recorded for pair"):
-        enumerate_embeddings(x, y)
 
 
 def test_locate_refuses_an_unknown_point():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_complete_table,
     enumerated_exhaust,
     reference_admissible,
     reference_distinct,
@@ -108,7 +109,9 @@ def test_table_is_a_metric(support, n, m):
 @settings(max_examples=40, deadline=None)
 @given(valid_spaces(max_size=5), st.integers(1, 3), st.integers(1, 3))
 def test_table_is_a_metric_on_random_supports(support, n, m):
-    assert validate(build_witness(support, n, m).space).is_valid
+    space = build_witness(support, n, m).space
+    assert_complete_table(space)
+    assert validate(space).is_valid
 
 
 def test_build_parameter_validation():

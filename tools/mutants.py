@@ -1,17 +1,18 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
-candidate filter ``agreeing`` (its row-lookup narrowing: the comparison,
-the directed read, the missing-entry clause), the completion rule (its
-minimum, its tie order and filler), ``amalgamate``'s input check
-(``_side``) and its e_a-before-e_b order, its lower-bound check of the
-completion (which only a side that is not a metric can fail, named
-anchor-major), its output as the span oracle sees it and its glued order's
+candidate filter ``agreeing`` (its row-lookup narrowing: the comparison and
+the sides of the placed pair it reads), the completion rule (its minimum,
+its tie order and filler), ``amalgamate``'s input check (``_side``) and its
+e_a-before-e_b order, its lower-bound check of the completion (which only a
+side that is not a metric can fail, named anchor-major), its output as the
+span oracle sees it, the symmetry of its glued rows and its glued order's
 sort keys (the tie between a gap's b points and the overlap point closing
 it, the key past the last overlap point), ``extend_one_point``'s slot check
-against its own base, the int-row space (its one conversion ``scaled`` and
-the exactness guard on it, its rescale ``_rows_over``, its refusal of a
-repeated point, the missing pairs ``entries`` leaves out, the reading of an
-asymmetric pair), its triangle pass and its embedding search's candidate
-order, the limit builder's stage layout, rescale, feasibility test (the one
+against its own base and its column insert, the int-row space (its one
+conversion ``scaled`` and the exactness guard on it, its rescale
+``_rows_over``, its refusals of a repeated point, a missing pair, a pair
+given two distances and a nonzero diagonal entry), its triangle pass and
+its embedding search's candidate order, the limit builder's stage layout,
+rescale, feasibility test (the one
 check ``realize`` makes, its scale factor and positivity check), fresh
 names and schedule (its first level, strictly increasing subsets, the gap
 bound), the entry checks of back-and-forth and ``apply_auto`` and image
@@ -88,7 +89,7 @@ PADDED = "tests/test_fraisse.py::test_padded_batch_reads_each_targets_own_classe
 PRESERVES = "tests/test_preserves.py::test_caller_matches_reference_preserves"
 IDENTITY = "tests/test_preserves.py::test_identity_is_checked_where_distances_cannot_tell"
 AGREEING = "tests/test_preserves.py::test_agreeing_keeps_what_agrees_located_accepts_on_broken_tables"
-NARROWING = "(dx := rows[here[2]][xp0]) == (dy := rows[here[3]][yq0])"
+NARROWING = "rows[here[2]][xp0] == rows[here[3]][yq0]"
 COLUMN = "tests/test_amalgam.py::test_shortest_path_column"
 GLUED_ORDER = (
     "tests/test_amalgam.py::test_amalgam_order_rule_gap_interleaving",
@@ -135,11 +136,25 @@ MUTANTS = [
         ("tests/test_spaces.py::test_duplicate_point_refused",),
     ),
     Mutant(
-        "entries-keeps-missing-pairs",
+        "missing-pair-accepted",
         SPACES,
-        "            if v is not None\n",
-        "",
-        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
+        "if None in row:",
+        "if False:",
+        ("tests/test_spaces.py::test_missing_pair_reported",),
+    ),
+    Mutant(
+        "two-distances-accepted",
+        SPACES,
+        "if rows[i][j] not in (None, value):",
+        "if False:",
+        ("tests/test_spaces.py::test_asymmetry_reported",),
+    ),
+    Mutant(
+        "nonzero-diagonal-accepted",
+        SPACES,
+        "if i == j and value:",
+        "if False:",
+        ("tests/test_spaces.py::test_bad_diagonal_reported",),
     ),
     Mutant(
         "agrees-identity-dropped",
@@ -165,7 +180,7 @@ MUTANTS = [
     Mutant(
         "agrees-distance-dropped",
         SPACES,
-        "if dx * fx != dy * fy:",
+        "if xrow[xp2] * fx != yrow[yq2] * fy:",
         "if False:",
         (f"{PRESERVES}[canonical_iso]", f"{PRESERVES}[same_fix_orbit]"),
     ),
@@ -180,14 +195,7 @@ MUTANTS = [
         "agreeing-narrowing-transposed",
         SPACES,
         NARROWING,
-        "(dx := rows[xp0][here[2]]) == (dy := rows[yq0][here[3]])",
-        ("tests/test_preserves.py::test_agreeing_reads_the_directed_entries",),
-    ),
-    Mutant(
-        "agreeing-narrowing-none-clause-dropped",
-        SPACES,
-        " or dx is None or dy is None",
-        "",
+        "rows[here[2]][yq0] == rows[here[3]][xp0]",
         (AGREEING,),
     ),
     Mutant(
@@ -210,13 +218,6 @@ MUTANTS = [
         "if ab > ac + bc:",
         "if ab >= ac + bc:",
         ("tests/test_spaces.py::test_validate_matches_reference_on_candidate_tables",),
-    ),
-    Mutant(
-        "asymmetric-pair-read-backwards",
-        SPACES,
-        "rows[j][i] = value\n        for (i, j), value in ints.items():\n            rows[i][j] = value",
-        "rows[i][j] = value\n        for (i, j), value in ints.items():\n            rows[j][i] = value",
-        ("tests/test_spaces.py::test_rows_resolve_like_the_given_table",),
     ),
     Mutant(
         "parse-memo-keyed-on-value",
@@ -339,6 +340,20 @@ MUTANTS = [
         "if not 0 <= ext.slot <= len(base):",
         "if False:",
         ("tests/test_amalgam.py::test_extend_refuses_a_slot_outside_its_own_base",),
+    ),
+    Mutant(
+        "extend-column-appended",
+        AMALGAM,
+        "row.insert(ext.slot, value)",
+        "row.append(value)",
+        ("tests/test_amalgam.py::test_extend_one_point_matches_the_constructor_reference",),
+    ),
+    Mutant(
+        "glued-b-pair-one-way",
+        AMALGAM,
+        "rows[i][j] = rows[j][i] = b_rows[b_at[q1]][b_at[q2]]",
+        "rows[i][j] = b_rows[b_at[q1]][b_at[q2]]",
+        ("tests/test_amalgam.py::test_every_span_of_a_slice_passes_the_output_checks_amalgamate_leaves_out",),
     ),
     Mutant(
         "column-wrong-filler",
