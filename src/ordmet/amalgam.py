@@ -17,15 +17,15 @@ of both sides over their common denominator, and so does
 all of its points or a subset, so ``realize`` tests a request on its own
 stage.  By Katetov's extension lemma, anchor distances that pass the
 two-sided triangle test on a metric space complete to a column that meets
-every triangle bound, so only ``amalgamate``, whose a or b may not be a
-metric, re-checks the lower bound against every anchor.
+every triangle bound, so no completed column is re-checked: ``amalgamate``
+refuses an a or b that is not a metric.
 
 ``amalgamate`` takes and returns embeddings as ``spaces.PartialIso``s,
 which name no spaces: the spaces come as their own arguments.  It is two
-steps: ``_side`` checks one input embedding and keeps the facts of that
-side alone, and ``_glue`` completes, orders and validates the glued space
-of two checked sides.  ``amalgamate`` runs them once per call, e_a's side
-first; the direct Fraisse engine checks each side once per overlap and
+steps: ``_side`` checks one input embedding and its space and keeps the
+facts of that side alone, and ``_glue`` completes and orders the glued
+space of two checked sides.  ``amalgamate`` runs them once per call, e_a's
+side first; the direct Fraisse engine checks each side once per overlap and
 glues once per span.
 """
 
@@ -62,8 +62,8 @@ class InfeasibleExtensionError(ValueError):
 
 
 class AmalgamError(ValueError):
-    """Inputs to amalgamate are not a span of embeddings, or the glued
-    space failed its own construction checks."""
+    """Inputs to amalgamate are not a span of embeddings between metric
+    spaces."""
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,10 @@ class _Side:
 def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> _Side:
     """``emb`` as a side of a span over ``c``, after the input checks of
     :func:`amalgamate`: its domain is exactly c's points, its images lie in
-    ``space``, and :func:`preserves` accepts it (identity, so injectivity,
-    order and distance).  A failed check raises ``AmalgamError`` naming
-    ``tag``; no distance is read but by ``preserves``."""
+    ``space``, :func:`preserves` accepts it (identity, so injectivity,
+    order and distance), and then ``space`` passes :func:`validate`.  A
+    failed check raises ``AmalgamError`` naming ``tag``, a failed
+    ``validate`` with the space's first violation."""
     mapping = emb.mapping
     if mapping.keys() != c._pos.keys():
         raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
@@ -240,6 +241,9 @@ def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> _Side:
         raise AmalgamError(f"{tag} does not land in its target")
     if not preserves(c, space, ((z, mapping[z]) for z in c.points)):
         raise AmalgamError(f"{tag} does not preserve structure")
+    report = validate(space)
+    if not report.is_valid:
+        raise AmalgamError(f"{tag} lands in an invalid space: " + report.violations[0].describe(space))
     return _Side(space, c, mapping)
 
 
@@ -259,28 +263,28 @@ def amalgamate(
     :func:`shortest_path_column`, and orders each overlap gap with a's
     points before b's, placing b's points by their positions in b.
 
-    Every call checks its inputs first, e_a and then e_b, with
+    Every call checks its inputs, e_a with a and then e_b with b, with
     :func:`_side`: each embedding's domain is exactly c's points, its images
-    lie in its target, and :func:`preserves` accepts it.  :func:`_glue`
-    then checks the completion and validates the glued space.
+    lie in its target, :func:`preserves` accepts it, and its target is a
+    metric.  :func:`_glue` then glues with no further check.
     """
-    return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"), c)
+    return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"))
 
 
-def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso, PartialIso]:
-    """The amalgam of two checked sides over ``c``, a's as ``left`` and b's
-    as ``right``: :func:`amalgamate` after its input checks.
+def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
+    """The amalgam of two checked sides over one overlap c, a's as ``left``
+    and b's as ``right``: :func:`amalgamate` after its input checks.
 
-    It checks the completion, anchor-major (a cross distance under an
-    anchor's lower bound, which only a or b that is not a metric can give,
-    is refused), and ``validate``s the glued space, which fails when a or b
-    is not a valid space.  The rest holds by construction, so it is not
-    re-checked: the square commutes because f_b sends each overlap point
-    e_b(z) to e_a(z); f_a is the identity over a's rows, copied verbatim;
-    f_b keeps b's order (e_a and e_b keep c's, and b's other points fill the
-    gaps in b's order) and b's distances (its extra pairs are copied, each
-    completed entry at an anchor equals its leg, and the overlap's own
-    distances are c's on both sides).
+    It checks nothing; every output property holds by construction.  The
+    glued space holds a's rows verbatim and an isometric copy of b (below),
+    and each completed column is the shortest path through the anchors, so
+    it is a metric (Katetov: the shortest-path amalgam of two metric spaces
+    is one).  The square commutes because f_b sends each overlap point
+    e_b(z) to e_a(z); f_a is the identity over a's rows; f_b keeps b's
+    order (e_a and e_b keep c's, and b's other points fill the gaps in b's
+    order) and b's distances (its extra pairs are copied, each completed
+    entry at an anchor equals its leg by b's triangles through the
+    anchors, and the overlap's own distances are c's on both sides).
     """
     a, b = left.space, right.space
     map_a, image_b, b_extra = left.mapping, right.image, right.extra
@@ -328,13 +332,6 @@ def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso,
         q_row = b_rows[b_at[q]]
         legs = [(row, q_row[b_at[zb]]) for row, zb in zip(anchor_rows, right.anchors)]
         column = shortest_path_column(legs, len(a), filler)
-        for (row, v), z in zip(legs, c.points):
-            for leg, value in zip(row, column):
-                if abs(leg - v) > value:
-                    raise AmalgamError(
-                        f"cross distance {Fraction(value, scale)} escapes the bound "
-                        f"through overlap point {c.name(z)}"
-                    )
         i = at[ids[q]]
         for j, value in zip(a_at, column):
             rows[i][j] = rows[j][i] = value
@@ -346,10 +343,5 @@ def _glue(left: _Side, right: _Side, c: FinSpace) -> tuple[FinSpace, PartialIso,
         taken.add(nm)
 
     glued = FinSpace._of_rows(order, rows, scale, names)
-    report = validate(glued)
-    if not report.is_valid:
-        raise AmalgamError(
-            "amalgam failed validation: " + report.violations[0].describe(glued)
-        )
     f_b = PartialIso(b.points, tuple(ids[q] if q in ids else map_a[image_b[q]] for q in b.points))
     return glued, left.f_a, f_b

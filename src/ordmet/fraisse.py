@@ -8,13 +8,14 @@ to canonical isomorphism with no duplicates.  Two engines produce the same
 report:
 
 * ``direct`` builds every span as real objects and routes it through
-  ``amalgamate``'s two steps and ``validate``.  The embeddings of each
+  ``amalgamate``'s two steps.  The overlaps are the empty space (the JEP
+  spans) and then every space (the AP spans); the embeddings of each
   overlap c into each space are enumerated once per c.  Each side of a
   span, one embedding of c into one space, is checked by ``_side`` at its
-  first use and kept for every later span over c, as a and as b; each span
-  is then one ``_glue`` call, which checks the completion and the glued
-  space.  Every span gets ``amalgamate``'s checks, verdict and message, in
-  its order.  Exact but slow; meant for small bounds and for
+  first use, the space validated with it, and kept for every later span
+  over c, as a and as b; each span is then one ``_glue`` call, which
+  checks nothing.  Every span gets ``amalgamate``'s checks, verdict and
+  message, in its order.  Exact but slow; meant for small bounds and for
   cross-checking.
 * ``vector`` rescales the grid to integers and checks the amalgam axioms
   with numpy.  For each span only the mixed triangle families can fail
@@ -71,7 +72,7 @@ import numpy as np
 
 from .amalgam import AmalgamError, _glue, _side
 from .rationals import format_rational
-from .spaces import STORE_BUDGET_BYTES, FinSpace, PartialIso, enumerate_embeddings, validate
+from .spaces import STORE_BUDGET_BYTES, FinSpace, enumerate_embeddings, validate
 
 
 @dataclass(frozen=True)
@@ -281,35 +282,26 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
                     hp_ok = False
                     counterexample = f"hp size={len(sp)} subset={keep}"
 
-    empty, nowhere = FinSpace((), {}), PartialIso((), ())
-    jep_checked = 0
-    jep_ok = True
-    for failure in _span_failures(spaces, empty, [[nowhere]] * len(spaces)):
-        jep_checked += 1
-        if failure is not None and jep_ok:
-            jep_ok = False
-            counterexample = counterexample or f"jep {failure}"
-
-    ap_checked = 0
-    ap_ok = True
-    for c in spaces:
+    # the empty overlap embeds once into every space: its spans are JEP's
+    checked, ok = {"jep": 0, "ap": 0}, {"jep": True, "ap": True}
+    for kind, c in [("jep", FinSpace((), {})), *(("ap", c) for c in spaces)]:
         into = [list(enumerate_embeddings(c, s)) for s in spaces]
         for failure in _span_failures(spaces, c, into):
-            ap_checked += 1
-            if failure is not None and ap_ok:
-                ap_ok = False
-                counterexample = counterexample or f"ap {failure}"
+            checked[kind] += 1
+            if failure is not None and ok[kind]:
+                ok[kind] = False
+                counterexample = counterexample or f"{kind} {failure}"
 
     return FraisseReport(
         max_size,
         grid_values,
         tuple(counts),
         hp_checked,
-        jep_checked,
-        ap_checked,
+        checked["jep"],
+        checked["ap"],
         hp_ok,
-        jep_ok,
-        ap_ok,
+        ok["jep"],
+        ok["ap"],
         counterexample,
     )
 
@@ -320,12 +312,12 @@ def _span_failures(spaces, c, into) -> Iterator[Optional[str]]:
     ``spaces`` and e_a, e_b over their lists in ``into``.
 
     A span is ``amalgamate`` made of its two steps, ``_glue`` of the sides
-    that ``_side`` checks.  Each side, one embedding into one space, is
-    built at its first use and kept for every later span over c, so it is
-    checked once as a and as b; one whose check fails keeps its message,
-    per tag, and every span that uses it fails with that message again.  A
-    span's e_a side is looked up before its e_b side, as ``amalgamate``
-    checks them."""
+    that ``_side`` checks; only a side can refuse it.  Each side, one
+    embedding into one space, is built at its first use and kept for every
+    later span over c, so it is checked and its space validated once as a
+    and as b; one whose check fails keeps its message, per tag, and every
+    span that uses it fails with that message again.  A span's e_a side is
+    looked up before its e_b side, as ``amalgamate`` checks them."""
     built = [[None] * len(embeddings) for embeddings in into]
     refused: dict[tuple[int, int, str], str] = {}
 
@@ -343,7 +335,7 @@ def _span_failures(spaces, c, into) -> Iterator[Optional[str]]:
     for i, k in ends:
         for j, l in ends:
             try:
-                _glue(side(i, k, "e_a"), side(j, l, "e_b"), c)
+                _glue(side(i, k, "e_a"), side(j, l, "e_b"))
             except AmalgamError as exc:
                 yield str(exc)
             else:

@@ -113,6 +113,10 @@ class _RowTable:
         return FinSpace._of_rows(pts, rows, self._scale, self.names)
 
 
+# How ``FinSpace`` reads a given distance, by its exact type.
+_READS = {Fraction: lambda value: value, int: Fraction, str: parse_rational}
+
+
 class FinSpace(_RowTable):
     """Finite ordered metric space.
 
@@ -120,12 +124,14 @@ class FinSpace(_RowTable):
     ids are opaque.  The constructor takes a mapping from point pairs to
     rationals, one value per unordered pair, given either way round or
     both ways with one value, and stores it once as symmetric int rows by
-    position, the only stored form of a distance.  A diagonal entry may be
-    given as 0.  It raises ``SpaceError`` for a repeated id, a pair given
-    two different values or a nonzero diagonal entry, and
-    ``MissingDistanceError`` for the first pair, in ``combinations``
-    order, that has no value.  :meth:`d` and ``entries`` make
-    ``Fraction``s from the rows when read.
+    position, the only stored form of a distance.  A value is a
+    ``Fraction``, an ``int`` or a ``str`` that :func:`parse_rational`
+    reads; anything else, a float included, raises ``SpaceError``.  A
+    diagonal entry may be given as 0.  It raises ``SpaceError`` for a
+    repeated id, a pair given two different values or a nonzero diagonal
+    entry, and ``MissingDistanceError`` for the first pair, in
+    ``combinations`` order, that has no value.  :meth:`d` and ``entries``
+    make ``Fraction``s from the rows when read.
     """
 
     __slots__ = ()
@@ -144,7 +150,10 @@ class FinSpace(_RowTable):
         for (p, q), value in entries.items():
             if p not in pos or q not in pos:
                 raise SpaceError(f"distance entry ({p}, {q}) references unknown point")
-            given[pos[p], pos[q]] = value if type(value) is Fraction else Fraction(value)
+            read = _READS.get(type(value))
+            if read is None:
+                raise SpaceError(f"distance {value!r} is not a Fraction, an int or a str")
+            given[pos[p], pos[q]] = read(value)
         scale = lcm(*{v.denominator for v in given.values()})
         rows: list[list] = [[None] * len(pts) for _ in pts]
         for (i, j), v in given.items():
@@ -216,15 +225,13 @@ def make_space(
 ) -> FinSpace:
     """Build a space from point names (in structural order) and per-pair values.
 
-    Convenience for tests and parsers; ids are allocated 0..n-1 in list order.
+    Convenience for tests and parsers; ids are allocated 0..n-1 in list
+    order, and each value is passed to :class:`FinSpace` as it is.
     """
     ids = {nm: i for i, nm in enumerate(names)}
     if len(ids) != len(names):
         raise SpaceError("duplicate point name")
-    entries = {}
-    for (a, b), v in dists.items():
-        value = parse_rational(v) if isinstance(v, str) else Fraction(v)
-        entries[(ids[a], ids[b])] = value
+    entries = {(ids[a], ids[b]): v for (a, b), v in dists.items()}
     return FinSpace(tuple(range(len(names))), entries, {i: nm for nm, i in ids.items()})
 
 

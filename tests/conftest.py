@@ -218,6 +218,33 @@ def reference_glued_order(a: FinSpace, b: FinSpace, c: FinSpace, e_a, e_b) -> li
     return order
 
 
+def reference_embedding_refusal(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> Optional[str]:
+    """The first of ``amalgamate``'s three checks of one input embedding
+    that fails, as its message, or None."""
+    mapping = emb.mapping
+    if mapping.keys() != c._pos.keys():
+        return f"{tag} is not defined exactly on the overlap space"
+    if not all(q in space._pos for q in mapping.values()):
+        return f"{tag} does not land in its target"
+    if not preserves(c, space, ((z, mapping[z]) for z in c.points)):
+        return f"{tag} does not preserve structure"
+    return None
+
+
+def reference_refusal(a: FinSpace, b: FinSpace, c: FinSpace, e_a, e_b) -> Optional[str]:
+    """The message ``amalgamate`` refuses a span with, or None: per side,
+    e_a's and then e_b's, its embedding's first failed check, else the
+    first violation of its space by ``reference_violations``."""
+    for space, emb, tag in ((a, e_a, "e_a"), (b, e_b, "e_b")):
+        refusal = reference_embedding_refusal(space, c, emb, tag)
+        if refusal is not None:
+            return refusal
+        violations = reference_violations(space.points, space.entries)
+        if violations:
+            return f"{tag} lands in an invalid space: " + violations[0].describe(space)
+    return None
+
+
 def reference_amalgamate(
     a: FinSpace,
     b: FinSpace,
@@ -225,17 +252,18 @@ def reference_amalgamate(
     e_a: PartialIso,
     e_b: PartialIso,
 ) -> tuple[FinSpace, PartialIso, PartialIso]:
-    """``amalgamate`` as one function, the oracle for its split into
-    ``_side`` and ``_glue``: the same checks in the same order, and the same
-    glued space, maps, exceptions and messages."""
+    """``amalgamate`` as one function that re-checks its whole output, the
+    oracle for ``_side`` and ``_glue``: both embeddings checked as
+    ``_side`` checks them, then the glue, each completed cross distance
+    checked against every anchor's lower bound and the glued space
+    validated.  On a span of two metric spaces it gives the same glued
+    space and maps; it refuses the same spans, but a side that is not a
+    metric with a message of its own."""
     map_a, map_b = e_a.mapping, e_b.mapping
-    for mapping, tgt, tag in ((map_a, a, "e_a"), (map_b, b, "e_b")):
-        if mapping.keys() != c._pos.keys():
-            raise AmalgamError(f"{tag} is not defined exactly on the overlap space")
-        if not all(q in tgt._pos for q in mapping.values()):
-            raise AmalgamError(f"{tag} does not land in its target")
-        if not preserves(c, tgt, ((z, mapping[z]) for z in c.points)):
-            raise AmalgamError(f"{tag} does not preserve structure")
+    for tgt, emb, tag in ((a, e_a, "e_a"), (b, e_b, "e_b")):
+        refusal = reference_embedding_refusal(tgt, c, emb, tag)
+        if refusal is not None:
+            raise AmalgamError(refusal)
 
     image_b = {map_b[z]: z for z in c.points}
     b_extra = [q for q in b.points if q not in image_b]

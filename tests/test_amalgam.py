@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,7 +23,6 @@ from ordmet import (
     make_space,
     validate,
 )
-import ordmet.amalgam
 from ordmet.amalgam import feasibility_violation, shortest_path_column
 
 from conftest import (
@@ -32,6 +32,7 @@ from conftest import (
     reference_feasibility,
     reference_amalgamate,
     reference_glued_order,
+    reference_refusal,
     reference_shortest_path_column,
 )
 
@@ -333,23 +334,6 @@ def test_amalgam_order_rule_gap_interleaving():
     assert ordered_names == ["lowa", "lowb", "z", "higha", "highb"]
 
 
-def test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped(monkeypatch):
-    """Negative control: with the input-embedding check switched off, a
-    non-isometric e_b (c says 4, b says 1) reaches the completion re-check,
-    which must refuse it before the glued space is validated."""
-    c = make_space(["z1", "z2"], {("z1", "z2"): 4})
-    a = make_space(["z1", "z2"], {("z1", "z2"): 4})
-    b = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
-    e_a = e_b = PartialIso((0, 1), (0, 1))
-    with pytest.raises(AmalgamError, match="e_b does not preserve structure"):
-        amalgamate(a, b, c, e_a, e_b)
-    monkeypatch.setattr(ordmet.amalgam, "preserves", lambda x, y, pairs: True)
-    with pytest.raises(
-        AmalgamError, match="cross distance 1 escapes the bound through overlap point z1"
-    ):
-        amalgamate(a, b, c, e_a, e_b)
-
-
 # Spaces for the input checks: c has two points at distance 1, a and b each
 # hold it with one more point.
 BAD_INPUT_C = make_space(["z1", "z2"], {("z1", "z2"): 1})
@@ -451,7 +435,7 @@ def failing_spans():
     yield single, broken, empty, nowhere, nowhere
     one, at_x = make_space(["x"], {}), PartialIso((0,), (0,))
     yield broken, broken, one, at_x, at_x
-    # a not a metric at an anchor: the completion escapes z2's bound
+    # a or b not a metric at an anchor, under embeddings that preserve c
     c = make_space(["z1", "z2"], {("z1", "z2"): 1})
     not_metric = make_space(["z1", "z2", "p"], {("z1", "z2"): 1, ("z1", "p"): 1, ("z2", "p"): 5})
     q_near = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
@@ -462,9 +446,10 @@ def failing_spans():
 
 def test_amalgamate_matches_the_reference():
     """``_glue`` of two ``_side``s gives what the one-function reference
-    gives, the glued space and maps or the exception's type and message,
-    on every span of the size-3 slices over {1, 2} and {1, 3} and on the
-    failing spans, where each kind of refusal occurs."""
+    gives, the glued space and maps, on every span of the size-3 slices
+    over {1, 2} and {1, 3}.  On the failing spans both refuse, and
+    ``amalgamate`` names the first side that fails: a bad embedding, or a
+    space that is not a metric, for e_a and for e_b."""
     spans = 0
     for grid in ([1, 2], [1, 3]):
         for span in slice_spans(3, grid):
@@ -474,14 +459,60 @@ def test_amalgamate_matches_the_reference():
     refusals = set()
     for span in failing_spans():
         got = amalgam_outcome(amalgamate, *span)
-        assert got == amalgam_outcome(reference_amalgamate, *span)
-        refusals.add((got[0].__name__, got[1].split(" ")[0]))
-    assert refusals == {
-        ("AmalgamError", "e_a"),
-        ("AmalgamError", "e_b"),
-        ("AmalgamError", "amalgam"),
-        ("AmalgamError", "cross"),
-    }
+        assert amalgam_outcome(reference_amalgamate, *span)[0] is AmalgamError
+        assert got == (AmalgamError, reference_refusal(*span))
+        refusals.add((got[1].split(" ")[0], "invalid space" in got[1]))
+    assert refusals == {("e_a", False), ("e_b", False), ("e_a", True), ("e_b", True)}
+
+
+# Grids of the random spans: {1, 2} gives only metrics, 0 breaks
+# positivity and 3 against 1 breaks a triangle.
+RANDOM_SPAN_GRIDS = ([1, 2], [1, 3], [0, 1, 2], [Fraction(1, 2), 1, 3])
+
+
+def random_span(rng, grid):
+    """A span of random tables over ``grid``, metric or not: a of 1-4
+    points, c the subspace of a random subset, and b holding c's table at
+    random positions among 0-3 more points, so that both embeddings pass
+    their checks."""
+    ka = rng.randint(1, 4)
+    a = FinSpace(range(ka), {pair: rng.choice(grid) for pair in combinations(range(ka), 2)})
+    c = a.subspace(sorted(rng.sample(a.points, rng.randint(0, ka))))
+    kb = len(c) + rng.randint(0 if len(c) else 1, 3)
+    at = sorted(rng.sample(range(kb), len(c)))
+    of_c = dict(zip(at, c.points))
+    b = FinSpace(
+        range(kb),
+        {
+            (i, j): c.d(of_c[i], of_c[j]) if i in of_c and j in of_c else rng.choice(grid)
+            for i, j in combinations(range(kb), 2)
+        },
+    )
+    return a, b, c, PartialIso(c.points, c.points), PartialIso(c.points, tuple(at))
+
+
+def test_amalgamate_refuses_exactly_the_spans_the_full_recheck_refuses():
+    """On seeded random spans whose sides may not be metrics, ``amalgamate``
+    refuses exactly the spans that the reference, which re-checks every
+    completed distance and validates the glued space, refuses: those with a
+    side that is not a metric, with that side's first violation.  Every
+    other span glues as the reference glues it."""
+    rng = random.Random(35)
+    outcomes = {"glued": 0, "refused": 0}
+    for grid in RANDOM_SPAN_GRIDS:
+        for _ in range(1100):
+            span = random_span(rng, [Fraction(v) for v in grid])
+            got = amalgam_outcome(amalgamate, *span)
+            expected = amalgam_outcome(reference_amalgamate, *span)
+            refusal = reference_refusal(*span)
+            assert (expected[0] is AmalgamError) == (refusal is not None)
+            if refusal is None:
+                assert got == expected
+                outcomes["glued"] += 1
+            else:
+                assert got == (AmalgamError, refusal)
+                outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
 
 
 def line_space(ids, xs) -> FinSpace:
@@ -538,27 +569,30 @@ def test_shortest_path_column_completes_through_every_anchor(unit):
     assert shortest_path_column(legs, 3, None) == [unit, 2 * unit, 3 * unit]
 
 
-@pytest.mark.parametrize("unit", [1, Fraction(1, 3)])
-def test_amalgam_reports_first_escape_anchor_major(unit):
-    """Only a side that is not a metric takes a cross distance under an
-    anchor's lower bound; the embeddings preserve structure, so the
-    completion check is what refuses, naming the first escape in
-    anchor-major order."""
-    c = make_space(["z1", "z2"], {("z1", "z2"): 4 * unit})
-    # b holds the anchors at 4 and q at 1 from both: q completes to 1 from
-    # each anchor of a, under anchor z1's bound |4 - 1| at z2 (point-major
-    # order would name z2's bound at z1 first)
-    b = make_space(["z1", "z2", "q"], {("z1", "z2"): 4 * unit, ("z1", "q"): unit, ("z2", "q"): unit})
-    with pytest.raises(AmalgamError, match=f"^cross distance {unit} escapes the bound through overlap point z1$"):
-        amalgamate(c, b, c, PartialIso((0, 1), (0, 1)), PartialIso((0, 1), (0, 1)))
-    # a not a metric (d(z2, p) = 5 > d(z2, z1) + d(z1, p)): q at 1 from both
-    # anchors completes to 2 at p, which passes z1's bound and escapes z2's
-    c = make_space(["z1", "z2"], {("z1", "z2"): unit})
-    a = make_space(["z1", "z2", "p"], {("z1", "z2"): unit, ("z1", "p"): unit, ("z2", "p"): 5 * unit})
-    b = make_space(["z1", "z2", "q"], {("z1", "z2"): unit, ("z1", "q"): unit, ("z2", "q"): unit})
-    e_a = e_b = PartialIso((0, 1), (0, 1))
-    with pytest.raises(AmalgamError, match=f"^cross distance {2 * unit} escapes the bound through overlap point z2$"):
-        amalgamate(a, b, c, e_a, e_b)
+@pytest.mark.parametrize("kind", ["positivity", "triangle"])
+@pytest.mark.parametrize("tag", ["e_a", "e_b"])
+def test_amalgam_refuses_a_side_that_is_not_a_metric(tag, kind):
+    """A side whose space is not a metric is refused by its own check,
+    after its embedding's checks, with the space's first violation, though
+    both embeddings preserve c.  With both sides bad, e_a's is named, and
+    a bad e_b comes after an a that is not a metric."""
+    c = make_space(["z1", "z2"], {("z1", "z2"): 1})
+    good = make_space(["z1", "z2", "q"], {("z1", "z2"): 1, ("z1", "q"): 1, ("z2", "q"): 1})
+    far = {"positivity": 0, "triangle": 5}[kind]
+    bad = make_space(["z1", "z2", "p"], {("z1", "z2"): 1, ("z1", "p"): 1, ("z2", "p"): far})
+    violation = {"positivity": "positivity z2 p: d = 0/1", "triangle": "triangle z2 p z1: 5/1 > 1/1 + 1/1"}[kind]
+    both, reversed_c = PartialIso((0, 1), (0, 1)), PartialIso((0, 1), (1, 0))
+    a, b = (bad, good) if tag == "e_a" else (good, bad)
+    with pytest.raises(AmalgamError, match=f"^{tag} lands in an invalid space: {re.escape(violation)}$"):
+        amalgamate(a, b, c, both, both)
+    with pytest.raises(AmalgamError):
+        reference_amalgamate(a, b, c, both, both)
+    with pytest.raises(AmalgamError, match="^e_a lands in an invalid space"):
+        amalgamate(bad, bad, c, both, both)
+    with pytest.raises(AmalgamError, match="^e_a lands in an invalid space"):
+        amalgamate(bad, good, c, both, reversed_c)
+    with pytest.raises(AmalgamError, match=f"^{tag} does not preserve structure$"):
+        amalgamate(a, b, c, *((reversed_c, both) if tag == "e_a" else (both, reversed_c)))
 
 
 @pytest.mark.parametrize("filler", [7, Fraction(5, 2)])

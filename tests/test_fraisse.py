@@ -916,9 +916,12 @@ def _report_lines(checked, counterexample, counts, hp, jep, ap):
 
 
 # One broken matrix appended to the size-3 slice over a grid: the direct
-# and vector reports (without the grid line), and the number and sha256 of
-# the AmalgamError messages the direct engine's amalgamate calls raise, in
-# order, joined by newlines.
+# and vector reports (without the grid line), and the direct engine's
+# per-span outcomes from ``_span_failures``, JEP spans then AP spans: their
+# number, the number that fail, the sha256 of the string of one 0 or 1 per
+# span (1 for a failure) and the sha256 of the failures' messages, in
+# order, joined by newlines.  The 0/1 pattern is the one that re-checking
+# every completed distance and validating every glued space gives.
 BROKEN_SLICES = {
     "triangle": (
         (1, 3),
@@ -932,8 +935,12 @@ BROKEN_SLICES = {
             "FAIL",
             "FAIL",
         ),
-        200,
-        "79fa539ca20f1155d3644c46f5f62d32ae308fb2583f6acf5a71ac9dd878a2e6",
+        (
+            818,
+            200,
+            "dc859e551bdf0265faaae0933a18daa6d8b3e0e12e425b2ed768b5a33a19a756",
+            "2d0e7d45af998bf843587aaff050a81e9b0d7b4e51f035d9b78f0b272f3bf2b5",
+        ),
     ),
     "positivity": (
         (1, 2),
@@ -947,8 +954,12 @@ BROKEN_SLICES = {
             "FAIL",
             "FAIL",
         ),
-        144,
-        "660397a49bedb1bb67b54532b4e1164a826a8edb0a9e395c380d46ef77b083bf",
+        (
+            1452,
+            144,
+            "102366b3764a569940d797c8837344af7f18eeab6a85e6a3b4935a4553544c60",
+            "7e6b84dcd5334f22c9c1431ce27cfd7b43165cf98b992f3bb0ec1b9b0e014383",
+        ),
     ),
 }
 
@@ -956,31 +967,32 @@ BROKEN_SLICES = {
 @pytest.mark.parametrize("broken", sorted(BROKEN_SLICES))
 def test_injected_broken_space_gets_the_recorded_reports(monkeypatch, broken):
     """Both engines report the recorded lines, with the same hp, jep and ap
-    verdicts, and the direct engine's per-span glue calls raise the recorded
-    messages in the recorded order."""
-    grid, matrix, direct_lines, vector_lines, raised, digest = BROKEN_SLICES[broken]
+    verdicts, and the direct engine's spans fail in the recorded pattern
+    with the recorded messages."""
+    grid, matrix, direct_lines, vector_lines, (spans, failing, pattern, digest) = BROKEN_SLICES[broken]
     grid_values, scale, int_grid = fraisse._prepare_grid([Fraction(v) for v in grid])
     per_size = [_valid_matrices(k, int_grid) for k in (1, 2, 3)]
     bad = np.array(matrix, dtype=int_grid.dtype)
     per_size[len(bad) - 1] = np.concatenate([per_size[len(bad) - 1], bad[None]])
-    messages = []
+    outcomes = []
 
     def recording(*args):
-        try:
-            return glue(*args)
-        except AmalgamError as exc:
-            messages.append(str(exc))
-            raise
+        for failure in span_failures(*args):
+            outcomes.append(failure)
+            yield failure
 
-    glue = fraisse._glue
-    monkeypatch.setattr(fraisse, "_glue", recording)
+    span_failures = fraisse._span_failures
+    monkeypatch.setattr(fraisse, "_span_failures", recording)
     direct = fraisse._direct_engine(3, grid_values, scale, per_size).lines()
     vector = fraisse._vector_engine(3, grid_values, per_size).lines()
     assert [line for line in direct if not line.startswith("grid")] == direct_lines
     assert [line for line in vector if not line.startswith("grid")] == vector_lines
     verdicts = [line for line in direct if line.startswith(("hp ", "jep ", "ap "))]
     assert verdicts == [line for line in vector if line.startswith(("hp ", "jep ", "ap "))]
-    assert len(messages) == raised
+    messages = [failure for failure in outcomes if failure is not None]
+    assert (len(outcomes), len(messages)) == (spans, failing)
+    bits = "".join("0" if failure is None else "1" for failure in outcomes)
+    assert hashlib.sha256(bits.encode()).hexdigest() == pattern
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +19,7 @@ from ordmet import (
     make_space,
     validate,
 )
+from ordmet.rationals import parse_rational
 from ordmet.spacefile import parse_space, serialize_space
 from ordmet.spaces import locate, preserves
 
@@ -148,6 +150,30 @@ def test_duplicate_point_refused():
         FinSpace((0, 0, 1), {(0, 1): Fraction(1)})
     with pytest.raises(SpaceError, match="listed twice"):
         FinSpace((1, 0, 1), {})
+
+
+@pytest.mark.parametrize(
+    "value, refusal",
+    [
+        ("1.5", "malformed rational '1.5'"),
+        ("1e-3", "malformed rational '1e-3'"),
+        ("1_0", "malformed rational '1_0'"),
+        (0.1, "distance 0.1 is not a Fraction, an int or a str"),
+        (1.0, "distance 1.0 is not a Fraction, an int or a str"),
+        (True, "distance True is not a Fraction, an int or a str"),
+    ],
+    ids=["1.5", "1e-3", "1_0", "0.1", "1.0", "True"],
+)
+def test_a_distance_is_a_fraction_an_int_or_a_rational_string(value, refusal):
+    """One value rule for the constructor and ``make_space``: a Fraction
+    kept, an int converted, a str read as the space-file parser reads a
+    rational; a float, even a whole one, and a bool are refused."""
+    for build in (lambda v: FinSpace((0, 1), {(0, 1): v}), lambda v: make_space(["x", "y"], {("x", "y"): v})):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$") as refused:
+            build(value)
+        assert isinstance(refused.value, SpaceError) == (type(value) is not str)
+        for accepted in (Fraction(3, 2), 2, "3/2", " 2 "):
+            assert build(accepted).d(0, 1) == parse_rational(str(accepted))
 
 
 def test_validate_pure():

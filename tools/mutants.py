@@ -1,15 +1,15 @@
 """Mutation check for the shared map predicate and ``embedding_ok``, the
 candidate filter ``agreeing`` (its row-lookup narrowing: the comparison and
 the sides of the placed pair it reads), the completion rule (its minimum,
-its tie order and filler), ``amalgamate``'s input check (``_side``) and its
-e_a-before-e_b order, its lower-bound check of the completion (which only a
-side that is not a metric can fail, named anchor-major), its output as the
-span oracle sees it, the symmetry of its glued rows and its glued order's
-sort keys (the tie between a gap's b points and the overlap point closing
-it, the key past the last overlap point), ``extend_one_point``'s slot check
-against its own base and its column insert, the int-row space (its one
-conversion ``scaled`` and the exactness guard on it, its rescale
-``_rows_over``, its refusals of a repeated point, a missing pair, a pair
+its tie order and filler), ``amalgamate``'s input check (``_side``: the
+embedding, then the validity of that side's own space, not the overlap's)
+and its e_a-before-e_b order, its output as the span oracle sees it, the
+symmetry of its glued rows and its glued order's sort keys (the tie between
+a gap's b points and the overlap point closing it, the key past the last
+overlap point), ``extend_one_point``'s slot check against its own base and
+its column insert, the int-row space (its one conversion ``scaled`` and the
+exactness guard on it, its rescale ``_rows_over``, its value rule, which
+refuses a float, its refusals of a repeated point, a missing pair, a pair
 given two distances and a nonzero diagonal entry), its triangle pass and
 its embedding search's candidate order, the limit builder's stage layout,
 rescale, feasibility test (the one
@@ -115,10 +115,9 @@ SIDES_ONCE = "tests/test_fraisse.py::test_direct_engine_checks_each_side_once_pe
 FAILING_SIDE = "tests/test_fraisse.py::test_a_failing_side_is_checked_once_per_tag"
 AMALGAM_REFERENCE = "tests/test_amalgam.py::test_amalgamate_matches_the_reference"
 NARROWEST = "tests/test_fraisse.py::test_grid_dtype_is_the_narrowest_that_holds_five_times_top"
-ESCAPES = (
-    "tests/test_amalgam.py::test_amalgam_reports_first_escape_anchor_major",
-    "tests/test_amalgam.py::test_amalgam_reports_escaped_bound_when_embedding_check_is_skipped",
-)
+NOT_METRIC = "tests/test_amalgam.py::test_amalgam_refuses_a_side_that_is_not_a_metric"
+FULL_RECHECK = "tests/test_amalgam.py::test_amalgamate_refuses_exactly_the_spans_the_full_recheck_refuses"
+VALUE_RULE = "tests/test_spaces.py::test_a_distance_is_a_fraction_an_int_or_a_rational_string"
 
 MUTANTS = [
     Mutant(
@@ -127,6 +126,13 @@ MUTANTS = [
         "if any(q not in y for q in emb.cod):",
         "if False:",
         ("tests/test_preserves.py::test_embedding_ok_refuses_bad_maps_without_raising[outside-target]",),
+    ),
+    Mutant(
+        "float-distance-accepted",
+        SPACES,
+        "int: Fraction, str",
+        "int: Fraction, float: Fraction, str",
+        (f"{VALUE_RULE}[0.1]",),
     ),
     Mutant(
         "repeated-point-accepted",
@@ -302,16 +308,23 @@ MUTANTS = [
     Mutant(
         "amalgam-e_b-checked-first",
         AMALGAM,
-        'return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"), c)',
-        'right = _side(b, c, e_b, "e_b")\n    return _glue(_side(a, c, e_a, "e_a"), right, c)',
+        'return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"))',
+        'right = _side(b, c, e_b, "e_b")\n    return _glue(_side(a, c, e_a, "e_a"), right)',
         (f"{BAD_INPUT}[order-e_b]", AMALGAM_REFERENCE),
     ),
     Mutant(
-        "column-recheck-dropped",
+        "amalgam-side-validity-dropped",
         AMALGAM,
-        "if abs(leg - v) > value:",
+        "if not report.is_valid:",
         "if False:",
-        ESCAPES,
+        (f"{NOT_METRIC}[e_a-triangle]", f"{NOT_METRIC}[e_b-positivity]", FULL_RECHECK),
+    ),
+    Mutant(
+        "amalgam-side-validates-overlap",
+        AMALGAM,
+        "report = validate(space)",
+        "report = validate(c)",
+        (f"{NOT_METRIC}[e_a-positivity]", f"{NOT_METRIC}[e_b-triangle]", FULL_RECHECK),
     ),
     Mutant(
         "amalgam-overlap-image-not-through-e_a",
@@ -364,13 +377,6 @@ MUTANTS = [
             f"{COLUMN}_fills_an_empty_overlap",
             "tests/test_amalgam.py::test_amalgam_empty_overlap_constant",
         ),
-    ),
-    Mutant(
-        "column-escape-index-ignored",
-        AMALGAM,
-        "through overlap point {c.name(z)}",
-        "through overlap point {c.name(c.points[0])}",
-        (ESCAPES[0],),
     ),
     Mutant(
         "rows-over-scale-ignored",
@@ -542,8 +548,8 @@ MUTANTS = [
     Mutant(
         "direct-engine-e_b-side-first",
         FRAISSE,
-        '_glue(side(i, k, "e_a"), side(j, l, "e_b"), c)',
-        '_glue(*reversed((side(j, l, "e_b"), side(i, k, "e_a"))), c)',
+        '_glue(side(i, k, "e_a"), side(j, l, "e_b"))',
+        '_glue(*reversed((side(j, l, "e_b"), side(i, k, "e_a"))))',
         (FAILING_SIDE,),
     ),
     Mutant(
