@@ -22,11 +22,11 @@ refuses an a or b that is not a metric.
 
 ``amalgamate`` takes and returns embeddings as ``spaces.PartialIso``s,
 which name no spaces: the spaces come as their own arguments.  It is two
-steps: ``_side`` checks one input embedding and its space and keeps the
-facts of that side alone, and ``_glue`` completes and orders the glued
-space of two checked sides.  ``amalgamate`` runs them once per call, e_a's
-side first; the direct Fraisse engine checks each side once per overlap and
-glues once per span.
+steps: ``_side`` checks one input embedding and its space, and ``_glue``
+completes and orders the glued space of a span whose sides passed.
+``amalgamate`` checks e_a's side, then e_b's, then glues.  Only a side can
+refuse a span, so the direct Fraisse engine checks each side once per
+overlap and glues nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
@@ -196,39 +195,8 @@ def shortest_path_column(legs, size: int, filler):
     return column
 
 
-class _Side:
-    """One side of a span: ``space`` with the embedding of the overlap c
-    into it, after ``_side`` checked them, and the facts that depend on that
-    side alone, kept for its use as a and as b.  ``anchors`` are the images
-    of c's points in c's order.  As a: ``closing`` holds each anchor's
-    position and then ``len(space)``, ``keys`` each point's sort key,
-    ``f_a`` is the identity and ``taken`` holds the base names.  As b:
-    ``image`` maps each anchor to its point of c, ``extra`` lists the other
-    points in order, and ``gaps`` holds each one's gap among the anchors
-    (the index of the anchor that closes it, ``len(anchors)`` past the last)
-    and its position.  The diameter, which only an empty overlap reads, is
-    computed at its first use."""
-
-    def __init__(self, space: FinSpace, c: FinSpace, mapping: dict[PointId, PointId]):
-        at = space._pos
-        self.space, self.mapping = space, mapping
-        self.anchors = [mapping[z] for z in c.points]
-        anchor_at = [at[p] for p in self.anchors]
-        self.closing = anchor_at + [len(space)]
-        self.keys = [((i, 1, 0), p) for i, p in enumerate(space.points)]
-        self.f_a = PartialIso(space.points, space.points)
-        self.taken = frozenset(space.names.values())
-        self.image = {mapping[z]: z for z in c.points}
-        self.extra = [q for q in space.points if q not in self.image]
-        self.gaps = [(bisect_left(anchor_at, at[q]), at[q]) for q in self.extra]
-
-    @cached_property
-    def diameter(self) -> Fraction:
-        return diameter(self.space)
-
-
-def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> _Side:
-    """``emb`` as a side of a span over ``c``, after the input checks of
+def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> None:
+    """Check ``emb`` as a side of a span over ``c``, the input checks of
     :func:`amalgamate`: its domain is exactly c's points, its images lie in
     ``space``, :func:`preserves` accepts it (identity, so injectivity,
     order and distance), and then ``space`` passes :func:`validate`.  A
@@ -244,7 +212,6 @@ def _side(space: FinSpace, c: FinSpace, emb: PartialIso, tag: str) -> _Side:
     report = validate(space)
     if not report.is_valid:
         raise AmalgamError(f"{tag} lands in an invalid space: " + report.violations[0].describe(space))
-    return _Side(space, c, mapping)
 
 
 def amalgamate(
@@ -266,14 +233,23 @@ def amalgamate(
     Every call checks its inputs, e_a with a and then e_b with b, with
     :func:`_side`: each embedding's domain is exactly c's points, its images
     lie in its target, :func:`preserves` accepts it, and its target is a
-    metric.  :func:`_glue` then glues with no further check.
+    metric.  Only these checks can refuse a span; :func:`_glue` then glues
+    with no further check.
     """
-    return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"))
+    _side(a, c, e_a, "e_a")
+    _side(b, c, e_b, "e_b")
+    return _glue(a, b, c, e_a.mapping, e_b.mapping)
 
 
-def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
-    """The amalgam of two checked sides over one overlap c, a's as ``left``
-    and b's as ``right``: :func:`amalgamate` after its input checks.
+def _glue(
+    a: FinSpace,
+    b: FinSpace,
+    c: FinSpace,
+    map_a: Mapping[PointId, PointId],
+    map_b: Mapping[PointId, PointId],
+) -> tuple[FinSpace, PartialIso, PartialIso]:
+    """The amalgam of a span whose sides :func:`_side` accepted, with the
+    embeddings as their mappings: :func:`amalgamate` after its input checks.
 
     It checks nothing; every output property holds by construction.  The
     glued space holds a's rows verbatim and an isometric copy of b (below),
@@ -286,8 +262,11 @@ def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
     entry at an anchor equals its leg by b's triangles through the
     anchors, and the overlap's own distances are c's on both sides).
     """
-    a, b = left.space, right.space
-    map_a, image_b, b_extra = left.mapping, right.image, right.extra
+    b_at = b._pos
+    anchors_a = [a._pos[map_a[z]] for z in c.points]
+    anchors_b = [b_at[map_b[z]] for z in c.points]
+    image_b = {map_b[z]: z for z in c.points}
+    b_extra = [q for q in b.points if q not in image_b]
 
     # Ids: keep a's; b-only points keep theirs unless taken.
     used = set(a.points)
@@ -303,8 +282,9 @@ def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
     # keys (pos_a of the overlap point closing q's gap in b, len(a) past the
     # last one, 0, pos_b(q)), so a-side first inside a gap.  The overlap is
     # in c's order in a and in b, as both embeddings keep it.
-    closing = left.closing
-    keyed = left.keys + [((closing[gap], 0, at_b), ids[q]) for q, (gap, at_b) in zip(b_extra, right.gaps)]
+    closing = anchors_a + [len(a)]
+    keyed = [((i, 1, 0), p) for i, p in enumerate(a.points)]
+    keyed += [((closing[bisect_left(anchors_b, b_at[q])], 0, b_at[q]), ids[q]) for q in b_extra]
     order = [p for _, p in sorted(keyed)]
 
     # The glued table as int rows over the common denominator of a and b:
@@ -318,25 +298,24 @@ def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
     for i, a_row in zip(a_at, a_rows):
         for j, v in zip(a_at, a_row):
             rows[i][j] = v
-    b_at = b._pos
     for q1, q2 in combinations(b_extra, 2):
         i, j = at[ids[q1]], at[ids[q2]]
         rows[i][j] = rows[j][i] = b_rows[b_at[q1]][b_at[q2]]
 
     # the rows are symmetric, so an anchor's row in a is its column
-    anchor_rows = [a_rows[a._pos[za]] for za in left.anchors]
+    anchor_rows = [a_rows[i] for i in anchors_a]
     filler = 0
-    if not left.anchors and len(a) and len(b):
-        filler = scaled(1 + max(left.diameter, right.diameter), scale)
+    if not anchors_a and len(a) and len(b):
+        filler = scaled(1 + max(diameter(a), diameter(b)), scale)
     for q in b_extra:
         q_row = b_rows[b_at[q]]
-        legs = [(row, q_row[b_at[zb]]) for row, zb in zip(anchor_rows, right.anchors)]
+        legs = [(row, q_row[j]) for row, j in zip(anchor_rows, anchors_b)]
         column = shortest_path_column(legs, len(a), filler)
         i = at[ids[q]]
         for j, value in zip(a_at, column):
             rows[i][j] = rows[j][i] = value
 
-    names, taken = dict(a.names), set(left.taken)
+    names, taken = dict(a.names), set(a.names.values())
     for q in b_extra:
         nm = _fresh_name(taken, b.names[q])
         names[ids[q]] = nm
@@ -344,4 +323,4 @@ def _glue(left: _Side, right: _Side) -> tuple[FinSpace, PartialIso, PartialIso]:
 
     glued = FinSpace._of_rows(order, rows, scale, names)
     f_b = PartialIso(b.points, tuple(ids[q] if q in ids else map_a[image_b[q]] for q in b.points))
-    return glued, left.f_a, f_b
+    return glued, PartialIso(a.points, a.points), f_b

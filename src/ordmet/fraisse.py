@@ -7,16 +7,17 @@ every space rigid, so matrices over positions 0..k-1 enumerate the slice up
 to canonical isomorphism with no duplicates.  Two engines produce the same
 report:
 
-* ``direct`` builds every span as real objects and routes it through
-  ``amalgamate``'s two steps.  The overlaps are the empty space (the JEP
-  spans) and then every space (the AP spans); the embeddings of each
-  overlap c into each space are enumerated once per c.  Each side of a
-  span, one embedding of c into one space, is checked by ``_side`` at its
-  first use, the space validated with it, and kept for every later span
-  over c, as a and as b; each span is then one ``_glue`` call, which
-  checks nothing.  Every span gets ``amalgamate``'s checks, verdict and
-  message, in its order.  Exact but slow; meant for small bounds and for
-  cross-checking.
+* ``direct`` builds every space and embedding as real objects and decides
+  every span by ``amalgamate``'s input checks.  The overlaps are the empty
+  space (the JEP spans) and then every space (the AP spans); the
+  embeddings of each overlap c into each space are enumerated once per c.
+  Each side of a span, one embedding of c into one space, is checked by
+  ``_side`` at its first use, the space validated with it, and its verdict
+  kept for every later span over c, as a and as b.  Only a side can refuse
+  a span (the glue of two passing sides is a metric by Katetov's lemma),
+  so nothing is glued: every span gets ``amalgamate``'s verdict and
+  message, e_a's side first, in its order.  Exact but slow; meant for
+  small bounds and for cross-checking.
 * ``vector`` rescales the grid to integers and checks the amalgam axioms
   with numpy.  For each span only the mixed triangle families can fail
   (the two sides are already valid and symmetry, identity, positivity of
@@ -70,7 +71,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .amalgam import AmalgamError, _glue, _side
+from .amalgam import AmalgamError, _side
 from .rationals import format_rational
 from .spaces import STORE_BUDGET_BYTES, FinSpace, enumerate_embeddings, validate
 
@@ -308,38 +309,31 @@ def _direct_engine(max_size, grid_values, scale, per_size) -> FraisseReport:
 
 def _span_failures(spaces, c, into) -> Iterator[Optional[str]]:
     """The ``AmalgamError`` message of each span (a, e_a, b, e_b) over ``c``,
-    None for one that glues, in enumeration order: a and b range over
-    ``spaces`` and e_a, e_b over their lists in ``into``.
+    None for one ``amalgamate`` accepts, in enumeration order: a and b
+    range over ``spaces`` and e_a, e_b over their lists in ``into``.
 
-    A span is ``amalgamate`` made of its two steps, ``_glue`` of the sides
-    that ``_side`` checks; only a side can refuse it.  Each side, one
-    embedding into one space, is built at its first use and kept for every
-    later span over c, so it is checked and its space validated once as a
-    and as b; one whose check fails keeps its message, per tag, and every
-    span that uses it fails with that message again.  A span's e_a side is
-    looked up before its e_b side, as ``amalgamate`` checks them."""
-    built = [[None] * len(embeddings) for embeddings in into]
+    A span is decided as ``amalgamate`` decides it, by ``_side`` on e_a and
+    then on e_b; only a side can refuse it, so nothing is glued.  Each
+    side, one embedding into one space, is checked at its first use and its
+    verdict kept for every later span over c: one that passes is checked
+    once, as a or as b; one that fails keeps its message, per tag, and
+    every span that uses it fails with that message again."""
+    passed = [[False] * len(embeddings) for embeddings in into]
     refused: dict[tuple[int, int, str], str] = {}
 
-    def side(i: int, k: int, tag: str):
-        if built[i][k] is None and (i, k, tag) not in refused:
+    def refusal(i: int, k: int, tag: str) -> Optional[str]:
+        if not passed[i][k] and (i, k, tag) not in refused:
             try:
-                built[i][k] = _side(spaces[i], c, into[i][k], tag)
+                _side(spaces[i], c, into[i][k], tag)
+                passed[i][k] = True
             except AmalgamError as exc:
                 refused[i, k, tag] = str(exc)
-        if built[i][k] is None:
-            raise AmalgamError(refused[i, k, tag])
-        return built[i][k]
+        return None if passed[i][k] else refused[i, k, tag]
 
     ends = [(i, k) for i, embeddings in enumerate(into) for k in range(len(embeddings))]
     for i, k in ends:
         for j, l in ends:
-            try:
-                _glue(side(i, k, "e_a"), side(j, l, "e_b"))
-            except AmalgamError as exc:
-                yield str(exc)
-            else:
-                yield None
+            yield refusal(i, k, "e_a") or refusal(j, l, "e_b")
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,9 @@ def reference_amalgamate(
     checked against every anchor's lower bound and the glued space
     validated.  On a span of two metric spaces it gives the same glued
     space and maps; it refuses the same spans, but a side that is not a
-    metric with a message of its own."""
+    metric with a message of its own.  Its re-checks are what ``_glue``
+    leaves to Katetov's lemma, and what lets the direct Fraisse engine
+    decide a span from its sides alone and glue none."""
     map_a, map_b = e_a.mapping, e_b.mapping
     for tgt, emb, tag in ((a, e_a, "e_a"), (b, e_b, "e_b")):
         refusal = reference_embedding_refusal(tgt, c, emb, tag)

@@ -445,11 +445,11 @@ def failing_spans():
 
 
 def test_amalgamate_matches_the_reference():
-    """``_glue`` of two ``_side``s gives what the one-function reference
-    gives, the glued space and maps, on every span of the size-3 slices
-    over {1, 2} and {1, 3}.  On the failing spans both refuse, and
-    ``amalgamate`` names the first side that fails: a bad embedding, or a
-    space that is not a metric, for e_a and for e_b."""
+    """``amalgamate``, ``_side`` twice and then ``_glue``, gives what the
+    one-function reference gives, the glued space and maps, on every span
+    of the size-3 slices over {1, 2} and {1, 3}.  On the failing spans
+    both refuse, and ``amalgamate`` names the first side that fails: a bad
+    embedding, or a space that is not a metric, for e_a and for e_b."""
     spans = 0
     for grid in ([1, 2], [1, 3]):
         for span in slice_spans(3, grid):

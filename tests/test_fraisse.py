@@ -84,9 +84,13 @@ def test_space_counts(max_size, grid, expected_counts):
         (3, [1], 53),  # hand-computed span count
         (2, [1, 3], 27),  # hand-computed span count
         (3, [1, 2], 1187),
+        (4, [1, 2], 174051),  # the direct engine in about 0.2 s
     ],
 )
 def test_engines_agree(max_size, grid, expected_ap):
+    """The direct engine, which decides each span by its two sides, and the
+    vector engine, which decides each AP target by class facts, give equal
+    reports: space counts, checked counts and verdicts."""
     grid = [Fraction(v) for v in grid]
     direct = check_fraisse_properties(max_size, grid, engine="direct")
     vector = check_fraisse_properties(max_size, grid, engine="vector")

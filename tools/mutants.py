@@ -18,8 +18,8 @@ names and schedule (its first level, strictly increasing subsets, the gap
 bound), the entry checks of back-and-forth and ``apply_auto`` and image
 search, the orbit test's support and the orbit search's support-filtered
 level per entry and its stack's cut of the placed entries, the Fraisse
-direct engine's embedding lists and side table (built per overlap, a failed
-side's message kept per tag, e_a's side looked up first), the AP estimate's
+direct engine's embedding lists and side verdicts (per overlap, a failed
+side's message returned and kept per tag, e_a first), the AP estimate's
 overlap sizes per space size and its lower bound before a size below the
 largest is enumerated, the grid's dtype bound, the vector JEP verdict, the
 HP subset search, the class ranking's key compaction and zero-width
@@ -308,8 +308,8 @@ MUTANTS = [
     Mutant(
         "amalgam-e_b-checked-first",
         AMALGAM,
-        'return _glue(_side(a, c, e_a, "e_a"), _side(b, c, e_b, "e_b"))',
-        'right = _side(b, c, e_b, "e_b")\n    return _glue(_side(a, c, e_a, "e_a"), right)',
+        '_side(a, c, e_a, "e_a")\n    _side(b, c, e_b, "e_b")',
+        '_side(b, c, e_b, "e_b")\n    _side(a, c, e_a, "e_a")',
         (f"{BAD_INPUT}[order-e_b]", AMALGAM_REFERENCE),
     ),
     Mutant(
@@ -336,15 +336,15 @@ MUTANTS = [
     Mutant(
         "amalgam-order-b-after-anchor",
         AMALGAM,
-        "self.keys = [((i, 1, 0), p)",
-        "self.keys = [((i, -1, 0), p)",
+        "keyed = [((i, 1, 0), p)",
+        "keyed = [((i, -1, 0), p)",
         GLUED_ORDER,
     ),
     Mutant(
         "amalgam-order-last-gap-closed-early",
         AMALGAM,
-        "+ [len(space)]",
-        "+ [len(space) - 1]",
+        "closing = anchors_a + [len(a)]",
+        "closing = anchors_a + [len(a) - 1]",
         GLUED_ORDER,
     ),
     Mutant(
@@ -534,23 +534,30 @@ MUTANTS = [
     Mutant(
         "direct-engine-side-cache-kept-across-overlaps",
         FRAISSE,
-        "built = [[None] * len(embeddings) for embeddings in into]",
-        'built = _span_failures.__dict__.setdefault("built", [[None] * len(embeddings) for embeddings in into])',
+        "passed = [[False] * len(embeddings) for embeddings in into]",
+        'passed = _span_failures.__dict__.setdefault("passed", [[False] * len(embeddings) for embeddings in into])',
         (SIDES_ONCE,),
     ),
     Mutant(
         "direct-engine-side-error-dropped",
         FRAISSE,
-        "if built[i][k] is None and (i, k, tag) not in refused:",
-        "if built[i][k] is None:",
+        "if not passed[i][k] and (i, k, tag) not in refused:",
+        "if not passed[i][k]:",
         (FAILING_SIDE,),
     ),
     Mutant(
         "direct-engine-e_b-side-first",
         FRAISSE,
-        '_glue(side(i, k, "e_a"), side(j, l, "e_b"))',
-        '_glue(*reversed((side(j, l, "e_b"), side(i, k, "e_a"))))',
+        'yield refusal(i, k, "e_a") or refusal(j, l, "e_b")',
+        'yield refusal(j, l, "e_b") or refusal(i, k, "e_a")',
         (FAILING_SIDE,),
+    ),
+    Mutant(
+        "direct-engine-refused-side-passes",
+        FRAISSE,
+        "return None if passed[i][k] else refused[i, k, tag]",
+        "return None",
+        (f"{INJECTED_SLICE}[triangle]", f"{INJECTED_SLICE}[positivity]"),
     ),
     Mutant(
         "vector-jep-always-ok",
